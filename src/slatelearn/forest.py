@@ -58,15 +58,6 @@ class EstimationForest:
     def n(self) -> int:
         return self.graph.n
 
-    def neighbors(self, u: int) -> list:
-        out = []
-        for (a, b) in self.edge_log:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return out
-
     def adjacency(self) -> dict:
         adj: dict = {u: [] for u in range(self.n)}
         for (a, b) in self.edge_log:

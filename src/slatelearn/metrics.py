@@ -7,7 +7,8 @@ The headline distance between two models is the worst slate:
 
 Exhaustive evaluation enumerates all 2^n - 1 slates and is gated to n <= 20;
 the sampled variant checks a structured subset of slates and is a lower
-bound on the exact distances.
+bound on the exact distances. Both score a chunk of slates at a time through
+each model's batched ``slate_distributions``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LogWeightMnl, Model, slate_distribution
+# slate_distribution is unused, but perfbench's tracer patches it here
+from .models import LogWeightMnl, Model, slate_distribution  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -29,11 +31,44 @@ class DistanceReport:
     slates_checked: int
 
 
-def _slate_gap(a: Model, b: Model, slate: np.ndarray) -> tuple:
-    pa = slate_distribution(a, slate)
-    pb = slate_distribution(b, slate)
-    diff = np.abs(pa - pb)
-    return float(diff.sum()), float(diff.max())
+# A batched temporary holds at most this many values (8 MiB of float64), or
+# one slate row when n is larger.
+CHUNK_VALUES = 1 << 20
+
+
+def _mask_chunks(n: int):
+    """Slates 1 .. 2^n - 1 as chunks of mask rows; bit i of slate m is item i."""
+    bits, rows = np.arange(n), max(1, CHUNK_VALUES // n)
+    for start in range(1, 1 << n, rows):
+        ids = np.arange(start, min(start + rows, 1 << n))
+        yield (ids[:, None] >> bits) & 1 == 1
+
+
+def _listed_chunks(slates: list, n: int):
+    """The listed slates as chunks of mask rows, in list order."""
+    rows = max(1, CHUNK_VALUES // n)
+    for start in range(0, len(slates), rows):
+        block = slates[start:start + rows]
+        masks = np.zeros((len(block), n), dtype=bool)
+        for r, s in enumerate(block):
+            masks[r, list(s)] = True
+        yield masks
+
+
+def _worst_slate(a: Model, b: Model, chunks) -> tuple:
+    """d1, dinf and the first slate attaining d1 over chunks of mask rows."""
+    best_d1, best_dinf, best_slate = -1.0, 0.0, ()
+    for masks in chunks:
+        diff = a.slate_distributions(masks)
+        diff -= b.slate_distributions(masks)
+        np.abs(diff, out=diff)
+        tv = diff.sum(axis=1)
+        r = int(np.argmax(tv))
+        best_dinf = max(best_dinf, float(diff.max()))
+        if tv[r] > best_d1:
+            best_d1 = float(tv[r])
+            best_slate = tuple(int(x) for x in np.flatnonzero(masks[r]))
+    return best_d1, best_dinf, best_slate
 
 
 def distance_exact(a: Model, b: Model) -> DistanceReport:
@@ -43,15 +78,8 @@ def distance_exact(a: Model, b: Model) -> DistanceReport:
         raise ValueError("models must agree on n")
     if n > 20:
         raise ValueError("exhaustive slate enumeration is gated to n <= 20")
-    items = np.arange(n)
-    best_d1, best_dinf, best_slate = -1.0, 0.0, ()
-    for mask in range(1, 1 << n):
-        slate = items[[(mask >> i) & 1 == 1 for i in range(n)]]
-        tv, gap = _slate_gap(a, b, slate)
-        best_dinf = max(best_dinf, gap)
-        if tv > best_d1:
-            best_d1, best_slate = tv, tuple(int(x) for x in slate)
-    return DistanceReport(d1=best_d1, dinf=best_dinf, argmax_slate=best_slate,
+    d1, dinf, slate = _worst_slate(a, b, _mask_chunks(n))
+    return DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
                           exact=True, slates_checked=(1 << n) - 1)
 
 
@@ -75,11 +103,12 @@ def distance_sampled(a: Model, b: Model, k: int,
     seen = {slates[0]}
     if isinstance(a, LogWeightMnl):
         order = np.argsort(-a.log_w, kind="stable")
-        for size in range(2, n):
-            s = tuple(sorted(int(x) for x in order[:size]))
-            if s not in seen:
-                seen.add(s)
-                slates.append(s)
+        # prefixes differ in size, so they are distinct; once k are listed
+        # neither the pairs nor the random subsets below can be added
+        for size in range(2, min(n, k + 1)):
+            s = tuple(np.sort(order[:size]).tolist())
+            seen.add(s)
+            slates.append(s)
     if len(slates) + n * (n - 1) // 2 <= k:
         for u in range(n):
             for v in range(u + 1, n):
@@ -96,14 +125,8 @@ def distance_sampled(a: Model, b: Model, k: int,
             seen.add(s)
             slates.append(s)
     slates = slates[:k]
-
-    best_d1, best_dinf, best_slate = -1.0, 0.0, ()
-    for s in slates:
-        tv, gap = _slate_gap(a, b, np.array(s, dtype=np.int64))
-        best_dinf = max(best_dinf, gap)
-        if tv > best_d1:
-            best_d1, best_slate = tv, s
-    return DistanceReport(d1=best_d1, dinf=best_dinf, argmax_slate=best_slate,
+    d1, dinf, slate = _worst_slate(a, b, _listed_chunks(slates, n))
+    return DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
                           exact=False, slates_checked=len(slates))
 
 
@@ -138,10 +161,9 @@ def estimates_on_all_slates(oracle, eps: float, delta: float) -> dict:
     n = oracle.n
     q = math.ceil((2.0 / (eps * eps)) * (n * math.log(3.0)
                                          + math.log(2.0 / delta)))
-    items = np.arange(n)
     out = {}
-    for mask in range(1, 1 << n):
-        slate = items[[(mask >> i) & 1 == 1 for i in range(n)]]
+    for slate in (np.flatnonzero(m) for masks in _mask_chunks(n)
+                  for m in masks):
         if slate.size == 1:
             out[(int(slate[0]),)] = np.ones(1)
             continue

@@ -43,10 +43,18 @@ class LogWeightMnl:
         lw = self.log_w[slate]
         return np.exp(lw - logsumexp(lw))
 
-    def log_slate_distribution(self, slate) -> np.ndarray:
-        slate = _check_slate(slate, self.n)
-        lw = self.log_w[slate]
-        return lw - logsumexp(lw)
+    def slate_distributions(self, masks) -> np.ndarray:
+        """Winning distributions of many slates at once.
+
+        ``masks`` is a boolean rows x n matrix holding one non-empty slate
+        per row. Row r of the result is the distribution on the slate
+        ``flatnonzero(masks[r])``, indexed by item and zero off the slate.
+        """
+        probs = np.where(_check_masks(masks, self.n), self.log_w, -np.inf)
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs
 
 
 @dataclass(frozen=True)
@@ -79,27 +87,24 @@ class MatchingPseudoMnl:
     def n(self) -> int:
         return self.pi.size
 
-    def highest_pair(self, slate) -> int:
-        """Index of the highest pair intersecting the slate."""
-        slate = _check_slate(slate, self.n)
-        pos = np.empty(self.n, dtype=np.int64)
-        pos[self.pi] = np.arange(self.n)
-        return int(np.max(pos[slate]) // 2)
-
     def slate_distribution(self, slate) -> np.ndarray:
         slate = _check_slate(slate, self.n)
-        i = self.highest_pair(slate)
-        lo, hi = self.pi[2 * i], self.pi[2 * i + 1]
-        probs = np.zeros(slate.size)
-        lo_in = np.flatnonzero(slate == lo)
-        hi_in = np.flatnonzero(slate == hi)
-        if lo_in.size and hi_in.size:
-            probs[hi_in[0]] = self.p[i]
-            probs[lo_in[0]] = 1.0 - self.p[i]
-        elif hi_in.size:
-            probs[hi_in[0]] = 1.0
-        else:
-            probs[lo_in[0]] = 1.0
+        mask = np.zeros((1, self.n), dtype=bool)
+        mask[0, slate] = True
+        return self.slate_distributions(mask)[0, slate]
+
+    def slate_distributions(self, masks) -> np.ndarray:
+        """Batched form, as :meth:`LogWeightMnl.slate_distributions`."""
+        masks = _check_masks(masks, self.n)
+        pos = np.empty(self.n, dtype=np.int64)
+        pos[self.pi] = np.arange(self.n)
+        pair = np.where(masks, pos, -1).max(axis=1) // 2
+        lo, hi = self.pi[2 * pair], self.pi[2 * pair + 1]
+        rows = np.arange(masks.shape[0])
+        lo_in, hi_in = masks[rows, lo], masks[rows, hi]
+        probs = np.zeros(masks.shape)
+        probs[rows, hi] = np.where(lo_in, self.p[pair], 1.0) * hi_in
+        probs[rows, lo] = np.where(hi_in, 1.0 - self.p[pair], 1.0) * lo_in
         return probs
 
 
@@ -114,6 +119,13 @@ def _check_slate(slate, n: int) -> np.ndarray:
         raise ValueError("slate contains out-of-range items")
     if np.unique(arr).size != arr.size:
         raise ValueError("slate items must be distinct")
+    return arr
+
+
+def _check_masks(masks, n: int) -> np.ndarray:
+    arr = np.asarray(masks, dtype=bool)
+    if arr.ndim != 2 or arr.shape[1] != n or not arr.any(axis=1).all():
+        raise ValueError("masks must be rows x n booleans, no row all false")
     return arr
 
 

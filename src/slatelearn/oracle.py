@@ -36,6 +36,8 @@ from .models import Model, pair_probability
 PAIR_TAG = 0x70AB
 SLATE_TAG = 0x51A7
 GEOMETRIC_CAP = 10**9
+# Largest count passed to one Generator.binomial call, which takes a C long.
+BINOMIAL_CHUNK = 1 << 62
 
 
 @dataclass
@@ -150,7 +152,11 @@ class LiveOracle:
         """How many of ``count`` queries to {u, v} return u."""
         if self.pair_mode == "binomial":
             p_u = pair_probability(self.model, u, v)
-            wins = int(self._pair_rng(u, v).binomial(count, p_u))
+            rng, wins = self._pair_rng(u, v), 0
+            # Binomial(a + b, p) = Binomial(a, p) + Binomial(b, p); a count
+            # up to BINOMIAL_CHUNK takes one draw, and count 0 draws nothing
+            for lo in range(0, max(count, 1), BINOMIAL_CHUNK):
+                wins += int(rng.binomial(min(count - lo, BINOMIAL_CHUNK), p_u))
         else:
             wins = int(np.count_nonzero(self._stream_winners(u, v, count) == u))
         self.ledger.record_pair(u, v, count)
@@ -170,9 +176,6 @@ class LiveOracle:
                 raise GeometricCapExceeded(
                     "geometric wait for pair ({}, {}) exceeded cap".format(u, v))
             self.ledger.record_pair(u, v, draws)
-            if self.transcript is not None:
-                self.transcript.extend((u, v, v) for _ in range(draws - 1))
-                self.transcript.append((u, v, u))
             return draws - 1
         losses = 0
         while self.sample_pair(u, v) != u:
@@ -208,10 +211,6 @@ class ReplayTable:
     m: int
     answers: dict  # (u, v) with u < v -> int64 array of winners, length m
     cursors: dict  # same keys -> next unread position
-
-    def remaining(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.m - self.cursors.get(key, 0)
 
 
 def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:

@@ -6,7 +6,97 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slatelearn as sl
+import slatelearn.metrics as metrics
 from conftest import mnl
+
+
+def reference_distribution(model, slate) -> np.ndarray:
+    """One slate's distribution, computed for that slate alone.
+
+    An MNL uses its per-slate logsumexp path; a pseudo-MNL applies the
+    highest-intersecting-pair rule directly, independent of the batched form.
+    """
+    slate = np.asarray(slate, dtype=np.int64)
+    if isinstance(model, sl.LogWeightMnl):
+        return model.slate_distribution(slate)
+    pos = np.empty(model.n, dtype=np.int64)
+    pos[model.pi] = np.arange(model.n)
+    i = int(pos[slate].max() // 2)
+    lo, hi = model.pi[2 * i], model.pi[2 * i + 1]
+    probs = np.zeros(slate.size)
+    if lo in slate and hi in slate:
+        probs[slate == hi], probs[slate == lo] = model.p[i], 1.0 - model.p[i]
+    else:
+        probs[(slate == hi) | (slate == lo)] = 1.0
+    return probs
+
+
+def reference_worst(a, b, slates) -> tuple:
+    """The per-slate loop the batched kernel replaced, kept as its reference.
+
+    Returns (d1, dinf, argmax slate, slates checked); the first slate in
+    list order that attains d1 is the argmax.
+    """
+    best_d1, best_dinf, best_slate = -1.0, 0.0, ()
+    for s in slates:
+        diff = np.abs(reference_distribution(a, s)
+                      - reference_distribution(b, s))
+        tv = float(diff.sum())
+        best_dinf = max(best_dinf, float(diff.max()))
+        if tv > best_d1:
+            best_d1, best_slate = tv, tuple(int(x) for x in s)
+    return best_d1, best_dinf, best_slate, len(slates)
+
+
+def reference_all_slates(n: int) -> list:
+    """Every non-empty slate in mask order: bit i of the mask holds item i."""
+    items = np.arange(n)
+    return [items[[(mask >> i) & 1 == 1 for i in range(n)]]
+            for mask in range(1, 1 << n)]
+
+
+def reference_sampled_slates(a, n: int, k: int, rng) -> list:
+    """The slate list distance_sampled checked before it stopped early.
+
+    It lists every heaviest-first prefix, then cuts the list to k.
+    """
+    slates = [tuple(range(n))]
+    seen = {slates[0]}
+    if isinstance(a, sl.LogWeightMnl):
+        order = np.argsort(-a.log_w, kind="stable")
+        for size in range(2, n):
+            s = tuple(sorted(int(x) for x in order[:size]))
+            if s not in seen:
+                seen.add(s)
+                slates.append(s)
+    if len(slates) + n * (n - 1) // 2 <= k:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in seen:
+                    seen.add((u, v))
+                    slates.append((u, v))
+    attempts = 0
+    while len(slates) < k and attempts < 50 * k:
+        attempts += 1
+        size = int(rng.integers(2, n + 1))
+        s = tuple(sorted(int(x) for x in
+                         rng.choice(n, size=size, replace=False)))
+        if s not in seen:
+            seen.add(s)
+            slates.append(s)
+    return slates[:k]
+
+
+def assert_matches(rep, ref) -> None:
+    d1, dinf, slate, checked = ref
+    assert rep.d1 == pytest.approx(d1, abs=1e-12)
+    assert rep.dinf == pytest.approx(dinf, abs=1e-12)
+    assert rep.argmax_slate == slate
+    assert rep.slates_checked == checked
+
+
+def random_pseudo(rng, n):
+    return sl.MatchingPseudoMnl(rng.uniform(size=n // 2), rng.permutation(n))
 
 
 class TestDistanceExact:
@@ -54,6 +144,59 @@ class TestDistanceExact:
         with pytest.raises(ValueError):
             sl.distance_exact(big, big)
 
+    def test_matches_reference_loop_on_random_mnls(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 13):
+            a = sl.LogWeightMnl(rng.normal(size=n))
+            b = sl.LogWeightMnl(a.log_w + rng.normal(scale=0.5, size=n))
+            assert_matches(sl.distance_exact(a, b),
+                           reference_worst(a, b, reference_all_slates(n)))
+
+    def test_matches_reference_loop_on_pseudo_mnls(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 4, 6, 10):
+            pseudo = random_pseudo(rng, n)
+            others = (sl.LogWeightMnl(rng.normal(size=n)),
+                      random_pseudo(rng, n))
+            for other in others:
+                for a, b in ((pseudo, other), (other, pseudo)):
+                    assert_matches(sl.distance_exact(a, b),
+                                   reference_worst(a, b,
+                                                   reference_all_slates(n)))
+
+    def test_matches_reference_loop_at_extreme_log_weights(self):
+        # a direct exp of +-1000 over- or underflows; max subtraction must not
+        rng = np.random.default_rng(13)
+        for n in (6, 10):
+            lw = 1000.0 * rng.choice([-1.0, 1.0], size=n) + rng.normal(size=n)
+            a = sl.LogWeightMnl(lw)
+            b = sl.LogWeightMnl(lw + rng.normal(size=n))
+            assert_matches(sl.distance_exact(a, b),
+                           reference_worst(a, b, reference_all_slates(n)))
+
+    def test_ties_go_to_the_first_mask(self, monkeypatch):
+        models = (mnl(1.0, 2.0, 3.0, 4.0),
+                  sl.MatchingPseudoMnl(np.array([0.3, 0.6]), np.arange(4)))
+        # one chunk, then one row per chunk: ties within and across chunks
+        for values in (metrics.CHUNK_VALUES, 1):
+            monkeypatch.setattr(metrics, "CHUNK_VALUES", values)
+            for m in models:
+                assert sl.distance_exact(m, m).argmax_slate == (0,)
+
+    def test_chunk_boundaries_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        n = 9
+        a = sl.LogWeightMnl(rng.normal(size=n))
+        b = sl.LogWeightMnl(rng.normal(size=n))
+        exact = sl.distance_exact(a, b)
+        sampled = sl.distance_sampled(a, b, 40, np.random.default_rng(1))
+        # 1, 3 and 7 rows per chunk; 511 and 40 slates leave a partial chunk
+        for values in (1, 3 * n, 7 * n + 1):
+            monkeypatch.setattr(metrics, "CHUNK_VALUES", values)
+            assert sl.distance_exact(a, b) == exact
+            assert sl.distance_sampled(
+                a, b, 40, np.random.default_rng(1)) == sampled
+
 
 class TestDistanceSampled:
     def test_identical_models(self):
@@ -81,6 +224,29 @@ class TestDistanceSampled:
         a = mnl(*range(1, 9))
         b = mnl(*range(2, 10))
         assert sl.distance_sampled(a, b, 5).slates_checked <= 5
+
+    def test_matches_reference_listing(self):
+        # n - 1 <= k lists pairs and random subsets; n - 1 > k stops early
+        k = 50
+        rng = np.random.default_rng(15)
+        for n in (5, 12, 40, 51, 52, 300):
+            a = sl.LogWeightMnl(rng.normal(size=n))
+            b = sl.LogWeightMnl(a.log_w + rng.normal(scale=0.3, size=n))
+            slates = reference_sampled_slates(a, n, k,
+                                              np.random.default_rng(n))
+            assert_matches(sl.distance_sampled(a, b, k,
+                                               np.random.default_rng(n)),
+                           reference_worst(a, b, slates))
+
+    def test_matches_reference_listing_for_pseudo_mnls(self):
+        rng = np.random.default_rng(16)
+        for n in (6, 40):
+            a, b = random_pseudo(rng, n), sl.LogWeightMnl(rng.normal(size=n))
+            slates = reference_sampled_slates(a, n, 30,
+                                              np.random.default_rng(n))
+            assert_matches(sl.distance_sampled(a, b, 30,
+                                               np.random.default_rng(n)),
+                           reference_worst(a, b, slates))
 
 
 class TestSeparationFixture:

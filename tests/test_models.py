@@ -41,6 +41,23 @@ class TestLogWeightMnl:
             with pytest.raises(ValueError):
                 m.slate_distribution(bad)
 
+    def test_batched_rows_match_single_slates(self):
+        m = mnl(1.0, 2.0, 5.0, 0.5)
+        masks = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 1]], bool)
+        probs = m.slate_distributions(masks)
+        for row, mask in zip(probs, masks):
+            slate = np.flatnonzero(mask)
+            np.testing.assert_allclose(row[slate],
+                                       m.slate_distribution(slate))
+            assert np.all(row[~mask] == 0.0)
+
+    def test_batched_form_rejects_bad_masks(self):
+        m = mnl(1.0, 1.0)
+        for bad in (np.zeros((1, 2), bool), np.ones((1, 3), bool),
+                    np.ones(2, bool)):
+            with pytest.raises(ValueError):
+                m.slate_distributions(bad)
+
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=2,
                     max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@ import pytest
 
 import slatelearn as sl
 from conftest import mnl
+from slatelearn.oracle import BINOMIAL_CHUNK, pair_streams_seed
 
 
 def uniform_pair():
@@ -61,6 +62,26 @@ class TestLedger:
         led.record_pair(0, 1, 5)
         led.record_pair(1, 2, 9)
         assert led.max_per_pair == 9
+
+
+class TestBinomialChunks:
+    def test_count_up_to_chunk_is_one_draw(self):
+        # seeded runs drew Binomial(count, p) in one call; they must still
+        model = mnl(1.0, 3.0)
+        p = sl.pair_probability(model, 0, 1)
+        for count in (0, 1, 1000, 2**40, BINOMIAL_CHUNK):
+            o = sl.LiveOracle(model, seed=8)
+            rng = np.random.default_rng(pair_streams_seed(8, 0, 1))
+            assert o.pair_win_count(0, 1, count) == rng.binomial(count, p)
+
+    def test_count_beyond_c_long(self):
+        o = sl.LiveOracle(mnl(1.0, 3.0), seed=9)
+        wins = o.pair_win_count(0, 1, 2**64)
+        assert isinstance(wins, int) and 0 <= wins <= 2**64
+        # every chunk is drawn: the sd of wins / 2^64 is about 1e-10
+        assert abs(wins / 2**64 - 0.25) < 1e-6
+        assert o.ledger.total == 2**64
+        assert o.ledger.per_pair == {(0, 1): 2**64}
 
 
 class TestDeterminism:

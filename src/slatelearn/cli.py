@@ -67,6 +67,11 @@ def _learn_once(oracle, n, algo, eps, delta, m, budget, seed):
     return model, replay.ledger
 
 
+# Trial t, attempt a runs on seed + 1000 * t + a, so attempts stay below 1000
+# and seeds of different trials never collide.
+RETRIES = click.IntRange(0, 999)
+
+
 def _learn_with_retries(oracle_factory, n, algo, eps, delta, m, budget,
                         seed, retries):
     last = None
@@ -142,7 +147,7 @@ def gen(kind, n, rho, gamma, heavy, p, pi, seed, out):
               help="per-pair batch size for the non-adaptive learner")
 @click.option("--budget", default="calibrated",
               type=click.Choice(["calibrated", "theory"]))
-@click.option("--retries", default=0, type=int,
+@click.option("--retries", default=0, type=RETRIES,
               help="extra attempts (fresh seeds) after an algorithm failure")
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="learned model JSON path (suffixed -tK for trials > 1)")
@@ -238,7 +243,7 @@ def eval_cmd(model_a, model_b, mode, samples, seed, out):
               type=click.Choice(["calibrated", "theory"]))
 @click.option("--samples", default=200, type=int,
               help="slates for sampled distances when n > 20")
-@click.option("--retries", default=0, type=int)
+@click.option("--retries", default=0, type=RETRIES)
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="CSV output path")
 def bench(kind, rho, gamma, heavy, p, pi, ns, epss, algo, delta, trials,

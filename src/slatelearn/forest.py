@@ -32,6 +32,8 @@ from .primitives import (BalancedEstimateParams, RatioEstimate,
                          balanced_estimate_ratio, estimate_ratio)
 
 HOP_BOUND = 5
+# Values per temporary in validate_forest's row blocks.
+VALIDATE_BLOCK_VALUES = 1 << 16
 
 
 @dataclass
@@ -78,56 +80,74 @@ class EstimationForest:
         self.edge_log[key] = val
 
     def components(self) -> list:
-        adj = self.adjacency()
-        seen = np.zeros(self.n, dtype=bool)
-        comps = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            comp, frontier = [root], [root]
-            seen[root] = True
-            while frontier:
-                u = frontier.pop()
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        frontier.append(w)
-            comps.append(np.array(sorted(comp), dtype=np.int64))
-        return comps
+        order, parent, size, _, _ = _traverse(self, range(self.n))
+        return [np.sort(order[k:k + size[order[k]]])
+                for k in np.flatnonzero(parent[order] < 0)]
 
     def path_logs(self) -> np.ndarray:
         """Log estimated weight of every item, anchored at 0 per component root."""
-        adj = self.adjacency()
-        lam = np.full(self.n, np.nan)
-        for comp in self.components():
-            root = int(comp[0])
-            lam[root] = 0.0
-            frontier = [root]
-            while frontier:
-                u = frontier.pop()
-                for w in adj[u]:
-                    if np.isnan(lam[w]):
-                        lam[w] = lam[u] + self.log_ratio(w, u)
-                        frontier.append(w)
-        return lam
+        return _traverse(self, range(self.n))[4]
 
     def hop_distances(self) -> np.ndarray:
         """All-pairs hop counts; -1 marks disconnected pairs."""
-        adj = self.adjacency()
-        dist = np.full((self.n, self.n), -1, dtype=np.int64)
-        for src in range(self.n):
-            dist[src, src] = 0
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if dist[src, w] < 0:
-                            dist[src, w] = dist[src, u] + 1
-                            nxt.append(w)
-                frontier = nxt
-        return dist
+        return _hop_matrix(self, np.int64)
+
+
+def _hop_matrix(forest: EstimationForest, dtype) -> np.ndarray:
+    """All-pairs hop counts as ``dtype``, which must hold -1 to n.
+
+    Rows are filled in preorder, each from its parent's: one step down from
+    p to its child w adds a hop towards every item of the tree except w's
+    own subtree, which comes a hop closer.
+    """
+    n = forest.n
+    order, parent, size, root, _ = _traverse(forest, range(n))
+    pre = np.argsort(order)  # position of each item in the preorder
+    below_root = order[parent[order] >= 0]
+    depth = np.zeros(n, dtype=np.int64)
+    for w in below_root:
+        depth[w] = depth[parent[w]] + 1
+    dist = np.full((n, n), -1, dtype=dtype)
+    dist[root, np.arange(n)] = depth  # a root's row holds the depths
+    for w in below_root:
+        lo = pre[root[w]]
+        tree = order[lo:lo + size[root[w]]]
+        row = dist[parent[w], tree] + 1
+        row[pre[w] - lo:pre[w] - lo + size[w]] -= 2
+        dist[w, tree] = row
+    return dist
+
+
+def _traverse(forest: EstimationForest, roots) -> tuple:
+    """Depth-first walk of the forest from each root not reached before it.
+
+    Returns the reached items in preorder, then per item its parent (-1 at a
+    root), subtree size, tree root (-1 if unreached) and the sum of edge log
+    ratios down from its root. Every subtree is one contiguous run of the
+    preorder. Raises ValueError when the edges close a cycle.
+    """
+    adj = forest.adjacency()
+    parent, size, root = [-1] * forest.n, [1] * forest.n, [-1] * forest.n
+    order, lam = [], [0.0] * forest.n
+    for r in roots:
+        if root[r] >= 0:
+            continue
+        root[r], stack = r, [r]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w in adj[u]:
+                if root[w] < 0:
+                    root[w], parent[w] = r, u
+                    lam[w] = lam[u] + forest.log_ratio(w, u)
+                    stack.append(w)
+                elif w != parent[u]:
+                    raise ValueError("forest has a cycle through {}".format(w))
+    for w in reversed(order):
+        if parent[w] >= 0:
+            size[parent[w]] += size[w]
+    return (*(np.array(a, dtype=np.int64)
+              for a in (order, parent, size, root)), np.array(lam))
 
 
 def _star_forest(graph: ClusterGraph, eps: float) -> EstimationForest:
@@ -189,7 +209,7 @@ def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,
                            delta / (6.0 * n))
         calls_per_target[j + 1] += 1
         floor_log = (i - j) * math.log(1.0 / alpha)
-        r = _floored(r, floor_log) if not r.is_infinite else r
+        r = _floored(r, floor_log)
         if not r.is_infinite:
             forest.add_edge(c_i, c_j, r.log_ratio)
             j -= 1
@@ -263,8 +283,7 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
         for j in range(max(0, i - window), i):
             r = ber(i, j, float(beta[j + 1]))
             if not r.is_infinite:
-                floor_log = (i - j) * math.log(1.0 / alpha)
-                r_near = RatioEstimate.finite(max(r.log_ratio, floor_log))
+                r_near = _floored(r, (i - j) * math.log(1.0 / alpha))
                 j_m = j
                 break
         if j_m < 0:
@@ -314,46 +333,55 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
     """Check every condition of the forest definition against true weights.
 
     ``log_w`` are the ground-truth log weights; the report lists one entry
-    per violated (condition, pair) with the offending quantities.
+    per violated (condition, pair) with the offending quantities, in (u, v)
+    order. Pairs are checked with numpy in blocks of rows u, each temporary
+    holding about ``VALIDATE_BLOCK_VALUES`` values.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     n, eps, t = forest.n, forest.eps, forest.t
     gamma = forest.graph.gamma
-    lam = forest.path_logs()
-    dist = forest.hop_distances()
-    comps = forest.components()
-    comp_of = np.empty(n, dtype=np.int64)
-    for ci, comp in enumerate(comps):
-        comp_of[comp] = ci
-    log_1p = math.log1p(eps)
+    _, _, _, comp_of, lam = _traverse(forest, range(n))
+    # the one n x n matrix of the audit, in the narrowest type holding -1..n
+    dist = _hop_matrix(forest, np.min_scalar_type(-n - 1))
+    # lowest and highest cluster of each tree, indexed by its root
+    lo_gamma, hi_gamma = np.full(n, gamma.max()), np.zeros_like(gamma)
+    np.minimum.at(lo_gamma, comp_of, gamma)
+    np.maximum.at(hi_gamma, comp_of, gamma)
+    by_gamma = np.argsort(gamma, kind="stable")
+    # the mass sums of conditions 2 and 3 depend on v only through gamma(v):
+    # they are prefix sums over u's tree in gamma order, up to position upto[v]
+    upto = np.searchsorted(gamma[by_gamma], gamma, side="right") - 1
+    rows = max(1, VALIDATE_BLOCK_VALUES // n)
     out = []
 
-    for u in range(n):
-        for v in range(n):
-            if u == v or gamma[u] < gamma[v]:
-                continue
-            d = dist[u, v]
-            if 0 < d <= t:
-                est = lam[u] - lam[v]
-                true = log_w[u] - log_w[v]
-                # the (1 +- eps) bracket must hold in both directions, which
-                # pins the log error to at most log(1 + eps) in magnitude
-                if abs(est - true) > log_1p:
-                    out.append((1, (u, v), float(est - true)))
-            elif d > t or d < 0:
-                mask = (comp_of == comp_of[u]) & (gamma <= gamma[v])
-                if np.any(mask):
-                    true_sum = float(np.exp(log_w[mask] - log_w[u]).sum())
-                    est_sum = float(np.exp(lam[mask] - lam[u]).sum())
-                    if true_sum > eps:
-                        out.append((2 if d > 0 else 3, (u, v), true_sum))
-                    if est_sum > eps:
-                        out.append((2 if d > 0 else 3, (u, v), est_sum))
-                if d < 0 and gamma[u] > gamma[v]:
-                    lo_u = int(gamma[comps[comp_of[u]]].min())
-                    hi_v = int(gamma[comps[comp_of[v]]].max())
-                    if lo_u <= hi_v:
-                        out.append((3, (u, v), (lo_u, hi_v)))
-            if gamma[u] == gamma[v] and (d < 0 or d > t):
-                out.append((4, (u, v), int(d)))
+    for lo in range(0, n, rows):
+        u = np.arange(lo, min(n, lo + rows))
+        d, gu, cu = dist[lo:lo + rows], gamma[u, None], comp_of[u, None]
+        pairs = (gu >= gamma) & (u[:, None] != np.arange(n))
+        far = (d > t) | (d < 0)
+        err = (lam[u, None] - lam) - (log_w[u, None] - log_w)
+        # terms of u's tree no heavier in cluster than u; the rest stay 0
+        keep = (comp_of[by_gamma] == cu) & (gamma[by_gamma] <= gu)
+        true_sum, est_sum = (
+            np.cumsum(np.exp(x[by_gamma] - x[u, None], where=keep,
+                             out=np.zeros(keep.shape)), axis=1)
+            for x in (log_w, lam))
+        # the (1 +- eps) bracket must hold in both directions, which
+        # pins the log error to at most log(1 + eps) in magnitude
+        checks = (pairs & (d > 0) & (d <= t)
+                  & (np.abs(err) > math.log1p(eps)),
+                  pairs & far & (true_sum[:, upto] > eps),
+                  pairs & far & (est_sum[:, upto] > eps),
+                  pairs & (d < 0) & (gu > gamma)
+                  & (lo_gamma[cu] <= hi_gamma[comp_of]),
+                  pairs & far & (gu == gamma))
+        for i, v in zip(*np.nonzero(np.logical_or.reduce(checks))):
+            pair, mass_cond = (lo + int(i), int(v)), 2 if d[i, v] > 0 else 3
+            found = ((1, float(err[i, v])),
+                     (mass_cond, float(true_sum[i, upto[v]])),
+                     (mass_cond, float(est_sum[i, upto[v]])),
+                     (3, (int(lo_gamma[cu[i, 0]]), int(hi_gamma[comp_of[v]]))),
+                     (4, int(d[i, v])))
+            out.extend((cond, pair, value)
+                       for (cond, value), c in zip(found, checks) if c[i, v])
     return ViolationReport(violations=out)

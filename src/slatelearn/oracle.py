@@ -164,26 +164,7 @@ class LiveOracle:
 
     def sample_geometric(self, u: int, v: int) -> int:
         """Losses of u before its first win on {u, v}; charges losses + 1 queries."""
-        p_u = pair_probability(self.model, u, v)
-        if self.pair_mode == "binomial":
-            if p_u <= 0.0:
-                self.ledger.record_pair(u, v, GEOMETRIC_CAP)
-                raise GeometricCapExceeded(
-                    "item {} can never win against {}".format(u, v))
-            draws = int(self._pair_rng(u, v).geometric(p_u))
-            if draws > GEOMETRIC_CAP:
-                self.ledger.record_pair(u, v, GEOMETRIC_CAP)
-                raise GeometricCapExceeded(
-                    "geometric wait for pair ({}, {}) exceeded cap".format(u, v))
-            self.ledger.record_pair(u, v, draws)
-            return draws - 1
-        losses = 0
-        while self.sample_pair(u, v) != u:
-            losses += 1
-            if losses >= GEOMETRIC_CAP:
-                raise GeometricCapExceeded(
-                    "geometric wait for pair ({}, {}) exceeded cap".format(u, v))
-        return losses
+        return int(self.sample_geometric_block(u, v, 1)[0])
 
     def sample_geometric_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` independent geometric waits; returns the loss counts."""
@@ -200,8 +181,15 @@ class LiveOracle:
                     "geometric wait for pair ({}, {}) exceeded cap".format(u, v))
             self.ledger.record_pair(u, v, int(draws.sum()))
             return (draws - 1).astype(np.int64)
-        return np.array([self.sample_geometric(u, v) for _ in range(count)],
-                        dtype=np.int64)
+        losses = np.zeros(count, dtype=np.int64)
+        for k in range(count):
+            while self.sample_pair(u, v) != u:
+                losses[k] += 1
+                if losses[k] >= GEOMETRIC_CAP:
+                    raise GeometricCapExceeded(
+                        "geometric wait for pair ({}, {}) exceeded cap"
+                        .format(u, v))
+        return losses
 
 
 @dataclass

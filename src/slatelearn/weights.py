@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from .config import DEFAULT_BUDGET, QueryBudget
-from .forest import (EstimationForest, build_balanced_estimation_forest,
-                     build_estimation_forest)
+from .forest import (EstimationForest, _traverse,
+                     build_balanced_estimation_forest, build_estimation_forest)
 from .models import LogWeightMnl
 from .oracle import ReplayOracle, build_replay_table
 
@@ -33,40 +33,24 @@ def generate_weights(forest: EstimationForest) -> LogWeightMnl:
     the forest was built at accuracy eps directly, at no query cost.
     """
     n = forest.n
-    adj = forest.adjacency()
-    log_w = np.full(n, np.nan)
+    # centers from heaviest cluster down; each unreached one roots a component
+    centers = forest.graph.centers[::-1].tolist()
+    order, parent, size, _, log_w = _traverse(forest, centers)
+    if order.size < n:
+        raise AssertionError("forest left items unassigned")
     wmin_log = 0.0
     log_n = math.log(n)
     log_eps = math.log(forest.eps)
-    first = True
 
-    # centers from heaviest cluster down; each unassigned one roots a component
-    for i in range(forest.graph.T - 1, -1, -1):
-        root = int(forest.graph.centers[i])
-        if not np.isnan(log_w[root]):
-            continue
-        comp = [root]
-        log_w[root] = 0.0
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
-                if np.isnan(log_w[u]):
-                    log_w[u] = log_w[v] + forest.log_ratio(u, v)
-                    comp.append(u)
-                    frontier.append(u)
-        comp = np.array(comp, dtype=np.int64)
-        if not first:
+    for k in np.flatnonzero(parent[order] < 0):
+        comp = order[k:k + size[order[k]]]
+        if k > 0:
             upsilon_log = float(log_w[comp].max())
             log_w[comp] += log_eps - upsilon_log - 2.0 * log_n + wmin_log
         # doubles hold the whole range comfortably; this guards the claim
         span = float(log_w[comp].max() - log_w[comp].min())
         assert span <= n * math.log(300.0 * n / forest.eps) + 1e-9
         wmin_log = min(wmin_log, float(log_w[comp].min()))
-        first = False
-
-    if np.any(np.isnan(log_w)):
-        raise AssertionError("forest left items unassigned")
     return LogWeightMnl(log_w)
 
 

@@ -74,6 +74,16 @@ class TestLearn:
         code, _, _ = run(capsys, "learn", "--no-such-flag")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["learn"], ["bench", "--n", "1"]])
+    def test_retries_beyond_999_is_usage_error(self, capsys, tmp_path, command):
+        # attempt a of trial t runs on seed + 1000 t + a; 1000 retries would
+        # reuse the next trial's seeds
+        args = command + ["--out", str(tmp_path / "x"), "--retries"]
+        code, _, err = run(capsys, *args, "1000")
+        assert code == 1
+        assert "--retries" in err and "0<=x<=999" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestEval:
     def test_identical_models(self, capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import slatelearn as sl
 from conftest import failure_bound, mnl
 from slatelearn import forest as forest_mod
-from slatelearn.forest import forest_to_dict
+from slatelearn.forest import HOP_BOUND, forest_to_dict
 
 
 def build_adaptive(model, seed, alpha=0.5, eps=0.3, delta=0.1):
@@ -223,3 +223,295 @@ class TestSerialization:
         assert len(doc["edges"]) == len(f.edge_log)
         for u, v, lr in doc["edges"]:
             assert f.edge_log[(u, v)] == lr
+
+
+# Reference implementations: the per-item walks and the pair-by-pair
+# validator that the rooted traversal and the row-block validator replaced.
+
+def ref_components(forest):
+    adj = forest.adjacency()
+    seen = np.zeros(forest.n, dtype=bool)
+    comps = []
+    for root in range(forest.n):
+        if seen[root]:
+            continue
+        comp, frontier = [root], [root]
+        seen[root] = True
+        while frontier:
+            u = frontier.pop()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    frontier.append(w)
+        comps.append(np.array(sorted(comp), dtype=np.int64))
+    return comps
+
+
+def ref_path_logs(forest):
+    adj = forest.adjacency()
+    lam = np.full(forest.n, np.nan)
+    for comp in ref_components(forest):
+        root = int(comp[0])
+        lam[root] = 0.0
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for w in adj[u]:
+                if np.isnan(lam[w]):
+                    lam[w] = lam[u] + forest.log_ratio(w, u)
+                    frontier.append(w)
+    return lam
+
+
+def ref_hop_distances(forest):
+    adj = forest.adjacency()
+    dist = np.full((forest.n, forest.n), -1, dtype=np.int64)
+    for src in range(forest.n):
+        dist[src, src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if dist[src, w] < 0:
+                        dist[src, w] = dist[src, u] + 1
+                        nxt.append(w)
+            frontier = nxt
+    return dist
+
+
+def ref_generate_weights(forest):
+    n = forest.n
+    adj = forest.adjacency()
+    log_w = np.full(n, np.nan)
+    wmin_log, first = 0.0, True
+    for i in range(forest.graph.T - 1, -1, -1):
+        root = int(forest.graph.centers[i])
+        if not np.isnan(log_w[root]):
+            continue
+        comp = [root]
+        log_w[root] = 0.0
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            for u in adj[v]:
+                if np.isnan(log_w[u]):
+                    log_w[u] = log_w[v] + forest.log_ratio(u, v)
+                    comp.append(u)
+                    frontier.append(u)
+        comp = np.array(comp, dtype=np.int64)
+        if not first:
+            upsilon_log = float(log_w[comp].max())
+            log_w[comp] += (math.log(forest.eps) - upsilon_log
+                            - 2.0 * math.log(n) + wmin_log)
+        wmin_log = min(wmin_log, float(log_w[comp].min()))
+        first = False
+    assert not np.any(np.isnan(log_w))
+    return log_w
+
+
+def ref_validate_forest(forest, log_w):
+    n, eps, t = forest.n, forest.eps, forest.t
+    gamma = forest.graph.gamma
+    lam = ref_path_logs(forest)
+    dist = ref_hop_distances(forest)
+    comps = ref_components(forest)
+    comp_of = np.empty(n, dtype=np.int64)
+    for ci, comp in enumerate(comps):
+        comp_of[comp] = ci
+    log_1p = math.log1p(eps)
+    out = []
+    for u in range(n):
+        for v in range(n):
+            if u == v or gamma[u] < gamma[v]:
+                continue
+            d = dist[u, v]
+            if 0 < d <= t:
+                est = lam[u] - lam[v]
+                true = log_w[u] - log_w[v]
+                if abs(est - true) > log_1p:
+                    out.append((1, (u, v), float(est - true)))
+            elif d > t or d < 0:
+                mask = (comp_of == comp_of[u]) & (gamma <= gamma[v])
+                if np.any(mask):
+                    true_sum = float(np.exp(log_w[mask] - log_w[u]).sum())
+                    est_sum = float(np.exp(lam[mask] - lam[u]).sum())
+                    if true_sum > eps:
+                        out.append((2 if d > 0 else 3, (u, v), true_sum))
+                    if est_sum > eps:
+                        out.append((2 if d > 0 else 3, (u, v), est_sum))
+                if d < 0 and gamma[u] > gamma[v]:
+                    lo_u = int(gamma[comps[comp_of[u]]].min())
+                    hi_v = int(gamma[comps[comp_of[v]]].max())
+                    if lo_u <= hi_v:
+                        out.append((3, (u, v), (lo_u, hi_v)))
+            if gamma[u] == gamma[v] and (d < 0 or d > t):
+                out.append((4, (u, v), int(d)))
+    return out
+
+
+def assert_violations_match(got, want):
+    assert [(c, p) for c, p, _ in got] == [(c, p) for c, p, _ in want]
+    for (cond, _, a), (_, _, b) in zip(got, want):
+        if isinstance(b, float) and cond != 1:
+            # mass sums: prefix sums in gamma order against one masked sum
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        else:
+            assert a == b and type(a) is type(b)
+
+
+def assert_graph_matches(forest):
+    np.testing.assert_array_equal(forest.hop_distances(),
+                                  ref_hop_distances(forest))
+    got, want = forest.components(), ref_components(forest)
+    assert [c.tolist() for c in got] == [c.tolist() for c in want]
+    assert all(c.dtype == np.int64 for c in got)
+    assert forest.path_logs().tobytes() == ref_path_logs(forest).tobytes()
+
+
+def hand_built(gamma, edges):
+    """Forest over items with cluster labels ``gamma`` and the given edges;
+    each cluster's lowest item is its center."""
+    gamma = np.asarray(gamma, dtype=np.int64)
+    clusters = [np.flatnonzero(gamma == g) for g in range(gamma.max() + 1)]
+    graph = sl.ClusterGraph(clusters=clusters,
+                            centers=np.array([c[0] for c in clusters]),
+                            star_log={}, gamma=gamma, a1=100.0, a2=2.0,
+                            eps=0.3)
+    f = sl.EstimationForest(graph=graph, edge_log={}, eps=0.3)
+    for u, v, lr in edges:
+        f.add_edge(u, v, lr)
+    return f
+
+
+def random_forest(rng, n, link=0.8):
+    """Random recursive forest: item k hangs off an earlier item or roots."""
+    gamma = np.sort(rng.integers(0, max(1, n // 4), size=n))
+    gamma = np.unique(gamma, return_inverse=True)[1]
+    edges = [(k, int(rng.integers(0, k)), float(rng.normal(0.0, 2.0)))
+             for k in range(1, n) if rng.random() < link]
+    return hand_built(gamma[rng.permutation(n)], edges)
+
+
+def perturbed(rng, forest, scale):
+    """Truth near the forest's own path logs, pushed off by ``scale``."""
+    return forest.path_logs() + rng.normal(0.0, scale, forest.n)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("n", [8, 16, 33, 64])
+    @pytest.mark.parametrize("builder", [build_adaptive, build_balanced])
+    def test_builder_forests(self, builder, n):
+        for seed in range(3):
+            model = sl.generate_instance(sl.InstanceSpec(
+                "power-law", n=n, seed=seed, params={"gamma": 1.5}))
+            f, _ = builder(model, seed=seed)
+            assert_graph_matches(f)
+            assert (sl.generate_weights(f).log_w.tobytes()
+                    == ref_generate_weights(f).tobytes())
+            for truth in (model.log_w,
+                          perturbed(np.random.default_rng(seed), f, 1.0)):
+                assert_violations_match(
+                    sl.validate_forest(f, truth).violations,
+                    ref_validate_forest(f, truth))
+
+    def test_multi_component_forests(self):
+        rng = np.random.default_rng(7)
+        fired = set()
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            f = random_forest(rng, n, link=rng.choice([0.3, 0.7, 0.95]))
+            assert_graph_matches(f)
+            truth = perturbed(rng, f, rng.choice([0.0, 0.3, 3.0]))
+            got = sl.validate_forest(f, truth).violations
+            assert_violations_match(got, ref_validate_forest(f, truth))
+            fired |= {cond for cond, _, _ in got}
+        assert fired == {1, 2, 3, 4}
+
+    def test_generate_weights_on_star_and_center_links(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            gamma = np.unique(rng.integers(0, 6, size=n),
+                              return_inverse=True)[1]
+            f = hand_built(gamma, [])
+            for g, members in enumerate(f.graph.clusters):
+                for u in members[1:]:
+                    f.add_edge(int(u), int(members[0]), rng.normal())
+                if g and rng.random() < 0.6:
+                    f.add_edge(int(members[0]),
+                               int(f.graph.centers[rng.integers(0, g)]),
+                               rng.normal(3.0, 1.0))
+            assert_graph_matches(f)
+            assert (sl.generate_weights(f).log_w.tobytes()
+                    == ref_generate_weights(f).tobytes())
+
+    def test_corrupted_edges_fire_every_condition(self):
+        rng = np.random.default_rng(3)
+        model = sl.generate_instance(sl.InstanceSpec(
+            "geometric-ratio", n=32, seed=0, params={"rho": 0.5}))
+        f, _ = build_adaptive(model, seed=0, eps=0.1)
+        for key in list(f.edge_log)[::3]:
+            f.edge_log[key] += rng.normal(0.0, 2.0)
+        # cutting a star edge leaves a cluster member in a tree of its own
+        g = max(range(f.graph.T), key=lambda i: len(f.graph.clusters[i]))
+        c = int(f.graph.centers[g])
+        m = next(int(x) for x in f.graph.clusters[g] if x != c)
+        del f.edge_log[(min(c, m), max(c, m))]
+        truth = model.log_w + rng.normal(0.0, 0.5, f.n)
+        # a light item as heavy as one more than 5 hops above it
+        dist = f.hop_distances()
+        u, v = next((u, v) for u, v in zip(*np.nonzero(dist > HOP_BOUND))
+                    if f.graph.gamma[u] > f.graph.gamma[v])
+        truth[v] = truth[u]
+        got = sl.validate_forest(f, truth).violations
+        assert_violations_match(got, ref_validate_forest(f, truth))
+        assert {cond for cond, _, _ in got} == {1, 2, 3, 4}
+
+    def test_no_edges_and_single_item(self):
+        for gamma in ([0], [0, 0, 1], [2, 0, 1, 1, 0]):
+            f = hand_built(gamma, [])
+            assert_graph_matches(f)
+            truth = np.linspace(0.0, -3.0, f.n)
+            got = sl.validate_forest(f, truth).violations
+            assert_violations_match(got, ref_validate_forest(f, truth))
+        assert sl.validate_forest(hand_built([0], []), [0.0]).ok
+
+    def test_path_shaped_forest(self):
+        # height n - 1: the deepest preorder recurrence there is; hops above
+        # 127 leave the int8 range the audit's hop matrix has below 128 items
+        n = 160
+        rng = np.random.default_rng(5)
+        f = hand_built(np.arange(n) // 32,
+                       [(k, k + 1, rng.normal()) for k in range(n - 1)])
+        assert_graph_matches(f)
+        assert f.hop_distances()[0, n - 1] == n - 1
+        truth = perturbed(rng, f, 0.2)
+        assert_violations_match(sl.validate_forest(f, truth).violations,
+                                ref_validate_forest(f, truth))
+
+    @pytest.mark.parametrize("values", [1, 7 * 37, 3 * 37 + 5])
+    def test_row_block_sizes(self, monkeypatch, values):
+        # n = 37 gives blocks of 1, 7 and 3 rows; the last block is short
+        rng = np.random.default_rng(values)
+        f = random_forest(rng, 37, link=0.85)
+        truth = perturbed(rng, f, 0.6)
+        want = ref_validate_forest(f, truth)
+        monkeypatch.setattr(forest_mod, "VALIDATE_BLOCK_VALUES", values)
+        assert_violations_match(sl.validate_forest(f, truth).violations, want)
+
+    def test_extreme_weight_gaps_do_not_overflow(self):
+        # only items no higher in cluster than u enter u's mass sums, so a
+        # heavy item e^800 times above u is never exponentiated against it
+        f = hand_built([0, 1, 1], [(0, 1, -800.0), (1, 2, 0.0)])
+        truth = np.array([0.0, 800.0, 800.0])
+        with np.errstate(over="raise", invalid="raise"):
+            got = sl.validate_forest(f, truth).violations
+        assert_violations_match(got, ref_validate_forest(f, truth))
+
+    def test_cycle_is_rejected(self):
+        f = hand_built([0, 0, 0], [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)])
+        for helper in (f.components, f.path_logs, f.hop_distances):
+            with pytest.raises(ValueError, match="cycle"):
+                helper()

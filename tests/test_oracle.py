@@ -179,6 +179,16 @@ class TestGeometric:
         with pytest.raises(sl.GeometricCapExceeded):
             o.sample_geometric(0, 1)
 
+    @pytest.mark.parametrize("mode, w1, losses", [("binomial", 999.0, 1140),
+                                                  ("stream", 4.0, 3)])
+    def test_scalar_draw_is_pinned(self, mode, w1, losses):
+        # seeded ledgers stay bit-identical now that the scalar wait is one
+        # draw of the block path
+        o = sl.LiveOracle(sl.LogWeightMnl(np.log([1.0, w1])), seed=7,
+                          pair_mode=mode)
+        assert o.sample_geometric(0, 1) == losses
+        assert o.ledger.per_pair == {(0, 1): losses + 1}
+
     def test_block_matches_distribution(self):
         o = sl.LiveOracle(mnl(1.0, 2.0), seed=21)
         losses = o.sample_geometric_block(0, 1, 50_000)

@@ -9,7 +9,8 @@ layer that turns the balanced learner into a one-batch non-adaptive one.
 
 from .config import DEFAULT_BUDGET, QueryBudget
 from .errors import (ForestBuildFailure, GeometricCapExceeded,
-                     ReplayBudgetExhausted, SlateLearnError)
+                     ReplayBudgetExhausted, SlateLearnError,
+                     StreamDemandTooLarge)
 from .forest import (EstimationForest, PotentialState, ViolationReport,
                      build_balanced_estimation_forest, build_estimation_forest,
                      validate_forest)
@@ -39,7 +40,8 @@ __all__ = [
     "GeometricCapExceeded", "InstanceSpec", "LiveOracle", "LogWeightMnl",
     "MatchingPseudoMnl", "Model", "Ordering", "PotentialState", "QueryBudget",
     "QueryLedger", "RatioEstimate", "ReplayBudgetExhausted", "ReplayOracle",
-    "ReplayTable", "SlateLearnError", "ViolationReport",
+    "ReplayTable", "SlateLearnError", "StreamDemandTooLarge",
+    "ViolationReport",
     "balanced_estimate_ratio", "build_balanced_estimation_forest",
     "build_estimation_forest", "build_replay_table", "cluster_sort",
     "compare", "distance_exact", "distance_sampled", "epsilon_ordering",

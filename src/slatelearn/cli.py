@@ -1,8 +1,18 @@
 """Command-line front end: generate instances, learn, evaluate, benchmark.
 
-Exit codes: 0 success, 1 usage error, 2 algorithm failure (a forest build
-hit its failure branch, or a sampling cap was exceeded), 3 replay budget
-exhausted (the non-adaptive batch was too small; rerun with a larger --m).
+``learn`` and ``bench`` share the trial flags (--algo, --delta, --seed,
+--oracle-mode, --m, --budget, --retries) and one trial runner: trial t
+learns the instance generated at seed + t, its attempt a at seed + 1000 t + a.
+``bench`` sweeps repeatable --n and --eps and adds --samples for the sampled
+distance scored when n > 20 (``learn`` scores 200 slates). The ``n`` column
+is the instance's item count (2 len(p) for pseudo-mnl). Ranges: --n, --m,
+--trials, --samples >= 1; --eps, --delta in (0, 1); --rho, --heavy > 0;
+--gamma >= 0; --seed >= 0; --retries 0..999.
+
+Exit codes: 0 success, 1 usage error (a bad flag or model file, an output
+that cannot be written), 2 algorithm failure (a forest build hit its failure
+branch, or a sampling cap was exceeded), 3 replay budget exhausted (the
+non-adaptive batch was too small; rerun with a larger --m).
 
 CSV outputs start with a ``# slatelearn-csv v1`` comment line followed by
 the fixed header. The seconds column is wall-clock time and is excluded
@@ -14,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 
@@ -30,6 +41,24 @@ from .weights import learn_adaptive, learn_balanced, learn_nonadaptive
 CSV_SCHEMA = "# slatelearn-csv v1"
 CSV_FIELDS = ["n", "eps", "delta", "algo", "trial", "d1", "dinf",
               "total_queries", "max_pair_queries", "seconds"]
+BUDGETS = {"calibrated": QueryBudget.calibrated(),
+           "theory": QueryBudget.theory()}
+
+
+class RealRange(click.FloatRange):
+    """click's FloatRange, refusing nan, which compares false to any bound."""
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if math.isnan(x):
+            self.fail("nan is not a number.", param, ctx)
+        return x
+
+
+COUNT = click.IntRange(min=1)
+SEED = click.IntRange(min=0)
+UNIT = RealRange(0.0, 1.0, min_open=True, max_open=True)
+POSITIVE = RealRange(min=0.0, min_open=True)
 
 
 def _write_rows(path, rows):
@@ -40,62 +69,78 @@ def _write_rows(path, rows):
         writer.writerows(rows)
 
 
-def _instance_params(kind, rho, gamma, heavy, p, pi):
-    params = {}
-    if kind == "geometric-ratio":
-        params["rho"] = rho
-    elif kind == "power-law":
-        params["gamma"] = gamma
-    elif kind == "two-scale":
-        params["K"] = heavy
-    elif kind == "pseudo-mnl":
-        if p is None:
-            raise click.UsageError("pseudo-mnl instances need --p")
-        params["p"] = [float(x) for x in p.split(",")]
-        if pi is not None:
-            params["pi"] = [int(x) for x in pi.split(",")]
-    return params
+def _instance(kind, n, seed, rho, gamma, heavy, p, pi):
+    """The instance the instance flags name; bad values are usage errors."""
+    if kind == "pseudo-mnl" and p is None:
+        raise click.UsageError("pseudo-mnl instances need --p")
+    params = {"geometric-ratio": {"rho": rho}, "power-law": {"gamma": gamma},
+              "two-scale": {"K": heavy}}.get(kind, {})
+    try:
+        if kind == "pseudo-mnl":
+            params = {"p": [float(x) for x in p.split(",")]}
+            if pi is not None:
+                params["pi"] = [int(x) for x in pi.split(",")]
+        return generate_instance(InstanceSpec(kind, n, seed, params))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="the instance flags")
 
 
-def _learn_once(oracle, n, algo, eps, delta, m, budget, seed):
-    if algo == "adaptive":
-        return learn_adaptive(oracle, n, eps, delta, seed=seed), oracle.ledger
-    if algo == "balanced":
-        return (learn_balanced(oracle, n, eps, delta, budget, seed=seed),
-                oracle.ledger)
-    model, replay = learn_nonadaptive(oracle, n, eps, delta, m, budget, seed)
-    return model, replay.ledger
+def _model(ctx, param, path):
+    """Option callback: the model at ``path``; a bad file is a usage error."""
+    try:
+        return None if path is None else load_model(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise click.BadParameter("{}: {}".format(path, exc))
 
 
-# Trial t, attempt a runs on seed + 1000 * t + a, so attempts stay below 1000
-# and seeds of different trials never collide.
-RETRIES = click.IntRange(0, 999)
+def _run_trial(truth, trial, eps, samples, algo, delta, seed, oracle_mode, m,
+               budget, retries):
+    """Learn ``truth`` as trial ``trial``; returns (learned, ledger, row).
 
-
-def _learn_with_retries(oracle_factory, n, algo, eps, delta, m, budget,
-                        seed, retries):
-    last = None
+    Attempt a runs at seed + 1000 trial + a, which no other trial's attempt
+    shares while retries < 1000. Algorithm failures are retried; an
+    exhausted replay budget is not, as only a larger m cures it.
+    """
+    n = truth.n
+    t0 = time.perf_counter()
     for attempt in range(retries + 1):
+        s = seed + 1000 * trial + attempt
+        oracle = LiveOracle(truth, seed=s, pair_mode=oracle_mode)
+        ledger = oracle.ledger
         try:
-            return _learn_once(oracle_factory(seed + attempt), n, algo, eps,
-                               delta, m, budget, seed + attempt)
-        except ReplayBudgetExhausted:
-            raise
+            if algo == "adaptive":
+                learned = learn_adaptive(oracle, n, eps, delta, seed=s)
+            elif algo == "balanced":
+                learned = learn_balanced(oracle, n, eps, delta,
+                                         BUDGETS[budget], seed=s)
+            else:
+                learned, replay = learn_nonadaptive(oracle, n, eps, delta, m,
+                                                    BUDGETS[budget], s)
+                ledger = replay.ledger
+            break
         except SlateLearnError as exc:
-            last = exc
-    raise last
+            if isinstance(exc, ReplayBudgetExhausted) or attempt == retries:
+                raise
+    seconds = time.perf_counter() - t0
+    rep = (distance_exact(truth, learned) if n <= 20
+           else distance_sampled(truth, learned, samples,
+                                 np.random.default_rng(seed + trial)))
+    row = {"n": n, "eps": eps, "delta": delta, "algo": algo, "trial": trial,
+           "d1": rep.d1, "dinf": rep.dinf, "total_queries": ledger.total,
+           "max_pair_queries": ledger.max_per_pair, "seconds": seconds}
+    return learned, ledger, row
 
 
 instance_opts = [
     click.option("--instance", "kind", default="uniform",
                  type=click.Choice(["uniform", "geometric-ratio", "power-law",
-                                    "two-scale", "explicit", "pseudo-mnl"]),
+                                    "two-scale", "pseudo-mnl"]),
                  help="instance family to generate"),
-    click.option("--rho", default=2.0, type=float,
+    click.option("--rho", default=2.0, type=POSITIVE,
                  help="weight ratio for geometric-ratio instances"),
-    click.option("--gamma", default=1.0, type=float,
+    click.option("--gamma", default=1.0, type=RealRange(min=0.0),
                  help="exponent for power-law instances"),
-    click.option("--heavy", default=1e6, type=float,
+    click.option("--heavy", default=1e6, type=POSITIVE,
                  help="heavy weight for two-scale instances"),
     click.option("--p", default=None, type=str,
                  help="comma-separated head probabilities for pseudo-mnl"),
@@ -103,11 +148,29 @@ instance_opts = [
                  help="comma-separated permutation for pseudo-mnl"),
 ]
 
+trial_opts = [
+    click.option("--algo", default="adaptive",
+                 type=click.Choice(["adaptive", "balanced", "nonadaptive"])),
+    click.option("--delta", default=0.1, type=UNIT),
+    click.option("--seed", default=0, type=SEED),
+    click.option("--oracle-mode", default="binomial",
+                 type=click.Choice(["binomial", "stream"]),
+                 help="pair sampling mode of the live oracle"),
+    click.option("--m", default=10000, type=COUNT,
+                 help="per-pair batch size for the non-adaptive learner"),
+    click.option("--budget", default="calibrated",
+                 type=click.Choice(sorted(BUDGETS))),
+    click.option("--retries", default=0, type=click.IntRange(0, 999),
+                 help="extra attempts (fresh seeds) after an algorithm failure"),
+]
 
-def with_instance_opts(fn):
-    for opt in reversed(instance_opts):
-        fn = opt(fn)
-    return fn
+
+def with_opts(opts):
+    def decorate(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+    return decorate
 
 
 @click.group()
@@ -116,101 +179,66 @@ def cli():
 
 
 @cli.command()
-@with_instance_opts
-@click.option("--n", default=8, type=int, help="number of items")
-@click.option("--seed", default=0, type=int)
+@with_opts(instance_opts)
+@click.option("--n", default=8, type=COUNT, help="number of items")
+@click.option("--seed", default=0, type=SEED)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def gen(kind, n, rho, gamma, heavy, p, pi, seed, out):
     """Generate a model instance and write it as JSON."""
-    params = _instance_params(kind, rho, gamma, heavy, p, pi)
-    model = generate_instance(InstanceSpec(kind, n=n, seed=seed, params=params))
+    model = _instance(kind, n, seed, rho, gamma, heavy, p, pi)
     save_model(model, out)
     click.echo(json.dumps({"kind": kind, "n": model.n, "out": out}))
 
 
 @cli.command()
-@with_instance_opts
-@click.option("--n", default=8, type=int, help="number of items")
-@click.option("--model", "model_path", default=None,
+@with_opts(instance_opts + trial_opts)
+@click.option("--n", default=8, type=COUNT, help="number of items")
+@click.option("--model", default=None, callback=_model,
               type=click.Path(exists=True, dir_okay=False),
               help="learn against this model file instead of a generated instance")
-@click.option("--algo", default="adaptive",
-              type=click.Choice(["adaptive", "balanced", "nonadaptive"]))
-@click.option("--eps", default=0.5, type=float)
-@click.option("--delta", default=0.1, type=float)
-@click.option("--seed", default=0, type=int)
-@click.option("--trials", default=1, type=int)
-@click.option("--oracle-mode", default="binomial",
-              type=click.Choice(["binomial", "stream"]),
-              help="pair sampling mode of the live oracle")
-@click.option("--m", default=10000, type=int,
-              help="per-pair batch size for the non-adaptive learner")
-@click.option("--budget", default="calibrated",
-              type=click.Choice(["calibrated", "theory"]))
-@click.option("--retries", default=0, type=RETRIES,
-              help="extra attempts (fresh seeds) after an algorithm failure")
+@click.option("--eps", default=0.5, type=UNIT)
+@click.option("--trials", default=1, type=COUNT)
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="learned model JSON path (suffixed -tK for trials > 1)")
 @click.option("--csv", "csv_path", default=None, type=click.Path(dir_okay=False),
               help="write one ledger CSV row per trial here")
-def learn(kind, n, rho, gamma, heavy, p, pi, model_path, algo, eps, delta,
-          seed, trials, oracle_mode, m, budget, retries, out, csv_path):
+def learn(kind, rho, gamma, heavy, p, pi, n, model, eps, trials, out,
+          csv_path, **flags):
     """Learn a model from oracle queries and report query usage."""
-    if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
-    budget_obj = (QueryBudget.theory() if budget == "theory"
-                  else QueryBudget.calibrated())
     rows, reports = [], []
     for trial in range(trials):
-        if model_path is not None:
-            truth = load_model(model_path)
-            n = truth.n
-        else:
-            params = _instance_params(kind, rho, gamma, heavy, p, pi)
-            truth = generate_instance(InstanceSpec(kind, n=n, seed=seed + trial,
-                                                   params=params))
-
-        def factory(s, truth=truth):
-            return LiveOracle(truth, seed=s, pair_mode=oracle_mode)
-
-        t0 = time.perf_counter()
-        learned, ledger = _learn_with_retries(
-            factory, n, algo, eps, delta, m, budget_obj,
-            seed + 1000 * trial, retries)
-        seconds = time.perf_counter() - t0
-        rep = (distance_exact(truth, learned) if n <= 20
-               else distance_sampled(truth, learned, 200,
-                                     np.random.default_rng(seed + trial)))
+        truth = model if model is not None else _instance(
+            kind, n, flags["seed"] + trial, rho, gamma, heavy, p, pi)
+        learned, ledger, row = _run_trial(truth, trial, eps, 200, **flags)
         if out is not None:
-            path = out if trials == 1 else "{}-t{}".format(out, trial)
-            save_model(learned, path)
-        rows.append({"n": n, "eps": eps, "delta": delta, "algo": algo,
-                     "trial": trial, "d1": rep.d1, "dinf": rep.dinf,
-                     "total_queries": ledger.total,
-                     "max_pair_queries": ledger.max_per_pair,
-                     "seconds": seconds})
-        reports.append({"trial": trial, "d1": rep.d1,
+            save_model(learned, out if trials == 1 else f"{out}-t{trial}")
+        rows.append(row)
+        reports.append({"trial": trial, "d1": row["d1"],
                         "ledger": ledger_report(ledger)})
     if csv_path is not None:
         _write_rows(csv_path, rows)
-    click.echo(json.dumps({"algo": algo, "n": n, "eps": eps, "delta": delta,
-                           "trials": trials, "results": reports, "out": out}))
+    click.echo(json.dumps({"algo": flags["algo"], "n": truth.n, "eps": eps,
+                           "delta": flags["delta"], "trials": trials,
+                           "results": reports, "out": out}))
 
 
 @cli.command("eval")
-@click.option("--model-a", required=True,
+@click.option("--model-a", "a", required=True, callback=_model,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--model-b", required=True,
+@click.option("--model-b", "b", required=True, callback=_model,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", default="exact", type=click.Choice(["exact", "sampled"]))
-@click.option("--samples", default=200, type=int,
+@click.option("--samples", default=200, type=COUNT,
               help="slate count for sampled mode")
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=SEED)
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
               help="also write the report as JSON here")
-def eval_cmd(model_a, model_b, mode, samples, seed, out):
+def eval_cmd(a, b, mode, samples, seed, out):
     """Report worst-slate distances between two model files."""
-    a, b = load_model(model_a), load_model(model_b)
+    if a.n != b.n:
+        raise click.UsageError("the models have {} and {} items".format(a.n, b.n))
+    if mode == "exact" and a.n > 20:
+        raise click.UsageError("--mode exact takes n <= 20; use --mode sampled")
     if mode == "sampled":
         rep = distance_sampled(a, b, samples, np.random.default_rng(seed))
     else:
@@ -226,55 +254,26 @@ def eval_cmd(model_a, model_b, mode, samples, seed, out):
 
 
 @cli.command()
-@with_instance_opts
-@click.option("--n", "ns", multiple=True, type=int, required=True,
+@with_opts(instance_opts + trial_opts)
+@click.option("--n", "ns", multiple=True, type=COUNT, required=True,
               help="item counts to sweep (repeatable)")
-@click.option("--eps", "epss", multiple=True, type=float, default=(0.3,),
+@click.option("--eps", "epss", multiple=True, type=UNIT, default=(0.3,),
               help="accuracies to sweep (repeatable)")
-@click.option("--algo", default="adaptive",
-              type=click.Choice(["adaptive", "balanced", "nonadaptive"]))
-@click.option("--delta", default=0.1, type=float)
-@click.option("--trials", default=5, type=int)
-@click.option("--seed", default=0, type=int)
-@click.option("--oracle-mode", default="binomial",
-              type=click.Choice(["binomial", "stream"]))
-@click.option("--m", default=10000, type=int)
-@click.option("--budget", default="calibrated",
-              type=click.Choice(["calibrated", "theory"]))
-@click.option("--samples", default=200, type=int,
+@click.option("--trials", default=5, type=COUNT)
+@click.option("--samples", default=200, type=COUNT,
               help="slates for sampled distances when n > 20")
-@click.option("--retries", default=0, type=RETRIES)
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="CSV output path")
-def bench(kind, rho, gamma, heavy, p, pi, ns, epss, algo, delta, trials,
-          seed, oracle_mode, m, budget, samples, retries, out):
+def bench(kind, rho, gamma, heavy, p, pi, ns, epss, trials, samples, out,
+          **flags):
     """Sweep (n, eps) and write one CSV row per trial."""
-    params = _instance_params(kind, rho, gamma, heavy, p, pi)
-    budget_obj = (QueryBudget.theory() if budget == "theory"
-                  else QueryBudget.calibrated())
     rows = []
     for n in ns:
         for eps in epss:
             for trial in range(trials):
-                truth = generate_instance(
-                    InstanceSpec(kind, n=n, seed=seed + trial, params=params))
-
-                def factory(s, truth=truth):
-                    return LiveOracle(truth, seed=s, pair_mode=oracle_mode)
-
-                t0 = time.perf_counter()
-                learned, ledger = _learn_with_retries(
-                    factory, n, algo, eps, delta, m, budget_obj,
-                    seed + 1000 * trial, retries)
-                seconds = time.perf_counter() - t0
-                rep = (distance_exact(truth, learned) if n <= 20
-                       else distance_sampled(truth, learned, samples,
-                                             np.random.default_rng(seed + trial)))
-                rows.append({"n": n, "eps": eps, "delta": delta, "algo": algo,
-                             "trial": trial, "d1": rep.d1, "dinf": rep.dinf,
-                             "total_queries": ledger.total,
-                             "max_pair_queries": ledger.max_per_pair,
-                             "seconds": seconds})
+                truth = _instance(kind, n, flags["seed"] + trial, rho, gamma,
+                                  heavy, p, pi)
+                rows.append(_run_trial(truth, trial, eps, samples, **flags)[2])
     _write_rows(out, rows)
     click.echo(json.dumps({"rows": len(rows), "out": out}))
 
@@ -289,12 +288,10 @@ def main(argv=None) -> int:
         return 1
     except click.Abort:
         return 1
-    except ReplayBudgetExhausted as exc:
+    except (OSError, SlateLearnError) as exc:
         click.echo("error: {}".format(exc), err=True)
-        return 3
-    except SlateLearnError as exc:
-        click.echo("error: {}".format(exc), err=True)
-        return 2
+        return (1 if isinstance(exc, OSError) else
+                3 if isinstance(exc, ReplayBudgetExhausted) else 2)
 
 
 if __name__ == "__main__":

@@ -33,3 +33,19 @@ class ForestBuildFailure(SlateLearnError):
 
 class GeometricCapExceeded(SlateLearnError):
     """A geometric sampling loop exceeded its hard iteration cap (1e9)."""
+
+
+class StreamDemandTooLarge(SlateLearnError):
+    """One stream-mode call asked a pair for more draws than the cap allows.
+
+    Raised before anything is drawn or charged, so the oracle is unchanged.
+    Binomial mode answers such demands in O(1) time.
+    """
+
+    def __init__(self, pair, count, cap):
+        self.pair = pair
+        self.count = count
+        super().__init__(
+            "pair {} was asked for {} stream draws in one call, above the "
+            "cap of {}; use binomial mode".format(pair, count, cap)
+        )

@@ -76,7 +76,7 @@ class MatchingPseudoMnl:
         pi = np.asarray(self.pi, dtype=np.int64)
         if p.ndim != 1 or pi.ndim != 1 or pi.size != 2 * p.size:
             raise ValueError("need len(pi) == 2 * len(p)")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("head probabilities must lie in [0, 1]")
         if not np.array_equal(np.sort(pi), np.arange(pi.size)):
             raise ValueError("pi must be a permutation of range(n)")
@@ -218,6 +218,8 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(doc: dict) -> Model:
+    if not isinstance(doc, dict):
+        raise ValueError("a model must be a JSON object")
     kind = doc.get("kind")
     if kind == "mnl":
         return LogWeightMnl(np.asarray(doc["log_weights"], dtype=np.float64))

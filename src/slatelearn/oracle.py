@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometricCapExceeded, ReplayBudgetExhausted
+from .errors import (GeometricCapExceeded, ReplayBudgetExhausted,
+                     StreamDemandTooLarge)
 from .models import Model, pair_probability
 
 PAIR_TAG = 0x70AB
@@ -38,6 +39,12 @@ SLATE_TAG = 0x51A7
 GEOMETRIC_CAP = 10**9
 # Largest count passed to one Generator.binomial call, which takes a C long.
 BINOMIAL_CHUNK = 1 << 62
+# Stream mode draws a pair's uniforms in chunks of STREAM_CHUNK (8 MiB of
+# doubles) and refuses one call asking for more than STREAM_MAX_DRAWS: the
+# balanced and non-adaptive learners ask for up to about 2.7e8 at eps 0.02
+# and n = 4096, and a block of 2^30 winners is already 8 GiB.
+STREAM_CHUNK = 1 << 20
+STREAM_MAX_DRAWS = 1 << 30
 
 
 @dataclass
@@ -121,30 +128,37 @@ class LiveOracle:
         self.ledger.record_slate(slate.size, count)
         return counts
 
-    def _stream_winners(self, u: int, v: int, count: int) -> np.ndarray:
-        """Draw winners from the pair stream in canonical orientation.
+    def _stream_winners(self, u: int, v: int, count: int):
+        """Yield ``count`` winners from the pair stream, one chunk at a time.
 
         Uniform draws are always compared against the lower-indexed item's
         win probability, so the winner sequence a stream produces is
         independent of the order the caller names the pair in. Replay
-        correctness depends on this.
+        correctness depends on this. Chunked draws give the same doubles as
+        one ``random(count)``. A count above STREAM_MAX_DRAWS raises before
+        anything is drawn.
         """
         a, b = (u, v) if u < v else (v, u)
+        if count > STREAM_MAX_DRAWS:
+            raise StreamDemandTooLarge((a, b), count, STREAM_MAX_DRAWS)
         p_a = pair_probability(self.model, a, b)
-        first = self._pair_rng(a, b).random(count) < p_a
-        winners = np.where(first, a, b).astype(np.int64)
-        if self.transcript is not None:
-            self.transcript.extend((a, b, int(w)) for w in winners)
-        return winners
+        rng = self._pair_rng(a, b)
+        for lo in range(0, max(count, 1), STREAM_CHUNK):
+            first = rng.random(min(count - lo, STREAM_CHUNK)) < p_a
+            winners = np.where(first, a, b)
+            if self.transcript is not None:
+                self.transcript.extend((a, b, int(w)) for w in winners)
+            yield winners
 
     def sample_pair(self, u: int, v: int) -> int:
-        winner = int(self._stream_winners(u, v, 1)[0])
+        winner = int(next(self._stream_winners(u, v, 1))[0])
         self.ledger.record_pair(u, v)
         return winner
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` queries to {u, v} at once; returns the winner sequence."""
-        winners = self._stream_winners(u, v, count)
+        winners = np.concatenate(list(self._stream_winners(u, v, count)),
+                                 dtype=np.int64)
         self.ledger.record_pair(u, v, count)
         return winners
 
@@ -158,7 +172,8 @@ class LiveOracle:
             for lo in range(0, max(count, 1), BINOMIAL_CHUNK):
                 wins += int(rng.binomial(min(count - lo, BINOMIAL_CHUNK), p_u))
         else:
-            wins = int(np.count_nonzero(self._stream_winners(u, v, count) == u))
+            wins = sum(int(np.count_nonzero(w == u))
+                       for w in self._stream_winners(u, v, count))
         self.ledger.record_pair(u, v, count)
         return wins
 
@@ -213,15 +228,23 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
     return ReplayTable(m=m, answers=answers, cursors={k: 0 for k in answers})
 
 
-def replay_sample(table: ReplayTable, pair) -> int:
-    """Next pre-sampled winner for ``pair``; issues zero live queries."""
-    u, v = pair
+def _replay_take(table: ReplayTable, u: int, v: int,
+                 count: int) -> np.ndarray:
+    """The next ``count`` answers of pair {u, v}; the cursor moves past them.
+
+    Raises ``ReplayBudgetExhausted`` without moving it when fewer are left.
+    """
     key = (u, v) if u < v else (v, u)
     cur = table.cursors[key]
-    if cur >= table.m:
+    if cur + count > table.m:
         raise ReplayBudgetExhausted(key, table.m)
-    table.cursors[key] = cur + 1
-    return int(table.answers[key][cur])
+    table.cursors[key] = cur + count
+    return table.answers[key][cur:cur + count]
+
+
+def replay_sample(table: ReplayTable, pair) -> int:
+    """Next pre-sampled winner for ``pair``; issues zero live queries."""
+    return int(_replay_take(table, pair[0], pair[1], 1)[0])
 
 
 class ReplayOracle:
@@ -251,24 +274,15 @@ class ReplayOracle:
         return self.sample_pair(int(slate[0]), int(slate[1]))
 
     def sample_pair(self, u: int, v: int) -> int:
-        winner = replay_sample(self.table, (u, v))
-        self.ledger.record_pair(u, v)
-        return winner
-
-    def _take(self, u: int, v: int, count: int) -> np.ndarray:
-        key = (u, v) if u < v else (v, u)
-        cur = self.table.cursors[key]
-        if cur + count > self.table.m:
-            raise ReplayBudgetExhausted(key, self.table.m)
-        self.table.cursors[key] = cur + count
-        self.ledger.record_pair(u, v, count)
-        return self.table.answers[key][cur:cur + count]
+        return int(self.sample_pair_block(u, v, 1)[0])
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
-        return self._take(u, v, count)
+        winners = _replay_take(self.table, u, v, count)
+        self.ledger.record_pair(u, v, count)
+        return winners
 
     def pair_win_count(self, u: int, v: int, count: int) -> int:
-        return int(np.count_nonzero(self._take(u, v, count) == u))
+        return int(np.count_nonzero(self.sample_pair_block(u, v, count) == u))
 
     def sample_geometric(self, u: int, v: int) -> int:
         return int(self.sample_geometric_block(u, v, 1)[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import slatelearn as sl
+import slatelearn.cli as cli
 from slatelearn.cli import main
 
 
@@ -138,3 +139,207 @@ class TestBench:
         assert code == 0
         row = out.read_text().splitlines()[2].split(",")
         assert row[0] == "1" and row[7] == "0"
+
+
+def csv_rows(path):
+    """CSV data rows with the wall-clock seconds column dropped."""
+    return [line.split(",")[:-1] for line in path.read_text().splitlines()[2:]]
+
+
+class TestTrialRunner:
+    @pytest.mark.parametrize("flags", [
+        ["--instance", "power-law", "--n", "24", "--seed", "3"],
+        ["--instance", "uniform", "--n", "5", "--algo", "balanced",
+         "--retries", "2"],
+        ["--instance", "geometric-ratio", "--n", "4", "--algo", "nonadaptive",
+         "--m", "300000", "--oracle-mode", "stream", "--seed", "9"],
+    ])
+    def test_learn_and_bench_write_the_same_rows(self, capsys, tmp_path,
+                                                 flags):
+        a, b = tmp_path / "learn.csv", tmp_path / "bench.csv"
+        common = flags + ["--eps", "0.5", "--trials", "2"]
+        assert run(capsys, "learn", *common, "--csv", str(a))[0] == 0
+        assert run(capsys, "bench", *common, "--out", str(b))[0] == 0
+        assert csv_rows(a) == csv_rows(b)
+        assert len(csv_rows(a)) == 2
+
+    def test_trial_seeds_are_pinned(self, capsys, tmp_path):
+        # trial t: instance at seed + t, learner and oracle at
+        # seed + 1000 t, sampled distance (n > 20) at seed + t
+        path = tmp_path / "run.csv"
+        assert run(capsys, "learn", "--instance", "power-law", "--n", "24",
+                   "--seed", "3", "--trials", "2", "--csv", str(path))[0] == 0
+        truth = sl.generate_instance(sl.InstanceSpec("power-law", 24, 4))
+        oracle = sl.LiveOracle(truth, seed=1003)
+        learned = sl.learn_adaptive(oracle, 24, 0.5, 0.1, seed=1003)
+        rep = sl.distance_sampled(truth, learned, 200,
+                                  np.random.default_rng(4))
+        assert csv_rows(path)[1] == [
+            "24", "0.5", "0.1", "adaptive", "1", repr(rep.d1), repr(rep.dinf),
+            str(oracle.ledger.total), str(oracle.ledger.max_per_pair)]
+
+    def test_pseudo_mnl_reports_its_item_count(self, capsys, tmp_path):
+        path = tmp_path / "p.csv"
+        code, out, _ = run(capsys, "learn", "--instance", "pseudo-mnl",
+                           "--p", "0.7,0.6", "--csv", str(path))
+        assert code == 0
+        assert json.loads(out)["n"] == 4
+        assert csv_rows(path)[0][0] == "4"
+
+    @pytest.mark.parametrize("m", ["10", "300000"])
+    def test_pseudo_mnl_nonadaptive_ends_in_an_exit_code(self, capsys, m):
+        # the learner must see the instance's 4 items, not --n (default 8):
+        # a 4-item replay table has no pair (0, 7)
+        code, _, _ = run(capsys, "learn", "--instance", "pseudo-mnl",
+                         "--p", "0.7,0.6", "--algo", "nonadaptive", "--m", m)
+        assert code in (0, 3)
+
+    def test_retry_runs_the_next_seed(self, capsys, tmp_path, monkeypatch):
+        real = cli.learn_adaptive
+
+        def fail_at_42(oracle, n, eps, delta, seed=0):
+            if seed == 42:
+                raise sl.ForestBuildFailure("injected")
+            return real(oracle, n, eps, delta, seed=seed)
+
+        monkeypatch.setattr(cli, "learn_adaptive", fail_at_42)
+        a, b = tmp_path / "retried.csv", tmp_path / "direct.csv"
+        flags = ["--instance", "geometric-ratio", "--n", "6", "--eps", "0.5"]
+        assert run(capsys, "learn", *flags, "--seed", "42", "--retries", "1",
+                   "--csv", str(a))[0] == 0
+        assert run(capsys, "learn", *flags, "--seed", "43",
+                   "--csv", str(b))[0] == 0
+        assert csv_rows(a) == csv_rows(b)
+
+    def test_exhausted_retries_exit_2(self, capsys, tmp_path, monkeypatch):
+        def always_fail(oracle, n, eps, delta, seed=0):
+            raise sl.ForestBuildFailure("injected at {}".format(seed))
+
+        monkeypatch.setattr(cli, "learn_adaptive", always_fail)
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "bench", "--n", "4", "--seed", "5",
+                           "--trials", "1", "--retries", "2", "--out", str(out))
+        assert code == 2
+        assert "injected at 7" in err  # the last attempt's error is raised
+        assert not out.exists()
+
+    def test_exhausted_replay_budget_is_not_retried(self, capsys,
+                                                   monkeypatch):
+        seeds = []
+
+        def exhausted(oracle, n, eps, delta, m, budget, seed):
+            seeds.append(seed)
+            raise sl.ReplayBudgetExhausted((0, 1), m)
+
+        monkeypatch.setattr(cli, "learn_nonadaptive", exhausted)
+        code, _, _ = run(capsys, "learn", "--algo", "nonadaptive",
+                         "--retries", "3", "--seed", "4")
+        assert code == 3
+        assert seeds == [4]
+
+    def test_stream_demand_above_the_cap_exits_2(self, capsys):
+        # at the defaults the adaptive learner asks one pair for about
+        # 3.1e10 stream draws
+        code, _, err = run(capsys, "learn", "--oracle-mode", "stream")
+        assert code == 2
+        assert "stream draws" in err
+
+
+def write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+REJECTED = {
+    "learn --n 0": ["learn", "--n", "0"],
+    "learn --trials 0": ["learn", "--trials", "0"],
+    "learn --m 0": ["learn", "--algo", "nonadaptive", "--m", "0"],
+    "learn --eps 0": ["learn", "--eps", "0"],
+    "learn --eps 1": ["learn", "--eps", "1"],
+    "learn --eps nan": ["learn", "--eps", "nan"],
+    "learn --delta 0": ["learn", "--delta", "0"],
+    "learn --delta 1.5": ["learn", "--delta", "1.5"],
+    "learn --seed -1": ["learn", "--seed", "-1"],
+    "learn --rho 0": ["learn", "--instance", "geometric-ratio", "--rho", "0"],
+    "learn --rho inf": ["learn", "--instance", "geometric-ratio",
+                        "--rho", "inf"],
+    "learn --heavy -1": ["learn", "--instance", "two-scale", "--heavy", "-1"],
+    "learn --gamma -1": ["learn", "--instance", "power-law", "--gamma", "-1"],
+    "learn --gamma nan": ["learn", "--instance", "power-law",
+                          "--gamma", "nan"],
+    "learn explicit": ["learn", "--instance", "explicit"],
+    "learn --p x": ["learn", "--instance", "pseudo-mnl", "--p", "0.7,x"],
+    "learn --p 1.5": ["learn", "--instance", "pseudo-mnl", "--p", "1.5"],
+    "learn --p nan": ["learn", "--instance", "pseudo-mnl", "--p", "nan"],
+    "learn --pi 0,0": ["learn", "--instance", "pseudo-mnl", "--p", "0.7",
+                       "--pi", "0,0"],
+    "learn --pi short": ["learn", "--instance", "pseudo-mnl", "--p", "0.7",
+                         "--pi", "0"],
+    "gen --n 0": ["gen", "--n", "0"],
+    "gen --p x": ["gen", "--instance", "pseudo-mnl", "--p", "x"],
+    "bench --trials 0": ["bench", "--n", "4", "--trials", "0"],
+    "bench --samples 0": ["bench", "--n", "4", "--samples", "0"],
+    "bench --n 0": ["bench", "--n", "0"],
+    "bench --eps 0": ["bench", "--n", "4", "--eps", "0.5", "--eps", "0"],
+    "bench explicit": ["bench", "--n", "4", "--instance", "explicit"],
+    "bench pseudo-mnl without --p": ["bench", "--n", "4",
+                                     "--instance", "pseudo-mnl"],
+}
+
+BAD_MODELS = {
+    "not json": "{",
+    "no weights": '{"kind": "mnl"}',
+    "empty weights": '{"kind": "mnl", "log_weights": []}',
+    "text weights": '{"kind": "mnl", "log_weights": ["a"]}',
+    "object weights": '{"kind": "mnl", "log_weights": {"a": 1}}',
+    "unknown kind": '{"kind": "tree"}',
+    "a list": "[1, 2]",
+    "bad permutation": '{"kind": "pseudo_mnl", "p": [0.5], "pi": [0, 0]}',
+}
+
+
+class TestBoundary:
+    """Bad input exits 1 with a message, never a traceback, and writes nothing."""
+
+    @pytest.mark.parametrize("args", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejected_flag(self, capsys, tmp_path, args):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *args, "--out", str(out))
+        assert code == 1
+        assert "Error" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+    @pytest.mark.parametrize("command", ["learn", "eval"])
+    def test_rejected_model_file(self, capsys, tmp_path, text, command):
+        bad = write(tmp_path / "bad.json", text)
+        good = tmp_path / "good.json"
+        sl.save_model(sl.LogWeightMnl(np.zeros(3)), good)
+        out = tmp_path / "out"
+        args = (["learn", "--model", bad] if command == "learn"
+                else ["eval", "--model-a", str(good), "--model-b", bad])
+        code, _, err = run(capsys, *args, "--out", str(out))
+        assert code == 1
+        assert "bad.json" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sizes, mode", [((3, 4), "exact"),
+                                             ((3, 4), "sampled"),
+                                             ((21, 21), "exact")])
+    def test_eval_usage_errors(self, capsys, tmp_path, sizes, mode):
+        a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "out"
+        sl.save_model(sl.LogWeightMnl(np.zeros(sizes[0])), a)
+        sl.save_model(sl.LogWeightMnl(np.zeros(sizes[1])), b)
+        code, _, err = run(capsys, "eval", "--model-a", str(a),
+                           "--model-b", str(b), "--mode", mode,
+                           "--out", str(out))
+        assert code == 1
+        assert "Error" in err
+        assert not out.exists()
+
+    def test_unwritable_output_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "no-such-dir" / "x.csv"
+        code, _, err = run(capsys, "bench", "--n", "1", "--trials", "1",
+                           "--out", str(out))
+        assert code == 1
+        assert "no-such-dir" in err

@@ -3,7 +3,9 @@ import pytest
 
 import slatelearn as sl
 from conftest import mnl
-from slatelearn.oracle import BINOMIAL_CHUNK, pair_streams_seed
+from slatelearn import oracle as oracle_mod
+from slatelearn.oracle import (BINOMIAL_CHUNK, STREAM_CHUNK, STREAM_MAX_DRAWS,
+                               pair_streams_seed)
 
 
 def uniform_pair():
@@ -115,6 +117,58 @@ class TestDeterminism:
         np.testing.assert_array_equal(block, scalars)
 
 
+def one_shot_stream(model, seed, count):
+    """The old stream draw: one random(count) for pair {0, 1}; True = 0 wins."""
+    rng = np.random.default_rng(pair_streams_seed(seed, 0, 1))
+    return rng.random(count) < sl.pair_probability(model, 0, 1), rng
+
+
+class TestStreamChunks:
+    @pytest.mark.parametrize("count", [STREAM_CHUNK - 1, STREAM_CHUNK,
+                                       STREAM_CHUNK + 1, 2 * STREAM_CHUNK + 7])
+    @pytest.mark.parametrize("u, v", [(0, 1), (1, 0)])
+    def test_chunked_count_equals_one_shot(self, count, u, v):
+        model = mnl(1.0, 1.5)
+        o = sl.LiveOracle(model, seed=8, pair_mode="stream")
+        first, rng = one_shot_stream(model, 8, count)
+        wins_0 = int(np.count_nonzero(first))
+        assert o.pair_win_count(u, v, count) == (wins_0 if u == 0
+                                                 else count - wins_0)
+        assert o.ledger.per_pair == {(0, 1): count}
+        # the stream resumes where the one-shot draw left off
+        p_0 = sl.pair_probability(model, 0, 1)
+        assert o.sample_pair(0, 1) == (0 if rng.random() < p_0 else 1)
+
+    def test_blocks_and_transcript_span_chunks(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "STREAM_CHUNK", 7)
+        model = mnl(1.0, 2.0)
+        o = sl.LiveOracle(model, seed=3, pair_mode="stream", transcript=True)
+        winners = o.sample_pair_block(1, 0, 30)
+        first, _ = one_shot_stream(model, 3, 30)
+        np.testing.assert_array_equal(winners, np.where(first, 0, 1))
+        assert winners.dtype == np.int64
+        assert o.transcript == [(0, 1, int(w)) for w in winners]
+        assert o.sample_pair_block(0, 1, 0).size == 0
+
+    @pytest.mark.parametrize("method", ["pair_win_count", "sample_pair_block"])
+    def test_demand_above_the_cap_draws_and_charges_nothing(self, method):
+        o = sl.LiveOracle(mnl(1.0, 1.0), seed=5, pair_mode="stream")
+        with pytest.raises(sl.StreamDemandTooLarge) as info:
+            getattr(o, method)(1, 0, STREAM_MAX_DRAWS + 1)
+        assert info.value.pair == (0, 1)
+        assert info.value.count == STREAM_MAX_DRAWS + 1
+        assert "(0, 1)" in str(info.value)
+        assert str(STREAM_MAX_DRAWS + 1) in str(info.value)
+        assert o.ledger.total == 0 and o.ledger.per_pair == {}
+        fresh = sl.LiveOracle(mnl(1.0, 1.0), seed=5, pair_mode="stream")
+        np.testing.assert_array_equal(o.sample_pair_block(0, 1, 50),
+                                      fresh.sample_pair_block(0, 1, 50))
+
+    def test_binomial_mode_has_no_stream_cap(self):
+        o = sl.LiveOracle(mnl(1.0, 1.0), seed=5)
+        assert o.pair_win_count(0, 1, 4 * STREAM_MAX_DRAWS) > 0
+
+
 class TestReplay:
     def test_build_counts(self):
         o = sl.LiveOracle(mnl(1.0, 1.0, 1.0), seed=0)
@@ -154,6 +208,20 @@ class TestReplay:
         assert got == expected
         with pytest.raises(sl.ReplayBudgetExhausted):
             sl.replay_sample(table, (1, 0))
+        assert table.cursors[(0, 1)] == 4
+
+    def test_exhausted_block_moves_nothing(self):
+        table = sl.build_replay_table(sl.LiveOracle(uniform_pair(), seed=2), 5)
+        replay = sl.ReplayOracle(table, 2)
+        replay.sample_pair_block(0, 1, 2)
+        with pytest.raises(sl.ReplayBudgetExhausted) as info:
+            replay.pair_win_count(1, 0, 4)
+        assert (info.value.pair, info.value.m) == ((0, 1), 5)
+        assert table.cursors[(0, 1)] == 2
+        assert replay.ledger.per_pair == {(0, 1): 2}
+        assert replay.sample_pair(1, 0) == table.answers[(0, 1)][2]
+        assert sl.replay_sample(table, (0, 1)) == table.answers[(0, 1)][3]
+        assert replay.ledger.per_pair == {(0, 1): 3}
 
     def test_replay_geometric_consumes_like_live(self):
         model = mnl(1.0, 4.0)

@@ -9,7 +9,8 @@ layer that turns the balanced learner into a one-batch non-adaptive one.
 
 from .config import DEFAULT_BUDGET, QueryBudget
 from .errors import (ForestBuildFailure, GeometricCapExceeded,
-                     ReplayBudgetExhausted, SlateLearnError,
+                     ReplayBudgetExhausted, ReplayTableTooLarge,
+                     SampleDemandTooLarge, SlateLearnError,
                      StreamDemandTooLarge)
 from .forest import (EstimationForest, PotentialState, ViolationReport,
                      build_balanced_estimation_forest, build_estimation_forest,
@@ -40,7 +41,8 @@ __all__ = [
     "GeometricCapExceeded", "InstanceSpec", "LiveOracle", "LogWeightMnl",
     "MatchingPseudoMnl", "Model", "Ordering", "PotentialState", "QueryBudget",
     "QueryLedger", "RatioEstimate", "ReplayBudgetExhausted", "ReplayOracle",
-    "ReplayTable", "SlateLearnError", "StreamDemandTooLarge",
+    "ReplayTable", "ReplayTableTooLarge", "SampleDemandTooLarge",
+    "SlateLearnError", "StreamDemandTooLarge",
     "ViolationReport",
     "balanced_estimate_ratio", "build_balanced_estimation_forest",
     "build_estimation_forest", "build_replay_table", "cluster_sort",

@@ -49,3 +49,36 @@ class StreamDemandTooLarge(SlateLearnError):
             "pair {} was asked for {} stream draws in one call, above the "
             "cap of {}; use binomial mode".format(pair, count, cap)
         )
+
+
+class SampleDemandTooLarge(SlateLearnError):
+    """One balanced ratio estimate asked for more geometric waits than fit.
+
+    A demand of M * N waits above the cap (2^62) is refused before anything
+    is drawn or charged; so is, after drawing and charging, a loss total
+    that int64 cannot hold. The theory budget reaches such demands at small
+    n (M * N is about 7.9e22 on a geometric-ratio instance at n = 8,
+    eps = 0.5).
+    """
+
+    def __init__(self, what, count, cap):
+        self.count = count
+        self.cap = cap
+        super().__init__("{} = {}, above the cap of {}; use the calibrated "
+                         "budget or a larger eps".format(what, count, cap))
+
+
+class ReplayTableTooLarge(SlateLearnError):
+    """A replay table would hold more pre-sampled answers than the cap allows.
+
+    Raised by ``build_replay_table`` before the first pair is drawn, so the
+    live oracle and its ledger are unchanged.
+    """
+
+    def __init__(self, pairs, m, cap):
+        self.pairs = pairs
+        self.m = m
+        self.cap = cap
+        super().__init__(
+            "a replay table of {} pairs x m = {} answers holds {}, above the "
+            "cap of {}; use a smaller m or n".format(pairs, m, pairs * m, cap))

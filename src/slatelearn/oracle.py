@@ -17,20 +17,24 @@ Oracles come in two pair-sampling modes:
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
-    and geometric waiting times as Geometric(p) variates. Distributionally
-    identical and O(1) per call regardless of k, which is what makes the
-    adaptive pipeline's very large per-call sample sizes affordable. Not
-    replay-compatible.
+    and geometric waiting times as Geometric(p) variates. The loss total of
+    k waits, all a balanced ratio estimate needs, is one NegativeBinomial(k,
+    p) draw (the number of losses before the k-th win); the ledger charges
+    that total plus k. Distributionally identical and O(1) per call
+    regardless of k, which is what makes the adaptive pipeline's very large
+    per-call sample sizes affordable. Not replay-compatible.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (GeometricCapExceeded, ReplayBudgetExhausted,
+                     ReplayTableTooLarge, SampleDemandTooLarge,
                      StreamDemandTooLarge)
 from .models import Model, pair_probability
 
@@ -45,6 +49,19 @@ BINOMIAL_CHUNK = 1 << 62
 # and n = 4096, and a block of 2^30 winners is already 8 GiB.
 STREAM_CHUNK = 1 << 20
 STREAM_MAX_DRAWS = 1 << 30
+# build_replay_table refuses a table of more answers than this, 8 GiB of
+# int64 winners for the same reason (non-adaptive eps 0.5, n 14, m 5e5 holds
+# 4.6e7).
+REPLAY_MAX_ANSWERS = 1 << 30
+# One Generator.negative_binomial draw takes its n as a double and refuses a
+# mean n (1 - p) / p above about 9.2e18: pieces of at most NB_CHUNK waits
+# with a mean of at most NB_MEAN_MAX keep n exact and every draw legal.
+NB_CHUNK = 1 << 53
+NB_MEAN_MAX = 1 << 62
+# Above this exponent, P(one wait > GEOMETRIC_CAP) = (1 - p)^GEOMETRIC_CAP is
+# below the smallest double, so the per-wait cap check can never fire.
+NEGLIGIBLE_LOG = 745.0
+INT64_MAX = (1 << 63) - 1
 
 
 @dataclass
@@ -196,15 +213,68 @@ class LiveOracle:
                     "geometric wait for pair ({}, {}) exceeded cap".format(u, v))
             self.ledger.record_pair(u, v, int(draws.sum()))
             return (draws - 1).astype(np.int64)
+        # Each round draws winners that one query at a time would draw too:
+        # every wait left needs a query, and wait k raises at its
+        # (GEOMETRIC_CAP - losses[k])-th loss at the latest. So the stream,
+        # ledger, transcript and the query that raises match a per-query loop.
         losses = np.zeros(count, dtype=np.int64)
-        for k in range(count):
-            while self.sample_pair(u, v) != u:
-                losses[k] += 1
+        k = 0
+        while k < count:
+            r = min(count - k, STREAM_CHUNK, GEOMETRIC_CAP - int(losses[k]))
+            wins = np.flatnonzero(next(self._stream_winners(u, v, r)) == u)
+            self.ledger.record_pair(u, v, r)
+            if wins.size == 0:
+                losses[k] += r
                 if losses[k] >= GEOMETRIC_CAP:
                     raise GeometricCapExceeded(
                         "geometric wait for pair ({}, {}) exceeded cap"
                         .format(u, v))
+                continue
+            losses[k] += wins[0]
+            losses[k + 1:k + wins.size] = np.diff(wins) - 1
+            k += wins.size
+            if k < count:
+                losses[k] = r - 1 - wins[-1]
         return losses
+
+    def sample_geometric_sums(self, u: int, v: int, counts) -> np.ndarray:
+        """Loss totals of consecutive runs of ``counts[k]`` geometric waits.
+
+        Entry k is the total loss count of the next ``counts[k]`` waits of u
+        against v; the ledger charges those losses plus the waits, and a
+        count of 0 draws nothing. Stream mode sums segments of
+        ``sample_geometric_block(u, v, sum(counts))``, so its draws, ledger
+        and transcript are the block's. Binomial mode draws each total as
+        NegativeBinomial(counts[k], p_u) in O(len(counts)) time and memory,
+        except where p_u is so small that one wait could pass GEOMETRIC_CAP:
+        there it sums the per-wait block, cap check included.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if not counts.any():
+            return np.zeros(counts.size, dtype=np.int64)
+        p_u = pair_probability(self.model, u, v)
+        if (self.pair_mode == "stream" or p_u <= 0.0
+                or GEOMETRIC_CAP * -math.log1p(-p_u) <= NEGLIGIBLE_LOG):
+            losses = self.sample_geometric_block(u, v, int(counts.sum()))
+            prefix = np.concatenate(([0], np.cumsum(losses)))
+            return np.diff(prefix[np.cumsum(counts)], prepend=0)
+        # NB(a + b, p) = NB(a, p) + NB(b, p): a count is whole pieces of
+        # `chunk` waits plus a remainder, one draw each; 0 draws nothing
+        chunk = NB_CHUNK if p_u == 1.0 else min(
+            NB_CHUNK, int(NB_MEAN_MAX * p_u / (1.0 - p_u)))
+        pieces, rest = np.divmod(counts, chunk)
+        rng = self._pair_rng(u, v)
+        totals = np.zeros(counts.size, dtype=object)   # exact Python ints
+        some = np.flatnonzero(rest)
+        totals[some] = rng.negative_binomial(rest[some], p_u).tolist()
+        np.add.at(totals, np.repeat(np.arange(counts.size), pieces),
+                  rng.negative_binomial(chunk, p_u, int(pieces.sum())).tolist())
+        self.ledger.record_pair(u, v, int(totals.sum()) + int(counts.sum()))
+        if totals.max() > INT64_MAX:
+            raise SampleDemandTooLarge(
+                "the loss total of pair ({}, {})".format(u, v), totals.max(),
+                INT64_MAX)
+        return totals.astype(np.int64)
 
 
 @dataclass
@@ -221,6 +291,9 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
     if m < 1:
         raise ValueError("m must be >= 1")
     n = oracle.n
+    pairs = n * (n - 1) // 2
+    if pairs * m > REPLAY_MAX_ANSWERS:
+        raise ReplayTableTooLarge(pairs, m, REPLAY_MAX_ANSWERS)
     answers = {}
     for u in range(n):
         for v in range(u + 1, n):
@@ -288,19 +361,31 @@ class ReplayOracle:
         return int(self.sample_geometric_block(u, v, 1)[0])
 
     def sample_geometric_block(self, u: int, v: int, count: int) -> np.ndarray:
+        return self.sample_geometric_sums(u, v, np.ones(count, dtype=np.int64))
+
+    def sample_geometric_sums(self, u: int, v: int, counts) -> np.ndarray:
+        """Loss totals of consecutive runs of ``counts[k]`` waits, in O(len).
+
+        Read off the cached win positions: a run's total is the position
+        after its last win, minus the one after the previous run's last win,
+        minus its count. Raises ``ReplayBudgetExhausted`` without moving the
+        cursor or the ledger when fewer wins are left than asked for.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if not counts.any():
+            return np.zeros(counts.size, dtype=np.int64)
         key = (u, v) if u < v else (v, u)
         cur = self.table.cursors[key]
         wins = self._wins_of(key, u)
         lo = int(np.searchsorted(wins, cur))
-        if lo + count > wins.size:
+        seen = np.cumsum(counts)
+        if lo + int(seen[-1]) > wins.size:
             raise ReplayBudgetExhausted(key, self.table.m)
-        pos = wins[lo:lo + count]
-        prev = np.concatenate(([cur - 1], pos[:-1]))
-        losses = (pos - prev - 1).astype(np.int64)
-        consumed = int(pos[-1]) + 1 - cur
-        self.table.cursors[key] = int(pos[-1]) + 1
-        self.ledger.record_pair(u, v, consumed)
-        return losses
+        # position after each run's last win; leading empty runs stay at cur
+        after = np.where(seen > 0, wins[lo + seen - 1] + 1, cur)
+        self.table.cursors[key] = int(after[-1])
+        self.ledger.record_pair(u, v, int(after[-1]) - cur)
+        return np.diff(after, prepend=cur) - counts
 
 
 TRANSCRIPT_MAGIC = b"SLTR"

@@ -14,9 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SampleDemandTooLarge
+
 ZERO = "zero"
 FINITE = "finite"
 INFINITE = "infinite"
+# Most geometric waits one balanced ratio estimate may ask for, so that its
+# count matrix stays exact in int64.
+MAX_WAITS = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,20 @@ class BalancedEstimateParams:
         return BalancedEstimateParams(M=M, N=N, xi=xi)
 
 
+def round_robin_counts(M: int, N: int, size: int) -> np.ndarray:
+    """M x size matrix of how many of M * N values group g takes from member s.
+
+    Value k of the M * N goes to member k mod size and to group k // N, so
+    count[g, s] is the number of k in [g N, (g + 1) N) with k = s mod size.
+    Each row sums to N; column s sums to the round-robin quota of member s
+    (the first M * N mod size members take one value more than the rest).
+    """
+    edges = np.arange(M + 1, dtype=np.int64)[:, None] * N
+    # how many k in [0, edge) are congruent to s mod size
+    below = (edges - np.arange(size, dtype=np.int64) + (size - 1)) // size
+    return np.diff(below, axis=0)
+
+
 def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
                             alpha: float, delta: float,
                             params: BalancedEstimateParams | None = None,
@@ -189,11 +208,17 @@ def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
 
     For each member s of cluster j, the product of the member-to-center
     ratio r(c_j, s) and a geometric wait of c_i against s is an unbiased
-    estimate of w_{c_j} / w_{c_i}. The first M * N such values, taken round
-    robin across the cluster so no member answers more than xi of them, are
+    estimate of w_{c_j} / w_{c_i}. M * N such values, taken round robin
+    across the cluster so no member answers more than xi of them, are
     grouped into M means; Y is the lower median of the means. A value of
     Y <= (3/4) alpha reports the ratio as infinite, otherwise the estimate
     is 1 / Y. This primitive never reports zero.
+
+    A group mean needs only the loss total each member contributes to it,
+    so each member answers one ``sample_geometric_sums`` call with its
+    column of :func:`round_robin_counts`: O(M |C_j|) time and memory, not
+    O(M N). A demand of M * N above 2^62 waits raises
+    ``SampleDemandTooLarge`` before anything is drawn.
 
     With the worst-case parameters (requiring eps < 1/5): a true ratio at
     most 1/alpha is never reported infinite, one of at least 9/alpha always
@@ -205,25 +230,21 @@ def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
     if params is None:
         params = BalancedEstimateParams.from_formulas(
             graph.a1, graph.a2, eps, alpha, delta, len(members))
-    total = params.M * params.N
-    size = len(members)
+    if params.M * params.N > MAX_WAITS:
+        raise SampleDemandTooLarge("the M * N waits of one balanced estimate",
+                                   params.M * params.N, MAX_WAITS)
     c_i = int(graph.centers[i])
     c_j = int(graph.centers[j])
 
-    # round-robin quotas: the first (total mod size) members in cluster
-    # order contribute one extra value; every quota is <= xi
-    base, extra = divmod(total, size)
-    values = np.empty(total, dtype=np.float64)
+    counts = round_robin_counts(params.M, params.N, len(members))
+    sums = np.zeros(counts.shape, dtype=np.float64)
+    scale = np.ones(len(members))
     for idx, s in enumerate(members):
-        quota = base + (1 if idx < extra else 0)
-        if quota == 0:
-            continue
         s = int(s)
-        log_r_cj_s = 0.0 if s == c_j else -graph.star_log[s]
-        losses = oracle.sample_geometric_block(c_i, s, quota)
-        # interleave so each group of N mixes all members evenly
-        values[idx::size][:quota] = math.exp(log_r_cj_s) * losses
-    group_means = values.reshape(params.M, params.N).mean(axis=1)
+        if s != c_j:
+            scale[idx] = math.exp(-graph.star_log[s])
+        sums[:, idx] = oracle.sample_geometric_sums(c_i, s, counts[:, idx])
+    group_means = (sums * scale).sum(axis=1) / params.N
     y = float(np.sort(group_means)[(params.M - 1) // 2])
     if y <= 0.75 * alpha:
         return RatioEstimate.infinite()

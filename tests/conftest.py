@@ -46,6 +46,10 @@ class FixedOracle:
         return np.array([self.sample_geometric(u, v) for _ in range(count)],
                         dtype=np.int64)
 
+    def sample_geometric_sums(self, u, v, counts):
+        return np.array([self.sample_geometric_block(u, v, int(c)).sum()
+                         for c in counts], dtype=np.int64)
+
 
 @pytest.fixture
 def rng():

@@ -244,6 +244,20 @@ class TestTrialRunner:
         assert code == 2
         assert "stream draws" in err
 
+    def test_theory_budget_demand_exits_2(self, capsys):
+        # M = 69 groups of N, about 1.9e21 waits each, for one estimate
+        code, _, err = run(capsys, "learn", "--algo", "balanced", "--budget",
+                           "theory", "--instance", "geometric-ratio", "--n",
+                           "8", "--rho", "2", "--eps", "0.5")
+        assert code == 2
+        assert "M * N waits" in err and "Traceback" not in err
+
+    def test_replay_table_above_the_cap_exits_2(self, capsys):
+        code, _, err = run(capsys, "learn", "--algo", "nonadaptive", "--m",
+                           "100000000", "--n", "30")
+        assert code == 2
+        assert "435 pairs" in err and "Traceback" not in err
+
 
 def write(path, text):
     path.write_text(text)

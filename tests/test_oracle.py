@@ -4,8 +4,9 @@ import pytest
 import slatelearn as sl
 from conftest import mnl
 from slatelearn import oracle as oracle_mod
-from slatelearn.oracle import (BINOMIAL_CHUNK, STREAM_CHUNK, STREAM_MAX_DRAWS,
-                               pair_streams_seed)
+from slatelearn.oracle import (BINOMIAL_CHUNK, GEOMETRIC_CAP, INT64_MAX,
+                               NEGLIGIBLE_LOG, REPLAY_MAX_ANSWERS, STREAM_CHUNK,
+                               STREAM_MAX_DRAWS, pair_streams_seed)
 
 
 def uniform_pair():
@@ -233,6 +234,18 @@ class TestReplay:
             assert live.sample_geometric(0, 1) == replay.sample_geometric(0, 1)
         assert live.ledger.per_pair == replay.ledger.per_pair
 
+    def test_table_above_the_cap_draws_and_charges_nothing(self):
+        o = sl.LiveOracle(sl.generate_instance(sl.InstanceSpec("uniform", n=30)),
+                          seed=0)
+        m = REPLAY_MAX_ANSWERS // 435 + 1
+        with pytest.raises(sl.ReplayTableTooLarge) as info:
+            sl.build_replay_table(o, m)
+        assert (info.value.pairs, info.value.m) == (435, m)
+        assert info.value.cap == REPLAY_MAX_ANSWERS
+        assert "435 pairs" in str(info.value)
+        assert str(REPLAY_MAX_ANSWERS) in str(info.value)
+        assert o.ledger.total == 0 and o._pair_rngs == {}
+
     def test_replay_rejects_big_slates(self):
         o = sl.LiveOracle(mnl(1.0, 1.0, 1.0), seed=0)
         replay = sl.ReplayOracle(sl.build_replay_table(o, 2), 3)
@@ -282,3 +295,188 @@ class TestTranscript:
         path.write_bytes(b"not a transcript")
         with pytest.raises(ValueError):
             sl.read_transcript(path)
+
+
+def segment_sums(losses, counts):
+    """Reference: the loss total of each consecutive run of counts[k] waits."""
+    out, at = [], 0
+    for c in counts:
+        out.append(int(losses[at:at + c].sum()))
+        at += c
+    return out
+
+
+def per_query_waits(o, u, v, count):
+    """Reference: geometric waits from one sample_pair call per query."""
+    losses = []
+    for _ in range(count):
+        k = 0
+        while o.sample_pair(u, v) != u:
+            k += 1
+            if k >= oracle_mod.GEOMETRIC_CAP:
+                raise sl.GeometricCapExceeded("cap")
+        losses.append(k)
+    return np.array(losses, dtype=np.int64)
+
+
+# (w_u, w_v) with p_u about 0.5, 0.1, 0.01 and 0.91
+ODDS = [(1.0, 1.0), (1.0, 9.0), (1.0, 99.0), (10.0, 1.0)]
+COUNTS = [3, 0, 5, 1, 0, 12, 2]
+
+
+class TestGeometricSums:
+    @pytest.mark.parametrize("w_u, w_v", ODDS)
+    def test_binomial_sums_have_nb_moments(self, w_u, w_v):
+        o = sl.LiveOracle(mnl(w_u, w_v), seed=31)
+        p = sl.pair_probability(o.model, 0, 1)
+        count, k = 7, 40_000
+        sums = o.sample_geometric_sums(0, 1, np.full(k, count))
+        mean, var = count * (1 - p) / p, count * (1 - p) / p ** 2
+        assert abs(sums.mean() - mean) < 5 * np.sqrt(var / k)
+        assert abs(sums.var() / var - 1) < 0.06
+        assert o.ledger.per_pair == {(0, 1): int(sums.sum()) + count * k}
+
+    def test_binomial_draw_is_one_nb_per_nonzero_count(self):
+        model = mnl(1.0, 3.0)
+        o = sl.LiveOracle(model, seed=8)
+        p = sl.pair_probability(model, 0, 1)
+        rng = np.random.default_rng(pair_streams_seed(8, 0, 1))
+        sums = o.sample_geometric_sums(0, 1, COUNTS)
+        expected = np.zeros(len(COUNTS), dtype=np.int64)
+        nonzero = np.flatnonzero(COUNTS)
+        expected[nonzero] = rng.negative_binomial(np.array(COUNTS)[nonzero], p)
+        np.testing.assert_array_equal(sums, expected)
+        assert sums.dtype == np.int64
+        assert o.ledger.total == int(sums.sum()) + sum(COUNTS)
+
+    def test_zero_counts_draw_and_charge_nothing(self):
+        o = sl.LiveOracle(mnl(1.0, 3.0), seed=8)
+        np.testing.assert_array_equal(o.sample_geometric_sums(0, 1, [0, 0]),
+                                      [0, 0])
+        assert o.ledger.total == 0 and o.ledger.per_pair == {}
+        twin = sl.LiveOracle(mnl(1.0, 3.0), seed=8)
+        assert (o.sample_geometric_sums(0, 1, [0, 4, 0])[1]
+                == twin.sample_geometric_sums(0, 1, [4])[0])
+
+    def test_chunked_count_is_the_exact_sum_of_its_pieces(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "NB_CHUNK", 4)
+        model = mnl(1.0, 3.0)
+        o = sl.LiveOracle(model, seed=5)
+        p = sl.pair_probability(model, 0, 1)
+        rng = np.random.default_rng(pair_streams_seed(5, 0, 1))
+        # 10 = 4 + 4 + 2, 3 = 3, 8 = 4 + 4: remainders first, then pieces
+        rest = rng.negative_binomial([2, 3], p)
+        pieces = rng.negative_binomial(4, p, 4)
+        sums = o.sample_geometric_sums(0, 1, [10, 3, 0, 8])
+        np.testing.assert_array_equal(
+            sums, [rest[0] + pieces[0] + pieces[1], rest[1], 0,
+                   pieces[2] + pieces[3]])
+        assert o.ledger.total == int(sums.sum()) + 21
+
+    def test_counts_beyond_one_draw(self):
+        o = sl.LiveOracle(mnl(3.0, 1.0), seed=9)
+        sums = o.sample_geometric_sums(1, 0, [2**60, 1])
+        # 128 pieces of 2^53 waits at p = 1/4: the sd of sums[0] / 2^60 is
+        # about 2e-9
+        assert abs(sums[0] / 2**60 - 3.0) < 1e-6
+        assert o.ledger.total == int(sums.sum()) + 2**60 + 1
+
+    def test_loss_total_beyond_int64_raises(self):
+        o = sl.LiveOracle(mnl(3.0, 1.0), seed=9)
+        with pytest.raises(sl.SampleDemandTooLarge) as info:
+            o.sample_geometric_sums(1, 0, [2**62])
+        assert info.value.cap == INT64_MAX and info.value.count > INT64_MAX
+        # the draws were made, so they are charged
+        assert o.ledger.total == info.value.count + 2**62
+
+    def test_tiny_p_keeps_the_per_wait_path(self):
+        p = -np.expm1(-744.0 / GEOMETRIC_CAP)
+        model = sl.LogWeightMnl(np.array([0.0, np.log((1 - p) / p)]))
+        p_u = sl.pair_probability(model, 0, 1)
+        assert GEOMETRIC_CAP * -np.log1p(-p_u) <= NEGLIGIBLE_LOG
+        o, twin = (sl.LiveOracle(model, seed=3) for _ in range(2))
+        sums = o.sample_geometric_sums(0, 1, [2, 0, 3])
+        block = twin.sample_geometric_block(0, 1, 5)
+        assert sums.tolist() == segment_sums(block, [2, 0, 3])
+        assert o.ledger.per_pair == twin.ledger.per_pair
+
+    def test_per_wait_path_keeps_its_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "GEOMETRIC_CAP", 1000)
+        o = sl.LiveOracle(mnl(1.0, 99.0), seed=3)
+        # P(one wait > 1000) = 0.99^1000, about 4e-5 per wait
+        with pytest.raises(sl.GeometricCapExceeded):
+            o.sample_geometric_sums(0, 1, [100_000, 100_000])
+        assert o.ledger.total == 1000
+
+    def test_impossible_win_raises(self):
+        model = sl.MatchingPseudoMnl(np.array([1.0]), np.arange(2))
+        o = sl.LiveOracle(model, seed=0)
+        with pytest.raises(sl.GeometricCapExceeded):
+            o.sample_geometric_sums(0, 1, [0, 3])
+        assert o.ledger.total == GEOMETRIC_CAP
+
+    @pytest.mark.parametrize("w_u, w_v", ODDS)
+    def test_stream_sums_are_segment_sums_of_the_block(self, w_u, w_v):
+        a, b = (sl.LiveOracle(mnl(w_u, w_v), seed=4, pair_mode="stream",
+                              transcript=True) for _ in range(2))
+        sums = a.sample_geometric_sums(1, 0, COUNTS)
+        assert sums.tolist() == segment_sums(
+            b.sample_geometric_block(1, 0, sum(COUNTS)), COUNTS)
+        assert a.ledger.per_pair == b.ledger.per_pair
+        assert a.transcript == b.transcript
+        assert a.sample_pair(0, 1) == b.sample_pair(0, 1)
+
+    def test_replay_sums_are_segment_sums_of_the_block(self):
+        model = mnl(1.0, 4.0)
+        replays = [sl.ReplayOracle(sl.build_replay_table(
+            sl.LiveOracle(model, seed=13, pair_mode="stream"), 500), 2)
+            for _ in range(2)]
+        for _ in range(3):
+            sums = replays[0].sample_geometric_sums(0, 1, COUNTS)
+            block = replays[1].sample_geometric_block(0, 1, sum(COUNTS))
+            assert sums.tolist() == segment_sums(block, COUNTS)
+            assert replays[0].table.cursors == replays[1].table.cursors
+            assert replays[0].ledger.per_pair == replays[1].ledger.per_pair
+
+    def test_exhausted_replay_sums_move_nothing(self):
+        table = sl.build_replay_table(sl.LiveOracle(uniform_pair(), seed=2), 50)
+        replay = sl.ReplayOracle(table, 2)
+        replay.sample_geometric_sums(0, 1, [2, 3])
+        cursor, ledger = table.cursors[(0, 1)], dict(replay.ledger.per_pair)
+        with pytest.raises(sl.ReplayBudgetExhausted):
+            replay.sample_geometric_sums(1, 0, [10, 0, 40])
+        assert table.cursors[(0, 1)] == cursor
+        assert replay.ledger.per_pair == ledger
+        assert replay.sample_geometric_sums(0, 1, [0]).tolist() == [0]
+        assert table.cursors[(0, 1)] == cursor
+
+
+class TestStreamWaits:
+    @pytest.mark.parametrize("w_u, w_v", ODDS)
+    @pytest.mark.parametrize("count", [1, 2, 37, 400])
+    @pytest.mark.parametrize("chunk", [STREAM_CHUNK, 8])
+    def test_equal_to_the_per_query_loop(self, monkeypatch, w_u, w_v, count,
+                                         chunk):
+        monkeypatch.setattr(oracle_mod, "STREAM_CHUNK", chunk)
+        a, b = (sl.LiveOracle(mnl(w_u, w_v), seed=count, pair_mode="stream",
+                              transcript=True) for _ in range(2))
+        np.testing.assert_array_equal(a.sample_geometric_block(0, 1, count),
+                                      per_query_waits(b, 0, 1, count))
+        assert a.ledger.per_pair == b.ledger.per_pair
+        assert a.transcript == b.transcript
+        assert a.sample_pair(0, 1) == b.sample_pair(0, 1)
+
+    @pytest.mark.parametrize("chunk", [STREAM_CHUNK, 8])
+    def test_cap_fires_at_the_same_query(self, monkeypatch, chunk):
+        monkeypatch.setattr(oracle_mod, "STREAM_CHUNK", chunk)
+        monkeypatch.setattr(oracle_mod, "GEOMETRIC_CAP", 30)
+        a, b = (sl.LiveOracle(mnl(1.0, 9.0), seed=6, pair_mode="stream",
+                              transcript=True) for _ in range(2))
+        # P(one wait > 30) = 0.9^30, about 4 %
+        with pytest.raises(sl.GeometricCapExceeded):
+            a.sample_geometric_block(0, 1, 2000)
+        with pytest.raises(sl.GeometricCapExceeded):
+            per_query_waits(b, 0, 1, 2000)
+        assert a.ledger.per_pair == b.ledger.per_pair
+        assert a.transcript == b.transcript
+        assert a.sample_pair(0, 1) == b.sample_pair(0, 1)

@@ -5,7 +5,8 @@ import pytest
 
 import slatelearn as sl
 from conftest import FixedOracle, failure_bound, mnl
-from slatelearn.primitives import compare_sample_size
+from slatelearn.primitives import (MAX_WAITS, compare_sample_size,
+                                   round_robin_counts)
 
 
 def ratio_model(r):
@@ -247,3 +248,70 @@ class TestBalancedEstimateRatio:
         quotas = sorted(o.ledger.per_pair.values(), reverse=True)
         assert quotas == [14, 13, 13]
         assert max(quotas) <= params.xi
+
+    def test_demand_above_the_cap_draws_nothing(self):
+        model, graph = self.make(heavy=2.0, lights=[1.0, 1.0, 1.0])
+        o = sl.LiveOracle(model, seed=0)
+        params = sl.BalancedEstimateParams(M=69, N=MAX_WAITS // 64, xi=1)
+        with pytest.raises(sl.SampleDemandTooLarge) as info:
+            sl.balanced_estimate_ratio(o, graph, 1, 0, self.eps, 0.5,
+                                       self.delta, params)
+        assert info.value.count == 69 * (MAX_WAITS // 64)
+        assert o.ledger.total == 0 and o._pair_rngs == {}
+
+    @pytest.mark.parametrize("mode", ["stream", "replay"])
+    def test_matches_the_per_value_reference(self, mode):
+        # the M * N values, built one wait at a time as round-robin did
+        model, graph = self.make(heavy=3.0, lights=[1.0, 2.0, 1.5, 0.5])
+        params = sl.BalancedEstimateParams(M=5, N=37, xi=47)
+
+        def oracle():
+            live = sl.LiveOracle(model, seed=17, pair_mode="stream")
+            if mode == "stream":
+                return live
+            return sl.ReplayOracle(sl.build_replay_table(live, 2000), model.n)
+
+        def reference(o):
+            members, c_i = graph.clusters[0], int(graph.centers[1])
+            size, total = len(members), params.M * params.N
+            values = np.empty(total)
+            for idx, s in enumerate(members):
+                quota = len(range(idx, total, size))
+                log_r = 0.0 if s == graph.centers[0] else -graph.star_log[s]
+                values[idx::size] = math.exp(log_r) * o.sample_geometric_block(
+                    c_i, int(s), quota)
+            means = values.reshape(params.M, params.N).mean(axis=1)
+            return -math.log(np.sort(means)[(params.M - 1) // 2])
+
+        a, b = oracle(), oracle()
+        r = sl.balanced_estimate_ratio(a, graph, 1, 0, self.eps, 0.2,
+                                       self.delta, params)
+        assert r.is_finite and abs(r.log_ratio - reference(b)) <= 1e-12
+        assert a.ledger.per_pair == b.ledger.per_pair
+
+
+class TestRoundRobinCounts:
+    @pytest.mark.parametrize("M, N, size", [(4, 10, 3), (3, 5, 7), (6, 7, 4),
+                                            (5, 12, 6), (2, 9, 1)])
+    def test_matches_the_round_robin_assignment(self, M, N, size):
+        counts = round_robin_counts(M, N, size)
+        expected = np.zeros((M, size), dtype=np.int64)
+        for k in range(M * N):
+            expected[k // N, k % size] += 1
+        np.testing.assert_array_equal(counts, expected)
+        assert (counts.sum(axis=1) == N).all()
+        base, extra = divmod(M * N, size)
+        np.testing.assert_array_equal(
+            counts.sum(axis=0), [base + (s < extra) for s in range(size)])
+
+    def test_more_members_than_group_values_gives_zero_counts(self):
+        counts = round_robin_counts(3, 5, 7)
+        assert (counts == 0).any() and counts.max() == 1
+
+    def test_large_demand_stays_exact(self):
+        M, N, size = 69, MAX_WAITS // 69, 4093
+        counts = round_robin_counts(M, N, size)
+        assert (counts.sum(axis=1) == N).all()
+        base, extra = divmod(M * N, size)
+        assert counts.sum(axis=0).tolist() == [base + (s < extra)
+                                               for s in range(size)]

@@ -8,7 +8,7 @@ layer that turns the balanced learner into a one-batch non-adaptive one.
 """
 
 from .config import DEFAULT_BUDGET, QueryBudget
-from .errors import (ForestBuildFailure, GeometricCapExceeded,
+from .errors import (DemandTooLarge, ForestBuildFailure, GeometricCapExceeded,
                      ReplayBudgetExhausted, ReplayTableTooLarge,
                      SampleDemandTooLarge, SlateLearnError,
                      StreamDemandTooLarge)
@@ -23,8 +23,7 @@ from .models import (InstanceSpec, LogWeightMnl, MatchingPseudoMnl, Model,
                      model_to_dict, pair_probability, save_model,
                      slate_distribution)
 from .oracle import (LiveOracle, QueryLedger, ReplayOracle, ReplayTable,
-                     build_replay_table, read_transcript, replay_sample,
-                     write_transcript)
+                     build_replay_table, read_transcript, write_transcript)
 from .ordering import (ClusterGraph, Ordering, cluster_sort, epsilon_ordering,
                        quicksort_clustering)
 from .primitives import (BalancedEstimateParams, RatioEstimate,
@@ -37,7 +36,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalancedEstimateParams", "ClusterGraph", "DEFAULT_BUDGET",
-    "DistanceReport", "EstimationForest", "ForestBuildFailure",
+    "DemandTooLarge", "DistanceReport", "EstimationForest",
+    "ForestBuildFailure",
     "GeometricCapExceeded", "InstanceSpec", "LiveOracle", "LogWeightMnl",
     "MatchingPseudoMnl", "Model", "Ordering", "PotentialState", "QueryBudget",
     "QueryLedger", "RatioEstimate", "ReplayBudgetExhausted", "ReplayOracle",
@@ -51,6 +51,6 @@ __all__ = [
     "generate_weights", "get_geometric", "ledger_report", "learn_adaptive",
     "learn_balanced", "learn_nonadaptive", "load_model", "model_from_dict",
     "model_to_dict", "pair_probability", "quicksort_clustering",
-    "read_transcript", "replay_sample", "save_model", "separation_fixture",
+    "read_transcript", "save_model", "separation_fixture",
     "slate_distribution", "validate_forest", "write_transcript",
 ]

@@ -32,7 +32,7 @@ import click
 import numpy as np
 
 from .config import QueryBudget
-from .errors import ReplayBudgetExhausted, SlateLearnError
+from .errors import DemandTooLarge, ReplayBudgetExhausted, SlateLearnError
 from .metrics import distance_exact, distance_sampled, ledger_report
 from .models import InstanceSpec, generate_instance, load_model, save_model
 from .oracle import LiveOracle
@@ -99,7 +99,8 @@ def _run_trial(truth, trial, eps, samples, algo, delta, seed, oracle_mode, m,
 
     Attempt a runs at seed + 1000 trial + a, which no other trial's attempt
     shares while retries < 1000. Algorithm failures are retried; an
-    exhausted replay budget is not, as only a larger m cures it.
+    exhausted replay budget or a demand above a cap is not, as no other
+    seed cures it.
     """
     n = truth.n
     t0 = time.perf_counter()
@@ -119,7 +120,8 @@ def _run_trial(truth, trial, eps, samples, algo, delta, seed, oracle_mode, m,
                 ledger = replay.ledger
             break
         except SlateLearnError as exc:
-            if isinstance(exc, ReplayBudgetExhausted) or attempt == retries:
+            if (isinstance(exc, (ReplayBudgetExhausted, DemandTooLarge))
+                    or attempt == retries):
                 raise
     seconds = time.perf_counter() - t0
     rep = (distance_exact(truth, learned) if n <= 20

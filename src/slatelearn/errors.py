@@ -35,7 +35,15 @@ class GeometricCapExceeded(SlateLearnError):
     """A geometric sampling loop exceeded its hard iteration cap (1e9)."""
 
 
-class StreamDemandTooLarge(SlateLearnError):
+class DemandTooLarge(SlateLearnError):
+    """A call asked for more draws or answers than its cap allows.
+
+    The demand follows from the inputs (n, eps, delta, m, budget, mode), not
+    from the seed, so retrying with another seed cannot cure it.
+    """
+
+
+class StreamDemandTooLarge(DemandTooLarge):
     """One stream-mode call asked a pair for more draws than the cap allows.
 
     Raised before anything is drawn or charged, so the oracle is unchanged.
@@ -51,7 +59,7 @@ class StreamDemandTooLarge(SlateLearnError):
         )
 
 
-class SampleDemandTooLarge(SlateLearnError):
+class SampleDemandTooLarge(DemandTooLarge):
     """One balanced ratio estimate asked for more geometric waits than fit.
 
     A demand of M * N waits above the cap (2^62) is refused before anything
@@ -68,7 +76,7 @@ class SampleDemandTooLarge(SlateLearnError):
                          "budget or a larger eps".format(what, count, cap))
 
 
-class ReplayTableTooLarge(SlateLearnError):
+class ReplayTableTooLarge(DemandTooLarge):
     """A replay table would hold more pre-sampled answers than the cap allows.
 
     Raised by ``build_replay_table`` before the first pair is drawn, so the

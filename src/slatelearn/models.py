@@ -4,6 +4,10 @@ Items are 0-based indices into ``range(n)`` everywhere in this package.
 A *slate* is any non-empty subset of the items, passed as a sequence of
 distinct indices; distributions returned by :func:`slate_distribution` are
 aligned with the order of the slate as given.
+
+Each model computes distributions in one place, its batched
+``slate_distributions`` over boolean slate masks; :func:`slate_distribution`
+is a one-row view of it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,7 @@ class LogWeightMnl:
         return self.log_w.size
 
     def slate_distribution(self, slate) -> np.ndarray:
-        slate = _check_slate(slate, self.n)
-        lw = self.log_w[slate]
-        return np.exp(lw - logsumexp(lw))
+        return slate_distribution(self, slate)
 
     def slate_distributions(self, masks) -> np.ndarray:
         """Winning distributions of many slates at once.
@@ -88,10 +89,7 @@ class MatchingPseudoMnl:
         return self.pi.size
 
     def slate_distribution(self, slate) -> np.ndarray:
-        slate = _check_slate(slate, self.n)
-        mask = np.zeros((1, self.n), dtype=bool)
-        mask[0, slate] = True
-        return self.slate_distributions(mask)[0, slate]
+        return slate_distribution(self, slate)
 
     def slate_distributions(self, masks) -> np.ndarray:
         """Batched form, as :meth:`LogWeightMnl.slate_distributions`."""
@@ -135,8 +133,14 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def slate_distribution(model: Model, slate) -> np.ndarray:
-    """Exact winning distribution of ``model`` on ``slate``."""
-    return model.slate_distribution(slate)
+    """Exact winning distribution of ``model`` on ``slate``, in slate order.
+
+    One row of the model's ``slate_distributions``, read at the slate.
+    """
+    slate = _check_slate(slate, model.n)
+    mask = np.zeros((1, model.n), dtype=bool)
+    mask[0, slate] = True
+    return model.slate_distributions(mask)[0, slate]
 
 
 def pair_probability(model: Model, u: int, v: int) -> float:

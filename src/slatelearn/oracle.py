@@ -301,25 +301,6 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
     return ReplayTable(m=m, answers=answers, cursors={k: 0 for k in answers})
 
 
-def _replay_take(table: ReplayTable, u: int, v: int,
-                 count: int) -> np.ndarray:
-    """The next ``count`` answers of pair {u, v}; the cursor moves past them.
-
-    Raises ``ReplayBudgetExhausted`` without moving it when fewer are left.
-    """
-    key = (u, v) if u < v else (v, u)
-    cur = table.cursors[key]
-    if cur + count > table.m:
-        raise ReplayBudgetExhausted(key, table.m)
-    table.cursors[key] = cur + count
-    return table.answers[key][cur:cur + count]
-
-
-def replay_sample(table: ReplayTable, pair) -> int:
-    """Next pre-sampled winner for ``pair``; issues zero live queries."""
-    return int(_replay_take(table, pair[0], pair[1], 1)[0])
-
-
 class ReplayOracle:
     """Oracle facade over a :class:`ReplayTable`; answers only pair queries.
 
@@ -350,9 +331,18 @@ class ReplayOracle:
         return int(self.sample_pair_block(u, v, 1)[0])
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
-        winners = _replay_take(self.table, u, v, count)
+        """The next ``count`` answers of pair {u, v}; the cursor moves past them.
+
+        Raises ``ReplayBudgetExhausted`` without moving the cursor or the
+        ledger when fewer are left.
+        """
+        key = (u, v) if u < v else (v, u)
+        cur = self.table.cursors[key]
+        if cur + count > self.table.m:
+            raise ReplayBudgetExhausted(key, self.table.m)
+        self.table.cursors[key] = cur + count
         self.ledger.record_pair(u, v, count)
-        return winners
+        return self.table.answers[key][cur:cur + count]
 
     def pair_win_count(self, u: int, v: int, count: int) -> int:
         return int(np.count_nonzero(self.sample_pair_block(u, v, count) == u))

@@ -42,6 +42,33 @@ def _majority_heavier(oracle, x: int, pivot: int, k: int) -> bool:
     return 2 * wins_x > k
 
 
+def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
+    """Randomized quicksort of ``range(n)`` with an explicit stack.
+
+    A group of two or more items draws its pivot uniformly from ``rng``; a
+    group of one is its own pivot and draws nothing. ``split(pivot, rest)``,
+    with ``rest`` the rest of the group in group order, returns ``(lighter,
+    leaf, heavier)``. Lighter groups are sorted first, so pivots are drawn
+    and ``split`` is called depth first, and the leaves come back lightest
+    first.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0xC0FFEE)
+    leaves: list = []
+    stack: list = [("sort", list(range(n)))]
+    while stack:
+        op, payload = stack.pop()
+        if op == "emit":
+            leaves.append(payload)
+        elif payload:
+            pivot = (payload[int(rng.integers(len(payload)))]
+                     if len(payload) > 1 else payload[0])
+            lighter, leaf, heavier = split(
+                pivot, [x for x in payload if x != pivot])
+            stack += [("sort", heavier), ("emit", leaf), ("sort", lighter)]
+    return leaves
+
+
 def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
                      rng: np.random.Generator | None = None) -> Ordering:
     """Sort items by weight using noisy pairwise majority votes.
@@ -57,32 +84,15 @@ def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
         raise ValueError("eps_o must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0xC0FFEE)
-    if n == 1:
-        return Ordering(np.zeros(1, dtype=np.int64), eps_o)
     k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
-    out: list[int] = []
-    stack: list = [("sort", list(range(n)))]
-    while stack:
-        op, payload = stack.pop()
-        if op == "emit":
-            out.append(payload)
-            continue
-        items = payload
-        if len(items) <= 1:
-            out.extend(items)
-            continue
-        pivot = items[int(rng.integers(len(items)))]
+
+    def split(pivot, rest):
         light, heavy = [], []
-        for x in items:
-            if x == pivot:
-                continue
+        for x in rest:
             (heavy if _majority_heavier(oracle, x, pivot, k) else light).append(x)
-        stack.append(("sort", heavy))
-        stack.append(("emit", pivot))
-        stack.append(("sort", light))
-    return Ordering(np.array(out, dtype=np.int64), eps_o)
+        return light, pivot, heavy
+
+    return Ordering(np.array(_pivot_sort(n, rng, split), dtype=np.int64), eps_o)
 
 
 @dataclass
@@ -133,6 +143,23 @@ class ClusterGraph:
                     raise AssertionError("missing star edge for item {}".format(u))
 
 
+def _cluster_graph(n: int, leaves: list, a1: float, a2: float, eps: float,
+                   violations=()) -> ClusterGraph:
+    """The checked graph of ``leaves``, one (members, center, star edges) per cluster."""
+    clusters = [np.array(members, dtype=np.int64) for members, _, _ in leaves]
+    gamma = np.empty(n, dtype=np.int64)
+    star_log: dict = {}
+    for i, (_, _, edges) in enumerate(leaves):
+        gamma[clusters[i]] = i
+        star_log.update(edges)
+    graph = ClusterGraph(clusters=clusters,
+                         centers=np.array([c for _, c, _ in leaves], dtype=np.int64),
+                         star_log=star_log, gamma=gamma, a1=a1, a2=a2, eps=eps,
+                         violations=list(violations))
+    graph.check_structure()
+    return graph
+
+
 def cluster_sort(oracle, alpha: float, eps: float, delta: float,
                  rng: np.random.Generator | None = None) -> ClusterGraph:
     """Cluster an approximate ordering by walking it with ratio estimates.
@@ -159,9 +186,7 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
     seq = ordering.sequence
     log_tau = math.log(3.0 * (1.0 + eps) / (2.0 * alpha))
 
-    clusters: list = []
-    centers: list = []
-    star_log: dict = {}
+    leaves: list = []
     violations: list = []
     center = int(seq[0])
     start = 0
@@ -171,9 +196,7 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
         r = estimate_ratio(oracle, item, center, 2.0 * alpha / 3.0, eps,
                            delta / (2.0 * n))
         if r.exceeds(log_tau):
-            clusters.append(np.array(seq[start:pos], dtype=np.int64))
-            centers.append(center)
-            star_log.update(pending)
+            leaves.append((seq[start:pos], center, pending))
             pending = {}
             center = item
             start = pos
@@ -182,19 +205,8 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
                 violations.append(("zero-ratio", item, center))
                 r = RatioEstimate.finite(math.log(alpha))
             pending[item] = r.log_ratio
-    clusters.append(np.array(seq[start:], dtype=np.int64))
-    centers.append(center)
-    star_log.update(pending)
-
-    gamma = np.empty(n, dtype=np.int64)
-    for i, members in enumerate(clusters):
-        gamma[members] = i
-    graph = ClusterGraph(clusters=clusters, centers=np.array(centers, dtype=np.int64),
-                         star_log=star_log, gamma=gamma,
-                         a1=2.0 / alpha, a2=1.0 / alpha, eps=eps,
-                         violations=violations)
-    graph.check_structure()
-    return graph
+    leaves.append((seq[start:], center, pending))
+    return _cluster_graph(n, leaves, 2.0 / alpha, 1.0 / alpha, eps, violations)
 
 
 def quicksort_clustering(oracle, alpha: float, eps: float, delta: float,
@@ -206,40 +218,16 @@ def quicksort_clustering(oracle, alpha: float, eps: float, delta: float,
     estimate becomes the star edge), zero estimates (item much heavier) are
     recursed into the following clusters, infinite ones into the preceding
     clusters. Yields a (7/alpha, 1/alpha, eps)-cluster graph with
-    probability 1 - delta, using an explicit stack rather than recursion.
+    probability 1 - delta.
     """
     if not (0.0 < alpha <= 0.5):
         raise ValueError("alpha must lie in (0, 1/2]")
-    if rng is None:
-        rng = np.random.default_rng(0xC0FFEE)
     n = oracle.n
     per_call_delta = delta / (n * n)
 
-    clusters: list = []
-    centers: list = []
-    star_log: dict = {}
-    stack: list = [("split", list(range(n)))]
-    while stack:
-        op, payload = stack.pop()
-        if op == "emit":
-            members, center, edges = payload
-            clusters.append(np.array(members, dtype=np.int64))
-            centers.append(center)
-            star_log.update(edges)
-            continue
-        items = payload
-        if not items:
-            continue
-        if len(items) == 1:
-            clusters.append(np.array(items, dtype=np.int64))
-            centers.append(items[0])
-            continue
-        pivot = items[int(rng.integers(len(items)))]
-        members, edges = [pivot], {}
-        lighter, heavier = [], []
-        for s in items:
-            if s == pivot:
-                continue
+    def split(pivot, rest):
+        members, edges, lighter, heavier = [pivot], {}, [], []
+        for s in rest:
             r = estimate_ratio(oracle, pivot, s, alpha, eps, per_call_delta)
             if r.is_finite:
                 members.append(s)
@@ -248,14 +236,7 @@ def quicksort_clustering(oracle, alpha: float, eps: float, delta: float,
                 heavier.append(s)
             else:
                 lighter.append(s)
-        stack.append(("split", heavier))
-        stack.append(("emit", (sorted(members), pivot, edges)))
-        stack.append(("split", lighter))
-    gamma = np.empty(n, dtype=np.int64)
-    for i, members in enumerate(clusters):
-        gamma[members] = i
-    graph = ClusterGraph(clusters=clusters, centers=np.array(centers, dtype=np.int64),
-                         star_log=star_log, gamma=gamma,
-                         a1=7.0 / alpha, a2=1.0 / alpha, eps=eps)
-    graph.check_structure()
-    return graph
+        return lighter, (sorted(members), pivot, edges), heavier
+
+    return _cluster_graph(n, _pivot_sort(n, rng, split), 7.0 / alpha,
+                          1.0 / alpha, eps)

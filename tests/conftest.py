@@ -51,6 +51,29 @@ class FixedOracle:
                          for c in counts], dtype=np.int64)
 
 
+def reference_distribution(model, slate) -> np.ndarray:
+    """One slate's distribution, computed for that slate alone.
+
+    An MNL normalises the slate's log weights with ``np.logaddexp``; a
+    pseudo-MNL applies the highest-intersecting-pair rule directly. Neither
+    goes through the models' batched ``slate_distributions``.
+    """
+    slate = np.asarray(slate, dtype=np.int64)
+    if isinstance(model, sl.LogWeightMnl):
+        lw = model.log_w[slate]
+        return np.exp(lw - np.logaddexp.reduce(lw))
+    pos = np.empty(model.n, dtype=np.int64)
+    pos[model.pi] = np.arange(model.n)
+    i = int(pos[slate].max() // 2)
+    lo, hi = model.pi[2 * i], model.pi[2 * i + 1]
+    probs = np.zeros(slate.size)
+    if lo in slate and hi in slate:
+        probs[slate == hi], probs[slate == lo] = model.p[i], 1.0 - model.p[i]
+    else:
+        probs[(slate == hi) | (slate == lo)] = 1.0
+    return probs
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -225,17 +225,24 @@ class TestTrialRunner:
 
     def test_exhausted_replay_budget_is_not_retried(self, capsys,
                                                    monkeypatch):
-        seeds = []
+        # no other seed cures these, so the first attempt's error stands
+        for error, exit_code in (
+                (sl.ReplayBudgetExhausted((0, 1), 5), 3),
+                (sl.StreamDemandTooLarge((0, 1), 2**31, 2**30), 2),
+                (sl.SampleDemandTooLarge("M * N waits", 2**63, 2**62), 2),
+                (sl.ReplayTableTooLarge(28, 2**28, 2**30), 2)):
+            seeds = []
 
-        def exhausted(oracle, n, eps, delta, m, budget, seed):
-            seeds.append(seed)
-            raise sl.ReplayBudgetExhausted((0, 1), m)
+            def fail(oracle, n, eps, delta, m, budget, seed):
+                seeds.append(seed)
+                raise error
 
-        monkeypatch.setattr(cli, "learn_nonadaptive", exhausted)
-        code, _, _ = run(capsys, "learn", "--algo", "nonadaptive",
-                         "--retries", "3", "--seed", "4")
-        assert code == 3
-        assert seeds == [4]
+            monkeypatch.setattr(cli, "learn_nonadaptive", fail)
+            code, _, err = run(capsys, "learn", "--algo", "nonadaptive",
+                               "--retries", "3", "--seed", "4")
+            assert code == exit_code
+            assert seeds == [4]
+            assert str(error) in err
 
     def test_stream_demand_above_the_cap_exits_2(self, capsys):
         # at the defaults the adaptive learner asks one pair for about

@@ -7,28 +7,7 @@ from hypothesis import strategies as st
 
 import slatelearn as sl
 import slatelearn.metrics as metrics
-from conftest import mnl
-
-
-def reference_distribution(model, slate) -> np.ndarray:
-    """One slate's distribution, computed for that slate alone.
-
-    An MNL uses its per-slate logsumexp path; a pseudo-MNL applies the
-    highest-intersecting-pair rule directly, independent of the batched form.
-    """
-    slate = np.asarray(slate, dtype=np.int64)
-    if isinstance(model, sl.LogWeightMnl):
-        return model.slate_distribution(slate)
-    pos = np.empty(model.n, dtype=np.int64)
-    pos[model.pi] = np.arange(model.n)
-    i = int(pos[slate].max() // 2)
-    lo, hi = model.pi[2 * i], model.pi[2 * i + 1]
-    probs = np.zeros(slate.size)
-    if lo in slate and hi in slate:
-        probs[slate == hi], probs[slate == lo] = model.p[i], 1.0 - model.p[i]
-    else:
-        probs[(slate == hi) | (slate == lo)] = 1.0
-    return probs
+from conftest import mnl, reference_distribution
 
 
 def reference_worst(a, b, slates) -> tuple:

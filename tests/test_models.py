@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slatelearn as sl
-from conftest import mnl
+from conftest import mnl, reference_distribution
 
 
 class TestLogWeightMnl:
@@ -20,11 +20,15 @@ class TestLogWeightMnl:
 
     def test_extreme_scale_gap_does_not_overflow(self):
         # direct exp of these log weights would overflow a float64
-        m = sl.LogWeightMnl(np.array([0.0, 800.0, 1600.0]))
-        probs = m.slate_distribution([0, 1, 2])
-        assert np.all(np.isfinite(probs))
-        assert probs.sum() == pytest.approx(1.0)
-        assert probs[2] == pytest.approx(1.0)
+        for log_w, slate in (([0.0, 800.0, 1600.0], [0, 1, 2]),
+                             ([1000.0, -1000.0, 999.0, -999.5, 3.0],
+                              [3, 0, 4, 1, 2])):
+            m = sl.LogWeightMnl(np.array(log_w))
+            probs = m.slate_distribution(slate)
+            assert np.all(np.isfinite(probs))
+            assert probs.sum() == pytest.approx(1.0)
+            np.testing.assert_allclose(probs, reference_distribution(m, slate),
+                                       rtol=1e-12, atol=0.0)
 
     def test_distribution_follows_slate_order(self):
         m = mnl(1.0, 2.0, 5.0)
@@ -48,7 +52,7 @@ class TestLogWeightMnl:
         for row, mask in zip(probs, masks):
             slate = np.flatnonzero(mask)
             np.testing.assert_allclose(row[slate],
-                                       m.slate_distribution(slate))
+                                       reference_distribution(m, slate))
             assert np.all(row[~mask] == 0.0)
 
     def test_batched_form_rejects_bad_masks(self):

@@ -204,12 +204,15 @@ class TestReplay:
     def test_replay_sample_cursor(self):
         o = sl.LiveOracle(uniform_pair(), seed=1)
         table = sl.build_replay_table(o, 4)
+        replay = sl.ReplayOracle(table, 2)
         expected = list(table.answers[(0, 1)])
-        got = [sl.replay_sample(table, (0, 1)) for _ in range(4)]
+        got = [replay.sample_pair(0, 1) for _ in range(4)]
         assert got == expected
-        with pytest.raises(sl.ReplayBudgetExhausted):
-            sl.replay_sample(table, (1, 0))
+        with pytest.raises(sl.ReplayBudgetExhausted) as info:
+            replay.sample_pair(1, 0)
+        assert info.value.pair == (0, 1)
         assert table.cursors[(0, 1)] == 4
+        assert replay.ledger.per_pair == {(0, 1): 4}
 
     def test_exhausted_block_moves_nothing(self):
         table = sl.build_replay_table(sl.LiveOracle(uniform_pair(), seed=2), 5)
@@ -221,8 +224,8 @@ class TestReplay:
         assert table.cursors[(0, 1)] == 2
         assert replay.ledger.per_pair == {(0, 1): 2}
         assert replay.sample_pair(1, 0) == table.answers[(0, 1)][2]
-        assert sl.replay_sample(table, (0, 1)) == table.answers[(0, 1)][3]
-        assert replay.ledger.per_pair == {(0, 1): 3}
+        assert replay.sample_pair(0, 1) == table.answers[(0, 1)][3]
+        assert replay.ledger.per_pair == {(0, 1): 4}
 
     def test_replay_geometric_consumes_like_live(self):
         model = mnl(1.0, 4.0)

@@ -20,8 +20,8 @@ from .metrics import (DistanceReport, distance_exact, distance_sampled,
                       separation_fixture)
 from .models import (InstanceSpec, LogWeightMnl, MatchingPseudoMnl, Model,
                      generate_instance, load_model, model_from_dict,
-                     model_to_dict, pair_probability, save_model,
-                     slate_distribution)
+                     model_to_dict, pair_probabilities, pair_probability,
+                     save_model, slate_distribution)
 from .oracle import (LiveOracle, QueryLedger, ReplayOracle, ReplayTable,
                      build_replay_table, read_transcript, write_transcript)
 from .ordering import (ClusterGraph, Ordering, cluster_sort, epsilon_ordering,
@@ -50,7 +50,8 @@ __all__ = [
     "estimate_ratio", "estimates_on_all_slates", "generate_instance",
     "generate_weights", "get_geometric", "ledger_report", "learn_adaptive",
     "learn_balanced", "learn_nonadaptive", "load_model", "model_from_dict",
-    "model_to_dict", "pair_probability", "quicksort_clustering",
+    "model_to_dict", "pair_probabilities", "pair_probability",
+    "quicksort_clustering",
     "read_transcript", "save_model", "separation_fixture",
     "slate_distribution", "validate_forest", "write_transcript",
 ]

@@ -362,26 +362,41 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
         err = (lam[u, None] - lam) - (log_w[u, None] - log_w)
         # terms of u's tree no heavier in cluster than u; the rest stay 0
         keep = (comp_of[by_gamma] == cu) & (gamma[by_gamma] <= gu)
+        # column v of a mass sum is the prefix sum at upto[v]
         true_sum, est_sum = (
             np.cumsum(np.exp(x[by_gamma] - x[u, None], where=keep,
-                             out=np.zeros(keep.shape)), axis=1)
+                             out=np.zeros(keep.shape)), axis=1)[:, upto]
             for x in (log_w, lam))
         # the (1 +- eps) bracket must hold in both directions, which
         # pins the log error to at most log(1 + eps) in magnitude
         checks = (pairs & (d > 0) & (d <= t)
                   & (np.abs(err) > math.log1p(eps)),
-                  pairs & far & (true_sum[:, upto] > eps),
-                  pairs & far & (est_sum[:, upto] > eps),
+                  pairs & far & (true_sum > eps),
+                  pairs & far & (est_sum > eps),
                   pairs & (d < 0) & (gu > gamma)
                   & (lo_gamma[cu] <= hi_gamma[comp_of]),
                   pairs & far & (gu == gamma))
-        for i, v in zip(*np.nonzero(np.logical_or.reduce(checks))):
-            pair, mass_cond = (lo + int(i), int(v)), 2 if d[i, v] > 0 else 3
-            found = ((1, float(err[i, v])),
-                     (mass_cond, float(true_sum[i, upto[v]])),
-                     (mass_cond, float(est_sum[i, upto[v]])),
-                     (3, (int(lo_gamma[cu[i, 0]]), int(hi_gamma[comp_of[v]]))),
-                     (4, int(d[i, v])))
-            out.extend((cond, pair, value)
-                       for (cond, value), c in zip(found, checks) if c[i, v])
+        i, v = np.nonzero(np.logical_or.reduce(checks))
+        if not i.size:
+            continue
+        # (pair, check) hits, in (u, v) order and check order within a pair
+        row, k = np.nonzero(np.column_stack([c[i, v] for c in checks]))
+        mass = np.where(d[i, v] > 0, 2, 3)
+        conds = np.column_stack((np.ones_like(mass), mass, mass,
+                                 np.full_like(mass, 3), np.full_like(mass, 4)))
+        values = np.empty(row.size, dtype=object)
+        for check, value in enumerate((err, true_sum, est_sum, None, d)):
+            hit = k == check
+            r = row[hit]
+            values[hit] = (value[i[r], v[r]].tolist() if value is not None
+                           # condition 3 cites the cluster range of both trees
+                           else np.fromiter(
+                               zip(lo_gamma[cu[i[r], 0]].tolist(),
+                                   hi_gamma[comp_of[v[r]]].tolist()),
+                               dtype=object, count=r.size))
+        # a pair's entries share one tuple, made before the entries so that
+        # the cyclic GC untracks both instead of rescanning millions
+        cited = list(zip((lo + i).tolist(), v.tolist()))
+        out += zip(conds[row, k].tolist(), map(cited.__getitem__, row.tolist()),
+                   values.tolist())
     return ViolationReport(violations=out)

@@ -2,18 +2,20 @@
 
 Randomness is derived from a single 64-bit master seed through a documented
 splittable scheme: the stream for pair {u, v} is seeded with
-``SeedSequence((master_seed, PAIR_TAG, min(u, v), max(u, v)))`` and the stream
-for larger slates with ``SeedSequence((master_seed, SLATE_TAG))``. Because
-each pair owns its stream, the answers a pair produces depend only on how
-many times that pair has been queried, never on the interleaving with other
-pairs. This is what makes a live run and a replayed run agree bit for bit.
+``SeedSequence((master_seed, PAIR_TAG, min(u, v), max(u, v)))``, the stream
+for larger slates with ``SeedSequence((master_seed, SLATE_TAG))`` and the
+binomial-mode stream with ``SeedSequence((master_seed, BINOMIAL_TAG))``.
 
 Oracles come in two pair-sampling modes:
 
 ``stream``
-    every query consumes one uniform draw from the pair's stream. Win counts
-    over k queries are computed from k individual draws, so they match a
-    replay table built from the same seed exactly.
+    every query consumes one uniform draw from the pair's own stream. Win
+    counts over k queries are computed from k individual draws, so they
+    match a replay table built from the same seed exactly. Because each pair
+    owns its stream, the answers a pair produces depend only on how many
+    times that pair has been queried, never on the interleaving with other
+    pairs. This is what makes a live run and a replayed run agree bit for
+    bit.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -22,7 +24,10 @@ Oracles come in two pair-sampling modes:
     p) draw (the number of losses before the k-th win); the ledger charges
     that total plus k. Distributionally identical and O(1) per call
     regardless of k, which is what makes the adaptive pipeline's very large
-    per-call sample sizes affordable. Not replay-compatible.
+    per-call sample sizes affordable. Every binomial-mode draw reads the one
+    tagged stream in call order, so a run never builds a Generator per pair,
+    and :meth:`LiveOracle.pair_win_count` answers an array of pairs with one
+    vector draw. Not replay-compatible.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ import numpy as np
 from .errors import (GeometricCapExceeded, ReplayBudgetExhausted,
                      ReplayTableTooLarge, SampleDemandTooLarge,
                      StreamDemandTooLarge)
-from .models import Model, pair_probability
+from .models import Model, pair_probabilities, pair_probability
 
 PAIR_TAG = 0x70AB
 SLATE_TAG = 0x51A7
+BINOMIAL_TAG = 0xB1A0
 GEOMETRIC_CAP = 10**9
 # Largest count passed to one Generator.binomial call, which takes a C long.
 BINOMIAL_CHUNK = 1 << 62
@@ -78,6 +84,18 @@ class QueryLedger:
         self.per_size[2] = self.per_size.get(2, 0) + count
         self.total += count
 
+    def record_pairs(self, us, vs, count: int = 1) -> None:
+        """``record_pair(us[i], vs[i], count)`` for every i, in order."""
+        lo = np.ravel(np.minimum(us, vs)).tolist()
+        hi = np.ravel(np.maximum(us, vs)).tolist()
+        if len(lo) == 0:
+            return
+        per_pair, get = self.per_pair, self.per_pair.get
+        for key in zip(lo, hi):
+            per_pair[key] = get(key, 0) + count
+        self.per_size[2] = self.per_size.get(2, 0) + count * len(lo)
+        self.total += count * len(lo)
+
     def record_slate(self, size: int, count: int = 1) -> None:
         if size == 2:
             raise ValueError("size-2 queries must go through record_pair")
@@ -111,6 +129,8 @@ class LiveOracle:
         self._pair_rngs: dict = {}
         self._slate_rng = np.random.default_rng(
             np.random.SeedSequence((seed, SLATE_TAG)))
+        self._binomial_rng = np.random.default_rng(
+            np.random.SeedSequence((seed, BINOMIAL_TAG)))
 
     @property
     def n(self) -> int:
@@ -179,20 +199,42 @@ class LiveOracle:
         self.ledger.record_pair(u, v, count)
         return winners
 
-    def pair_win_count(self, u: int, v: int, count: int) -> int:
-        """How many of ``count`` queries to {u, v} return u."""
+    def pair_win_count(self, u, v, count: int):
+        """How many of ``count`` queries to {u, v} return u.
+
+        When ``u`` or ``v`` is a numpy array they broadcast against each
+        other and the answer is a flat array, one count per pair in order.
+        Binomial mode draws all those pairs at once, one vector draw per
+        BINOMIAL_CHUNK piece of ``count``, and returns int64 counts, or
+        exact Python ints when ``count`` takes more than one piece. Stream
+        mode answers them with one scalar call per pair, so its answers,
+        ledger and transcript are those of the scalar calls in order.
+        """
+        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+            if self.pair_mode != "binomial":
+                return _loop_win_counts(self, u, v, count)
+            return self._binomial_win_counts(u, v, count)
         if self.pair_mode == "binomial":
             p_u = pair_probability(self.model, u, v)
-            rng, wins = self._pair_rng(u, v), 0
             # Binomial(a + b, p) = Binomial(a, p) + Binomial(b, p); a count
             # up to BINOMIAL_CHUNK takes one draw, and count 0 draws nothing
-            for lo in range(0, max(count, 1), BINOMIAL_CHUNK):
-                wins += int(rng.binomial(min(count - lo, BINOMIAL_CHUNK), p_u))
+            wins = sum(int(self._binomial_rng.binomial(piece, p_u))
+                       for piece in _binomial_pieces(count))
         else:
             wins = sum(int(np.count_nonzero(w == u))
                        for w in self._stream_winners(u, v, count))
         self.ledger.record_pair(u, v, count)
         return wins
+
+    def _binomial_win_counts(self, us, vs, count: int) -> np.ndarray:
+        """The array form of :meth:`pair_win_count` in binomial mode."""
+        p = np.ravel(pair_probabilities(self.model, us, vs))
+        pieces = [self._binomial_rng.binomial(piece, p)
+                  for piece in _binomial_pieces(count)]
+        self.ledger.record_pairs(us, vs, count)
+        if len(pieces) == 1:
+            return pieces[0]
+        return sum(piece.astype(object) for piece in pieces)
 
     def sample_geometric(self, u: int, v: int) -> int:
         """Losses of u before its first win on {u, v}; charges losses + 1 queries."""
@@ -206,7 +248,7 @@ class LiveOracle:
                 self.ledger.record_pair(u, v, GEOMETRIC_CAP)
                 raise GeometricCapExceeded(
                     "item {} can never win against {}".format(u, v))
-            draws = self._pair_rng(u, v).geometric(p_u, size=count)
+            draws = self._binomial_rng.geometric(p_u, size=count)
             if np.any(draws > GEOMETRIC_CAP):
                 self.ledger.record_pair(u, v, GEOMETRIC_CAP)
                 raise GeometricCapExceeded(
@@ -263,7 +305,7 @@ class LiveOracle:
         chunk = NB_CHUNK if p_u == 1.0 else min(
             NB_CHUNK, int(NB_MEAN_MAX * p_u / (1.0 - p_u)))
         pieces, rest = np.divmod(counts, chunk)
-        rng = self._pair_rng(u, v)
+        rng = self._binomial_rng
         totals = np.zeros(counts.size, dtype=object)   # exact Python ints
         some = np.flatnonzero(rest)
         totals[some] = rng.negative_binomial(rest[some], p_u).tolist()
@@ -275,6 +317,21 @@ class LiveOracle:
                 "the loss total of pair ({}, {})".format(u, v), totals.max(),
                 INT64_MAX)
         return totals.astype(np.int64)
+
+
+def _binomial_pieces(count: int) -> list:
+    """``count`` split into pieces of at most BINOMIAL_CHUNK; [0] for 0."""
+    return [min(count - lo, BINOMIAL_CHUNK)
+            for lo in range(0, max(count, 1), BINOMIAL_CHUNK)]
+
+
+def _loop_win_counts(oracle, us, vs, count: int) -> np.ndarray:
+    """``oracle.pair_win_count`` over the broadcast pairs in order, as one array."""
+    us, vs = np.broadcast_arrays(np.asarray(us, dtype=np.int64),
+                                 np.asarray(vs, dtype=np.int64))
+    return np.array([oracle.pair_win_count(u, v, count)
+                     for u, v in zip(us.ravel().tolist(), vs.ravel().tolist())],
+                    dtype=np.int64)
 
 
 @dataclass
@@ -344,7 +401,10 @@ class ReplayOracle:
         self.ledger.record_pair(u, v, count)
         return self.table.answers[key][cur:cur + count]
 
-    def pair_win_count(self, u: int, v: int, count: int) -> int:
+    def pair_win_count(self, u, v, count: int):
+        """As :meth:`LiveOracle.pair_win_count`; arrays are answered pair by pair."""
+        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+            return _loop_win_counts(self, u, v, count)
         return int(np.count_nonzero(self.sample_pair_block(u, v, count) == u))
 
     def sample_geometric(self, u: int, v: int) -> int:

@@ -36,12 +36,6 @@ class Ordering:
         object.__setattr__(self, "sequence", seq)
 
 
-def _majority_heavier(oracle, x: int, pivot: int, k: int) -> bool:
-    """True when x beats the pivot in a k-query majority vote; ties go to the pivot."""
-    wins_x = oracle.pair_win_count(x, pivot, k)
-    return 2 * wins_x > k
-
-
 def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
     """Randomized quicksort of ``range(n)`` with an explicit stack.
 
@@ -79,6 +73,11 @@ def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
     (1 - eps_o) factor; closer pairs may land either way, which is exactly
     the slack an eps_o-ordering allows. Ties favor the pivot, i.e. the item
     is placed on the lighter side.
+
+    Each pivot's comparisons are one ``oracle.pair_win_count`` call on the
+    array of its group: a binomial oracle answers them with one vector draw
+    from its shared stream, stream and replay oracles pair by pair in group
+    order.
     """
     if not (0.0 < eps_o < 1.0):
         raise ValueError("eps_o must lie in (0, 1)")
@@ -87,10 +86,12 @@ def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
     k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
 
     def split(pivot, rest):
-        light, heavy = [], []
-        for x in rest:
-            (heavy if _majority_heavier(oracle, x, pivot, k) else light).append(x)
-        return light, pivot, heavy
+        if not rest:
+            return [], pivot, []
+        rest = np.array(rest, dtype=np.int64)
+        wins = oracle.pair_win_count(rest, pivot, k)
+        heavy = np.asarray(wins > k // 2, dtype=bool)   # 2 wins > k
+        return rest[~heavy].tolist(), pivot, rest[heavy].tolist()
 
     return Ordering(np.array(_pivot_sort(n, rng, split), dtype=np.int64), eps_o)
 

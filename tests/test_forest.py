@@ -490,6 +490,11 @@ class TestMatchesReference:
         truth = perturbed(rng, f, 0.2)
         assert_violations_match(sl.validate_forest(f, truth).violations,
                                 ref_validate_forest(f, truth))
+        # one cluster and all-zero truth: most pairs violate two conditions
+        f = hand_built(np.zeros(64), [(k, k + 1, 0.0) for k in range(63)])
+        got = sl.validate_forest(f, np.zeros(64)).violations
+        assert len(got) > 64 * 63 * 2
+        assert_violations_match(got, ref_validate_forest(f, np.zeros(64)))
 
     @pytest.mark.parametrize("values", [1, 7 * 37, 3 * 37 + 5])
     def test_row_block_sizes(self, monkeypatch, values):

@@ -297,7 +297,8 @@ class TestLedgerReport:
         inner = o.pair_win_count
 
         def wrapper(u, v, count):
-            counted["total"] += count
+            # u or v may be an array of pairs, each charged count queries
+            counted["total"] += count * np.broadcast(u, v).size
             return inner(u, v, count)
 
         o.pair_win_count = wrapper

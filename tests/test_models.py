@@ -125,6 +125,20 @@ class TestPairProbability:
         assert sl.pair_probability(m, 3, 2) == pytest.approx(0.2)
         assert sl.pair_probability(m, 0, 3) == pytest.approx(0.0)
 
+    def test_vector_form_is_the_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        log_w = np.concatenate((rng.normal(0.0, 3.0, 9), [800.0, -800.0, 0.0]))
+        pseudo = sl.MatchingPseudoMnl(rng.random(6), rng.permutation(12))
+        us, vs = (a.ravel() for a in np.meshgrid(np.arange(12), np.arange(12)))
+        us, vs = us[us != vs], vs[us != vs]
+        for model in (sl.LogWeightMnl(log_w), pseudo):
+            got = sl.pair_probabilities(model, us, vs)
+            want = [sl.pair_probability(model, int(u), int(v))
+                    for u, v in zip(us, vs)]
+            assert got.tobytes() == np.array(want).tobytes()
+            with pytest.raises(ValueError):
+                sl.pair_probabilities(model, [0, 1], [2, 1])
+
 
 class TestInstanceGenerators:
     def test_uniform(self):

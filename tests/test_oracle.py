@@ -4,13 +4,19 @@ import pytest
 import slatelearn as sl
 from conftest import mnl
 from slatelearn import oracle as oracle_mod
-from slatelearn.oracle import (BINOMIAL_CHUNK, GEOMETRIC_CAP, INT64_MAX,
-                               NEGLIGIBLE_LOG, REPLAY_MAX_ANSWERS, STREAM_CHUNK,
-                               STREAM_MAX_DRAWS, pair_streams_seed)
+from slatelearn.oracle import (BINOMIAL_CHUNK, BINOMIAL_TAG, GEOMETRIC_CAP,
+                               INT64_MAX, NEGLIGIBLE_LOG, REPLAY_MAX_ANSWERS,
+                               STREAM_CHUNK, STREAM_MAX_DRAWS,
+                               pair_streams_seed)
 
 
 def uniform_pair():
     return mnl(1.0, 1.0)
+
+
+def binomial_stream(seed):
+    """The one stream every binomial-mode draw of a seeded oracle reads."""
+    return np.random.default_rng(np.random.SeedSequence((seed, BINOMIAL_TAG)))
 
 
 class TestMaxSample:
@@ -66,16 +72,49 @@ class TestLedger:
         led.record_pair(1, 2, 9)
         assert led.max_per_pair == 9
 
+    def test_record_pairs_is_repeated_record_pair(self):
+        us, vs = [3, 0, 1, 2, 3], [1, 2, 0, 0, 1]
+        for count in (0, 1, 7, 2**64):
+            batched, looped = sl.QueryLedger(), sl.QueryLedger()
+            batched.record_pair(2, 3)
+            looped.record_pair(2, 3)
+            batched.record_pairs(np.array(us), np.array(vs), count)
+            for u, v in zip(us, vs):
+                looped.record_pair(u, v, count)
+            assert batched == looped
+            assert list(batched.per_pair) == list(looped.per_pair)
+            assert all(type(k) is int for key in batched.per_pair for k in key)
+        empty = sl.QueryLedger()
+        empty.record_pairs(np.array([], dtype=np.int64),
+                           np.array([], dtype=np.int64), 5)
+        assert empty == sl.QueryLedger()
+        for u, v in ((3, 1), (0, 1), (np.int64(2), np.array(0))):
+            batched, looped = sl.QueryLedger(), sl.QueryLedger()
+            batched.record_pairs(u, v, 4)
+            looped.record_pair(int(u), int(v), 4)
+            assert batched == looped
+
 
 class TestBinomialChunks:
     def test_count_up_to_chunk_is_one_draw(self):
-        # seeded runs drew Binomial(count, p) in one call; they must still
-        model = mnl(1.0, 3.0)
+        # a count up to the chunk is one Binomial(count, p) draw from the
+        # oracle's binomial stream, and one vector draw for many pairs
+        model = mnl(1.0, 3.0, 2.0)
         p = sl.pair_probability(model, 0, 1)
+        us, vs = [0, 2, 1, 0], [1, 1, 2, 2]
+        ps = [sl.pair_probability(model, u, v) for u, v in zip(us, vs)]
         for count in (0, 1, 1000, 2**40, BINOMIAL_CHUNK):
             o = sl.LiveOracle(model, seed=8)
-            rng = np.random.default_rng(pair_streams_seed(8, 0, 1))
+            rng = binomial_stream(8)
             assert o.pair_win_count(0, 1, count) == rng.binomial(count, p)
+            wins = o.pair_win_count(np.array(us), np.array(vs), count)
+            np.testing.assert_array_equal(wins, rng.binomial(count, ps))
+            assert wins.dtype == np.int64
+            # a 0-d array is one pair, drawn and charged like the rest
+            assert (o.pair_win_count(np.array(0), 1, count).tolist()
+                    == [rng.binomial(count, p)])
+            assert o.ledger.total == count * (len(us) + 2)
+            assert o._pair_rngs == {}
 
     def test_count_beyond_c_long(self):
         o = sl.LiveOracle(mnl(1.0, 3.0), seed=9)
@@ -85,6 +124,11 @@ class TestBinomialChunks:
         assert abs(wins / 2**64 - 0.25) < 1e-6
         assert o.ledger.total == 2**64
         assert o.ledger.per_pair == {(0, 1): 2**64}
+        o = sl.LiveOracle(mnl(1.0, 3.0, 1.0), seed=9)
+        wins = o.pair_win_count(np.array([0, 2]), 1, 2**64).tolist()
+        assert all(type(w) is int and abs(w / 2**64 - 0.25) < 1e-6
+                   for w in wins)
+        assert o.ledger.per_pair == {(0, 1): 2**64, (1, 2): 2**64}
 
 
 class TestDeterminism:
@@ -116,6 +160,34 @@ class TestDeterminism:
         block = a.sample_pair_block(0, 1, 64)
         scalars = [b.sample_pair(0, 1) for _ in range(64)]
         np.testing.assert_array_equal(block, scalars)
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_batched_win_counts_are_the_scalar_loop(self, replay):
+        # stream and replay oracles answer an array of pairs pair by pair
+        model = mnl(1.0, 2.0, 3.0, 0.5)
+        us = np.array([1, 0, 3, 1])
+        none = np.array([], dtype=np.int64)
+        a, b = (sl.LiveOracle(model, seed=6, pair_mode="stream",
+                              transcript=True) for _ in range(2))
+        if replay:
+            a, b = (sl.ReplayOracle(sl.build_replay_table(o, 60), 4)
+                    for o in (a, b))
+        for count in (7, 1, 0, 20):
+            wins = a.pair_win_count(us, 2, count)
+            assert wins.tolist() == [b.pair_win_count(int(u), 2, count)
+                                     for u in us]
+            assert wins.dtype == np.int64
+            assert a.pair_win_count(none, none, count).size == 0
+            # a 0-d array is one pair, answered as a one-element array
+            assert (a.pair_win_count(np.array(3), 1, count).tolist()
+                    == [b.pair_win_count(3, 1, count)])
+        assert a.ledger == b.ledger
+        if replay:
+            assert a.table.cursors == b.table.cursors
+        else:
+            assert a.transcript == b.transcript
+        with pytest.raises(ValueError):   # us and vs do not broadcast
+            a.pair_win_count(us, np.array([2, 3, 0]), 1)
 
 
 def one_shot_stream(model, seed, count):
@@ -263,15 +335,19 @@ class TestGeometric:
         with pytest.raises(sl.GeometricCapExceeded):
             o.sample_geometric(0, 1)
 
-    @pytest.mark.parametrize("mode, w1, losses", [("binomial", 999.0, 1140),
+    @pytest.mark.parametrize("mode, w1, losses", [("binomial", 999.0, 261),
                                                   ("stream", 4.0, 3)])
     def test_scalar_draw_is_pinned(self, mode, w1, losses):
         # seeded ledgers stay bit-identical now that the scalar wait is one
-        # draw of the block path
-        o = sl.LiveOracle(sl.LogWeightMnl(np.log([1.0, w1])), seed=7,
-                          pair_mode=mode)
+        # draw of the block path: in binomial mode, one Geometric(p) draw of
+        # the binomial stream
+        model = sl.LogWeightMnl(np.log([1.0, w1]))
+        o = sl.LiveOracle(model, seed=7, pair_mode=mode)
         assert o.sample_geometric(0, 1) == losses
         assert o.ledger.per_pair == {(0, 1): losses + 1}
+        if mode == "binomial":
+            assert losses == binomial_stream(7).geometric(
+                sl.pair_probability(model, 0, 1)) - 1
 
     def test_block_matches_distribution(self):
         o = sl.LiveOracle(mnl(1.0, 2.0), seed=21)
@@ -343,7 +419,7 @@ class TestGeometricSums:
         model = mnl(1.0, 3.0)
         o = sl.LiveOracle(model, seed=8)
         p = sl.pair_probability(model, 0, 1)
-        rng = np.random.default_rng(pair_streams_seed(8, 0, 1))
+        rng = binomial_stream(8)
         sums = o.sample_geometric_sums(0, 1, COUNTS)
         expected = np.zeros(len(COUNTS), dtype=np.int64)
         nonzero = np.flatnonzero(COUNTS)
@@ -366,7 +442,7 @@ class TestGeometricSums:
         model = mnl(1.0, 3.0)
         o = sl.LiveOracle(model, seed=5)
         p = sl.pair_probability(model, 0, 1)
-        rng = np.random.default_rng(pair_streams_seed(5, 0, 1))
+        rng = binomial_stream(5)
         # 10 = 4 + 4 + 2, 3 = 3, 8 = 4 + 4: remainders first, then pieces
         rest = rng.negative_binomial([2, 3], p)
         pieces = rng.negative_binomial(4, p, 4)

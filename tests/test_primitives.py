@@ -258,6 +258,9 @@ class TestBalancedEstimateRatio:
                                        self.delta, params)
         assert info.value.count == 69 * (MAX_WAITS // 64)
         assert o.ledger.total == 0 and o._pair_rngs == {}
+        fresh = sl.LiveOracle(model, seed=0)
+        assert (o._binomial_rng.bit_generator.state
+                == fresh._binomial_rng.bit_generator.state)
 
     @pytest.mark.parametrize("mode", ["stream", "replay"])
     def test_matches_the_per_value_reference(self, mode):

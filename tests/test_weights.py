@@ -82,6 +82,8 @@ class TestLearnAdaptive:
         o = sl.LiveOracle(truth, seed=5)
         learned = sl.learn_adaptive(o, 4, 0.5, 0.1, seed=5)
         assert sl.distance_exact(truth, learned).d1 <= 0.5
+        # binomial draws all read the oracle's one stream: no pair Generator
+        assert o._pair_rngs == {}
 
     def test_scale_invariance_of_output_quality(self):
         # shifting all log weights by a constant changes nothing observable
@@ -107,6 +109,7 @@ class TestLearnBalanced:
         o = sl.LiveOracle(truth, seed=7)
         learned = sl.learn_balanced(o, 12, 0.5, 0.1, seed=7)
         assert sl.distance_exact(truth, learned).d1 <= 0.5
+        assert o._pair_rngs == {}
         # no pair should dominate: the max is within 60x of the mean load
         loads = np.array(list(o.ledger.per_pair.values()), dtype=np.float64)
         assert loads.max() <= 60 * loads.mean()

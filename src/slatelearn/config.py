@@ -39,9 +39,10 @@ class QueryBudget:
     # infinity threshold beta_i
     beta_denom: float        # beta_i = alpha^2 eps1 / (beta_denom * |C_i| [* Lambda])
     beta_uses_lambda: bool
-    # median-of-means shape for ratio estimates issued by the builder
-    ber_m_mult: float        # M = ceil(ber_m_mult * log(2/delta))
-    ber_theory_n: bool       # True: N from the published formula
+    # median-of-means shape for ratio estimates issued by the builder; the
+    # two multipliers are read only when ber_theory_n is False
+    ber_m_mult: float        # M = max(3, ceil(ber_m_mult * log(2/delta)))
+    ber_theory_n: bool       # True: M and N from the published formulas
     ber_n_mult: float        # else N = ceil(ber_n_mult * (1/alpha + 1/eps^2))
     # learner composition: True applies the eps/13 and eps'/9 budget split
     compose_theory: bool

@@ -10,12 +10,13 @@ Oracles come in two pair-sampling modes:
 
 ``stream``
     every query consumes one uniform draw from the pair's own stream. Win
-    counts over k queries are computed from k individual draws, so they
-    match a replay table built from the same seed exactly. Because each pair
-    owns its stream, the answers a pair produces depend only on how many
-    times that pair has been queried, never on the interleaving with other
-    pairs. This is what makes a live run and a replayed run agree bit for
-    bit.
+    counts over k queries are computed from k individual draws. Because
+    each pair owns its stream, the answers a pair produces depend only on
+    how many times that pair has been queried, never on the interleaving
+    with other pairs. A :class:`ReplayOracle` is this mode with its answers
+    drawn in advance: it runs the same stream-mode code and only reads each
+    pair's answers from a table, so a live run and a replayed run agree bit
+    for bit.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -188,9 +189,7 @@ class LiveOracle:
             yield winners
 
     def sample_pair(self, u: int, v: int) -> int:
-        winner = int(next(self._stream_winners(u, v, 1))[0])
-        self.ledger.record_pair(u, v)
-        return winner
+        return int(self.sample_pair_block(u, v, 1)[0])
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` queries to {u, v} at once; returns the winner sequence."""
@@ -242,32 +241,41 @@ class LiveOracle:
 
     def sample_geometric_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` independent geometric waits; returns the loss counts."""
-        if self.pair_mode == "binomial":
-            p_u = pair_probability(self.model, u, v)
-            if p_u <= 0.0:
-                self.ledger.record_pair(u, v, GEOMETRIC_CAP)
-                raise GeometricCapExceeded(
-                    "item {} can never win against {}".format(u, v))
-            draws = self._binomial_rng.geometric(p_u, size=count)
-            if np.any(draws > GEOMETRIC_CAP):
-                self.ledger.record_pair(u, v, GEOMETRIC_CAP)
-                raise GeometricCapExceeded(
-                    "geometric wait for pair ({}, {}) exceeded cap".format(u, v))
-            self.ledger.record_pair(u, v, int(draws.sum()))
-            return (draws - 1).astype(np.int64)
-        # Each round draws winners that one query at a time would draw too:
-        # every wait left needs a query, and wait k raises at its
-        # (GEOMETRIC_CAP - losses[k])-th loss at the latest. So the stream,
-        # ledger, transcript and the query that raises match a per-query loop.
+        if self.pair_mode == "stream":
+            return self._stream_waits(u, v, count)
+        p_u = pair_probability(self.model, u, v)
+        if p_u <= 0.0:
+            self.ledger.record_pair(u, v, GEOMETRIC_CAP)
+            raise GeometricCapExceeded(
+                "item {} can never win against {}".format(u, v))
+        draws = self._binomial_rng.geometric(p_u, size=count)
+        if np.any(draws > GEOMETRIC_CAP):
+            self.ledger.record_pair(u, v, GEOMETRIC_CAP)
+            raise GeometricCapExceeded(
+                "geometric wait for pair ({}, {}) exceeded cap".format(u, v))
+        self.ledger.record_pair(u, v, int(draws.sum()))
+        return (draws - 1).astype(np.int64)
+
+    def _stream_waits(self, u: int, v: int, count: int) -> np.ndarray:
+        """``count`` geometric waits of u read off the pair's stream.
+
+        Each round draws winners that one query at a time would draw too:
+        every wait left needs a query, and wait k raises at its
+        (GEOMETRIC_CAP - losses[k])-th loss at the latest. So the stream,
+        ledger, transcript and the query that raises match a per-query loop.
+        The ledger is charged once, on return or when the cap fires, so a
+        replay that runs out of answers partway charges nothing.
+        """
         losses = np.zeros(count, dtype=np.int64)
-        k = 0
+        k = used = 0
         while k < count:
             r = min(count - k, STREAM_CHUNK, GEOMETRIC_CAP - int(losses[k]))
             wins = np.flatnonzero(next(self._stream_winners(u, v, r)) == u)
-            self.ledger.record_pair(u, v, r)
+            used += r
             if wins.size == 0:
                 losses[k] += r
                 if losses[k] >= GEOMETRIC_CAP:
+                    self.ledger.record_pair(u, v, used)
                     raise GeometricCapExceeded(
                         "geometric wait for pair ({}, {}) exceeded cap"
                         .format(u, v))
@@ -277,6 +285,8 @@ class LiveOracle:
             k += wins.size
             if k < count:
                 losses[k] = r - 1 - wins[-1]
+        if used:
+            self.ledger.record_pair(u, v, used)
         return losses
 
     def sample_geometric_sums(self, u: int, v: int, counts) -> np.ndarray:
@@ -294,10 +304,11 @@ class LiveOracle:
         counts = np.asarray(counts, dtype=np.int64)
         if not counts.any():
             return np.zeros(counts.size, dtype=np.int64)
-        p_u = pair_probability(self.model, u, v)
-        if (self.pair_mode == "stream" or p_u <= 0.0
+        stream = self.pair_mode == "stream"   # a replay has no model to read
+        if (stream or (p_u := pair_probability(self.model, u, v)) <= 0.0
                 or GEOMETRIC_CAP * -math.log1p(-p_u) <= NEGLIGIBLE_LOG):
-            losses = self.sample_geometric_block(u, v, int(counts.sum()))
+            waits = self._stream_waits if stream else self.sample_geometric_block
+            losses = waits(u, v, int(counts.sum()))
             prefix = np.concatenate(([0], np.cumsum(losses)))
             return np.diff(prefix[np.cumsum(counts)], prepend=0)
         # NB(a + b, p) = NB(a, p) + NB(b, p): a count is whole pieces of
@@ -359,24 +370,33 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
 
 
 class ReplayOracle:
-    """Oracle facade over a :class:`ReplayTable`; answers only pair queries.
+    """A stream-mode oracle whose answers were drawn in advance into a table.
 
-    Its ledger counts *simulated* queries; no live oracle is touched.
+    It answers only pair queries, reading each pair's answers from the
+    :class:`ReplayTable` where a live stream would draw them; every other
+    step is :class:`LiveOracle`'s own stream-mode code. Its ledger counts
+    *simulated* queries; no live oracle is touched.
     """
+
+    pair_mode = "stream"
 
     def __init__(self, table: ReplayTable, n: int):
         self.table = table
         self.n = n
         self.ledger = QueryLedger()
-        self._win_pos: dict = {}
 
-    def _wins_of(self, key, u: int) -> np.ndarray:
-        """Positions in the pair's answer array where u wins (cached)."""
-        wins = self._win_pos.get((key, u))
-        if wins is None:
-            wins = np.flatnonzero(self.table.answers[key] == u)
-            self._win_pos[(key, u)] = wins
-        return wins
+    def _stream_winners(self, u: int, v: int, count: int):
+        """Yield the pair's next ``count`` answers; the cursor moves past them.
+
+        Raises ``ReplayBudgetExhausted`` before the cursor moves when fewer
+        are left.
+        """
+        key = (u, v) if u < v else (v, u)
+        cur = self.table.cursors[key]
+        if cur + count > self.table.m:
+            raise ReplayBudgetExhausted(key, self.table.m)
+        self.table.cursors[key] = cur + count
+        yield self.table.answers[key][cur:cur + count]
 
     def max_sample(self, slate) -> int:
         slate = np.asarray(slate, dtype=np.int64)
@@ -384,58 +404,30 @@ class ReplayOracle:
             raise ValueError("a replay oracle can only answer pair queries")
         return self.sample_pair(int(slate[0]), int(slate[1]))
 
-    def sample_pair(self, u: int, v: int) -> int:
-        return int(self.sample_pair_block(u, v, 1)[0])
-
-    def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
-        """The next ``count`` answers of pair {u, v}; the cursor moves past them.
-
-        Raises ``ReplayBudgetExhausted`` without moving the cursor or the
-        ledger when fewer are left.
-        """
-        key = (u, v) if u < v else (v, u)
-        cur = self.table.cursors[key]
-        if cur + count > self.table.m:
-            raise ReplayBudgetExhausted(key, self.table.m)
-        self.table.cursors[key] = cur + count
-        self.ledger.record_pair(u, v, count)
-        return self.table.answers[key][cur:cur + count]
-
-    def pair_win_count(self, u, v, count: int):
-        """As :meth:`LiveOracle.pair_win_count`; arrays are answered pair by pair."""
-        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-            return _loop_win_counts(self, u, v, count)
-        return int(np.count_nonzero(self.sample_pair_block(u, v, count) == u))
-
-    def sample_geometric(self, u: int, v: int) -> int:
-        return int(self.sample_geometric_block(u, v, 1)[0])
-
     def sample_geometric_block(self, u: int, v: int, count: int) -> np.ndarray:
         return self.sample_geometric_sums(u, v, np.ones(count, dtype=np.int64))
 
     def sample_geometric_sums(self, u: int, v: int, counts) -> np.ndarray:
-        """Loss totals of consecutive runs of ``counts[k]`` waits, in O(len).
+        """As :meth:`LiveOracle.sample_geometric_sums` in stream mode.
 
-        Read off the cached win positions: a run's total is the position
-        after its last win, minus the one after the previous run's last win,
-        minus its count. Raises ``ReplayBudgetExhausted`` without moving the
-        cursor or the ledger when fewer wins are left than asked for.
+        Raises ``ReplayBudgetExhausted`` without moving the cursor or the
+        ledger when the table runs out partway through the waits.
         """
-        counts = np.asarray(counts, dtype=np.int64)
-        if not counts.any():
-            return np.zeros(counts.size, dtype=np.int64)
         key = (u, v) if u < v else (v, u)
         cur = self.table.cursors[key]
-        wins = self._wins_of(key, u)
-        lo = int(np.searchsorted(wins, cur))
-        seen = np.cumsum(counts)
-        if lo + int(seen[-1]) > wins.size:
-            raise ReplayBudgetExhausted(key, self.table.m)
-        # position after each run's last win; leading empty runs stay at cur
-        after = np.where(seen > 0, wins[lo + seen - 1] + 1, cur)
-        self.table.cursors[key] = int(after[-1])
-        self.ledger.record_pair(u, v, int(after[-1]) - cur)
-        return np.diff(after, prepend=cur) - counts
+        try:
+            return LiveOracle.sample_geometric_sums(self, u, v, counts)
+        except ReplayBudgetExhausted:
+            self.table.cursors[key] = cur
+            raise
+
+    # Assigned, not inherited: perfbench's tracer wraps each class's own
+    # methods, so every method a replay answers with is in its class body.
+    sample_pair = LiveOracle.sample_pair
+    sample_pair_block = LiveOracle.sample_pair_block
+    pair_win_count = LiveOracle.pair_win_count
+    sample_geometric = LiveOracle.sample_geometric
+    _stream_waits = LiveOracle._stream_waits
 
 
 TRANSCRIPT_MAGIC = b"SLTR"

@@ -105,6 +105,17 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["dinf"] >= 0.25 - 1e-12
 
+    def test_out_writes_the_printed_json(self, capsys, tmp_path):
+        a, b, out_path = (tmp_path / name for name in ("a.json", "b.json",
+                                                         "d.json"))
+        sl.save_model(sl.LogWeightMnl(np.log([1.0, 2.0, 4.0])), a)
+        sl.save_model(sl.LogWeightMnl(np.log([1.0, 3.0, 4.0])), b)
+        code, out, _ = run(capsys, "eval", "--model-a", str(a),
+                           "--model-b", str(b), "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == out
+        assert json.loads(out)["d1"] > 0.0
+
     def test_sampled_mode_on_larger_n(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         sl.save_model(sl.LogWeightMnl(np.zeros(50)), path)

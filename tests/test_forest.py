@@ -110,6 +110,21 @@ class TestAdaptiveBuilder:
             u, v = next(iter(f.edge_log))
             f.add_edge(u, v, 0.0)
 
+    def test_zero_center_estimate_is_floored(self, monkeypatch):
+        # a zero estimate between centers becomes the floor alpha^{-(i - j)}
+        def zero(*args, **kwargs):
+            return sl.RatioEstimate.zero()
+
+        monkeypatch.setattr(forest_mod, "estimate_ratio", zero)
+        alpha = 0.5
+        f, _ = build_adaptive(mnl(1.0, 1e3, 1e6), seed=3, alpha=alpha)
+        # three singleton clusters: the heaviest center links to both others
+        assert f.graph.T == 3 and sorted(f.edge_log) == [(0, 2), (1, 2)]
+        gamma = f.graph.gamma
+        for u, v in f.edge_log:
+            assert (f.log_ratio(v, u)
+                    == (gamma[v] - gamma[u]) * math.log(1.0 / alpha))
+
 
 class TestBalancedBuilder:
     def test_uniform_weights_star_only(self):

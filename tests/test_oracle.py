@@ -262,8 +262,11 @@ class TestReplay:
         table = sl.build_replay_table(sl.LiveOracle(model, seed=11,
                                                     pair_mode="stream"), 100)
         replay = sl.ReplayOracle(table, 3)
-        for _ in range(100):
+        for _ in range(50):
             assert live.sample_pair(0, 2) == replay.sample_pair(0, 2)
+            assert live.max_sample([2, 0]) == replay.max_sample([2, 0])
+        assert replay.ledger == live.ledger
+        assert table.cursors[(0, 2)] == 100
 
     def test_budget_exhaustion(self):
         o = sl.LiveOracle(uniform_pair(), seed=0)
@@ -528,6 +531,20 @@ class TestGeometricSums:
         assert replay.ledger.per_pair == ledger
         assert replay.sample_geometric_sums(0, 1, [0]).tolist() == [0]
         assert table.cursors[(0, 1)] == cursor
+        # past u's last win the table holds only losses of u: a wait reads
+        # some of them, runs out, and puts the cursor back
+        answers = table.answers[(0, 1)]
+        u = 1 - int(answers[-1])
+        last_win = int(np.flatnonzero(answers == u)[-1])
+        assert cursor <= last_win < table.m - 1
+        replay.sample_pair_block(0, 1, last_win + 1 - cursor)
+        cursor, ledger = table.cursors[(0, 1)], dict(replay.ledger.per_pair)
+        for wait in (lambda: replay.sample_geometric(u, 1 - u),
+                     lambda: replay.sample_geometric_block(u, 1 - u, 2)):
+            with pytest.raises(sl.ReplayBudgetExhausted):
+                wait()
+            assert table.cursors[(0, 1)] == cursor
+            assert replay.ledger.per_pair == ledger
 
 
 class TestStreamWaits:
@@ -551,11 +568,18 @@ class TestStreamWaits:
         monkeypatch.setattr(oracle_mod, "GEOMETRIC_CAP", 30)
         a, b = (sl.LiveOracle(mnl(1.0, 9.0), seed=6, pair_mode="stream",
                               transcript=True) for _ in range(2))
+        replay = sl.ReplayOracle(sl.build_replay_table(
+            sl.LiveOracle(mnl(1.0, 9.0), seed=6, pair_mode="stream"), 20_000), 2)
         # P(one wait > 30) = 0.9^30, about 4 %
         with pytest.raises(sl.GeometricCapExceeded):
             a.sample_geometric_block(0, 1, 2000)
         with pytest.raises(sl.GeometricCapExceeded):
             per_query_waits(b, 0, 1, 2000)
-        assert a.ledger.per_pair == b.ledger.per_pair
+        # a replay reads the same answers, so its cap fires at the same query
+        with pytest.raises(sl.GeometricCapExceeded):
+            replay.sample_geometric_block(0, 1, 2000)
+        assert a.ledger.per_pair == b.ledger.per_pair == replay.ledger.per_pair
+        assert replay.table.cursors[(0, 1)] == a.ledger.total
         assert a.transcript == b.transcript
-        assert a.sample_pair(0, 1) == b.sample_pair(0, 1)
+        assert (a.sample_pair(0, 1) == b.sample_pair(0, 1)
+                == replay.sample_pair(0, 1))

@@ -5,6 +5,7 @@ import pytest
 
 import slatelearn as sl
 from conftest import failure_bound, mnl
+from slatelearn import ordering as ordering_mod
 
 
 def is_eps_ordering(sequence, log_w, eps_o):
@@ -131,6 +132,20 @@ class TestClusterSort:
         o = sl.LiveOracle(mnl(1.0, 4.0, 16.0), seed=5)
         sl.cluster_sort(o, 0.5, 0.1, 0.1)
         assert set(o.ledger.per_size) == {2}
+
+    def test_zero_ratio_is_recorded_with_a_fallback_edge(self, monkeypatch):
+        # an ordering that puts the heavy item first breaks the scan's
+        # premise: the light item's ratio against it estimates as zero
+        def heavy_first(oracle, n, eps_o, delta, rng=None):
+            return sl.Ordering(np.array([1, 0]), eps_o)
+
+        monkeypatch.setattr(ordering_mod, "epsilon_ordering", heavy_first)
+        alpha = 0.5
+        g = sl.cluster_sort(sl.LiveOracle(mnl(1.0, 1e6), seed=0), alpha, 0.1,
+                            0.1)
+        assert g.violations == [("zero-ratio", 0, 1)]
+        assert g.T == 1 and int(g.centers[0]) == 1
+        assert g.log_star_ratio(0, 1) == math.log(alpha)
 
 
 class TestQuicksortClustering:

@@ -13,10 +13,13 @@ Oracles come in two pair-sampling modes:
     counts over k queries are computed from k individual draws. Because
     each pair owns its stream, the answers a pair produces depend only on
     how many times that pair has been queried, never on the interleaving
-    with other pairs. A :class:`ReplayOracle` is this mode with its answers
-    drawn in advance: it runs the same stream-mode code and only reads each
-    pair's answers from a table, so a live run and a replayed run agree bit
-    for bit.
+    with other pairs. An answer is carried as one boolean, True where the
+    lower-indexed item of the pair won; only :meth:`LiveOracle.sample_pair_block`
+    turns answers into winner ids. A :class:`ReplayOracle` is this mode with
+    its answers drawn in advance: it runs the same stream-mode code and only
+    reads each pair's booleans from a table (one byte per answer), so a live
+    run and a replayed run agree bit for bit. A stream oracle can keep a
+    transcript of every answer, held as the same boolean chunks.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -53,12 +56,11 @@ BINOMIAL_CHUNK = 1 << 62
 # Stream mode draws a pair's uniforms in chunks of STREAM_CHUNK (8 MiB of
 # doubles) and refuses one call asking for more than STREAM_MAX_DRAWS: the
 # balanced and non-adaptive learners ask for up to about 2.7e8 at eps 0.02
-# and n = 4096, and a block of 2^30 winners is already 8 GiB.
+# and n = 4096, and a block of 2^30 int64 winners is already 8 GiB.
 STREAM_CHUNK = 1 << 20
 STREAM_MAX_DRAWS = 1 << 30
-# build_replay_table refuses a table of more answers than this, 8 GiB of
-# int64 winners for the same reason (non-adaptive eps 0.5, n 14, m 5e5 holds
-# 4.6e7).
+# build_replay_table refuses a table of more answers than this, 1 GiB of
+# one-byte answers (non-adaptive eps 0.5, n 14, m 5e5 holds 4.6e7).
 REPLAY_MAX_ANSWERS = 1 << 30
 # One Generator.negative_binomial draw takes its n as a double and refuses a
 # mean n (1 - p) / p above about 9.2e18: pieces of at most NB_CHUNK waits
@@ -73,13 +75,19 @@ INT64_MAX = (1 << 63) - 1
 
 @dataclass
 class QueryLedger:
-    """Counts oracle queries in total, per unordered pair, and per slate size."""
+    """Counts oracle queries in total, per unordered pair, and per slate size.
+
+    A call that records 0 queries changes nothing, so ``per_pair`` holds
+    only pairs that were queried.
+    """
 
     total: int = 0
     per_pair: dict = field(default_factory=dict)
     per_size: dict = field(default_factory=dict)
 
     def record_pair(self, u: int, v: int, count: int = 1) -> None:
+        if count == 0:
+            return
         key = (u, v) if u < v else (v, u)
         self.per_pair[key] = self.per_pair.get(key, 0) + count
         self.per_size[2] = self.per_size.get(2, 0) + count
@@ -87,6 +95,8 @@ class QueryLedger:
 
     def record_pairs(self, us, vs, count: int = 1) -> None:
         """``record_pair(us[i], vs[i], count)`` for every i, in order."""
+        if count == 0:
+            return
         lo = np.ravel(np.minimum(us, vs)).tolist()
         hi = np.ravel(np.maximum(us, vs)).tolist()
         if len(lo) == 0:
@@ -100,6 +110,8 @@ class QueryLedger:
     def record_slate(self, size: int, count: int = 1) -> None:
         if size == 2:
             raise ValueError("size-2 queries must go through record_pair")
+        if count == 0:
+            return
         self.per_size[size] = self.per_size.get(size, 0) + count
         self.total += count
 
@@ -126,7 +138,7 @@ class LiveOracle:
         self.seed = seed
         self.pair_mode = pair_mode
         self.ledger = QueryLedger()
-        self.transcript = [] if transcript else None
+        self._transcript = [] if transcript else None
         self._pair_rngs: dict = {}
         self._slate_rng = np.random.default_rng(
             np.random.SeedSequence((seed, SLATE_TAG)))
@@ -136,6 +148,24 @@ class LiveOracle:
     @property
     def n(self) -> int:
         return self.model.n
+
+    @property
+    def transcript(self):
+        """Every stream answer so far as (u, v, winner) uint32 rows, u < v.
+
+        None when the oracle keeps no transcript. Built from the kept
+        answer chunks on each read.
+        """
+        if self._transcript is None:
+            return None
+        rows = np.empty((sum(c[2].size for c in self._transcript), 3), np.uint32)
+        at = 0
+        for a, b, first in self._transcript:
+            block = rows[at:at + first.size]
+            block[:, 0], block[:, 1] = a, b
+            block[:, 2] = np.where(first, a, b)
+            at += first.size
+        return rows
 
     def _pair_rng(self, u: int, v: int) -> np.random.Generator:
         key = (u, v) if u < v else (v, u)
@@ -166,15 +196,15 @@ class LiveOracle:
         self.ledger.record_slate(slate.size, count)
         return counts
 
-    def _stream_winners(self, u: int, v: int, count: int):
-        """Yield ``count`` winners from the pair stream, one chunk at a time.
+    def _stream_answers(self, u: int, v: int, count: int):
+        """Yield ``count`` answers from the pair stream, one chunk at a time.
 
-        Uniform draws are always compared against the lower-indexed item's
-        win probability, so the winner sequence a stream produces is
-        independent of the order the caller names the pair in. Replay
-        correctness depends on this. Chunked draws give the same doubles as
-        one ``random(count)``. A count above STREAM_MAX_DRAWS raises before
-        anything is drawn.
+        An answer is True where the lower-indexed item won. Uniform draws
+        are always compared against that item's win probability, so the
+        answers a stream produces are independent of the order the caller
+        names the pair in. Replay correctness depends on this. Chunked draws
+        give the same doubles as one ``random(count)``. A count above
+        STREAM_MAX_DRAWS raises before anything is drawn.
         """
         a, b = (u, v) if u < v else (v, u)
         if count > STREAM_MAX_DRAWS:
@@ -183,20 +213,19 @@ class LiveOracle:
         rng = self._pair_rng(a, b)
         for lo in range(0, max(count, 1), STREAM_CHUNK):
             first = rng.random(min(count - lo, STREAM_CHUNK)) < p_a
-            winners = np.where(first, a, b)
-            if self.transcript is not None:
-                self.transcript.extend((a, b, int(w)) for w in winners)
-            yield winners
+            if self._transcript is not None:
+                self._transcript.append((a, b, first))
+            yield first
 
     def sample_pair(self, u: int, v: int) -> int:
         return int(self.sample_pair_block(u, v, 1)[0])
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` queries to {u, v} at once; returns the winner sequence."""
-        winners = np.concatenate(list(self._stream_winners(u, v, count)),
-                                 dtype=np.int64)
+        a, b = (u, v) if u < v else (v, u)
+        first = np.concatenate(list(self._stream_answers(u, v, count)))
         self.ledger.record_pair(u, v, count)
-        return winners
+        return np.where(first, a, b).astype(np.int64, copy=False)
 
     def pair_win_count(self, u, v, count: int):
         """How many of ``count`` queries to {u, v} return u.
@@ -220,8 +249,10 @@ class LiveOracle:
             wins = sum(int(self._binomial_rng.binomial(piece, p_u))
                        for piece in _binomial_pieces(count))
         else:
-            wins = sum(int(np.count_nonzero(w == u))
-                       for w in self._stream_winners(u, v, count))
+            wins = sum(int(np.count_nonzero(first))
+                       for first in self._stream_answers(u, v, count))
+            if u > v:
+                wins = count - wins
         self.ledger.record_pair(u, v, count)
         return wins
 
@@ -270,7 +301,8 @@ class LiveOracle:
         k = used = 0
         while k < count:
             r = min(count - k, STREAM_CHUNK, GEOMETRIC_CAP - int(losses[k]))
-            wins = np.flatnonzero(next(self._stream_winners(u, v, r)) == u)
+            first = next(self._stream_answers(u, v, r))
+            wins = np.flatnonzero(first if u < v else ~first)
             used += r
             if wins.size == 0:
                 losses[k] += r
@@ -285,8 +317,7 @@ class LiveOracle:
             k += wins.size
             if k < count:
                 losses[k] = r - 1 - wins[-1]
-        if used:
-            self.ledger.record_pair(u, v, used)
+        self.ledger.record_pair(u, v, used)
         return losses
 
     def sample_geometric_sums(self, u: int, v: int, counts) -> np.ndarray:
@@ -350,12 +381,16 @@ class ReplayTable:
     """Pre-sampled per-pair answers for simulating a pair-only learner."""
 
     m: int
-    answers: dict  # (u, v) with u < v -> int64 array of winners, length m
+    answers: dict  # (u, v) with u < v -> bool array, length m; True = u won
     cursors: dict  # same keys -> next unread position
 
 
 def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
-    """Query every pair m times in one non-adaptive batch."""
+    """Query every pair m times in one non-adaptive batch.
+
+    The table keeps the stream's own booleans, one byte per answer; the
+    live ledger is charged m per pair.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = oracle.n
@@ -365,7 +400,9 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
     answers = {}
     for u in range(n):
         for v in range(u + 1, n):
-            answers[(u, v)] = oracle.sample_pair_block(u, v, m)
+            answers[(u, v)] = np.concatenate(
+                list(oracle._stream_answers(u, v, m)))
+            oracle.ledger.record_pair(u, v, m)
     return ReplayTable(m=m, answers=answers, cursors={k: 0 for k in answers})
 
 
@@ -385,7 +422,7 @@ class ReplayOracle:
         self.n = n
         self.ledger = QueryLedger()
 
-    def _stream_winners(self, u: int, v: int, count: int):
+    def _stream_answers(self, u: int, v: int, count: int):
         """Yield the pair's next ``count`` answers; the cursor moves past them.
 
         Raises ``ReplayBudgetExhausted`` before the cursor moves when fewer
@@ -435,15 +472,19 @@ TRANSCRIPT_VERSION = 1
 
 
 def write_transcript(path, records) -> None:
-    """Dump pair-query records as little-endian u32 (u, v, winner) triples."""
+    """Dump pair-query records as little-endian u32 (u, v, winner) triples.
+
+    ``records`` is an (N, 3) array such as :attr:`LiveOracle.transcript`, or
+    any sequence of N (u, v, winner) triples.
+    """
     with open(path, "wb") as fh:
         fh.write(TRANSCRIPT_MAGIC)
         fh.write(struct.pack("<II", TRANSCRIPT_VERSION, len(records)))
-        for u, v, w in records:
-            fh.write(struct.pack("<III", u, v, w))
+        fh.write(np.asarray(records, "<u4").reshape(-1, 3).tobytes())
 
 
-def read_transcript(path):
+def read_transcript(path) -> np.ndarray:
+    """The (N, 3) uint32 array of (u, v, winner) rows a transcript file holds."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TRANSCRIPT_MAGIC:
@@ -451,4 +492,8 @@ def read_transcript(path):
         version, count = struct.unpack("<II", fh.read(8))
         if version != TRANSCRIPT_VERSION:
             raise ValueError("unsupported transcript version {}".format(version))
-        return [struct.unpack("<III", fh.read(12)) for _ in range(count)]
+        data = fh.read(12 * count)
+    if len(data) != 12 * count:
+        raise ValueError("truncated transcript: {} of {} records".format(
+            len(data) // 12, count))
+    return np.frombuffer(data, "<u4").reshape(-1, 3)

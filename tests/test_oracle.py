@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,21 @@ class TestLedger:
         led.record_pair(0, 1, 5)
         led.record_pair(1, 2, 9)
         assert led.max_per_pair == 9
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream", "replay"])
+    def test_zero_count_calls_leave_the_ledger_untouched(self, mode):
+        o = sl.LiveOracle(mnl(1.0, 2.0, 3.0), seed=1,
+                          pair_mode="binomial" if mode == "binomial" else "stream")
+        if mode == "replay":
+            o = sl.ReplayOracle(sl.build_replay_table(o, 4), 3)
+        else:
+            o.slate_win_counts([0, 1, 2], 0)
+        o.pair_win_count(0, 1, 0)
+        o.pair_win_count(np.array([0, 2]), 1, 0)
+        o.sample_pair_block(1, 2, 0)
+        o.sample_geometric_block(2, 0, 0)
+        o.sample_geometric_sums(0, 2, [0, 0])
+        assert o.ledger == sl.QueryLedger()   # per_pair {}, total 0
 
     def test_record_pairs_is_repeated_record_pair(self):
         us, vs = [3, 0, 1, 2, 3], [1, 2, 0, 0, 1]
@@ -185,7 +202,7 @@ class TestDeterminism:
         if replay:
             assert a.table.cursors == b.table.cursors
         else:
-            assert a.transcript == b.transcript
+            np.testing.assert_array_equal(a.transcript, b.transcript)
         with pytest.raises(ValueError):   # us and vs do not broadcast
             a.pair_win_count(us, np.array([2, 3, 0]), 1)
 
@@ -220,7 +237,8 @@ class TestStreamChunks:
         first, _ = one_shot_stream(model, 3, 30)
         np.testing.assert_array_equal(winners, np.where(first, 0, 1))
         assert winners.dtype == np.int64
-        assert o.transcript == [(0, 1, int(w)) for w in winners]
+        np.testing.assert_array_equal(o.transcript,
+                                      [(0, 1, int(w)) for w in winners])
         assert o.sample_pair_block(0, 1, 0).size == 0
 
     @pytest.mark.parametrize("method", ["pair_win_count", "sample_pair_block"])
@@ -255,6 +273,12 @@ class TestReplay:
         table = sl.build_replay_table(o, 5)
         assert all(len(a) == 5 for a in table.answers.values())
         assert len(table.answers) == 28
+        # one byte per answer, True where the lower id won
+        live = sl.LiveOracle(o.model, seed=0)
+        for (u, v), answers in table.answers.items():
+            assert answers.dtype == bool and answers.nbytes == 5
+            np.testing.assert_array_equal(
+                answers, live.sample_pair_block(u, v, 5) == u)
 
     def test_replay_matches_live_answers(self):
         model = mnl(1.0, 2.0, 3.0)
@@ -280,7 +304,7 @@ class TestReplay:
         o = sl.LiveOracle(uniform_pair(), seed=1)
         table = sl.build_replay_table(o, 4)
         replay = sl.ReplayOracle(table, 2)
-        expected = list(table.answers[(0, 1)])
+        expected = np.where(table.answers[(0, 1)], 0, 1).tolist()
         got = [replay.sample_pair(0, 1) for _ in range(4)]
         assert got == expected
         with pytest.raises(sl.ReplayBudgetExhausted) as info:
@@ -298,8 +322,9 @@ class TestReplay:
         assert (info.value.pair, info.value.m) == ((0, 1), 5)
         assert table.cursors[(0, 1)] == 2
         assert replay.ledger.per_pair == {(0, 1): 2}
-        assert replay.sample_pair(1, 0) == table.answers[(0, 1)][2]
-        assert replay.sample_pair(0, 1) == table.answers[(0, 1)][3]
+        winners = np.where(table.answers[(0, 1)], 0, 1)
+        assert replay.sample_pair(1, 0) == winners[2]
+        assert replay.sample_pair(0, 1) == winners[3]
         assert replay.ledger.per_pair == {(0, 1): 4}
 
     def test_replay_geometric_consumes_like_live(self):
@@ -366,7 +391,7 @@ class TestTranscript:
         o.sample_pair_block(1, 2, 5)
         path = tmp_path / "t.bin"
         sl.write_transcript(path, o.transcript)
-        assert sl.read_transcript(path) == [tuple(r) for r in o.transcript]
+        np.testing.assert_array_equal(sl.read_transcript(path), o.transcript)
 
     def test_requires_stream_mode(self):
         with pytest.raises(ValueError):
@@ -376,6 +401,13 @@ class TestTranscript:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a transcript")
         with pytest.raises(ValueError):
+            sl.read_transcript(path)
+
+    def test_rejects_truncated_files(self, tmp_path):
+        path = tmp_path / "short.bin"
+        # a header promising 3 records, followed by 1
+        path.write_bytes(b"SLTR" + struct.pack("<IIIII", 1, 3, 0, 1, 0))
+        with pytest.raises(ValueError, match="1 of 3"):
             sl.read_transcript(path)
 
 
@@ -505,7 +537,7 @@ class TestGeometricSums:
         assert sums.tolist() == segment_sums(
             b.sample_geometric_block(1, 0, sum(COUNTS)), COUNTS)
         assert a.ledger.per_pair == b.ledger.per_pair
-        assert a.transcript == b.transcript
+        np.testing.assert_array_equal(a.transcript, b.transcript)
         assert a.sample_pair(0, 1) == b.sample_pair(0, 1)
 
     def test_replay_sums_are_segment_sums_of_the_block(self):
@@ -533,7 +565,7 @@ class TestGeometricSums:
         assert table.cursors[(0, 1)] == cursor
         # past u's last win the table holds only losses of u: a wait reads
         # some of them, runs out, and puts the cursor back
-        answers = table.answers[(0, 1)]
+        answers = np.where(table.answers[(0, 1)], 0, 1)
         u = 1 - int(answers[-1])
         last_win = int(np.flatnonzero(answers == u)[-1])
         assert cursor <= last_win < table.m - 1
@@ -559,7 +591,7 @@ class TestStreamWaits:
         np.testing.assert_array_equal(a.sample_geometric_block(0, 1, count),
                                       per_query_waits(b, 0, 1, count))
         assert a.ledger.per_pair == b.ledger.per_pair
-        assert a.transcript == b.transcript
+        np.testing.assert_array_equal(a.transcript, b.transcript)
         assert a.sample_pair(0, 1) == b.sample_pair(0, 1)
 
     @pytest.mark.parametrize("chunk", [STREAM_CHUNK, 8])
@@ -580,6 +612,6 @@ class TestStreamWaits:
             replay.sample_geometric_block(0, 1, 2000)
         assert a.ledger.per_pair == b.ledger.per_pair == replay.ledger.per_pair
         assert replay.table.cursors[(0, 1)] == a.ledger.total
-        assert a.transcript == b.transcript
+        np.testing.assert_array_equal(a.transcript, b.transcript)
         assert (a.sample_pair(0, 1) == b.sample_pair(0, 1)
                 == replay.sample_pair(0, 1))

@@ -41,8 +41,6 @@ class PotentialState:
     """Per-cluster bookkeeping of the center-to-center estimation thresholds."""
 
     Z: np.ndarray        # Z[i] = alpha * Z[i-1] + |C_i| (1-based, Z[0] = 0)
-    beta: np.ndarray     # infinity cutoffs, beta[i] aligned with Z
-    scan_window: int = 0  # how far back a center may connect (balanced only)
 
 
 @dataclass
@@ -161,15 +159,6 @@ def _star_forest(graph: ClusterGraph, eps: float) -> EstimationForest:
     return forest
 
 
-def _floored(r: RatioEstimate, floor_log: float) -> RatioEstimate:
-    """max(r, floor) in log space; sentinels resolve the obvious way."""
-    if r.is_infinite:
-        return r
-    if r.is_zero:
-        return RatioEstimate.finite(floor_log)
-    return RatioEstimate.finite(max(r.log_ratio, floor_log))
-
-
 def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,
                             rng: np.random.Generator | None = None,
                             ) -> EstimationForest:
@@ -180,8 +169,8 @@ def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,
     lightest. The infinity cutoff for estimating against center j is
     beta_j = alpha^2 eps / (8 Z_j) where Z_j = alpha Z_{j-1} + |C_j|, so a
     center is only deemed unreachable when everything at or below cluster j
-    is negligible relative to it. Each finite estimate is floored at
-    alpha^{i-j}. At most two ratio estimates are issued per target cluster,
+    is negligible relative to it. Each finite or zero estimate is floored
+    at alpha^{i-j}. At most two ratio estimates are issued per target cluster,
     and sum(Z) <= n / (1 - alpha). Returns a (5, eps)-estimation forest
     with probability 1 - delta.
     """
@@ -198,7 +187,7 @@ def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,
     beta[1:] = (alpha * alpha * eps) / (8.0 * Z[1:])
 
     forest = _star_forest(graph, eps)
-    forest.potential = PotentialState(Z=Z, beta=beta)
+    forest.potential = PotentialState(Z=Z)
     calls_per_target = np.zeros(T + 1, dtype=np.int64)
 
     # walk center pairs heaviest-first; i and j are 0-based cluster indices
@@ -208,10 +197,10 @@ def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,
         r = estimate_ratio(oracle, c_i, c_j, float(beta[j + 1]), eps1,
                            delta / (6.0 * n))
         calls_per_target[j + 1] += 1
-        floor_log = (i - j) * math.log(1.0 / alpha)
-        r = _floored(r, floor_log)
         if not r.is_infinite:
-            forest.add_edge(c_i, c_j, r.log_ratio)
+            # max turns a zero estimate (log -inf) into the floor
+            floor_log = (i - j) * math.log(1.0 / alpha)
+            forest.add_edge(c_i, c_j, max(r.log_ratio, floor_log))
             j -= 1
         elif i == j + 1:
             i = j
@@ -219,8 +208,7 @@ def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,
         else:
             i = j + 1
     assert np.all(calls_per_target <= 2)
-    forest.stats = {"er_calls_per_target": calls_per_target[1:].copy(),
-                    "Z_sum": float(Z.sum())}
+    forest.stats = {"er_calls_per_target": calls_per_target[1:].copy()}
     return forest
 
 
@@ -273,23 +261,20 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
                                        pair_delta, params)
 
     forest = _star_forest(graph, eps)
-    forest.potential = PotentialState(Z=np.zeros(0), beta=beta,
-                                      scan_window=window)
-
     i = T - 1
     while i > 0:
         c_i = int(graph.centers[i])
-        j_m, r_near = -1, None
+        j_m = -1
         for j in range(max(0, i - window), i):
             r = ber(i, j, float(beta[j + 1]))
             if not r.is_infinite:
-                r_near = _floored(r, (i - j) * math.log(1.0 / alpha))
                 j_m = j
+                log_near = max(r.log_ratio, (i - j) * math.log(1.0 / alpha))
                 break
         if j_m < 0:
             i -= 1
             continue
-        forest.add_edge(c_i, int(graph.centers[j_m]), r_near.log_ratio)
+        forest.add_edge(c_i, int(graph.centers[j_m]), log_near)
         for j in range(i - 1, j_m, -1):
             rho = ber(j, j_m, float(beta[j_m + 1]) / 9.0)
             if not rho.is_finite:
@@ -297,7 +282,7 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
                     "bridging estimate between clusters {} and {} came back "
                     "as a sentinel".format(j, j_m))
             floor_log = (i - j) * math.log(1.0 / alpha)
-            log_r = max(r_near.log_ratio - rho.log_ratio, floor_log)
+            log_r = max(log_near - rho.log_ratio, floor_log)
             forest.add_edge(c_i, int(graph.centers[j]), log_r)
         i = j_m
     forest.stats = {"ber_calls": ber_calls, "scan_window": window}

@@ -329,15 +329,16 @@ class LiveOracle:
         ``sample_geometric_block(u, v, sum(counts))``, so its draws, ledger
         and transcript are the block's. Binomial mode draws each total as
         NegativeBinomial(counts[k], p_u) in O(len(counts)) time and memory,
-        except where p_u is so small that one wait could pass GEOMETRIC_CAP:
-        there it sums the per-wait block, cap check included.
+        except where p_u < 1 is so small that one wait could pass
+        GEOMETRIC_CAP: there it sums the per-wait block, cap check included.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if not counts.any():
             return np.zeros(counts.size, dtype=np.int64)
         stream = self.pair_mode == "stream"   # a replay has no model to read
-        if (stream or (p_u := pair_probability(self.model, u, v)) <= 0.0
-                or GEOMETRIC_CAP * -math.log1p(-p_u) <= NEGLIGIBLE_LOG):
+        # p_u <= 0 takes the per-wait block too, where the cap check raises
+        if stream or ((p_u := pair_probability(self.model, u, v)) < 1.0
+                      and GEOMETRIC_CAP * -math.log1p(-p_u) <= NEGLIGIBLE_LOG):
             waits = self._stream_waits if stream else self.sample_geometric_block
             losses = waits(u, v, int(counts.sum()))
             prefix = np.concatenate(([0], np.cumsum(losses)))
@@ -441,11 +442,8 @@ class ReplayOracle:
             raise ValueError("a replay oracle can only answer pair queries")
         return self.sample_pair(int(slate[0]), int(slate[1]))
 
-    def sample_geometric_block(self, u: int, v: int, count: int) -> np.ndarray:
-        return self.sample_geometric_sums(u, v, np.ones(count, dtype=np.int64))
-
-    def sample_geometric_sums(self, u: int, v: int, counts) -> np.ndarray:
-        """As :meth:`LiveOracle.sample_geometric_sums` in stream mode.
+    def _stream_waits(self, u: int, v: int, count: int) -> np.ndarray:
+        """As :meth:`LiveOracle._stream_waits` on the table.
 
         Raises ``ReplayBudgetExhausted`` without moving the cursor or the
         ledger when the table runs out partway through the waits.
@@ -453,7 +451,7 @@ class ReplayOracle:
         key = (u, v) if u < v else (v, u)
         cur = self.table.cursors[key]
         try:
-            return LiveOracle.sample_geometric_sums(self, u, v, counts)
+            return LiveOracle._stream_waits(self, u, v, count)
         except ReplayBudgetExhausted:
             self.table.cursors[key] = cur
             raise
@@ -464,7 +462,8 @@ class ReplayOracle:
     sample_pair_block = LiveOracle.sample_pair_block
     pair_win_count = LiveOracle.pair_win_count
     sample_geometric = LiveOracle.sample_geometric
-    _stream_waits = LiveOracle._stream_waits
+    sample_geometric_block = LiveOracle.sample_geometric_block
+    sample_geometric_sums = LiveOracle.sample_geometric_sums
 
 
 TRANSCRIPT_MAGIC = b"SLTR"

@@ -83,6 +83,8 @@ def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
         raise ValueError("eps_o must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n != oracle.n:
+        raise ValueError("n is {} but the oracle has {} items".format(n, oracle.n))
     k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
 
     def split(pivot, rest):

@@ -1,10 +1,11 @@
 """Pairwise estimation primitives built on the sampling oracle.
 
 All weight-ratio arithmetic is done in the log domain. A ratio estimate is
-one of three things: a finite value carried as its natural log, an exact
-``zero`` sentinel (the first item is vastly lighter), or an exact
-``infinite`` sentinel (the first item is vastly heavier). Reciprocation is
-log negation, so ``r(i, j)`` and ``r(j, i)`` are bit-exact inverses.
+its natural log, an extended real: a finite value, or exactly -inf for the
+zero sentinel (the first item is vastly lighter) and +inf for the infinite
+sentinel (the first item is vastly heavier). Reciprocation is log
+negation, so ``r(i, j)`` and ``r(j, i)`` are bit-exact inverses, and
+comparisons and ``max`` treat the sentinels as the extremes they are.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import numpy as np
 
 from .errors import SampleDemandTooLarge
 
-ZERO = "zero"
-FINITE = "finite"
-INFINITE = "infinite"
 # Most geometric waits one balanced ratio estimate may ask for, so that its
 # count matrix stays exact in int64.
 MAX_WAITS = 1 << 62
@@ -26,62 +24,55 @@ MAX_WAITS = 1 << 62
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Estimate of a weight ratio w_i / w_j; finite values live in log space."""
+    """Estimate of a weight ratio w_i / w_j as its natural log in [-inf, +inf]."""
 
-    kind: str
-    log_ratio: float = 0.0
+    log_ratio: float
 
     def __post_init__(self):
-        if self.kind not in (ZERO, FINITE, INFINITE):
-            raise ValueError("bad ratio kind {!r}".format(self.kind))
-        if self.kind == FINITE and not math.isfinite(self.log_ratio):
-            raise ValueError("finite estimates need a finite log ratio")
+        if math.isnan(self.log_ratio):
+            raise ValueError("a log ratio cannot be nan")
 
     @staticmethod
     def zero() -> "RatioEstimate":
-        return RatioEstimate(ZERO)
+        return RatioEstimate(-math.inf)
 
     @staticmethod
     def infinite() -> "RatioEstimate":
-        return RatioEstimate(INFINITE)
+        return RatioEstimate(math.inf)
 
     @staticmethod
     def finite(log_ratio: float) -> "RatioEstimate":
-        return RatioEstimate(FINITE, float(log_ratio))
+        if not math.isfinite(log_ratio):
+            raise ValueError("finite estimates need a finite log ratio")
+        return RatioEstimate(float(log_ratio))
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == ZERO
+        return self.log_ratio == -math.inf
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == FINITE
+        return math.isfinite(self.log_ratio)
 
     @property
     def is_infinite(self) -> bool:
-        return self.kind == INFINITE
+        return self.log_ratio == math.inf
+
+    @property
+    def kind(self) -> str:
+        """``"zero"``, ``"finite"`` or ``"infinite"``."""
+        return ("finite" if self.is_finite
+                else "zero" if self.is_zero else "infinite")
 
     def reciprocal(self) -> "RatioEstimate":
-        if self.kind == ZERO:
-            return RatioEstimate(INFINITE)
-        if self.kind == INFINITE:
-            return RatioEstimate(ZERO)
-        return RatioEstimate(FINITE, -self.log_ratio)
+        return RatioEstimate(-self.log_ratio)
 
     def exceeds(self, log_threshold: float) -> bool:
         """True when the estimate is strictly above exp(log_threshold)."""
-        if self.kind == INFINITE:
-            return True
-        if self.kind == ZERO:
-            return False
         return self.log_ratio > log_threshold
 
     def value(self) -> float:
         """The estimate as a plain float (0.0 / inf for the sentinels)."""
-        if self.kind == ZERO:
-            return 0.0
-        if self.kind == INFINITE:
-            return math.inf
         return math.exp(self.log_ratio)
 
 
@@ -123,7 +114,7 @@ def estimate_ratio(oracle, i: int, j: int, alpha: float, eps: float,
     With probability 1 - delta the result is zero when the true ratio is
     at most alpha/(3 alpha + 4), infinite when it is at least its inverse,
     and otherwise a (1 +- eps)-accurate finite value. Zero and infinite
-    returns are exact sentinels, never rounded floats.
+    returns are exact sentinels, log ratios of -inf and +inf.
     """
     if not (0.0 < alpha <= 0.5):
         raise ValueError("alpha must lie in (0, 1/2]")
@@ -131,9 +122,7 @@ def estimate_ratio(oracle, i: int, j: int, alpha: float, eps: float,
     p_i, p_j = compare(oracle, i, j, c, eps / 3.0, delta)
     if p_i == 0.0:
         return RatioEstimate.zero()
-    if p_j == 0.0:
-        return RatioEstimate.infinite()
-    return RatioEstimate.finite(math.log(p_i) - math.log(p_j))
+    return RatioEstimate(math.log(p_i) - math.log(p_j) if p_j else math.inf)
 
 
 def get_geometric(oracle, u: int, v: int) -> int:
@@ -246,6 +235,4 @@ def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
         sums[:, idx] = oracle.sample_geometric_sums(c_i, s, counts[:, idx])
     group_means = (sums * scale).sum(axis=1) / params.N
     y = float(np.sort(group_means)[(params.M - 1) // 2])
-    if y <= 0.75 * alpha:
-        return RatioEstimate.infinite()
-    return RatioEstimate.finite(-math.log(y))
+    return RatioEstimate(math.inf if y <= 0.75 * alpha else -math.log(y))

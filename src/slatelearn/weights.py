@@ -63,7 +63,7 @@ def learn_adaptive(oracle, n: int, eps: float, delta: float,
     query count grows as n log n times polynomial factors in 1/eps and
     log(1/delta). Individual pairs may be queried heavily.
     """
-    _check_learn_args(n, eps, delta)
+    _check_learn_args(oracle, n, eps, delta)
     if n == 1:
         return LogWeightMnl(np.zeros(1))
     eps_prime = eps / 13.0
@@ -81,7 +81,7 @@ def learn_balanced(oracle, n: int, eps: float, delta: float,
     the forest is built at accuracy eps directly; the theory budget applies
     the full (eps/13)/9 composition instead.
     """
-    _check_learn_args(n, eps, delta)
+    _check_learn_args(oracle, n, eps, delta)
     if n == 1:
         return LogWeightMnl(np.zeros(1))
     forest_eps = (eps / 13.0) / 9.0 if budget.compose_theory else eps
@@ -101,15 +101,18 @@ def learn_nonadaptive(oracle, n: int, eps: float, delta: float, m: int,
     answers. Returns the model and the replay oracle (whose ledger shows
     the simulated per-pair consumption).
     """
+    _check_learn_args(oracle, n, eps, delta)
     table = build_replay_table(oracle, m)
     replay = ReplayOracle(table, n)
     model = learn_balanced(replay, n, eps, delta, budget, seed)
     return model, replay
 
 
-def _check_learn_args(n: int, eps: float, delta: float) -> None:
+def _check_learn_args(oracle, n: int, eps: float, delta: float) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n != oracle.n:
+        raise ValueError("n is {} but the oracle has {} items".format(n, oracle.n))
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     if not (0.0 < delta < 1.0):

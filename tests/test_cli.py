@@ -270,6 +270,14 @@ class TestTrialRunner:
         assert code == 2
         assert "M * N waits" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("instance", [
+        ["two-scale", "--heavy", "1e17"], ["pseudo-mnl", "--p", "0.3,0.6,0.5"]])
+    def test_certain_wins_learn(self, capsys, instance):
+        # both instances hold a pair whose win probability rounds to 1.0
+        code, _, err = run(capsys, "learn", "--algo", "balanced", "--instance",
+                           *instance, "--n", "6", "--eps", "0.5")
+        assert code == 0, err
+
     def test_replay_table_above_the_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "learn", "--algo", "nonadaptive", "--m",
                            "100000000", "--n", "30")

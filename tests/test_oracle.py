@@ -522,6 +522,16 @@ class TestGeometricSums:
             o.sample_geometric_sums(0, 1, [100_000, 100_000])
         assert o.ledger.total == 1000
 
+    @pytest.mark.parametrize("pair_mode", ["binomial", "stream"])
+    def test_certain_win_loses_nothing(self, pair_mode):
+        # a log-weight gap of 40 rounds p_u to exactly 1.0
+        model = sl.LogWeightMnl(np.array([40.0, 0.0]))
+        assert sl.pair_probability(model, 0, 1) == 1.0
+        o = sl.LiveOracle(model, seed=1, pair_mode=pair_mode)
+        counts = np.array([3, 0, 5])
+        assert o.sample_geometric_sums(0, 1, counts).tolist() == [0, 0, 0]
+        assert o.ledger.total == counts.sum()
+
     def test_impossible_win_raises(self):
         model = sl.MatchingPseudoMnl(np.array([1.0]), np.arange(2))
         o = sl.LiveOracle(model, seed=0)

@@ -63,6 +63,13 @@ class TestEpsilonOrdering:
         sl.epsilon_ordering(o, 4, 1.0 / 3.0, 0.1)
         assert set(o.ledger.per_size) == {2}
 
+    def test_refuses_another_item_count(self):
+        o = sl.LiveOracle(mnl(*range(1, 9)), seed=0)
+        for n in (5, 12):
+            with pytest.raises(ValueError, match="8 items"):
+                sl.epsilon_ordering(o, n, 1.0 / 3.0, 0.1)
+        assert o.ledger.total == 0
+
     def test_ordering_type_rejects_non_permutations(self):
         with pytest.raises(ValueError):
             sl.Ordering(np.array([0, 0, 1]), 0.3)

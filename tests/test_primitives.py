@@ -34,6 +34,16 @@ class TestRatioEstimate:
         with pytest.raises(ValueError):
             sl.RatioEstimate.finite(math.inf)
 
+    def test_sentinels_are_infinite_logs(self):
+        assert sl.RatioEstimate.zero() == sl.RatioEstimate(-math.inf)
+        assert sl.RatioEstimate.infinite() == sl.RatioEstimate(math.inf)
+        assert [r.kind for r in (sl.RatioEstimate(-math.inf),
+                                 sl.RatioEstimate(0.5),
+                                 sl.RatioEstimate(math.inf))] == [
+            "zero", "finite", "infinite"]
+        with pytest.raises(ValueError):
+            sl.RatioEstimate(math.nan)
+
     def test_threshold_comparison(self):
         assert sl.RatioEstimate.infinite().exceeds(1e9)
         assert not sl.RatioEstimate.zero().exceeds(-1e9)

@@ -7,18 +7,26 @@ of them breaks the traced benchmark, so it fails here instead.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import slatelearn as sl
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def load_sites() -> list:
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, attr) for module, attr, *_ in tracing.SITES]
+    return tracing
+
+
+def load_sites() -> list:
+    return [(module, attr) for module, attr, *_ in load_tracing().SITES]
 
 
 @pytest.mark.parametrize("module, attr", load_sites())
@@ -30,3 +38,32 @@ def test_site_resolves(module, attr):
         assert attr in vars(getattr(owner, cls_name))
     else:
         assert hasattr(owner, attr)
+
+
+def estimate_notes() -> dict:
+    """The note each estimate site records, keyed by its span name."""
+    return {name: note for _, _, name, _, note in load_tracing().SITES
+            if name in ("primitives.estimate_ratio",
+                        "primitives.balanced_estimate_ratio")}
+
+
+@pytest.mark.parametrize("w_0, kind", [(1e-6, "zero"), (1.0, "finite"),
+                                       (1e6, "infinite")])
+def test_estimate_ratio_notes_read_the_kind(w_0, kind):
+    # the tracer counts finite estimates by this note
+    oracle = sl.LiveOracle(sl.LogWeightMnl(np.log([w_0, 1.0])), seed=0)
+    r = sl.estimate_ratio(oracle, 0, 1, 0.5, 0.3, 0.1)
+    assert estimate_notes()["primitives.estimate_ratio"](r) == kind
+
+
+@pytest.mark.parametrize("heavy, kind", [(1.0, "finite"), (1e6, "infinite")])
+def test_balanced_estimate_ratio_notes_read_the_kind(heavy, kind):
+    log_w = np.log([1.0, 1.0, heavy])
+    graph = sl.ClusterGraph(
+        clusters=[np.array([0, 1]), np.array([2])], centers=np.array([0, 2]),
+        star_log={1: 0.0}, gamma=np.array([0, 0, 1]), a1=2.0, a2=2.0,
+        eps=0.19)
+    oracle = sl.LiveOracle(sl.LogWeightMnl(log_w), seed=0)
+    r = sl.balanced_estimate_ratio(oracle, graph, 1, 0, 0.19, 0.5, 0.1)
+    assert estimate_notes()["primitives.balanced_estimate_ratio"](r) == kind
+    assert math.isinf(r.log_ratio) == (kind == "infinite")

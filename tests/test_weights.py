@@ -102,6 +102,19 @@ class TestLearnAdaptive:
             sl.learn_adaptive(o, 0, 0.5, 0.1)
 
 
+@pytest.mark.parametrize("learn", [
+    lambda o, n: sl.learn_adaptive(o, n, 0.5, 0.1),
+    lambda o, n: sl.learn_balanced(o, n, 0.5, 0.1),
+    lambda o, n: sl.learn_nonadaptive(o, n, 0.5, 0.1, m=1000)],
+    ids=["adaptive", "balanced", "nonadaptive"])
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_learners_refuse_another_item_count(learn, n):
+    o = sl.LiveOracle(mnl(*range(1, 9)), seed=0, pair_mode="stream")
+    with pytest.raises(ValueError, match="8 items"):
+        learn(o, n)
+    assert o.ledger.total == 0 and o._pair_rngs == {}
+
+
 class TestLearnBalanced:
     def test_accuracy_and_pair_balance(self):
         truth = sl.generate_instance(

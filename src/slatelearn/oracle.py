@@ -29,9 +29,12 @@ Oracles come in two pair-sampling modes:
     that total plus k. Distributionally identical and O(1) per call
     regardless of k, which is what makes the adaptive pipeline's very large
     per-call sample sizes affordable. Every binomial-mode draw reads the one
-    tagged stream in call order, so a run never builds a Generator per pair,
-    and :meth:`LiveOracle.pair_win_count` answers an array of pairs with one
-    vector draw. Not replay-compatible.
+    tagged stream in call order, so a run never builds a Generator per pair.
+    Array calls read it as the scalar calls would, one pair or member after
+    another: :meth:`LiveOracle.pair_win_count` answers an array of pairs
+    with one vector draw, and :meth:`LiveOracle.sample_geometric_sums` a
+    whole balanced estimate, one column of counts per member, with a few.
+    Not replay-compatible.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ REPLAY_MAX_ANSWERS = 1 << 30
 # with a mean of at most NB_MEAN_MAX keep n exact and every draw legal.
 NB_CHUNK = 1 << 53
 NB_MEAN_MAX = 1 << 62
+# Most counts one vector negative-binomial draw of sample_geometric_sums
+# takes: its temporaries, about 25 bytes a count, stay at tens of KiB
+# however large the count matrix it fills.
+NB_SLICE = 1 << 10
 # Above this exponent, P(one wait > GEOMETRIC_CAP) = (1 - p)^GEOMETRIC_CAP is
 # below the smallest double, so the per-wait cap check can never fire.
 NEGLIGIBLE_LOG = 745.0
@@ -93,19 +100,33 @@ class QueryLedger:
         self.per_size[2] = self.per_size.get(2, 0) + count
         self.total += count
 
-    def record_pairs(self, us, vs, count: int = 1) -> None:
-        """``record_pair(us[i], vs[i], count)`` for every i, in order."""
-        if count == 0:
-            return
+    def record_pairs(self, us, vs, counts=1) -> None:
+        """``record_pair(us[i], vs[i], counts[i])`` for every i, in order.
+
+        ``counts`` is one count for every pair or a sequence of one count
+        per pair; counts may be exact Python ints beyond int64.
+        """
         lo = np.ravel(np.minimum(us, vs)).tolist()
         hi = np.ravel(np.maximum(us, vs)).tolist()
-        if len(lo) == 0:
-            return
         per_pair, get = self.per_pair, self.per_pair.get
-        for key in zip(lo, hi):
-            per_pair[key] = get(key, 0) + count
-        self.per_size[2] = self.per_size.get(2, 0) + count * len(lo)
-        self.total += count * len(lo)
+        if np.isscalar(counts):   # the hot path of every array pair query
+            if counts == 0:
+                return
+            for key in zip(lo, hi):
+                per_pair[key] = get(key, 0) + counts
+            total = counts * len(lo)
+        else:
+            counts = np.ravel(counts).tolist()
+            if len(counts) != len(lo):
+                raise ValueError("need one count per pair")
+            total = 0
+            for key, count in zip(zip(lo, hi), counts):
+                if count:
+                    per_pair[key] = get(key, 0) + count
+                    total += count
+        if total:
+            self.per_size[2] = self.per_size.get(2, 0) + total
+            self.total += total
 
     def record_slate(self, size: int, count: int = 1) -> None:
         if size == 2:
@@ -257,14 +278,20 @@ class LiveOracle:
         return wins
 
     def _binomial_win_counts(self, us, vs, count: int) -> np.ndarray:
-        """The array form of :meth:`pair_win_count` in binomial mode."""
+        """The array form of :meth:`pair_win_count` in binomial mode.
+
+        Each pair's pieces are drawn in turn, pair by pair, so the stream
+        is read as by one scalar call per pair in order.
+        """
         p = np.ravel(pair_probabilities(self.model, us, vs))
-        pieces = [self._binomial_rng.binomial(piece, p)
-                  for piece in _binomial_pieces(count)]
-        self.ledger.record_pairs(us, vs, count)
+        pieces = _binomial_pieces(count)
         if len(pieces) == 1:
-            return pieces[0]
-        return sum(piece.astype(object) for piece in pieces)
+            wins = self._binomial_rng.binomial(count, p)
+        else:
+            wins = self._binomial_rng.binomial(
+                pieces, p[:, None]).astype(object).sum(axis=1)
+        self.ledger.record_pairs(us, vs, count)
+        return wins
 
     def sample_geometric(self, u: int, v: int) -> int:
         """Losses of u before its first win on {u, v}; charges losses + 1 queries."""
@@ -320,33 +347,87 @@ class LiveOracle:
         self.ledger.record_pair(u, v, used)
         return losses
 
-    def sample_geometric_sums(self, u: int, v: int, counts) -> np.ndarray:
-        """Loss totals of consecutive runs of ``counts[k]`` geometric waits.
+    def sample_geometric_sums(self, u: int, vs, counts) -> np.ndarray:
+        """Loss totals of runs of geometric waits of u against each of ``vs``.
 
-        Entry k is the total loss count of the next ``counts[k]`` waits of u
-        against v; the ledger charges those losses plus the waits, and a
-        count of 0 draws nothing. Stream mode sums segments of
-        ``sample_geometric_block(u, v, sum(counts))``, so its draws, ledger
-        and transcript are the block's. Binomial mode draws each total as
-        NegativeBinomial(counts[k], p_u) in O(len(counts)) time and memory,
-        except where p_u < 1 is so small that one wait could pass
-        GEOMETRIC_CAP: there it sums the per-wait block, cap check included.
+        ``counts`` is an M x len(vs) matrix with one column per member:
+        entry [g, k] is the total loss count of the next ``counts[g, k]``
+        waits of u against ``vs[k]``. The ledger charges each member those
+        losses plus its waits, and a count of 0 draws nothing. A scalar
+        ``vs`` with a vector ``counts`` is the one-column view and returns
+        a vector.
+
+        The members are served in order, each column in row order, so the
+        draws, the ledger, the transcript and the point where an error
+        stops the call are those of one call per member. Stream mode sums
+        segments of each member's waits. Binomial mode reads every p_u with
+        one ``pair_probabilities`` call and draws each total as one
+        NegativeBinomial(count, p_u), a run of members at a time in vector
+        draws of at most NB_SLICE counts: O(M len(vs)) time and memory
+        whatever the counts. A member is served on its own, at its place,
+        where p_u < 1 is so small that one wait could pass GEOMETRIC_CAP
+        (it sums the per-wait block, cap check included), or where a count
+        needs NB_CHUNK pieces.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        if not counts.any():
-            return np.zeros(counts.size, dtype=np.int64)
-        stream = self.pair_mode == "stream"   # a replay has no model to read
-        # p_u <= 0 takes the per-wait block too, where the cap check raises
-        if stream or ((p_u := pair_probability(self.model, u, v)) < 1.0
-                      and GEOMETRIC_CAP * -math.log1p(-p_u) <= NEGLIGIBLE_LOG):
-            waits = self._stream_waits if stream else self.sample_geometric_block
-            losses = waits(u, v, int(counts.sum()))
-            prefix = np.concatenate(([0], np.cumsum(losses)))
-            return np.diff(prefix[np.cumsum(counts)], prepend=0)
-        # NB(a + b, p) = NB(a, p) + NB(b, p): a count is whole pieces of
-        # `chunk` waits plus a remainder, one draw each; 0 draws nothing
-        chunk = NB_CHUNK if p_u == 1.0 else min(
-            NB_CHUNK, int(NB_MEAN_MAX * p_u / (1.0 - p_u)))
+        if np.ndim(vs) == 0:
+            return self.sample_geometric_sums(
+                u, np.array([vs]), counts[:, None])[:, 0]
+        vs = np.asarray(vs, dtype=np.int64)
+        sums = np.zeros(counts.shape, dtype=np.int64)
+        busy = counts.any(axis=0)
+        if self.pair_mode == "stream":   # a replay has no model to read
+            for k in np.flatnonzero(busy).tolist():
+                sums[:, k] = _segment_sums(self._stream_waits(
+                    u, int(vs[k]), int(counts[:, k].sum())), counts[:, k])
+            return sums
+        p = np.ones(vs.size)   # a column of zeros keeps p = 1 and draws nothing
+        p[busy] = pair_probabilities(self.model, u, vs[busy])
+        # -log1p(-p) >= p, so only a small p can take the per-wait block;
+        # p <= 0 takes it too, where the cap check raises
+        per_wait = p * GEOMETRIC_CAP <= 2.0 * NEGLIGIBLE_LOG
+        for k in np.flatnonzero(per_wait).tolist():
+            per_wait[k] = (p[k] < 1.0 and GEOMETRIC_CAP * -math.log1p(-p[k])
+                           <= NEGLIGIBLE_LOG)
+        with np.errstate(divide="ignore"):   # p == 1 takes NB_CHUNK
+            chunk = np.minimum(NB_CHUNK, np.floor(NB_MEAN_MAX * p / (1.0 - p)))
+        alone = per_wait | (counts.max(axis=0, initial=0) >= chunk)
+        lo = 0
+        for k in np.flatnonzero(alone).tolist() + [vs.size]:
+            self._nb_sums(u, vs[lo:k], counts[:, lo:k], p[lo:k], sums[:, lo:k])
+            if k < vs.size:
+                v, col = int(vs[k]), counts[:, k]
+                sums[:, k] = (_segment_sums(
+                    self.sample_geometric_block(u, v, int(col.sum())), col)
+                    if per_wait[k] else
+                    self._nb_piece_sums(u, v, col, float(p[k]), int(chunk[k])))
+            lo = k + 1
+        return sums
+
+    def _nb_sums(self, u: int, vs, counts, p, out) -> None:
+        """Draw every nonzero count of ``counts`` into ``out`` and charge it.
+
+        One NegativeBinomial(count, p[k]) draw per count, member-major, in
+        vector draws of at most NB_SLICE counts.
+        """
+        width = max(1, NB_SLICE // max(counts.shape[0], 1))
+        for lo in range(0, vs.size, width):
+            block = counts[:, lo:lo + width].T
+            nonzero = block != 0
+            draws = self._binomial_rng.negative_binomial(
+                block[nonzero],
+                np.repeat(p[lo:lo + width], np.count_nonzero(nonzero, axis=1)))
+            out[:, lo:lo + width].T[nonzero] = draws
+        self.ledger.record_pairs(u, vs, [
+            a + b for a, b in zip(_column_totals(out), _column_totals(counts))])
+
+    def _nb_piece_sums(self, u: int, v: int, counts, p_u: float,
+                       chunk: int) -> np.ndarray:
+        """One member's loss totals where a count needs ``chunk`` pieces.
+
+        NB(a + b, p) = NB(a, p) + NB(b, p): a count is whole pieces of
+        ``chunk`` waits plus a remainder, one draw each; 0 draws nothing.
+        """
         pieces, rest = np.divmod(counts, chunk)
         rng = self._binomial_rng
         totals = np.zeros(counts.size, dtype=object)   # exact Python ints
@@ -354,12 +435,25 @@ class LiveOracle:
         totals[some] = rng.negative_binomial(rest[some], p_u).tolist()
         np.add.at(totals, np.repeat(np.arange(counts.size), pieces),
                   rng.negative_binomial(chunk, p_u, int(pieces.sum())).tolist())
-        self.ledger.record_pair(u, v, int(totals.sum()) + int(counts.sum()))
+        self.ledger.record_pair(u, v, int(totals.sum()) + sum(counts.tolist()))
         if totals.max() > INT64_MAX:
             raise SampleDemandTooLarge(
                 "the loss total of pair ({}, {})".format(u, v), totals.max(),
                 INT64_MAX)
         return totals.astype(np.int64)
+
+
+def _segment_sums(losses: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Totals of consecutive runs of ``counts[k]`` entries of ``losses``."""
+    prefix = np.concatenate(([0], np.cumsum(losses)))
+    return np.diff(prefix[np.cumsum(counts)], prepend=0)
+
+
+def _column_totals(a: np.ndarray) -> list:
+    """Column sums of a non-negative int64 matrix as exact Python ints."""
+    if a.size and int(a.max()) > INT64_MAX // a.shape[0]:
+        return [sum(col) for col in a.T.tolist()]
+    return a.sum(axis=0).tolist()
 
 
 def _binomial_pieces(count: int) -> list:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primitives import RatioEstimate, estimate_ratio
+from .primitives import (RatioEstimate, estimate_ratio, log_ratio_of_wins,
+                         ratio_sample_size)
 
 
 @dataclass(frozen=True)
@@ -222,20 +223,27 @@ def quicksort_clustering(oracle, alpha: float, eps: float, delta: float,
     recursed into the following clusters, infinite ones into the preceding
     clusters. Yields a (7/alpha, 1/alpha, eps)-cluster graph with
     probability 1 - delta.
+
+    Each pivot's estimates are one ``oracle.pair_win_count`` call on the
+    array of its group, read as :func:`estimate_ratio` reads one pair's
+    wins: a binomial oracle answers them with one vector draw, stream and
+    replay oracles pair by pair in group order, so the draws and the
+    ledger are those of one ``estimate_ratio`` call per item.
     """
-    if not (0.0 < alpha <= 0.5):
-        raise ValueError("alpha must lie in (0, 1/2]")
     n = oracle.n
-    per_call_delta = delta / (n * n)
+    c, m = ratio_sample_size(alpha, eps, delta / (n * n))
 
     def split(pivot, rest):
+        if not rest:
+            return [], ([pivot], pivot, {}), []
+        wins = oracle.pair_win_count(pivot, np.array(rest, dtype=np.int64), m)
         members, edges, lighter, heavier = [pivot], {}, [], []
-        for s in rest:
-            r = estimate_ratio(oracle, pivot, s, alpha, eps, per_call_delta)
-            if r.is_finite:
+        for s, w in zip(rest, wins.tolist()):
+            log_ratio = log_ratio_of_wins(w, m, c)
+            if math.isfinite(log_ratio):
                 members.append(s)
-                edges[s] = -r.log_ratio   # store w_s / w_pivot
-            elif r.is_zero:
+                edges[s] = -log_ratio   # store w_s / w_pivot
+            elif log_ratio < 0.0:
                 heavier.append(s)
             else:
                 lighter.append(s)

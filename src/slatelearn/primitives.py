@@ -10,6 +10,7 @@ comparisons and ``max`` treat the sentinels as the extremes they are.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +78,21 @@ class RatioEstimate:
 
 
 def compare_sample_size(c: float, eps: float, delta: float) -> int:
+    """The query count of one :func:`compare`; refuses parameters it cannot take."""
+    if not (0.0 < c < 1.0):
+        raise ValueError("c must lie in (0, 1)")
+    if not (0.0 < eps <= 1.0):
+        raise ValueError("eps must lie in (0, 1]")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
     return math.ceil((20.0 / (c * eps * eps)) * math.log(6.0 / delta))
+
+
+def _frequencies(wins: int, m: int, c: float) -> tuple:
+    """The win frequencies of both items over m queries, each below c/2 snapped to 0."""
+    p_i = wins / m
+    p_j = (m - wins) / m
+    return (0.0 if p_i < c / 2.0 else p_i), (0.0 if p_j < c / 2.0 else p_j)
 
 
 def compare(oracle, i: int, j: int, c: float, eps: float, delta: float):
@@ -89,40 +104,41 @@ def compare(oracle, i: int, j: int, c: float, eps: float, delta: float):
     probability <= c/4 comes back 0, a true probability >= c comes back
     nonzero, and any nonzero return is within a (1 +- eps) factor of truth.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError("eps must lie in (0, 1]")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
     m = compare_sample_size(c, eps, delta)
-    wins_i = oracle.pair_win_count(i, j, m)
-    p_i = wins_i / m
-    p_j = (m - wins_i) / m
-    if p_i < c / 2.0:
-        p_i = 0.0
-    if p_j < c / 2.0:
-        p_j = 0.0
-    return p_i, p_j
+    return _frequencies(oracle.pair_win_count(i, j, m), m, c)
+
+
+@functools.lru_cache(maxsize=64)   # a clusterer asks with one triple at a time
+def ratio_sample_size(alpha: float, eps: float, delta: float) -> tuple:
+    """The cutoff c and the query count m of one :func:`estimate_ratio`."""
+    if not (0.0 < alpha <= 0.5):
+        raise ValueError("alpha must lie in (0, 1/2]")
+    c = alpha / (alpha + 1.0)
+    return c, compare_sample_size(c, eps / 3.0, delta)
+
+
+def log_ratio_of_wins(wins: int, m: int, c: float) -> float:
+    """:func:`estimate_ratio`'s log ratio from i's wins in m queries to {i, j}."""
+    p_i, p_j = _frequencies(wins, m, c)
+    if p_i == 0.0:
+        return -math.inf
+    return math.log(p_i) - math.log(p_j) if p_j else math.inf
 
 
 def estimate_ratio(oracle, i: int, j: int, alpha: float, eps: float,
                    delta: float) -> RatioEstimate:
     """Estimate w_i / w_j from pair queries alone.
 
-    Uses :func:`compare` at accuracy eps/3 with cutoff c = alpha/(alpha+1).
-    With probability 1 - delta the result is zero when the true ratio is
-    at most alpha/(3 alpha + 4), infinite when it is at least its inverse,
-    and otherwise a (1 +- eps)-accurate finite value. Zero and infinite
-    returns are exact sentinels, log ratios of -inf and +inf.
+    Samples the pair as :func:`compare` does, at accuracy eps/3 with
+    cutoff c = alpha/(alpha+1), and returns the log ratio of the two
+    snapped frequencies. With probability 1 - delta the result is zero
+    when the true ratio is at most alpha/(3 alpha + 4), infinite when it
+    is at least its inverse, and otherwise a (1 +- eps)-accurate finite
+    value. Zero and infinite returns are exact sentinels, log ratios of
+    -inf and +inf.
     """
-    if not (0.0 < alpha <= 0.5):
-        raise ValueError("alpha must lie in (0, 1/2]")
-    c = alpha / (alpha + 1.0)
-    p_i, p_j = compare(oracle, i, j, c, eps / 3.0, delta)
-    if p_i == 0.0:
-        return RatioEstimate.zero()
-    return RatioEstimate(math.log(p_i) - math.log(p_j) if p_j else math.inf)
+    c, m = ratio_sample_size(alpha, eps, delta)
+    return RatioEstimate(log_ratio_of_wins(oracle.pair_win_count(i, j, m), m, c))
 
 
 def get_geometric(oracle, u: int, v: int) -> int:
@@ -204,10 +220,10 @@ def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
     is 1 / Y. This primitive never reports zero.
 
     A group mean needs only the loss total each member contributes to it,
-    so each member answers one ``sample_geometric_sums`` call with its
-    column of :func:`round_robin_counts`: O(M |C_j|) time and memory, not
-    O(M N). A demand of M * N above 2^62 waits raises
-    ``SampleDemandTooLarge`` before anything is drawn.
+    so the whole estimate is one ``sample_geometric_sums`` call on the
+    count matrix of :func:`round_robin_counts`, one column per member:
+    O(M |C_j|) time and memory, not O(M N). A demand of M * N above 2^62
+    waits raises ``SampleDemandTooLarge`` before anything is drawn.
 
     With the worst-case parameters (requiring eps < 1/5): a true ratio at
     most 1/alpha is never reported infinite, one of at least 9/alpha always
@@ -226,13 +242,11 @@ def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
     c_j = int(graph.centers[j])
 
     counts = round_robin_counts(params.M, params.N, len(members))
-    sums = np.zeros(counts.shape, dtype=np.float64)
-    scale = np.ones(len(members))
-    for idx, s in enumerate(members):
-        s = int(s)
-        if s != c_j:
-            scale[idx] = math.exp(-graph.star_log[s])
-        sums[:, idx] = oracle.sample_geometric_sums(c_i, s, counts[:, idx])
-    group_means = (sums * scale).sum(axis=1) / params.N
+    # math.exp, not np.exp, whose SIMD loop can differ in the last bit
+    scale = np.array([1.0 if s == c_j else math.exp(-graph.star_log[s])
+                      for s in members.tolist()])
+    sums = oracle.sample_geometric_sums(c_i, members, counts)
+    # one row at a time, so no M x |C_j| product is held at once
+    group_means = np.array([(row * scale).sum() for row in sums]) / params.N
     y = float(np.sort(group_means)[(params.M - 1) // 2])
     return RatioEstimate(math.inf if y <= 0.75 * alpha else -math.log(y))

@@ -46,9 +46,16 @@ class FixedOracle:
         return np.array([self.sample_geometric(u, v) for _ in range(count)],
                         dtype=np.int64)
 
-    def sample_geometric_sums(self, u, v, counts):
-        return np.array([self.sample_geometric_block(u, v, int(c)).sum()
-                         for c in counts], dtype=np.int64)
+    def sample_geometric_sums(self, u, vs, counts):
+        """One column of counts per member of ``vs``; a scalar ``vs`` is one column."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if np.ndim(vs) == 0:
+            return self.sample_geometric_sums(u, [vs], counts[:, None])[:, 0]
+        sums = np.zeros(counts.shape, dtype=np.int64)
+        for k, v in enumerate(vs):
+            for g, c in enumerate(counts[:, k].tolist()):
+                sums[g, k] = self.sample_geometric_block(u, int(v), c).sum()
+        return sums
 
 
 def reference_distribution(model, slate) -> np.ndarray:

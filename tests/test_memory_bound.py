@@ -44,6 +44,15 @@ print("finished", oracle.ledger.total)
 """)
 
 
+def test_balanced_learn_at_n_16384_fits_in_256_mib():
+    # each balanced estimate is one M x |C_j| count matrix of about 5.5 MiB
+    run_child(256 << 20, 16384, """
+oracle = sl.LiveOracle(truth, 1201)
+sl.learn_balanced(oracle, 16384, 0.3, 0.1, seed=1201)
+print("finished", oracle.ledger.total)
+""")
+
+
 def test_nonadaptive_learn_with_m_5e5_fits_in_256_mib():
     run_child(256 << 20, 14, """
 oracle = sl.LiveOracle(truth, 1201, pair_mode="stream")

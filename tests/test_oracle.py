@@ -110,6 +110,22 @@ class TestLedger:
             batched.record_pairs(u, v, 4)
             looped.record_pair(int(u), int(v), 4)
             assert batched == looped
+        # one count per pair: a zero adds no key, and counts may pass 2^63
+        for counts in ([0, 4, 0, 2**64, 1], np.array([5, 0, 3, 0, 2]),
+                       [2**63, 2**63 + 1, 0, 0, 2**70], [0] * 5):
+            batched, looped = sl.QueryLedger(), sl.QueryLedger()
+            batched.record_pairs(np.array(us), np.array(vs), counts)
+            for u, v, count in zip(us, vs, counts):
+                looped.record_pair(u, v, int(count))
+            assert batched == looped
+            assert list(batched.per_pair) == list(looped.per_pair)
+            assert all(type(c) is int for c in batched.per_pair.values())
+        batched = sl.QueryLedger()
+        batched.record_pairs(2, np.array([0, 1, 3]), np.array([1, 0, 6]))
+        assert batched.per_pair == {(0, 2): 1, (2, 3): 6}
+        assert batched.total == batched.per_size[2] == 7
+        with pytest.raises(ValueError):
+            batched.record_pairs(np.array(us), np.array(vs), [1, 2])
 
 
 class TestBinomialChunks:
@@ -146,6 +162,18 @@ class TestBinomialChunks:
         assert all(type(w) is int and abs(w / 2**64 - 0.25) < 1e-6
                    for w in wins)
         assert o.ledger.per_pair == {(0, 1): 2**64, (1, 2): 2**64}
+
+
+    def test_array_pieces_are_drawn_pair_by_pair(self, monkeypatch):
+        # every piece of one pair before the next pair, as scalar calls draw
+        monkeypatch.setattr(oracle_mod, "BINOMIAL_CHUNK", 7)
+        model = mnl(1.0, 3.0, 2.0, 0.5)
+        a, b = (sl.LiveOracle(model, seed=12) for _ in range(2))
+        wins = a.pair_win_count(0, np.array([1, 3, 2]), 20)
+        assert wins.tolist() == [b.pair_win_count(0, v, 20) for v in (1, 3, 2)]
+        assert all(type(w) is int for w in wins.tolist())
+        assert a.ledger == b.ledger
+        assert a._binomial_rng.random() == b._binomial_rng.random()
 
 
 class TestDeterminism:
@@ -587,6 +615,167 @@ class TestGeometricSums:
                 wait()
             assert table.cursors[(0, 1)] == cursor
             assert replay.ledger.per_pair == ledger
+
+
+def member_loop(o, u, vs, counts):
+    """Reference: one scalar sample_geometric_sums call per member, in order."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.column_stack([o.sample_geometric_sums(u, int(v), counts[:, k])
+                            for k, v in enumerate(vs)])
+
+
+def assert_same_oracle(a, b):
+    """Two oracles that answered the same calls: ledgers and what comes next."""
+    assert a.ledger == b.ledger
+    assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
+    if isinstance(a, sl.ReplayOracle):
+        assert a.table.cursors == b.table.cursors
+        return
+    if a.pair_mode == "binomial":
+        assert a._binomial_rng.random() == b._binomial_rng.random()
+        return
+    np.testing.assert_array_equal(a.transcript, b.transcript)
+    assert all(a.sample_pair(0, v) == b.sample_pair(0, v)
+               for v in range(1, a.n))
+
+
+# Against item 0 at log weight 0, members 1-7 win with p_0 about 0.27
+# (1), 0.62 (2), 0.5 (3), exactly 1 (4), 7.4e-7 (5: the per-wait block),
+# 0.12 (6) and 0.38 (7). The tiny-p column sits between two plain ones,
+# member 3's column is all zeros, and member 6's counts of 64 and more take
+# NB_CHUNK pieces when NB_CHUNK is 64.
+TINY_P = -np.expm1(-744.0 / GEOMETRIC_CAP)
+COLUMN_LOG_W = [0.0, 1.0, -0.5, 0.0, -40.0, np.log((1 - TINY_P) / TINY_P),
+                2.0, 0.5]
+MEMBERS = [1, 5, 2, 3, 4, 6, 7]
+COLUMN_COUNTS = np.array([[3, 2, 0, 0, 4, 130, 1],
+                          [0, 0, 12, 0, 1, 5, 1],
+                          [5, 1, 2, 0, 0, 64, 0],
+                          [1, 0, 7, 0, 9, 0, 2]])
+
+
+class TestGeometricColumns:
+    """The column form is the per-member loop of scalar calls, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [oracle_mod.NB_CHUNK, 64])
+    @pytest.mark.parametrize("width", [oracle_mod.NB_SLICE, 5])
+    def test_binomial_columns_are_the_member_loop(self, monkeypatch, chunk,
+                                                  width):
+        monkeypatch.setattr(oracle_mod, "NB_CHUNK", chunk)
+        monkeypatch.setattr(oracle_mod, "NB_SLICE", width)
+        model = sl.LogWeightMnl(np.array(COLUMN_LOG_W))
+        assert sl.pair_probability(model, 0, 4) == 1.0
+        p_tiny = sl.pair_probability(model, 0, 5)
+        assert 0 < GEOMETRIC_CAP * -np.log1p(-p_tiny) <= NEGLIGIBLE_LOG
+        a, b = (sl.LiveOracle(model, seed=21) for _ in range(2))
+        sums = a.sample_geometric_sums(0, np.array(MEMBERS), COLUMN_COUNTS)
+        assert sums.dtype == np.int64 and sums.shape == COLUMN_COUNTS.shape
+        np.testing.assert_array_equal(
+            sums, member_loop(b, 0, MEMBERS, COLUMN_COUNTS))
+        assert sums[:, 3].tolist() == [0] * 4 and (0, 3) not in a.ledger.per_pair
+        assert sums[:, 4].tolist() == [0] * 4
+        assert a.ledger.per_pair[(0, 4)] == COLUMN_COUNTS[:, 4].sum()
+        # the tiny-p column's totals are of waits about 1.3e6 long
+        assert ((sums[:, 1] > 1000) == (COLUMN_COUNTS[:, 1] > 0)).all()
+        assert_same_oracle(a, b)
+
+    @pytest.mark.parametrize("mode", ["stream", "replay"])
+    def test_stream_columns_are_the_member_loop(self, mode):
+        log_w = np.array(COLUMN_LOG_W[:4] + [-3.0, 0.3, 2.0, 0.5])
+        counts = np.where(COLUMN_COUNTS > 20, 20, COLUMN_COUNTS)
+
+        def oracle():
+            live = sl.LiveOracle(sl.LogWeightMnl(log_w), seed=22,
+                                 pair_mode="stream", transcript=True)
+            if mode == "stream":
+                return live
+            return sl.ReplayOracle(sl.build_replay_table(live, 3000), 8)
+
+        a, b = oracle(), oracle()
+        for _ in range(2):
+            sums = a.sample_geometric_sums(0, np.array(MEMBERS), counts)
+            assert sums.dtype == np.int64
+            np.testing.assert_array_equal(sums, member_loop(b, 0, MEMBERS,
+                                                            counts))
+        assert (0, 3) not in a.ledger.per_pair
+        assert_same_oracle(a, b)
+
+    def test_binomial_cap_partway_charges_as_the_loop(self, monkeypatch):
+        # at GEOMETRIC_CAP 1000 member 2's p_0 of 0.01 takes the per-wait
+        # block, and one of its 2e5 waits passes the cap (4e-5 per wait)
+        monkeypatch.setattr(oracle_mod, "GEOMETRIC_CAP", 1000)
+        model = sl.LogWeightMnl(np.log([1.0, 0.1, 99.0, 0.5]))
+        counts = np.array([[3, 100_000, 2], [4, 100_000, 1]])
+        a, b = (sl.LiveOracle(model, seed=23) for _ in range(2))
+        with pytest.raises(sl.GeometricCapExceeded):
+            a.sample_geometric_sums(0, np.array([1, 2, 3]), counts)
+        with pytest.raises(sl.GeometricCapExceeded):
+            member_loop(b, 0, [1, 2, 3], counts)
+        assert a.ledger.per_pair[(0, 2)] == 1000
+        assert (0, 1) in a.ledger.per_pair and (0, 3) not in a.ledger.per_pair
+        assert_same_oracle(a, b)
+
+    @pytest.mark.parametrize("mode", ["stream", "replay"])
+    def test_stream_cap_partway_charges_as_the_loop(self, monkeypatch, mode):
+        # member 2 wins with p_0 of 0.1: a wait passes 30 with 4 % each
+        monkeypatch.setattr(oracle_mod, "GEOMETRIC_CAP", 30)
+        model = sl.LogWeightMnl(np.log([1.0, 0.5, 9.0, 1.0]))
+        counts = np.array([[3, 1000, 2], [4, 1000, 1]])
+
+        def oracle():
+            live = sl.LiveOracle(model, seed=24, pair_mode="stream",
+                                 transcript=True)
+            if mode == "stream":
+                return live
+            return sl.ReplayOracle(sl.build_replay_table(live, 50_000), 4)
+
+        a, b = oracle(), oracle()
+        with pytest.raises(sl.GeometricCapExceeded):
+            a.sample_geometric_sums(0, np.array([1, 2, 3]), counts)
+        with pytest.raises(sl.GeometricCapExceeded):
+            member_loop(b, 0, [1, 2, 3], counts)
+        assert (0, 1) in a.ledger.per_pair and (0, 3) not in a.ledger.per_pair
+        assert_same_oracle(a, b)
+
+    def test_replay_running_out_partway_stops_as_the_loop(self):
+        model = mnl(1.0, 1.0, 1.0, 1.0)
+        counts = np.array([[3, 40, 2], [4, 40, 1]])
+        a, b = (sl.ReplayOracle(sl.build_replay_table(
+            sl.LiveOracle(model, seed=25, pair_mode="stream"), 60), 4)
+            for _ in range(2))
+        with pytest.raises(sl.ReplayBudgetExhausted):
+            a.sample_geometric_sums(0, np.array([1, 2, 3]), counts)
+        with pytest.raises(sl.ReplayBudgetExhausted):
+            member_loop(b, 0, [1, 2, 3], counts)
+        assert a.table.cursors[(0, 2)] == 0 < a.table.cursors[(0, 1)]
+        assert_same_oracle(a, b)
+
+    def test_charges_stay_exact_beyond_int64(self):
+        # 1100 counts just under NB_CHUNK at p = 1/2: a member's waits and
+        # its losses each add up to about 9.9e18, past int64
+        counts = np.full((1100, 2), oracle_mod.NB_CHUNK - 1)
+        counts[:, 1] = 3
+        a, b = (sl.LiveOracle(uniform_pair(), seed=27) for _ in range(2))
+        sums = a.sample_geometric_sums(0, np.array([1, 1]), counts)
+        waits = 1100 * (oracle_mod.NB_CHUNK - 1)
+        assert waits > INT64_MAX
+        assert a.ledger.total == sum(sums.ravel().tolist()) + waits + 3300
+        np.testing.assert_array_equal(sums, member_loop(b, 0, [1, 1], counts))
+        assert_same_oracle(a, b)
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream"])
+    def test_empty_and_all_zero_matrices_draw_nothing(self, mode):
+        model = mnl(1.0, 2.0, 3.0)
+        a, fresh = (sl.LiveOracle(model, seed=26, pair_mode=mode,
+                                  transcript=mode == "stream")
+                    for _ in range(2))
+        for vs, counts in (([1, 2], np.zeros((3, 2))), ([], np.zeros((3, 0))),
+                           ([1, 2], np.zeros((0, 2)))):
+            sums = a.sample_geometric_sums(0, np.array(vs, dtype=np.int64),
+                                           counts)
+            assert sums.shape == counts.shape and not sums.any()
+        assert a.ledger == sl.QueryLedger()
+        assert_same_oracle(a, fresh)
 
 
 class TestStreamWaits:

@@ -202,3 +202,63 @@ class TestQuicksortClustering:
         g = sl.quicksort_clustering(o, 0.5, 0.15, 0.1)
         assert g.T == 200
         np.testing.assert_array_equal(g.centers, np.arange(200))
+
+
+def per_item_quicksort_clustering(oracle, alpha, eps, delta, rng):
+    """Reference: quicksort clustering with one estimate_ratio call per item."""
+    n = oracle.n
+
+    def split(pivot, rest):
+        members, edges, lighter, heavier = [pivot], {}, [], []
+        for s in rest:
+            r = sl.estimate_ratio(oracle, pivot, s, alpha, eps, delta / (n * n))
+            if r.is_finite:
+                members.append(s)
+                edges[s] = -r.log_ratio
+            elif r.is_zero:
+                heavier.append(s)
+            else:
+                lighter.append(s)
+        return lighter, (sorted(members), pivot, edges), heavier
+
+    return ordering_mod._cluster_graph(
+        n, ordering_mod._pivot_sort(n, rng, split), 7.0 / alpha, 1.0 / alpha,
+        eps)
+
+
+class TestArraySplit:
+    """One array pair_win_count per pivot reads as one estimate per item."""
+
+    @pytest.mark.parametrize("mode, chunk", [("binomial", None),
+                                             ("stream", None),
+                                             ("binomial", 100_000)])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_equal_to_the_per_item_loop(self, monkeypatch, mode, chunk, seed):
+        if chunk is not None:
+            # each estimate's 2.8e5 queries take three binomial pieces
+            monkeypatch.setattr(sl.oracle, "BINOMIAL_CHUNK", chunk)
+        model = sl.generate_instance(
+            sl.InstanceSpec("power-law", n=40, seed=seed, params={"gamma": 3.0}))
+        graphs, oracles = [], []
+        for cluster in (sl.quicksort_clustering, per_item_quicksort_clustering):
+            o = sl.LiveOracle(model, seed=seed, pair_mode=mode,
+                              transcript=mode == "stream")
+            graphs.append(cluster(o, 0.5, 0.15, 0.1,
+                                  np.random.default_rng(seed)))
+            oracles.append(o)
+        got, want = graphs
+        assert 1 < got.T < model.n
+        assert [c.tolist() for c in got.clusters] == [c.tolist()
+                                                      for c in want.clusters]
+        np.testing.assert_array_equal(got.centers, want.centers)
+        np.testing.assert_array_equal(got.gamma, want.gamma)
+        assert got.star_log == want.star_log
+        assert list(got.star_log) == list(want.star_log)
+        assert all(type(k) is int for k in got.star_log)
+        a, b = oracles
+        assert a.ledger == b.ledger
+        assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
+        if mode == "binomial":
+            assert a._binomial_rng.random() == b._binomial_rng.random()
+        else:
+            np.testing.assert_array_equal(a.transcript, b.transcript)

@@ -10,17 +10,21 @@ takes an explicit :class:`QueryBudget`:
   (accuracy cascade eps1 = eps/10, eps2 = eps1/30; infinity threshold
   beta_i = alpha^2 eps1 / (49 |C_i| Lambda(n)); median-of-means group count
   M = ceil(8 log(2/delta)) and group size
-  N = ceil(2 A1 (1 + A1/A2) B1^2 / (alpha eps^2))).
+  N = ceil(2 A1 (1 + A1/A2) B1^2 / (alpha eps^2)); the learner builds the
+  forest at accuracy (eps/13)/9).
 
 * ``QueryBudget.calibrated()`` (the default for learners) keeps every
   structural rule of the builder, including the flooring, the scan window
   Lambda(n), the spreading of queries across a cluster, and the failure
   branch, but replaces the worst-case sample-size multipliers with
-  empirically sufficient ones. The scaling laws in n are untouched; only
+  empirically sufficient ones: beta_i drops its Lambda(n) factor, M and N
+  come from ``ber_m_mult`` and ``ber_n_mult``, and the learner builds the
+  forest at accuracy eps. The scaling laws in n are untouched; only
   leading constants and the accuracy cascade differ.
 
-The adaptive pipeline has no budget knob: it uses the published constants
-verbatim, which is affordable because win counts are drawn in O(1) time.
+The ``worst_case`` flag switches those three rules together. The adaptive
+pipeline has no budget knob: it uses the published constants verbatim,
+which is affordable because win counts are drawn in O(1) time.
 """
 
 from __future__ import annotations
@@ -31,40 +35,31 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class QueryBudget:
-    name: str
     # accuracy cascade inside the balanced builder
     eps1_div: float          # eps1 = eps / eps1_div
     eps2_div: float          # eps2 = eps1 / eps2_div
     eps2_cap: float          # eps2 is clamped below this (ratio estimates need < 1/5)
     # infinity threshold beta_i
     beta_denom: float        # beta_i = alpha^2 eps1 / (beta_denom * |C_i| [* Lambda])
-    beta_uses_lambda: bool
-    # median-of-means shape for ratio estimates issued by the builder; the
-    # two multipliers are read only when ber_theory_n is False
+    # True: beta_i takes the Lambda factor, M and N of a balanced estimate
+    # come from the published formulas, and the learner builds its forest
+    # at (eps/13)/9; False: no Lambda, the two multipliers below, and eps
+    worst_case: bool
     ber_m_mult: float        # M = max(3, ceil(ber_m_mult * log(2/delta)))
-    ber_theory_n: bool       # True: M and N from the published formulas
-    ber_n_mult: float        # else N = ceil(ber_n_mult * (1/alpha + 1/eps^2))
-    # learner composition: True applies the eps/13 and eps'/9 budget split
-    compose_theory: bool
+    ber_n_mult: float        # N = ceil(ber_n_mult * (1/alpha + 1/eps^2))
 
     @staticmethod
     def theory() -> "QueryBudget":
         return QueryBudget(
-            name="theory",
             eps1_div=10.0, eps2_div=30.0, eps2_cap=math.inf,
-            beta_denom=49.0, beta_uses_lambda=True,
-            ber_m_mult=8.0, ber_theory_n=True, ber_n_mult=1.0,
-            compose_theory=True,
+            beta_denom=49.0, worst_case=True, ber_m_mult=8.0, ber_n_mult=1.0,
         )
 
     @staticmethod
     def calibrated() -> "QueryBudget":
         return QueryBudget(
-            name="calibrated",
             eps1_div=1.0, eps2_div=3.0, eps2_cap=0.19,
-            beta_denom=4.0, beta_uses_lambda=False,
-            ber_m_mult=2.0, ber_theory_n=False, ber_n_mult=16.0,
-            compose_theory=False,
+            beta_denom=4.0, worst_case=False, ber_m_mult=2.0, ber_n_mult=16.0,
         )
 
     def split_eps(self, eps: float) -> tuple[float, float]:

@@ -242,14 +242,14 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
 
     sizes = np.array([len(c) for c in graph.clusters], dtype=np.float64)
     beta = np.zeros(T + 1)
-    lam_factor = window if budget.beta_uses_lambda else 1.0
+    lam_factor = window if budget.worst_case else 1.0
     beta[1:] = (alpha * alpha * eps1) / (budget.beta_denom * sizes * lam_factor)
 
     ber_calls: dict = {}
 
     def ber(i: int, j: int, cutoff: float) -> RatioEstimate:
         ber_calls[(i, j)] = ber_calls.get((i, j), 0) + 1
-        if budget.ber_theory_n:
+        if budget.worst_case:
             params = BalancedEstimateParams.from_formulas(
                 graph.a1, graph.a2, eps2, cutoff, pair_delta,
                 len(graph.clusters[j]))
@@ -287,19 +287,6 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
         i = j_m
     forest.stats = {"ber_calls": ber_calls, "scan_window": window}
     return forest
-
-
-def forest_to_dict(forest: EstimationForest) -> dict:
-    """JSON-friendly dump of a forest for offline inspection."""
-    return {
-        "n": forest.n,
-        "t": forest.t,
-        "eps": forest.eps,
-        "edges": [[int(u), int(v), float(lr)]
-                  for (u, v), lr in sorted(forest.edge_log.items())],
-        "clusters": [[int(x) for x in c] for c in forest.graph.clusters],
-        "centers": [int(c) for c in forest.graph.centers],
-    }
 
 
 @dataclass

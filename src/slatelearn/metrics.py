@@ -89,7 +89,8 @@ def distance_sampled(a: Model, b: Model, k: int,
 
     Always includes the full slate and every prefix of a's items sorted
     heaviest first (when a is an MNL), then all pairs if the budget allows,
-    then uniform random subsets until k slates have been checked.
+    then uniform random subsets until k slates have been checked. A
+    one-item model has only its full slate.
     """
     n = a.n
     if b.n != n:
@@ -116,7 +117,7 @@ def distance_sampled(a: Model, b: Model, k: int,
                     seen.add((u, v))
                     slates.append((u, v))
     attempts = 0
-    while len(slates) < k and attempts < 50 * k:
+    while n > 1 and len(slates) < k and attempts < 50 * k:
         attempts += 1
         size = int(rng.integers(2, n + 1))
         s = tuple(sorted(int(x) for x in

@@ -152,7 +152,7 @@ def pair_probability(model: Model, u: int, v: int) -> float:
         if gap >= 0:
             return float(np.exp(-np.log1p(np.exp(-gap)) - gap))
         return float(np.exp(-np.log1p(np.exp(gap))))
-    return float(model.slate_distribution(np.array([u, v]))[0])
+    return float(pair_probabilities(model, u, v))
 
 
 def pair_probabilities(model: Model, us, vs) -> np.ndarray:
@@ -176,7 +176,7 @@ def pair_probabilities(model: Model, us, vs) -> np.ndarray:
                     (pair_u > pair_v).astype(np.float64))
 
 
-KINDS = ("uniform", "geometric-ratio", "power-law", "two-scale", "explicit", "pseudo-mnl")
+KINDS = ("uniform", "geometric-ratio", "power-law", "two-scale", "pseudo-mnl")
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,6 @@ class InstanceSpec:
                        seeded random assignment of ranks 1..n
       two-scale        n, K > 0; n-1 items of weight 1 and a last item of
                        weight K
-      explicit         log_w given verbatim
       pseudo-mnl       p (and optionally pi, defaulting to the identity)
     """
 
@@ -225,15 +224,12 @@ def generate_instance(spec: InstanceSpec) -> Model:
         log_w = np.zeros(n)
         log_w[-1] = np.log(K)
         return LogWeightMnl(log_w)
-    if kind == "explicit":
-        return LogWeightMnl(np.asarray(params["log_w"], dtype=np.float64))
-    if kind == "pseudo-mnl":
-        p = np.asarray(params["p"], dtype=np.float64)
-        pi = params.get("pi")
-        if pi is None:
-            pi = np.arange(2 * p.size)
-        return MatchingPseudoMnl(p, np.asarray(pi, dtype=np.int64))
-    raise AssertionError("unreachable")
+    # InstanceSpec admits only KINDS, so what is left is pseudo-mnl
+    p = np.asarray(params["p"], dtype=np.float64)
+    pi = params.get("pi")
+    if pi is None:
+        pi = np.arange(2 * p.size)
+    return MatchingPseudoMnl(p, np.asarray(pi, dtype=np.int64))
 
 
 def model_to_dict(model: Model) -> dict:

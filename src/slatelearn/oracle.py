@@ -57,7 +57,8 @@ GEOMETRIC_CAP = 10**9
 # Largest count passed to one Generator.binomial call, which takes a C long.
 BINOMIAL_CHUNK = 1 << 62
 # Stream mode draws a pair's uniforms in chunks of STREAM_CHUNK (8 MiB of
-# doubles) and refuses one call asking for more than STREAM_MAX_DRAWS: the
+# doubles) and refuses one call asking for more than STREAM_MAX_DRAWS, as
+# sample_geometric_block refuses more waits in either mode: the
 # balanced and non-adaptive learners ask for up to about 2.7e8 at eps 0.02
 # and n = 4096, and a block of 2^30 int64 winners is already 8 GiB.
 STREAM_CHUNK = 1 << 20
@@ -260,9 +261,13 @@ class LiveOracle:
         ledger and transcript are those of the scalar calls in order.
         """
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-            if self.pair_mode != "binomial":
-                return _loop_win_counts(self, u, v, count)
-            return self._binomial_win_counts(u, v, count)
+            if self.pair_mode == "binomial":
+                return self._binomial_win_counts(u, v, count)
+            us, vs = np.broadcast_arrays(np.asarray(u, dtype=np.int64),
+                                         np.asarray(v, dtype=np.int64))
+            return np.array([self.pair_win_count(a, b, count) for a, b in
+                             zip(us.ravel().tolist(), vs.ravel().tolist())],
+                            dtype=np.int64)
         if self.pair_mode == "binomial":
             p_u = pair_probability(self.model, u, v)
             # Binomial(a + b, p) = Binomial(a, p) + Binomial(b, p); a count
@@ -298,7 +303,16 @@ class LiveOracle:
         return int(self.sample_geometric_block(u, v, 1)[0])
 
     def sample_geometric_block(self, u: int, v: int, count: int) -> np.ndarray:
-        """``count`` independent geometric waits; returns the loss counts."""
+        """``count`` independent geometric waits; returns the loss counts.
+
+        Every per-wait draw passes here, in both modes: a count above
+        STREAM_MAX_DRAWS, whose block of int64 losses alone would pass
+        8 GiB, raises ``SampleDemandTooLarge`` before anything is drawn.
+        """
+        if count > STREAM_MAX_DRAWS:
+            raise SampleDemandTooLarge(
+                "the waits of pair ({}, {}) in one call".format(u, v), count,
+                STREAM_MAX_DRAWS)
         if self.pair_mode == "stream":
             return self._stream_waits(u, v, count)
         p_u = pair_probability(self.model, u, v)
@@ -360,14 +374,14 @@ class LiveOracle:
         The members are served in order, each column in row order, so the
         draws, the ledger, the transcript and the point where an error
         stops the call are those of one call per member. Stream mode sums
-        segments of each member's waits. Binomial mode reads every p_u with
-        one ``pair_probabilities`` call and draws each total as one
-        NegativeBinomial(count, p_u), a run of members at a time in vector
-        draws of at most NB_SLICE counts: O(M len(vs)) time and memory
-        whatever the counts. A member is served on its own, at its place,
-        where p_u < 1 is so small that one wait could pass GEOMETRIC_CAP
-        (it sums the per-wait block, cap check included), or where a count
-        needs NB_CHUNK pieces.
+        segments of each member's :meth:`sample_geometric_block`. Binomial
+        mode reads every p_u with one ``pair_probabilities`` call and draws
+        each total as one NegativeBinomial(count, p_u), a run of members at
+        a time in vector draws of at most NB_SLICE counts: O(M len(vs))
+        time and memory whatever the counts. A member is served on its own,
+        at its place, where p_u < 1 is so small that one wait could pass
+        GEOMETRIC_CAP (it sums the per-wait block, cap check included), or
+        where a count needs NB_CHUNK pieces.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if np.ndim(vs) == 0:
@@ -378,7 +392,7 @@ class LiveOracle:
         busy = counts.any(axis=0)
         if self.pair_mode == "stream":   # a replay has no model to read
             for k in np.flatnonzero(busy).tolist():
-                sums[:, k] = _segment_sums(self._stream_waits(
+                sums[:, k] = _segment_sums(self.sample_geometric_block(
                     u, int(vs[k]), int(counts[:, k].sum())), counts[:, k])
             return sums
         p = np.ones(vs.size)   # a column of zeros keeps p = 1 and draws nothing
@@ -462,19 +476,15 @@ def _binomial_pieces(count: int) -> list:
             for lo in range(0, max(count, 1), BINOMIAL_CHUNK)]
 
 
-def _loop_win_counts(oracle, us, vs, count: int) -> np.ndarray:
-    """``oracle.pair_win_count`` over the broadcast pairs in order, as one array."""
-    us, vs = np.broadcast_arrays(np.asarray(us, dtype=np.int64),
-                                 np.asarray(vs, dtype=np.int64))
-    return np.array([oracle.pair_win_count(u, v, count)
-                     for u, v in zip(us.ravel().tolist(), vs.ravel().tolist())],
-                    dtype=np.int64)
-
-
 @dataclass
 class ReplayTable:
-    """Pre-sampled per-pair answers for simulating a pair-only learner."""
+    """Pre-sampled answers, m per pair of the n items, for a pair-only learner.
 
+    A :class:`ReplayOracle` reads its item count from ``n`` and each pair's
+    answers from ``answers``, from the position ``cursors`` holds on.
+    """
+
+    n: int
     m: int
     answers: dict  # (u, v) with u < v -> bool array, length m; True = u won
     cursors: dict  # same keys -> next unread position
@@ -498,7 +508,8 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
             answers[(u, v)] = np.concatenate(
                 list(oracle._stream_answers(u, v, m)))
             oracle.ledger.record_pair(u, v, m)
-    return ReplayTable(m=m, answers=answers, cursors={k: 0 for k in answers})
+    return ReplayTable(n=n, m=m, answers=answers,
+                       cursors={k: 0 for k in answers})
 
 
 class ReplayOracle:
@@ -512,9 +523,9 @@ class ReplayOracle:
 
     pair_mode = "stream"
 
-    def __init__(self, table: ReplayTable, n: int):
+    def __init__(self, table: ReplayTable):
         self.table = table
-        self.n = n
+        self.n = table.n
         self.ledger = QueryLedger()
 
     def _stream_answers(self, u: int, v: int, count: int):

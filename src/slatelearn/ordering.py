@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primitives import (RatioEstimate, estimate_ratio, log_ratio_of_wins,
-                         ratio_sample_size)
+from .primitives import estimate_ratio, log_ratio_of_wins, ratio_sample_size
 
 
 @dataclass(frozen=True)
@@ -120,18 +119,6 @@ class ClusterGraph:
     def n(self) -> int:
         return self.gamma.size
 
-    def log_star_ratio(self, u: int, v: int) -> float:
-        """Log of the star-edge estimate of w_u / w_v; one of u, v is the center."""
-        g = self.gamma[u]
-        if g != self.gamma[v]:
-            raise ValueError("star edges connect members of one cluster")
-        c = int(self.centers[g])
-        if v == c:
-            return 0.0 if u == c else self.star_log[u]
-        if u == c:
-            return -self.star_log[v]
-        raise ValueError("neither endpoint is the cluster center")
-
     def check_structure(self) -> None:
         n = self.n
         seen = np.concatenate([np.asarray(c) for c in self.clusters])
@@ -199,15 +186,15 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
         item = int(seq[pos])
         r = estimate_ratio(oracle, item, center, 2.0 * alpha / 3.0, eps,
                            delta / (2.0 * n))
-        if r.exceeds(log_tau):
+        if r.log_ratio > log_tau:
             leaves.append((seq[start:pos], center, pending))
             pending = {}
             center = item
             start = pos
+        elif r.is_zero:
+            violations.append(("zero-ratio", item, center))
+            pending[item] = math.log(alpha)
         else:
-            if r.is_zero:
-                violations.append(("zero-ratio", item, center))
-                r = RatioEstimate.finite(math.log(alpha))
             pending[item] = r.log_ratio
     leaves.append((seq[start:], center, pending))
     return _cluster_graph(n, leaves, 2.0 / alpha, 1.0 / alpha, eps, violations)

@@ -65,17 +65,6 @@ class RatioEstimate:
         return ("finite" if self.is_finite
                 else "zero" if self.is_zero else "infinite")
 
-    def reciprocal(self) -> "RatioEstimate":
-        return RatioEstimate(-self.log_ratio)
-
-    def exceeds(self, log_threshold: float) -> bool:
-        """True when the estimate is strictly above exp(log_threshold)."""
-        return self.log_ratio > log_threshold
-
-    def value(self) -> float:
-        """The estimate as a plain float (0.0 / inf for the sentinels)."""
-        return math.exp(self.log_ratio)
-
 
 def compare_sample_size(c: float, eps: float, delta: float) -> int:
     """The query count of one :func:`compare`; refuses parameters it cannot take."""

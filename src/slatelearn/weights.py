@@ -15,10 +15,6 @@ from .oracle import ReplayOracle, build_replay_table
 ALGO_TAG = 0xA160
 
 
-def _algo_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, ALGO_TAG)))
-
-
 def generate_weights(forest: EstimationForest) -> LogWeightMnl:
     """Assign model weights from a forest's ratio estimates; zero queries.
 
@@ -63,13 +59,8 @@ def learn_adaptive(oracle, n: int, eps: float, delta: float,
     query count grows as n log n times polynomial factors in 1/eps and
     log(1/delta). Individual pairs may be queried heavily.
     """
-    _check_learn_args(oracle, n, eps, delta)
-    if n == 1:
-        return LogWeightMnl(np.zeros(1))
-    eps_prime = eps / 13.0
-    forest = build_estimation_forest(oracle, 0.5, eps_prime / 9.0, delta,
-                                     _algo_rng(seed))
-    return generate_weights(forest)
+    return _learn(build_estimation_forest, oracle, n, eps, delta,
+                  (eps / 13.0) / 9.0, seed)
 
 
 def learn_balanced(oracle, n: int, eps: float, delta: float,
@@ -81,13 +72,20 @@ def learn_balanced(oracle, n: int, eps: float, delta: float,
     the forest is built at accuracy eps directly; the theory budget applies
     the full (eps/13)/9 composition instead.
     """
+    forest_eps = (eps / 13.0) / 9.0 if budget.worst_case else eps
+    return _learn(build_balanced_estimation_forest, oracle, n, eps, delta,
+                  forest_eps, seed, budget=budget)
+
+
+def _learn(build, oracle, n: int, eps: float, delta: float, forest_eps: float,
+           seed: int, **budget) -> LogWeightMnl:
+    """Both learners: the weights of ``build``'s forest at alpha = 1/2."""
     _check_learn_args(oracle, n, eps, delta)
     if n == 1:
         return LogWeightMnl(np.zeros(1))
-    forest_eps = (eps / 13.0) / 9.0 if budget.compose_theory else eps
-    forest = build_balanced_estimation_forest(oracle, 0.5, forest_eps, delta,
-                                              budget, _algo_rng(seed))
-    return generate_weights(forest)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, ALGO_TAG)))
+    return generate_weights(build(oracle, 0.5, forest_eps, delta, rng=rng,
+                                  **budget))
 
 
 def learn_nonadaptive(oracle, n: int, eps: float, delta: float, m: int,
@@ -103,7 +101,7 @@ def learn_nonadaptive(oracle, n: int, eps: float, delta: float, m: int,
     """
     _check_learn_args(oracle, n, eps, delta)
     table = build_replay_table(oracle, m)
-    replay = ReplayOracle(table, n)
+    replay = ReplayOracle(table)
     model = learn_balanced(replay, n, eps, delta, budget, seed)
     return model, replay
 

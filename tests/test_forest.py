@@ -6,7 +6,7 @@ import pytest
 import slatelearn as sl
 from conftest import failure_bound, mnl
 from slatelearn import forest as forest_mod
-from slatelearn.forest import HOP_BOUND, forest_to_dict
+from slatelearn.forest import HOP_BOUND
 
 
 def build_adaptive(model, seed, alpha=0.5, eps=0.3, delta=0.1):
@@ -228,16 +228,6 @@ class TestValidateForest:
             f, _ = build_adaptive(model, seed=t)
             clean += sl.validate_forest(f, model.log_w).ok
         assert clean / trials >= 0.90
-
-
-class TestSerialization:
-    def test_forest_to_dict_round_trips_edges(self):
-        f, _ = build_adaptive(mnl(1.0, 2.0, 50.0), seed=0)
-        doc = forest_to_dict(f)
-        assert doc["n"] == 3 and doc["t"] == 5
-        assert len(doc["edges"]) == len(f.edge_log)
-        for u, v, lr in doc["edges"]:
-            assert f.edge_log[(u, v)] == lr
 
 
 # Reference implementations: the per-item walks and the pair-by-pair

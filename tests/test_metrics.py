@@ -204,6 +204,15 @@ class TestDistanceSampled:
         b = mnl(*range(2, 10))
         assert sl.distance_sampled(a, b, 5).slates_checked <= 5
 
+    def test_one_item_model_has_only_its_full_slate(self):
+        a = sl.LogWeightMnl(np.zeros(1))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        rep = sl.distance_sampled(a, a, 10, rng)
+        assert rep.slates_checked == 1 and rep.argmax_slate == (0,)
+        assert rep.d1 == rep.dinf == 0.0
+        assert rng.bit_generator.state == state
+
     def test_matches_reference_listing(self):
         # n - 1 <= k lists pairs and random subsets; n - 1 > k stops early
         k = 50

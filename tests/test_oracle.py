@@ -79,7 +79,7 @@ class TestLedger:
         o = sl.LiveOracle(mnl(1.0, 2.0, 3.0), seed=1,
                           pair_mode="binomial" if mode == "binomial" else "stream")
         if mode == "replay":
-            o = sl.ReplayOracle(sl.build_replay_table(o, 4), 3)
+            o = sl.ReplayOracle(sl.build_replay_table(o, 4))
         else:
             o.slate_win_counts([0, 1, 2], 0)
         o.pair_win_count(0, 1, 0)
@@ -215,7 +215,7 @@ class TestDeterminism:
         a, b = (sl.LiveOracle(model, seed=6, pair_mode="stream",
                               transcript=True) for _ in range(2))
         if replay:
-            a, b = (sl.ReplayOracle(sl.build_replay_table(o, 60), 4)
+            a, b = (sl.ReplayOracle(sl.build_replay_table(o, 60))
                     for o in (a, b))
         for count in (7, 1, 0, 20):
             wins = a.pair_win_count(us, 2, count)
@@ -283,6 +283,27 @@ class TestStreamChunks:
         np.testing.assert_array_equal(o.sample_pair_block(0, 1, 50),
                                       fresh.sample_pair_block(0, 1, 50))
 
+    @pytest.mark.parametrize("call", [
+        "block binomial", "block stream", "sums binomial", "sums stream"])
+    def test_waits_above_the_cap_draw_and_charge_nothing(self, call):
+        # p_0 = 1e-7 sends the binomial sums down the per-wait path
+        method, mode = call.split()
+        o = sl.LiveOracle(sl.LogWeightMnl(np.log([1.0, 1e7 - 1.0])), seed=5,
+                          pair_mode=mode)
+        states = [rng.bit_generator.state for rng in
+                  (o._binomial_rng, o._pair_rng(0, 1))]
+        count = 10**11
+        with pytest.raises(sl.SampleDemandTooLarge) as info:
+            if method == "block":
+                o.sample_geometric_block(0, 1, count)
+            else:
+                o.sample_geometric_sums(0, [1], [[count]])
+        assert info.value.count == count
+        assert info.value.cap == STREAM_MAX_DRAWS
+        assert o.ledger == sl.QueryLedger()
+        assert [rng.bit_generator.state for rng in
+                (o._binomial_rng, o._pair_rng(0, 1))] == states
+
     def test_binomial_mode_has_no_stream_cap(self):
         o = sl.LiveOracle(mnl(1.0, 1.0), seed=5)
         assert o.pair_win_count(0, 1, 4 * STREAM_MAX_DRAWS) > 0
@@ -313,7 +334,7 @@ class TestReplay:
         live = sl.LiveOracle(model, seed=11, pair_mode="stream")
         table = sl.build_replay_table(sl.LiveOracle(model, seed=11,
                                                     pair_mode="stream"), 100)
-        replay = sl.ReplayOracle(table, 3)
+        replay = sl.ReplayOracle(table)
         for _ in range(50):
             assert live.sample_pair(0, 2) == replay.sample_pair(0, 2)
             assert live.max_sample([2, 0]) == replay.max_sample([2, 0])
@@ -323,7 +344,7 @@ class TestReplay:
     def test_budget_exhaustion(self):
         o = sl.LiveOracle(uniform_pair(), seed=0)
         table = sl.build_replay_table(o, 3)
-        replay = sl.ReplayOracle(table, 2)
+        replay = sl.ReplayOracle(table)
         replay.sample_pair_block(0, 1, 3)
         with pytest.raises(sl.ReplayBudgetExhausted):
             replay.sample_pair(0, 1)
@@ -331,7 +352,7 @@ class TestReplay:
     def test_replay_sample_cursor(self):
         o = sl.LiveOracle(uniform_pair(), seed=1)
         table = sl.build_replay_table(o, 4)
-        replay = sl.ReplayOracle(table, 2)
+        replay = sl.ReplayOracle(table)
         expected = np.where(table.answers[(0, 1)], 0, 1).tolist()
         got = [replay.sample_pair(0, 1) for _ in range(4)]
         assert got == expected
@@ -343,7 +364,7 @@ class TestReplay:
 
     def test_exhausted_block_moves_nothing(self):
         table = sl.build_replay_table(sl.LiveOracle(uniform_pair(), seed=2), 5)
-        replay = sl.ReplayOracle(table, 2)
+        replay = sl.ReplayOracle(table)
         replay.sample_pair_block(0, 1, 2)
         with pytest.raises(sl.ReplayBudgetExhausted) as info:
             replay.pair_win_count(1, 0, 4)
@@ -360,7 +381,7 @@ class TestReplay:
         live = sl.LiveOracle(model, seed=13, pair_mode="stream")
         table = sl.build_replay_table(sl.LiveOracle(model, seed=13,
                                                     pair_mode="stream"), 500)
-        replay = sl.ReplayOracle(table, 2)
+        replay = sl.ReplayOracle(table)
         for _ in range(30):
             assert live.sample_geometric(0, 1) == replay.sample_geometric(0, 1)
         assert live.ledger.per_pair == replay.ledger.per_pair
@@ -379,7 +400,7 @@ class TestReplay:
 
     def test_replay_rejects_big_slates(self):
         o = sl.LiveOracle(mnl(1.0, 1.0, 1.0), seed=0)
-        replay = sl.ReplayOracle(sl.build_replay_table(o, 2), 3)
+        replay = sl.ReplayOracle(sl.build_replay_table(o, 2))
         with pytest.raises(ValueError):
             replay.max_sample([0, 1, 2])
 
@@ -581,7 +602,7 @@ class TestGeometricSums:
     def test_replay_sums_are_segment_sums_of_the_block(self):
         model = mnl(1.0, 4.0)
         replays = [sl.ReplayOracle(sl.build_replay_table(
-            sl.LiveOracle(model, seed=13, pair_mode="stream"), 500), 2)
+            sl.LiveOracle(model, seed=13, pair_mode="stream"), 500))
             for _ in range(2)]
         for _ in range(3):
             sums = replays[0].sample_geometric_sums(0, 1, COUNTS)
@@ -592,7 +613,7 @@ class TestGeometricSums:
 
     def test_exhausted_replay_sums_move_nothing(self):
         table = sl.build_replay_table(sl.LiveOracle(uniform_pair(), seed=2), 50)
-        replay = sl.ReplayOracle(table, 2)
+        replay = sl.ReplayOracle(table)
         replay.sample_geometric_sums(0, 1, [2, 3])
         cursor, ledger = table.cursors[(0, 1)], dict(replay.ledger.per_pair)
         with pytest.raises(sl.ReplayBudgetExhausted):
@@ -689,7 +710,7 @@ class TestGeometricColumns:
                                  pair_mode="stream", transcript=True)
             if mode == "stream":
                 return live
-            return sl.ReplayOracle(sl.build_replay_table(live, 3000), 8)
+            return sl.ReplayOracle(sl.build_replay_table(live, 3000))
 
         a, b = oracle(), oracle()
         for _ in range(2):
@@ -727,7 +748,7 @@ class TestGeometricColumns:
                                  transcript=True)
             if mode == "stream":
                 return live
-            return sl.ReplayOracle(sl.build_replay_table(live, 50_000), 4)
+            return sl.ReplayOracle(sl.build_replay_table(live, 50_000))
 
         a, b = oracle(), oracle()
         with pytest.raises(sl.GeometricCapExceeded):
@@ -741,7 +762,7 @@ class TestGeometricColumns:
         model = mnl(1.0, 1.0, 1.0, 1.0)
         counts = np.array([[3, 40, 2], [4, 40, 1]])
         a, b = (sl.ReplayOracle(sl.build_replay_table(
-            sl.LiveOracle(model, seed=25, pair_mode="stream"), 60), 4)
+            sl.LiveOracle(model, seed=25, pair_mode="stream"), 60))
             for _ in range(2))
         with pytest.raises(sl.ReplayBudgetExhausted):
             a.sample_geometric_sums(0, np.array([1, 2, 3]), counts)
@@ -800,7 +821,7 @@ class TestStreamWaits:
         a, b = (sl.LiveOracle(mnl(1.0, 9.0), seed=6, pair_mode="stream",
                               transcript=True) for _ in range(2))
         replay = sl.ReplayOracle(sl.build_replay_table(
-            sl.LiveOracle(mnl(1.0, 9.0), seed=6, pair_mode="stream"), 20_000), 2)
+            sl.LiveOracle(mnl(1.0, 9.0), seed=6, pair_mode="stream"), 20_000))
         # P(one wait > 30) = 0.9^30, about 4 %
         with pytest.raises(sl.GeometricCapExceeded):
             a.sample_geometric_block(0, 1, 2000)

@@ -133,7 +133,9 @@ class TestClusterSort:
             for u in members:
                 u = int(u)
                 if u != c:
-                    assert g.log_star_ratio(u, c) == -g.log_star_ratio(c, u)
+                    forest = sl.EstimationForest(graph=g, edge_log={}, eps=0.1)
+                    forest.add_edge(u, c, g.star_log[u])
+                    assert forest.log_ratio(u, c) == -forest.log_ratio(c, u)
 
     def test_only_pairs_queried(self):
         o = sl.LiveOracle(mnl(1.0, 4.0, 16.0), seed=5)
@@ -152,7 +154,7 @@ class TestClusterSort:
                             0.1)
         assert g.violations == [("zero-ratio", 0, 1)]
         assert g.T == 1 and int(g.centers[0]) == 1
-        assert g.log_star_ratio(0, 1) == math.log(alpha)
+        assert g.star_log[0] == math.log(alpha)
 
 
 class TestQuicksortClustering:

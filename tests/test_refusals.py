@@ -1,0 +1,110 @@
+"""Every input the package refuses raises its own exception type.
+
+One call per refusal that no other test reaches: a bad argument must end in
+the documented exception, never in a bare numpy or lookup error further in.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+import slatelearn as sl
+from conftest import mnl
+from slatelearn.oracle import TRANSCRIPT_MAGIC
+from slatelearn.primitives import compare_sample_size, ratio_sample_size
+
+
+def live(n=3, mode="binomial"):
+    return sl.LiveOracle(mnl(*range(1, n + 1)), seed=0, pair_mode=mode)
+
+
+def graph(**changes):
+    """Clusters {0, 1} and {2} with centers 0 and 2, then ``changes``."""
+    fields = dict(clusters=[np.array([0, 1]), np.array([2])],
+                  centers=np.array([0, 2]), star_log={1: 0.0},
+                  gamma=np.array([0, 0, 1]), a1=2.0, a2=2.0, eps=0.1)
+    return sl.ClusterGraph(**{**fields, **changes})
+
+
+def version_2_transcript(tmp_path):
+    path = tmp_path / "v2.sltr"
+    path.write_bytes(TRANSCRIPT_MAGIC + struct.pack("<II", 2, 0))
+    return sl.read_transcript(path)
+
+
+def balanced_estimate(i, j):
+    return sl.balanced_estimate_ratio(live(), graph(), i, j, 0.1, 0.5, 0.1)
+
+
+REFUSALS = [
+    ("record_slate(2)", ValueError,
+     lambda _: sl.QueryLedger().record_slate(2)),
+    ("LiveOracle pair_mode", ValueError,
+     lambda _: sl.LiveOracle(mnl(1.0, 2.0), seed=0, pair_mode="x")),
+    ("slate_win_counts on a pair", ValueError,
+     lambda _: live().slate_win_counts([0, 1], 5)),
+    ("build_replay_table m=0", ValueError,
+     lambda _: sl.build_replay_table(live(mode="stream"), 0)),
+    ("read_transcript version 2", ValueError, version_2_transcript),
+    ("epsilon_ordering eps_o", ValueError,
+     lambda _: sl.epsilon_ordering(live(), 3, 1.0, 0.1)),
+    ("epsilon_ordering n=0", ValueError,
+     lambda _: sl.epsilon_ordering(live(), 0, 0.3, 0.1)),
+    ("epsilon_ordering n != oracle.n", ValueError,
+     lambda _: sl.epsilon_ordering(live(), 4, 0.3, 0.1)),
+    ("cluster_sort alpha", ValueError,
+     lambda _: sl.cluster_sort(live(), 0.7, 0.1, 0.1)),
+    ("compare_sample_size delta", ValueError,
+     lambda _: compare_sample_size(0.5, 0.3, 1.5)),
+    ("ratio_sample_size alpha", ValueError,
+     lambda _: ratio_sample_size(0.7, 0.3, 0.1)),
+    ("BalancedEstimateParams.calibrated eps=0.2", ValueError,
+     lambda _: sl.BalancedEstimateParams.calibrated(0.2, 0.5, 0.1, 2, 2.0,
+                                                    16.0)),
+    ("balanced_estimate_ratio i == j", ValueError,
+     lambda _: balanced_estimate(0, 0)),
+    ("balanced_estimate_ratio i < j", ValueError,
+     lambda _: balanced_estimate(0, 1)),
+    ("learn_adaptive delta", ValueError,
+     lambda _: sl.learn_adaptive(live(), 3, 0.5, 0.0)),
+    ("learn_balanced delta", ValueError,
+     lambda _: sl.learn_balanced(live(), 3, 0.5, 1.0)),
+    ("learn_nonadaptive delta", ValueError,
+     lambda _: sl.learn_nonadaptive(live(mode="stream"), 3, 0.5, 2.0, 10)),
+    ("distance_exact n mismatch", ValueError,
+     lambda _: sl.distance_exact(mnl(1.0, 2.0), mnl(1.0, 2.0, 3.0))),
+    ("distance_sampled n mismatch", ValueError,
+     lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0, 3.0), 5)),
+    ("distance_sampled k=0", ValueError,
+     lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), 0)),
+    ("separation_fixture n=1", ValueError,
+     lambda _: sl.separation_fixture(1, 0.1)),
+    ("separation_fixture eps", ValueError,
+     lambda _: sl.separation_fixture(4, 1.5)),
+    ("pair_probability(u, u)", ValueError,
+     lambda _: sl.pair_probability(mnl(1.0, 2.0), 1, 1)),
+    ("generate_instance rho=0", ValueError,
+     lambda _: sl.generate_instance(
+         sl.InstanceSpec("geometric-ratio", 3, params={"rho": 0.0}))),
+    ("check_structure without a star edge", AssertionError,
+     lambda _: graph(star_log={}).check_structure()),
+    ("check_structure without a partition", AssertionError,
+     lambda _: graph(clusters=[np.array([0, 1]), np.array([1])])
+     .check_structure()),
+    ("check_structure with a foreign center", AssertionError,
+     lambda _: graph(centers=np.array([2, 2])).check_structure()),
+    ("check_structure with a wrong gamma", AssertionError,
+     lambda _: graph(gamma=np.array([0, 1, 1])).check_structure()),
+    ("generate_weights without a star edge", AssertionError,
+     lambda _: sl.generate_weights(sl.EstimationForest(
+         graph=graph(star_log={}), edge_log={}, eps=0.1))),
+]
+
+
+@pytest.mark.parametrize("call, error",
+                         [(call, error) for _, error, call in REFUSALS],
+                         ids=[name for name, _, _ in REFUSALS])
+def test_refusal_raises_its_type(tmp_path, call, error):
+    with pytest.raises(error):
+        call(tmp_path)

@@ -1,0 +1,69 @@
+"""Static checks on the package source, using only the standard library.
+
+Every name a module imports must be read somewhere in that module, and
+``slatelearn.__all__`` must list exactly the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slatelearn"
+# perfbench's tracer patches this name on the module, so it stays imported
+# there though the module itself never reads it
+PATCHED = {("metrics", "slate_distribution")}
+
+
+def parse(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / (name + ".py")).read_text())
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Each name an import binds, mapped to the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def all_list(tree: ast.Module) -> list:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def read_names(tree: ast.Module) -> set:
+    """Names the module loads, plus the ones its ``__all__`` exports."""
+    loads = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return loads | set(all_list(tree))
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_read(module):
+    tree = parse(module)
+    unread = {name: line for name, line in imported_names(tree).items()
+              if name not in read_names(tree) and (module, name) not in PATCHED}
+    assert unread == {}, "imported but never read in {}.py".format(module)
+
+
+def test_all_lists_the_public_names():
+    tree = parse("__init__")
+    exported = all_list(tree)
+    public = {name for name in imported_names(tree) if not name.startswith("_")}
+    public |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+               for t in node.targets if isinstance(t, ast.Name)
+               and not t.id.startswith("_")}
+    assert len(exported) == len(set(exported)), "__all__ repeats a name"
+    assert set(exported) == public

@@ -9,9 +9,7 @@ layer that turns the balanced learner into a one-batch non-adaptive one.
 
 from .config import DEFAULT_BUDGET, QueryBudget
 from .errors import (DemandTooLarge, ForestBuildFailure, GeometricCapExceeded,
-                     ReplayBudgetExhausted, ReplayTableTooLarge,
-                     SampleDemandTooLarge, SlateLearnError,
-                     StreamDemandTooLarge)
+                     ReplayBudgetExhausted, SlateLearnError)
 from .forest import (EstimationForest, PotentialState, ViolationReport,
                      build_balanced_estimation_forest, build_estimation_forest,
                      validate_forest)
@@ -41,9 +39,7 @@ __all__ = [
     "GeometricCapExceeded", "InstanceSpec", "LiveOracle", "LogWeightMnl",
     "MatchingPseudoMnl", "Model", "Ordering", "PotentialState", "QueryBudget",
     "QueryLedger", "RatioEstimate", "ReplayBudgetExhausted", "ReplayOracle",
-    "ReplayTable", "ReplayTableTooLarge", "SampleDemandTooLarge",
-    "SlateLearnError", "StreamDemandTooLarge",
-    "ViolationReport",
+    "ReplayTable", "SlateLearnError", "ViolationReport",
     "balanced_estimate_ratio", "build_balanced_estimation_forest",
     "build_estimation_forest", "build_replay_table", "cluster_sort",
     "compare", "distance_exact", "distance_sampled", "epsilon_ordering",

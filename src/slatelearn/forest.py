@@ -251,12 +251,10 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
         ber_calls[(i, j)] = ber_calls.get((i, j), 0) + 1
         if budget.worst_case:
             params = BalancedEstimateParams.from_formulas(
-                graph.a1, graph.a2, eps2, cutoff, pair_delta,
-                len(graph.clusters[j]))
+                graph.a1, graph.a2, eps2, cutoff, pair_delta)
         else:
             params = BalancedEstimateParams.calibrated(
-                eps2, cutoff, pair_delta, len(graph.clusters[j]),
-                budget.ber_m_mult, budget.ber_n_mult)
+                eps2, cutoff, pair_delta, budget.ber_m_mult, budget.ber_n_mult)
         return balanced_estimate_ratio(oracle, graph, i, j, eps2, cutoff,
                                        pair_delta, params)
 

@@ -159,6 +159,10 @@ def estimates_on_all_slates(oracle, eps: float, delta: float) -> dict:
     distribution is within total l1 distance eps of the truth. Returns a
     dict mapping each slate tuple to its empirical probability vector.
     """
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
     n = oracle.n
     q = math.ceil((2.0 / (eps * eps)) * (n * math.log(3.0)
                                          + math.log(2.0 / delta)))

@@ -18,8 +18,10 @@ Oracles come in two pair-sampling modes:
     turns answers into winner ids. A :class:`ReplayOracle` is this mode with
     its answers drawn in advance: it runs the same stream-mode code and only
     reads each pair's booleans from a table (one byte per answer), so a live
-    run and a replayed run agree bit for bit. A stream oracle can keep a
-    transcript of every answer, held as the same boolean chunks.
+    run and a replayed run agree bit for bit. A replay reads a pair's table
+    from where its own ledger stands, so the table is read-only and serves
+    any number of replays. A stream oracle can keep a transcript of every
+    answer, held as the same boolean chunks.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -45,9 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GeometricCapExceeded, ReplayBudgetExhausted,
-                     ReplayTableTooLarge, SampleDemandTooLarge,
-                     StreamDemandTooLarge)
+from .errors import DemandTooLarge, GeometricCapExceeded, ReplayBudgetExhausted
 from .models import Model, pair_probabilities, pair_probability
 
 PAIR_TAG = 0x70AB
@@ -218,7 +218,7 @@ class LiveOracle:
         self.ledger.record_slate(slate.size, count)
         return counts
 
-    def _stream_answers(self, u: int, v: int, count: int):
+    def _stream_answers(self, u: int, v: int, count: int, used: int = 0):
         """Yield ``count`` answers from the pair stream, one chunk at a time.
 
         An answer is True where the lower-indexed item won. Uniform draws
@@ -226,11 +226,15 @@ class LiveOracle:
         answers a stream produces are independent of the order the caller
         names the pair in. Replay correctness depends on this. Chunked draws
         give the same doubles as one ``random(count)``. A count above
-        STREAM_MAX_DRAWS raises before anything is drawn.
+        STREAM_MAX_DRAWS raises before anything is drawn. ``used`` counts
+        the answers the calling method has read but not yet charged; the
+        Generator already stands past them, so a live oracle ignores it.
         """
         a, b = (u, v) if u < v else (v, u)
         if count > STREAM_MAX_DRAWS:
-            raise StreamDemandTooLarge((a, b), count, STREAM_MAX_DRAWS)
+            raise DemandTooLarge(
+                "the stream draws of pair ({}, {}) in one call".format(a, b),
+                count, STREAM_MAX_DRAWS, "use binomial mode")
         p_a = pair_probability(self.model, a, b)
         rng = self._pair_rng(a, b)
         for lo in range(0, max(count, 1), STREAM_CHUNK):
@@ -307,12 +311,12 @@ class LiveOracle:
 
         Every per-wait draw passes here, in both modes: a count above
         STREAM_MAX_DRAWS, whose block of int64 losses alone would pass
-        8 GiB, raises ``SampleDemandTooLarge`` before anything is drawn.
+        8 GiB, raises ``DemandTooLarge`` before anything is drawn.
         """
         if count > STREAM_MAX_DRAWS:
-            raise SampleDemandTooLarge(
+            raise DemandTooLarge(
                 "the waits of pair ({}, {}) in one call".format(u, v), count,
-                STREAM_MAX_DRAWS)
+                STREAM_MAX_DRAWS, "use the calibrated budget or a larger eps")
         if self.pair_mode == "stream":
             return self._stream_waits(u, v, count)
         p_u = pair_probability(self.model, u, v)
@@ -342,7 +346,7 @@ class LiveOracle:
         k = used = 0
         while k < count:
             r = min(count - k, STREAM_CHUNK, GEOMETRIC_CAP - int(losses[k]))
-            first = next(self._stream_answers(u, v, r))
+            first = next(self._stream_answers(u, v, r, used))
             wins = np.flatnonzero(first if u < v else ~first)
             used += r
             if wins.size == 0:
@@ -451,9 +455,9 @@ class LiveOracle:
                   rng.negative_binomial(chunk, p_u, int(pieces.sum())).tolist())
         self.ledger.record_pair(u, v, int(totals.sum()) + sum(counts.tolist()))
         if totals.max() > INT64_MAX:
-            raise SampleDemandTooLarge(
+            raise DemandTooLarge(
                 "the loss total of pair ({}, {})".format(u, v), totals.max(),
-                INT64_MAX)
+                INT64_MAX, "use the calibrated budget or a larger eps")
         return totals.astype(np.int64)
 
 
@@ -476,18 +480,18 @@ def _binomial_pieces(count: int) -> list:
             for lo in range(0, max(count, 1), BINOMIAL_CHUNK)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayTable:
     """Pre-sampled answers, m per pair of the n items, for a pair-only learner.
 
-    A :class:`ReplayOracle` reads its item count from ``n`` and each pair's
-    answers from ``answers``, from the position ``cursors`` holds on.
+    Read-only: a :class:`ReplayOracle` reads its item count from ``n`` and
+    each pair's answers from ``answers``, so one table serves any number of
+    replays.
     """
 
     n: int
     m: int
     answers: dict  # (u, v) with u < v -> bool array, length m; True = u won
-    cursors: dict  # same keys -> next unread position
 
 
 def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
@@ -501,15 +505,16 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
     n = oracle.n
     pairs = n * (n - 1) // 2
     if pairs * m > REPLAY_MAX_ANSWERS:
-        raise ReplayTableTooLarge(pairs, m, REPLAY_MAX_ANSWERS)
+        raise DemandTooLarge(
+            "a replay table of {} pairs x {} answers".format(pairs, m),
+            pairs * m, REPLAY_MAX_ANSWERS, "use a smaller m or n")
     answers = {}
     for u in range(n):
         for v in range(u + 1, n):
             answers[(u, v)] = np.concatenate(
                 list(oracle._stream_answers(u, v, m)))
             oracle.ledger.record_pair(u, v, m)
-    return ReplayTable(n=n, m=m, answers=answers,
-                       cursors={k: 0 for k in answers})
+    return ReplayTable(n=n, m=m, answers=answers)
 
 
 class ReplayOracle:
@@ -518,7 +523,10 @@ class ReplayOracle:
     It answers only pair queries, reading each pair's answers from the
     :class:`ReplayTable` where a live stream would draw them; every other
     step is :class:`LiveOracle`'s own stream-mode code. Its ledger counts
-    *simulated* queries; no live oracle is touched.
+    *simulated* queries, and is its read position: a pair's next answer is
+    the one at ``ledger.per_pair[pair]``. No live oracle is touched and the
+    table is never written, so replays of one table, in any interleaving,
+    each read the answers a live stream of the same seed would draw.
     """
 
     pair_mode = "stream"
@@ -528,18 +536,16 @@ class ReplayOracle:
         self.n = table.n
         self.ledger = QueryLedger()
 
-    def _stream_answers(self, u: int, v: int, count: int):
-        """Yield the pair's next ``count`` answers; the cursor moves past them.
+    def _stream_answers(self, u: int, v: int, count: int, used: int = 0):
+        """Yield the pair's next ``count`` answers, after ``used`` uncharged ones.
 
-        Raises ``ReplayBudgetExhausted`` before the cursor moves when fewer
-        are left.
+        Raises ``ReplayBudgetExhausted`` when fewer are left.
         """
         key = (u, v) if u < v else (v, u)
-        cur = self.table.cursors[key]
-        if cur + count > self.table.m:
+        at = self.ledger.per_pair.get(key, 0) + used
+        if at + count > self.table.m:
             raise ReplayBudgetExhausted(key, self.table.m)
-        self.table.cursors[key] = cur + count
-        yield self.table.answers[key][cur:cur + count]
+        yield self.table.answers[key][at:at + count]
 
     def max_sample(self, slate) -> int:
         slate = np.asarray(slate, dtype=np.int64)
@@ -547,19 +553,9 @@ class ReplayOracle:
             raise ValueError("a replay oracle can only answer pair queries")
         return self.sample_pair(int(slate[0]), int(slate[1]))
 
-    def _stream_waits(self, u: int, v: int, count: int) -> np.ndarray:
-        """As :meth:`LiveOracle._stream_waits` on the table.
-
-        Raises ``ReplayBudgetExhausted`` without moving the cursor or the
-        ledger when the table runs out partway through the waits.
-        """
-        key = (u, v) if u < v else (v, u)
-        cur = self.table.cursors[key]
-        try:
-            return LiveOracle._stream_waits(self, u, v, count)
-        except ReplayBudgetExhausted:
-            self.table.cursors[key] = cur
-            raise
+    def slate_win_counts(self, slate, count: int):
+        """Refused: the table holds answers to pair queries only."""
+        raise ValueError("a replay oracle can only answer pair queries")
 
     # Assigned, not inherited: perfbench's tracer wraps each class's own
     # methods, so every method a replay answers with is in its class body.
@@ -568,6 +564,7 @@ class ReplayOracle:
     pair_win_count = LiveOracle.pair_win_count
     sample_geometric = LiveOracle.sample_geometric
     sample_geometric_block = LiveOracle.sample_geometric_block
+    _stream_waits = LiveOracle._stream_waits
     sample_geometric_sums = LiveOracle.sample_geometric_sums
 
 

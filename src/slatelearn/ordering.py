@@ -81,6 +81,8 @@ def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
     """
     if not (0.0 < eps_o < 1.0):
         raise ValueError("eps_o must lie in (0, 1)")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n != oracle.n:
@@ -172,6 +174,8 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
         raise ValueError("eps must lie in (0, 1/7)")
     if not (0.0 < alpha <= 0.5):
         raise ValueError("alpha must lie in (0, 1/2]")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
     n = oracle.n
     ordering = epsilon_ordering(oracle, n, 1.0 / 3.0, delta / 2.0, rng)
     seq = ordering.sequence

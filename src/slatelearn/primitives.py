@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SampleDemandTooLarge
+from .errors import DemandTooLarge
 
 # Most geometric waits one balanced ratio estimate may ask for, so that its
 # count matrix stays exact in int64.
@@ -145,17 +145,16 @@ class BalancedEstimateParams:
     """Sample-shape of one balanced ratio estimate.
 
     M groups of N values are averaged and the lower median of the group
-    means is taken; the underlying geometric waits are spread over the
-    lighter cluster, at most xi per member.
+    means is taken; the underlying geometric waits are spread round robin
+    over the lighter cluster (see :func:`round_robin_counts`).
     """
 
     M: int
     N: int
-    xi: int
 
     @staticmethod
     def from_formulas(A1: float, A2: float, eps: float, alpha: float,
-                      delta: float, cluster_size: int) -> "BalancedEstimateParams":
+                      delta: float) -> "BalancedEstimateParams":
         """Worst-case sample shape; requires eps < 1/5."""
         if not (0.0 < eps < 0.2):
             raise ValueError("balanced ratio estimation requires eps < 1/5")
@@ -165,19 +164,17 @@ class BalancedEstimateParams:
         n_ae = b1 * b1 / (alpha * eps * eps)
         M = math.ceil(8.0 * math.log(2.0 / delta))
         N = math.ceil(2.0 * A1 * (1.0 + A1 / A2) * n_ae)
-        xi = math.ceil(M * N / cluster_size)
-        return BalancedEstimateParams(M=M, N=N, xi=xi)
+        return BalancedEstimateParams(M=M, N=N)
 
     @staticmethod
-    def calibrated(eps: float, alpha: float, delta: float, cluster_size: int,
-                   m_mult: float, n_mult: float) -> "BalancedEstimateParams":
+    def calibrated(eps: float, alpha: float, delta: float, m_mult: float,
+                   n_mult: float) -> "BalancedEstimateParams":
         """Budgeted sample shape; same scaling in alpha and eps, smaller leads."""
         if not (0.0 < eps < 0.2):
             raise ValueError("balanced ratio estimation requires eps < 1/5")
         M = max(3, math.ceil(m_mult * math.log(2.0 / delta)))
         N = math.ceil(n_mult * (1.0 / alpha + 1.0 / (eps * eps)))
-        xi = math.ceil(M * N / cluster_size)
-        return BalancedEstimateParams(M=M, N=N, xi=xi)
+        return BalancedEstimateParams(M=M, N=N)
 
 
 def round_robin_counts(M: int, N: int, size: int) -> np.ndarray:
@@ -203,16 +200,16 @@ def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
     For each member s of cluster j, the product of the member-to-center
     ratio r(c_j, s) and a geometric wait of c_i against s is an unbiased
     estimate of w_{c_j} / w_{c_i}. M * N such values, taken round robin
-    across the cluster so no member answers more than xi of them, are
-    grouped into M means; Y is the lower median of the means. A value of
-    Y <= (3/4) alpha reports the ratio as infinite, otherwise the estimate
-    is 1 / Y. This primitive never reports zero.
+    across the cluster so no member answers more than ceil(M N / |C_j|) of
+    them, are grouped into M means; Y is the lower median of the means. A
+    value of Y <= (3/4) alpha reports the ratio as infinite, otherwise the
+    estimate is 1 / Y. This primitive never reports zero.
 
     A group mean needs only the loss total each member contributes to it,
     so the whole estimate is one ``sample_geometric_sums`` call on the
     count matrix of :func:`round_robin_counts`, one column per member:
     O(M |C_j|) time and memory, not O(M N). A demand of M * N above 2^62
-    waits raises ``SampleDemandTooLarge`` before anything is drawn.
+    waits raises ``DemandTooLarge`` before anything is drawn.
 
     With the worst-case parameters (requiring eps < 1/5): a true ratio at
     most 1/alpha is never reported infinite, one of at least 9/alpha always
@@ -223,10 +220,11 @@ def balanced_estimate_ratio(oracle, graph, i: int, j: int, eps: float,
     members = graph.clusters[j]
     if params is None:
         params = BalancedEstimateParams.from_formulas(
-            graph.a1, graph.a2, eps, alpha, delta, len(members))
+            graph.a1, graph.a2, eps, alpha, delta)
     if params.M * params.N > MAX_WAITS:
-        raise SampleDemandTooLarge("the M * N waits of one balanced estimate",
-                                   params.M * params.N, MAX_WAITS)
+        raise DemandTooLarge("the M * N waits of one balanced estimate",
+                             params.M * params.N, MAX_WAITS,
+                             "use the calibrated budget or a larger eps")
     c_i = int(graph.centers[i])
     c_j = int(graph.centers[j])
 

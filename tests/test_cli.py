@@ -239,9 +239,8 @@ class TestTrialRunner:
         # no other seed cures these, so the first attempt's error stands
         for error, exit_code in (
                 (sl.ReplayBudgetExhausted((0, 1), 5), 3),
-                (sl.StreamDemandTooLarge((0, 1), 2**31, 2**30), 2),
-                (sl.SampleDemandTooLarge("M * N waits", 2**63, 2**62), 2),
-                (sl.ReplayTableTooLarge(28, 2**28, 2**30), 2)):
+                (sl.DemandTooLarge("M * N waits", 2**63, 2**62,
+                                   "use a larger eps"), 2)):
             seeds = []
 
             def fail(oracle, n, eps, delta, m, budget, seed):

@@ -226,10 +226,8 @@ class TestDeterminism:
             # a 0-d array is one pair, answered as a one-element array
             assert (a.pair_win_count(np.array(3), 1, count).tolist()
                     == [b.pair_win_count(3, 1, count)])
-        assert a.ledger == b.ledger
-        if replay:
-            assert a.table.cursors == b.table.cursors
-        else:
+        assert a.ledger == b.ledger   # a replay's read position too
+        if not replay:
             np.testing.assert_array_equal(a.transcript, b.transcript)
         with pytest.raises(ValueError):   # us and vs do not broadcast
             a.pair_win_count(us, np.array([2, 3, 0]), 1)
@@ -272,10 +270,10 @@ class TestStreamChunks:
     @pytest.mark.parametrize("method", ["pair_win_count", "sample_pair_block"])
     def test_demand_above_the_cap_draws_and_charges_nothing(self, method):
         o = sl.LiveOracle(mnl(1.0, 1.0), seed=5, pair_mode="stream")
-        with pytest.raises(sl.StreamDemandTooLarge) as info:
+        with pytest.raises(sl.DemandTooLarge) as info:
             getattr(o, method)(1, 0, STREAM_MAX_DRAWS + 1)
-        assert info.value.pair == (0, 1)
         assert info.value.count == STREAM_MAX_DRAWS + 1
+        assert info.value.cap == STREAM_MAX_DRAWS
         assert "(0, 1)" in str(info.value)
         assert str(STREAM_MAX_DRAWS + 1) in str(info.value)
         assert o.ledger.total == 0 and o.ledger.per_pair == {}
@@ -293,7 +291,7 @@ class TestStreamChunks:
         states = [rng.bit_generator.state for rng in
                   (o._binomial_rng, o._pair_rng(0, 1))]
         count = 10**11
-        with pytest.raises(sl.SampleDemandTooLarge) as info:
+        with pytest.raises(sl.DemandTooLarge) as info:
             if method == "block":
                 o.sample_geometric_block(0, 1, count)
             else:
@@ -339,7 +337,7 @@ class TestReplay:
             assert live.sample_pair(0, 2) == replay.sample_pair(0, 2)
             assert live.max_sample([2, 0]) == replay.max_sample([2, 0])
         assert replay.ledger == live.ledger
-        assert table.cursors[(0, 2)] == 100
+        assert replay.ledger.per_pair == {(0, 2): 100}
 
     def test_budget_exhaustion(self):
         o = sl.LiveOracle(uniform_pair(), seed=0)
@@ -359,7 +357,6 @@ class TestReplay:
         with pytest.raises(sl.ReplayBudgetExhausted) as info:
             replay.sample_pair(1, 0)
         assert info.value.pair == (0, 1)
-        assert table.cursors[(0, 1)] == 4
         assert replay.ledger.per_pair == {(0, 1): 4}
 
     def test_exhausted_block_moves_nothing(self):
@@ -369,7 +366,6 @@ class TestReplay:
         with pytest.raises(sl.ReplayBudgetExhausted) as info:
             replay.pair_win_count(1, 0, 4)
         assert (info.value.pair, info.value.m) == ((0, 1), 5)
-        assert table.cursors[(0, 1)] == 2
         assert replay.ledger.per_pair == {(0, 1): 2}
         winners = np.where(table.answers[(0, 1)], 0, 1)
         assert replay.sample_pair(1, 0) == winners[2]
@@ -390,9 +386,9 @@ class TestReplay:
         o = sl.LiveOracle(sl.generate_instance(sl.InstanceSpec("uniform", n=30)),
                           seed=0)
         m = REPLAY_MAX_ANSWERS // 435 + 1
-        with pytest.raises(sl.ReplayTableTooLarge) as info:
+        with pytest.raises(sl.DemandTooLarge) as info:
             sl.build_replay_table(o, m)
-        assert (info.value.pairs, info.value.m) == (435, m)
+        assert info.value.count == 435 * m
         assert info.value.cap == REPLAY_MAX_ANSWERS
         assert "435 pairs" in str(info.value)
         assert str(REPLAY_MAX_ANSWERS) in str(info.value)
@@ -403,6 +399,52 @@ class TestReplay:
         replay = sl.ReplayOracle(sl.build_replay_table(o, 2))
         with pytest.raises(ValueError):
             replay.max_sample([0, 1, 2])
+
+    @staticmethod
+    def power_law_table(m):
+        """A seed-10 power-law model of 4 items, a table of m and its copy."""
+        model = sl.generate_instance(sl.InstanceSpec("power-law", n=4,
+                                                     seed=10))
+        table = sl.build_replay_table(
+            sl.LiveOracle(model, seed=10, pair_mode="stream"), m)
+        return model, table, {k: a.copy() for k, a in table.answers.items()}
+
+    def test_one_table_replays_as_often_as_asked(self):
+        model, table, answers = self.power_law_table(400_000)
+        live = sl.LiveOracle(model, seed=10, pair_mode="stream")
+        runs = [(o, sl.learn_balanced(o, 4, 0.5, 0.1, seed=10)) for o in
+                (live, sl.ReplayOracle(table), sl.ReplayOracle(table))]
+        for replay, learned in runs[1:]:
+            np.testing.assert_array_equal(learned.log_w, runs[0][1].log_w)
+            assert replay.ledger == live.ledger
+        assert live.ledger.max_per_pair <= table.m
+        assert table.answers.keys() == answers.keys()
+        for key, first in answers.items():
+            np.testing.assert_array_equal(table.answers[key], first)
+
+    def test_interleaved_replays_of_one_table_agree(self):
+        model, table, answers = self.power_law_table(500)
+        live = sl.LiveOracle(model, seed=10, pair_mode="stream")
+        oracles = (live, sl.ReplayOracle(table), sl.ReplayOracle(table))
+        calls = [lambda o: o.sample_pair_block(1, 0, 5),
+                 lambda o: o.pair_win_count(np.array([1, 2, 3]), 0, 7),
+                 lambda o: o.sample_geometric(2, 3),
+                 lambda o: o.sample_geometric_sums(
+                     0, np.array([1, 3]), [[2, 0], [3, 4]]),
+                 lambda o: o.max_sample([3, 1]),
+                 lambda o: o.pair_win_count(0, 1, 11)]
+        for call in calls * 3:   # each oracle in turn answers one call
+            first, *rest = (np.asarray(call(o)) for o in oracles)
+            for got in rest:
+                np.testing.assert_array_equal(got, first)
+        assert oracles[1].ledger == oracles[2].ledger == live.ledger
+        for key, first in answers.items():
+            np.testing.assert_array_equal(table.answers[key], first)
+
+    def test_table_is_frozen(self):
+        _, table, _ = self.power_law_table(5)
+        with pytest.raises(AttributeError):
+            table.m = 6
 
 
 class TestGeometric:
@@ -546,7 +588,7 @@ class TestGeometricSums:
 
     def test_loss_total_beyond_int64_raises(self):
         o = sl.LiveOracle(mnl(3.0, 1.0), seed=9)
-        with pytest.raises(sl.SampleDemandTooLarge) as info:
+        with pytest.raises(sl.DemandTooLarge) as info:
             o.sample_geometric_sums(1, 0, [2**62])
         assert info.value.cap == INT64_MAX and info.value.count > INT64_MAX
         # the draws were made, so they are charged
@@ -608,33 +650,30 @@ class TestGeometricSums:
             sums = replays[0].sample_geometric_sums(0, 1, COUNTS)
             block = replays[1].sample_geometric_block(0, 1, sum(COUNTS))
             assert sums.tolist() == segment_sums(block, COUNTS)
-            assert replays[0].table.cursors == replays[1].table.cursors
             assert replays[0].ledger.per_pair == replays[1].ledger.per_pair
 
     def test_exhausted_replay_sums_move_nothing(self):
         table = sl.build_replay_table(sl.LiveOracle(uniform_pair(), seed=2), 50)
         replay = sl.ReplayOracle(table)
         replay.sample_geometric_sums(0, 1, [2, 3])
-        cursor, ledger = table.cursors[(0, 1)], dict(replay.ledger.per_pair)
+        ledger = dict(replay.ledger.per_pair)
         with pytest.raises(sl.ReplayBudgetExhausted):
             replay.sample_geometric_sums(1, 0, [10, 0, 40])
-        assert table.cursors[(0, 1)] == cursor
         assert replay.ledger.per_pair == ledger
         assert replay.sample_geometric_sums(0, 1, [0]).tolist() == [0]
-        assert table.cursors[(0, 1)] == cursor
+        assert replay.ledger.per_pair == ledger
         # past u's last win the table holds only losses of u: a wait reads
-        # some of them, runs out, and puts the cursor back
+        # some of them, runs out, and charges, so moves, nothing
         answers = np.where(table.answers[(0, 1)], 0, 1)
         u = 1 - int(answers[-1])
         last_win = int(np.flatnonzero(answers == u)[-1])
-        assert cursor <= last_win < table.m - 1
-        replay.sample_pair_block(0, 1, last_win + 1 - cursor)
-        cursor, ledger = table.cursors[(0, 1)], dict(replay.ledger.per_pair)
+        assert ledger[(0, 1)] <= last_win < table.m - 1
+        replay.sample_pair_block(0, 1, last_win + 1 - ledger[(0, 1)])
+        ledger = dict(replay.ledger.per_pair)
         for wait in (lambda: replay.sample_geometric(u, 1 - u),
                      lambda: replay.sample_geometric_block(u, 1 - u, 2)):
             with pytest.raises(sl.ReplayBudgetExhausted):
                 wait()
-            assert table.cursors[(0, 1)] == cursor
             assert replay.ledger.per_pair == ledger
 
 
@@ -649,8 +688,7 @@ def assert_same_oracle(a, b):
     """Two oracles that answered the same calls: ledgers and what comes next."""
     assert a.ledger == b.ledger
     assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
-    if isinstance(a, sl.ReplayOracle):
-        assert a.table.cursors == b.table.cursors
+    if isinstance(a, sl.ReplayOracle):   # its ledger is its read position
         return
     if a.pair_mode == "binomial":
         assert a._binomial_rng.random() == b._binomial_rng.random()
@@ -768,7 +806,7 @@ class TestGeometricColumns:
             a.sample_geometric_sums(0, np.array([1, 2, 3]), counts)
         with pytest.raises(sl.ReplayBudgetExhausted):
             member_loop(b, 0, [1, 2, 3], counts)
-        assert a.table.cursors[(0, 2)] == 0 < a.table.cursors[(0, 1)]
+        assert (0, 2) not in a.ledger.per_pair and (0, 1) in a.ledger.per_pair
         assert_same_oracle(a, b)
 
     def test_charges_stay_exact_beyond_int64(self):
@@ -831,7 +869,6 @@ class TestStreamWaits:
         with pytest.raises(sl.GeometricCapExceeded):
             replay.sample_geometric_block(0, 1, 2000)
         assert a.ledger.per_pair == b.ledger.per_pair == replay.ledger.per_pair
-        assert replay.table.cursors[(0, 1)] == a.ledger.total
         np.testing.assert_array_equal(a.transcript, b.transcript)
         assert (a.sample_pair(0, 1) == b.sample_pair(0, 1)
                 == replay.sample_pair(0, 1))

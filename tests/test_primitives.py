@@ -190,17 +190,15 @@ class TestBalancedEstimateRatio:
 
     def test_requires_eps_below_one_fifth(self):
         with pytest.raises(ValueError):
-            sl.BalancedEstimateParams.from_formulas(2.0, 2.0, 0.25, 0.5, 0.1, 1)
+            sl.BalancedEstimateParams.from_formulas(2.0, 2.0, 0.25, 0.5, 0.1)
 
     def test_param_formulas(self):
-        p = sl.BalancedEstimateParams.from_formulas(2.0, 2.0, 0.19, 0.5,
-                                                    0.1, 3)
+        p = sl.BalancedEstimateParams.from_formulas(2.0, 2.0, 0.19, 0.5, 0.1)
         b1 = max(2 * 0.19 / (1 - 0.19 - 0.75), 6 / (1 - 0.19),
                  24 * 0.19 / (23 - 4 * 0.19))
         n_ae = b1 * b1 / (0.5 * 0.19 * 0.19)
         assert p.M == math.ceil(8 * math.log(2 / 0.1))
         assert p.N == math.ceil(2 * 2.0 * (1 + 1.0) * n_ae)
-        assert p.xi == math.ceil(p.M * p.N / 3)
 
     def test_never_zero(self):
         model, graph = self.make(heavy=1000.0, lights=[1.0, 1.0])
@@ -241,8 +239,9 @@ class TestBalancedEstimateRatio:
         p = a2 / (a1 + a2)
         model, graph = self.make(heavy=2.0, lights=[1.0, 1.0, 1.0, 1.0])
         params = sl.BalancedEstimateParams.from_formulas(
-            a1, a2, self.eps, alpha, self.delta, 4)
-        bound = (2 * params.xi / p
+            a1, a2, self.eps, alpha, self.delta)
+        quota = math.ceil(params.M * params.N / 4)   # per member of 4
+        bound = (2 * quota / p
                  + (2 / p ** 2) * math.log(10 * 4 / self.delta) + 1)
         ok = 0
         for t in range(trials):
@@ -254,22 +253,22 @@ class TestBalancedEstimateRatio:
 
     def test_round_robin_quotas(self):
         # with deterministic instant wins, per-pair queries equal the quotas,
-        # which must split M*N evenly and stay at or below xi
+        # which must split M*N evenly and stay at or below ceil(M*N / |C_j|)
         model, graph = self.make(heavy=2.0, lights=[1.0, 1.0, 1.0])
-        params = sl.BalancedEstimateParams(M=4, N=10, xi=14)
+        params = sl.BalancedEstimateParams(M=4, N=10)
         heavy = model.n - 1
         o = FixedOracle(model.n, winner=heavy)
         sl.balanced_estimate_ratio(o, graph, 1, 0, self.eps, 0.5, self.delta,
                                    params)
         quotas = sorted(o.ledger.per_pair.values(), reverse=True)
         assert quotas == [14, 13, 13]
-        assert max(quotas) <= params.xi
+        assert max(quotas) <= math.ceil(params.M * params.N / 3)
 
     def test_demand_above_the_cap_draws_nothing(self):
         model, graph = self.make(heavy=2.0, lights=[1.0, 1.0, 1.0])
         o = sl.LiveOracle(model, seed=0)
-        params = sl.BalancedEstimateParams(M=69, N=MAX_WAITS // 64, xi=1)
-        with pytest.raises(sl.SampleDemandTooLarge) as info:
+        params = sl.BalancedEstimateParams(M=69, N=MAX_WAITS // 64)
+        with pytest.raises(sl.DemandTooLarge) as info:
             sl.balanced_estimate_ratio(o, graph, 1, 0, self.eps, 0.5,
                                        self.delta, params)
         assert info.value.count == 69 * (MAX_WAITS // 64)
@@ -282,7 +281,7 @@ class TestBalancedEstimateRatio:
     def test_matches_the_per_value_reference(self, mode):
         # the M * N values, built one wait at a time as round-robin did
         model, graph = self.make(heavy=3.0, lights=[1.0, 2.0, 1.5, 0.5])
-        params = sl.BalancedEstimateParams(M=5, N=37, xi=47)
+        params = sl.BalancedEstimateParams(M=5, N=37)
 
         def oracle():
             live = sl.LiveOracle(model, seed=17, pair_mode="stream")

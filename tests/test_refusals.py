@@ -33,6 +33,10 @@ def version_2_transcript(tmp_path):
     return sl.read_transcript(path)
 
 
+def replay(n=4, m=100):
+    return sl.ReplayOracle(sl.build_replay_table(live(n, "stream"), m))
+
+
 def balanced_estimate(i, j):
     return sl.balanced_estimate_ratio(live(), graph(), i, j, 0.1, 0.5, 0.1)
 
@@ -46,21 +50,33 @@ REFUSALS = [
      lambda _: live().slate_win_counts([0, 1], 5)),
     ("build_replay_table m=0", ValueError,
      lambda _: sl.build_replay_table(live(mode="stream"), 0)),
+    ("ReplayOracle slate_win_counts", ValueError,
+     lambda _: replay().slate_win_counts([0, 1, 2], 5)),
     ("read_transcript version 2", ValueError, version_2_transcript),
     ("epsilon_ordering eps_o", ValueError,
      lambda _: sl.epsilon_ordering(live(), 3, 1.0, 0.1)),
+    ("epsilon_ordering delta=0", ValueError,
+     lambda _: sl.epsilon_ordering(live(4), 4, 0.3, 0.0)),
+    ("epsilon_ordering delta=1", ValueError,
+     lambda _: sl.epsilon_ordering(live(4), 4, 0.3, 1.0)),
+    ("build_estimation_forest delta=0", ValueError,
+     lambda _: sl.build_estimation_forest(live(4), 0.5, 0.3, 0.0)),
     ("epsilon_ordering n=0", ValueError,
      lambda _: sl.epsilon_ordering(live(), 0, 0.3, 0.1)),
     ("epsilon_ordering n != oracle.n", ValueError,
      lambda _: sl.epsilon_ordering(live(), 4, 0.3, 0.1)),
     ("cluster_sort alpha", ValueError,
      lambda _: sl.cluster_sort(live(), 0.7, 0.1, 0.1)),
+    ("cluster_sort delta=2", ValueError,
+     lambda _: sl.cluster_sort(live(), 0.5, 0.1, 2.0)),
+    ("cluster_sort delta=0", ValueError,
+     lambda _: sl.cluster_sort(live(), 0.5, 0.1, 0.0)),
     ("compare_sample_size delta", ValueError,
      lambda _: compare_sample_size(0.5, 0.3, 1.5)),
     ("ratio_sample_size alpha", ValueError,
      lambda _: ratio_sample_size(0.7, 0.3, 0.1)),
     ("BalancedEstimateParams.calibrated eps=0.2", ValueError,
-     lambda _: sl.BalancedEstimateParams.calibrated(0.2, 0.5, 0.1, 2, 2.0,
+     lambda _: sl.BalancedEstimateParams.calibrated(0.2, 0.5, 0.1, 2.0,
                                                     16.0)),
     ("balanced_estimate_ratio i == j", ValueError,
      lambda _: balanced_estimate(0, 0)),
@@ -78,6 +94,16 @@ REFUSALS = [
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0, 3.0), 5)),
     ("distance_sampled k=0", ValueError,
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), 0)),
+    ("estimates_on_all_slates eps=0", ValueError,
+     lambda _: sl.estimates_on_all_slates(live(4), 0.0, 0.1)),
+    ("estimates_on_all_slates eps<0", ValueError,
+     lambda _: sl.estimates_on_all_slates(live(4), -0.3, 0.1)),
+    ("estimates_on_all_slates delta=0", ValueError,
+     lambda _: sl.estimates_on_all_slates(live(4), 0.3, 0.0)),
+    ("estimates_on_all_slates delta=1", ValueError,
+     lambda _: sl.estimates_on_all_slates(live(4), 0.3, 1.0)),
+    ("estimates_on_all_slates on a replay", ValueError,
+     lambda _: sl.estimates_on_all_slates(replay(), 0.5, 0.1)),
     ("separation_fixture n=1", ValueError,
      lambda _: sl.separation_fixture(1, 0.1)),
     ("separation_fixture eps", ValueError,

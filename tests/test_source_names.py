@@ -1,7 +1,8 @@
 """Static checks on the package source, using only the standard library.
 
-Every name a module imports must be read somewhere in that module, and
-``slatelearn.__all__`` must list exactly the package's public names.
+Every name a module imports must be read somewhere in that module,
+``slatelearn.__all__`` must list exactly the package's public names, and
+every dataclass field must be read as an attribute somewhere in the package.
 """
 
 import ast
@@ -13,6 +14,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slatelearn"
 # perfbench's tracer patches this name on the module, so it stays imported
 # there though the module itself never reads it
 PATCHED = {("metrics", "slate_distribution")}
+# Dataclass fields no package module reads, kept for the callers named here
+KEPT_FIELDS = {
+    "EstimationForest.potential",   # tests/test_acceptance.py, test_forest.py
+    "PotentialState.Z",             # the same two, through forest.potential
+    "EstimationForest.stats",       # tests/test_forest.py: calls per target
+    "Ordering.eps_o",               # callers of epsilon_ordering: its slack
+}
 
 
 def parse(name: str) -> ast.Module:
@@ -67,3 +75,30 @@ def test_all_lists_the_public_names():
                and not t.id.startswith("_")}
     assert len(exported) == len(set(exported)), "__all__ repeats a name"
     assert set(exported) == public
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    func = node.func if isinstance(node, ast.Call) else node
+    return isinstance(func, ast.Name) and func.id == "dataclass"
+
+
+def dataclass_fields(tree: ast.Module) -> dict:
+    """``"Class.field"`` of each dataclass field, mapped to the field name."""
+    return {"{}.{}".format(cls.name, stmt.target.id): stmt.target.id
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any(map(is_dataclass_decorator, cls.decorator_list))
+            for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)}
+
+
+def test_every_dataclass_field_is_read():
+    # by attribute name, on any object: a field is dead only when no module
+    # reads any attribute of that name
+    trees = [parse(module) for module in MODULES]
+    fields = {k: v for tree in trees for k, v in dataclass_fields(tree).items()}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert KEPT_FIELDS <= set(fields), "a kept field no longer exists"
+    unread = {k for k, name in fields.items() if name not in read}
+    assert unread - KEPT_FIELDS == set(), "dataclass fields nothing reads"

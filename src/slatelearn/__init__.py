@@ -22,7 +22,7 @@ from .models import (InstanceSpec, LogWeightMnl, MatchingPseudoMnl, Model,
                      save_model, slate_distribution)
 from .oracle import (LiveOracle, QueryLedger, ReplayOracle, ReplayTable,
                      build_replay_table, read_transcript, write_transcript)
-from .ordering import (ClusterGraph, Ordering, cluster_sort, epsilon_ordering,
+from .ordering import (ClusterGraph, cluster_sort, epsilon_ordering,
                        quicksort_clustering)
 from .primitives import (BalancedEstimateParams, RatioEstimate,
                          balanced_estimate_ratio, compare, estimate_ratio,
@@ -37,7 +37,7 @@ __all__ = [
     "DemandTooLarge", "DistanceReport", "EstimationForest",
     "ForestBuildFailure",
     "GeometricCapExceeded", "InstanceSpec", "LiveOracle", "LogWeightMnl",
-    "MatchingPseudoMnl", "Model", "Ordering", "PotentialState", "QueryBudget",
+    "MatchingPseudoMnl", "Model", "PotentialState", "QueryBudget",
     "QueryLedger", "RatioEstimate", "ReplayBudgetExhausted", "ReplayOracle",
     "ReplayTable", "SlateLearnError", "ViolationReport",
     "balanced_estimate_ratio", "build_balanced_estimation_forest",

@@ -28,8 +28,8 @@ import numpy as np
 from .config import DEFAULT_BUDGET, QueryBudget
 from .errors import ForestBuildFailure
 from .ordering import ClusterGraph, cluster_sort, quicksort_clustering
-from .primitives import (BalancedEstimateParams, RatioEstimate,
-                         balanced_estimate_ratio, estimate_ratio)
+from .primitives import (RatioEstimate, balanced_estimate_ratio, check_delta,
+                         estimate_ratio)
 
 HOP_BOUND = 5
 # Values per temporary in validate_forest's row blocks.
@@ -174,6 +174,7 @@ def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,
     and sum(Z) <= n / (1 - alpha). Returns a (5, eps)-estimation forest
     with probability 1 - delta.
     """
+    check_delta(delta)
     eps1 = eps / 10.0
     graph = cluster_sort(oracle, alpha, eps1, delta / 3.0, rng)
     n, T = graph.n, graph.T
@@ -234,6 +235,7 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
     failure (``ForestBuildFailure``); the builder never retries on its own.
     Returns a (5, eps)-estimation forest.
     """
+    check_delta(delta)
     eps1, eps2 = budget.split_eps(eps)
     graph = quicksort_clustering(oracle, alpha, eps2, delta / 4.0, rng)
     n, T = graph.n, graph.T
@@ -242,21 +244,15 @@ def build_balanced_estimation_forest(oracle, alpha: float, eps: float,
 
     sizes = np.array([len(c) for c in graph.clusters], dtype=np.float64)
     beta = np.zeros(T + 1)
-    lam_factor = window if budget.worst_case else 1.0
-    beta[1:] = (alpha * alpha * eps1) / (budget.beta_denom * sizes * lam_factor)
+    beta[1:] = budget.beta(alpha, eps1, sizes, window)
 
     ber_calls: dict = {}
 
     def ber(i: int, j: int, cutoff: float) -> RatioEstimate:
         ber_calls[(i, j)] = ber_calls.get((i, j), 0) + 1
-        if budget.worst_case:
-            params = BalancedEstimateParams.from_formulas(
-                graph.a1, graph.a2, eps2, cutoff, pair_delta)
-        else:
-            params = BalancedEstimateParams.calibrated(
-                eps2, cutoff, pair_delta, budget.ber_m_mult, budget.ber_n_mult)
-        return balanced_estimate_ratio(oracle, graph, i, j, eps2, cutoff,
-                                       pair_delta, params)
+        return balanced_estimate_ratio(
+            oracle, graph, i, j, eps2, cutoff, pair_delta,
+            budget.balanced_params(graph, eps2, cutoff, pair_delta))
 
     forest = _star_forest(graph, eps)
     i = T - 1

@@ -20,6 +20,8 @@ import numpy as np
 
 # slate_distribution is unused, but perfbench's tracer patches it here
 from .models import LogWeightMnl, Model, slate_distribution  # noqa: F401
+from .oracle import ReplayOracle
+from .primitives import check_delta
 
 
 @dataclass(frozen=True)
@@ -157,13 +159,16 @@ def estimates_on_all_slates(oracle, eps: float, delta: float) -> dict:
     Queries each of the 2^n - 1 slates q = ceil((2/eps^2)(n ln 3 +
     ln(2/delta))) times; with probability 1 - delta every returned
     distribution is within total l1 distance eps of the truth. Returns a
-    dict mapping each slate tuple to its empirical probability vector.
+    dict mapping each slate tuple to its empirical probability vector. A
+    replay oracle answers pairs only, so from n = 3 on it is refused before
+    any query.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     n = oracle.n
+    if n >= 3 and isinstance(oracle, ReplayOracle):
+        raise ValueError("a replay oracle can only answer pair queries")
     q = math.ceil((2.0 / (eps * eps)) * (n * math.log(3.0)
                                          + math.log(2.0 / delta)))
     out = {}

@@ -21,19 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primitives import estimate_ratio, log_ratio_of_wins, ratio_sample_size
-
-
-@dataclass(frozen=True)
-class Ordering:
-    sequence: np.ndarray   # item ids, lightest first
-    eps_o: float
-
-    def __post_init__(self):
-        seq = np.asarray(self.sequence, dtype=np.int64)
-        if not np.array_equal(np.sort(seq), np.arange(seq.size)):
-            raise ValueError("sequence must be a permutation of range(n)")
-        object.__setattr__(self, "sequence", seq)
+from .primitives import (check_delta, estimate_ratio, log_ratio_of_wins,
+                         ratio_sample_size)
 
 
 def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
@@ -63,13 +52,14 @@ def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
     return leaves
 
 
-def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
-                     rng: np.random.Generator | None = None) -> Ordering:
-    """Sort items by weight using noisy pairwise majority votes.
+def epsilon_ordering(oracle, eps_o: float, delta: float,
+                     rng: np.random.Generator | None = None) -> np.ndarray:
+    """Sort the oracle's n items by weight using noisy pairwise majority votes.
 
-    Randomized quicksort where each item-vs-pivot comparison is decided by
-    a majority over k = ceil((18 / eps_o^2) ln(4 n^2 / delta)) pair queries,
-    which suffices to order any pair whose weights differ by more than a
+    Returns an eps_o-ordering: the int64 item ids, lightest first. Randomized
+    quicksort where each item-vs-pivot comparison is decided by a majority
+    over k = ceil((18 / eps_o^2) ln(4 n^2 / delta)) pair queries, which
+    suffices to order any pair whose weights differ by more than a
     (1 - eps_o) factor; closer pairs may land either way, which is exactly
     the slack an eps_o-ordering allows. Ties favor the pivot, i.e. the item
     is placed on the lighter side.
@@ -81,12 +71,8 @@ def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
     """
     if not (0.0 < eps_o < 1.0):
         raise ValueError("eps_o must lie in (0, 1)")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n != oracle.n:
-        raise ValueError("n is {} but the oracle has {} items".format(n, oracle.n))
+    check_delta(delta)
+    n = oracle.n
     k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
 
     def split(pivot, rest):
@@ -97,7 +83,7 @@ def epsilon_ordering(oracle, n: int, eps_o: float, delta: float,
         heavy = np.asarray(wins > k // 2, dtype=bool)   # 2 wins > k
         return rest[~heavy].tolist(), pivot, rest[heavy].tolist()
 
-    return Ordering(np.array(_pivot_sort(n, rng, split), dtype=np.int64), eps_o)
+    return np.array(_pivot_sort(n, rng, split), dtype=np.int64)
 
 
 @dataclass
@@ -174,11 +160,9 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
         raise ValueError("eps must lie in (0, 1/7)")
     if not (0.0 < alpha <= 0.5):
         raise ValueError("alpha must lie in (0, 1/2]")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     n = oracle.n
-    ordering = epsilon_ordering(oracle, n, 1.0 / 3.0, delta / 2.0, rng)
-    seq = ordering.sequence
+    seq = epsilon_ordering(oracle, 1.0 / 3.0, delta / 2.0, rng)
     log_tau = math.log(3.0 * (1.0 + eps) / (2.0 * alpha))
 
     leaves: list = []
@@ -221,6 +205,7 @@ def quicksort_clustering(oracle, alpha: float, eps: float, delta: float,
     replay oracles pair by pair in group order, so the draws and the
     ledger are those of one ``estimate_ratio`` call per item.
     """
+    check_delta(delta)
     n = oracle.n
     c, m = ratio_sample_size(alpha, eps, delta / (n * n))
 

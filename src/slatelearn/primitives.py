@@ -33,20 +33,6 @@ class RatioEstimate:
         if math.isnan(self.log_ratio):
             raise ValueError("a log ratio cannot be nan")
 
-    @staticmethod
-    def zero() -> "RatioEstimate":
-        return RatioEstimate(-math.inf)
-
-    @staticmethod
-    def infinite() -> "RatioEstimate":
-        return RatioEstimate(math.inf)
-
-    @staticmethod
-    def finite(log_ratio: float) -> "RatioEstimate":
-        if not math.isfinite(log_ratio):
-            raise ValueError("finite estimates need a finite log ratio")
-        return RatioEstimate(float(log_ratio))
-
     @property
     def is_zero(self) -> bool:
         return self.log_ratio == -math.inf
@@ -66,14 +52,19 @@ class RatioEstimate:
                 else "zero" if self.is_zero else "infinite")
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a failure probability outside the open interval (0, 1)."""
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+
+
 def compare_sample_size(c: float, eps: float, delta: float) -> int:
     """The query count of one :func:`compare`; refuses parameters it cannot take."""
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)
     return math.ceil((20.0 / (c * eps * eps)) * math.log(6.0 / delta))
 
 
@@ -164,16 +155,6 @@ class BalancedEstimateParams:
         n_ae = b1 * b1 / (alpha * eps * eps)
         M = math.ceil(8.0 * math.log(2.0 / delta))
         N = math.ceil(2.0 * A1 * (1.0 + A1 / A2) * n_ae)
-        return BalancedEstimateParams(M=M, N=N)
-
-    @staticmethod
-    def calibrated(eps: float, alpha: float, delta: float, m_mult: float,
-                   n_mult: float) -> "BalancedEstimateParams":
-        """Budgeted sample shape; same scaling in alpha and eps, smaller leads."""
-        if not (0.0 < eps < 0.2):
-            raise ValueError("balanced ratio estimation requires eps < 1/5")
-        M = max(3, math.ceil(m_mult * math.log(2.0 / delta)))
-        N = math.ceil(n_mult * (1.0 / alpha + 1.0 / (eps * eps)))
         return BalancedEstimateParams(M=M, N=N)
 
 

@@ -11,6 +11,7 @@ from .forest import (EstimationForest, _traverse,
                      build_balanced_estimation_forest, build_estimation_forest)
 from .models import LogWeightMnl
 from .oracle import ReplayOracle, build_replay_table
+from .primitives import check_delta
 
 ALGO_TAG = 0xA160
 
@@ -60,7 +61,7 @@ def learn_adaptive(oracle, n: int, eps: float, delta: float,
     log(1/delta). Individual pairs may be queried heavily.
     """
     return _learn(build_estimation_forest, oracle, n, eps, delta,
-                  (eps / 13.0) / 9.0, seed)
+                  QueryBudget.theory().forest_eps(eps), seed)
 
 
 def learn_balanced(oracle, n: int, eps: float, delta: float,
@@ -72,9 +73,8 @@ def learn_balanced(oracle, n: int, eps: float, delta: float,
     the forest is built at accuracy eps directly; the theory budget applies
     the full (eps/13)/9 composition instead.
     """
-    forest_eps = (eps / 13.0) / 9.0 if budget.worst_case else eps
     return _learn(build_balanced_estimation_forest, oracle, n, eps, delta,
-                  forest_eps, seed, budget=budget)
+                  budget.forest_eps(eps), seed, budget=budget)
 
 
 def _learn(build, oracle, n: int, eps: float, delta: float, forest_eps: float,
@@ -113,5 +113,4 @@ def _check_learn_args(oracle, n: int, eps: float, delta: float) -> None:
         raise ValueError("n is {} but the oracle has {} items".format(n, oracle.n))
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    check_delta(delta)

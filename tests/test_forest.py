@@ -113,7 +113,7 @@ class TestAdaptiveBuilder:
     def test_zero_center_estimate_is_floored(self, monkeypatch):
         # a zero estimate between centers becomes the floor alpha^{-(i - j)}
         def zero(*args, **kwargs):
-            return sl.RatioEstimate.zero()
+            return sl.RatioEstimate(-math.inf)
 
         monkeypatch.setattr(forest_mod, "estimate_ratio", zero)
         alpha = 0.5
@@ -176,7 +176,7 @@ class TestBalancedBuilder:
         def flaky(oracle, graph, i, j, eps, alpha, delta, params=None):
             calls["count"] += 1
             if calls["count"] > 1:
-                return sl.RatioEstimate.infinite()  # poison the bridging call
+                return sl.RatioEstimate(math.inf)  # poison the bridging call
             return real(oracle, graph, i, j, eps, alpha, delta, params)
 
         monkeypatch.setattr(forest_mod, "balanced_estimate_ratio", flaky)

@@ -37,6 +37,14 @@ def replay(n=4, m=100):
     return sl.ReplayOracle(sl.build_replay_table(live(n, "stream"), m))
 
 
+def uncharged(oracle, call):
+    """Run ``call(oracle)``; whatever it raises, the oracle is still uncharged."""
+    try:
+        call(oracle)
+    finally:
+        assert oracle.ledger.total == 0
+
+
 def balanced_estimate(i, j):
     return sl.balanced_estimate_ratio(live(), graph(), i, j, 0.1, 0.5, 0.1)
 
@@ -54,17 +62,26 @@ REFUSALS = [
      lambda _: replay().slate_win_counts([0, 1, 2], 5)),
     ("read_transcript version 2", ValueError, version_2_transcript),
     ("epsilon_ordering eps_o", ValueError,
-     lambda _: sl.epsilon_ordering(live(), 3, 1.0, 0.1)),
+     lambda _: sl.epsilon_ordering(live(), 1.0, 0.1)),
     ("epsilon_ordering delta=0", ValueError,
-     lambda _: sl.epsilon_ordering(live(4), 4, 0.3, 0.0)),
+     lambda _: sl.epsilon_ordering(live(4), 0.3, 0.0)),
     ("epsilon_ordering delta=1", ValueError,
-     lambda _: sl.epsilon_ordering(live(4), 4, 0.3, 1.0)),
+     lambda _: sl.epsilon_ordering(live(4), 0.3, 1.0)),
     ("build_estimation_forest delta=0", ValueError,
      lambda _: sl.build_estimation_forest(live(4), 0.5, 0.3, 0.0)),
-    ("epsilon_ordering n=0", ValueError,
-     lambda _: sl.epsilon_ordering(live(), 0, 0.3, 0.1)),
-    ("epsilon_ordering n != oracle.n", ValueError,
-     lambda _: sl.epsilon_ordering(live(), 4, 0.3, 0.1)),
+    # a builder passes only a fraction of delta on, so each checks its own
+    ("build_estimation_forest delta=2", ValueError,
+     lambda _: uncharged(live(6), lambda o: sl.build_estimation_forest(
+         o, 0.5, 0.3, 2.0))),
+    ("build_estimation_forest delta=2.9", ValueError,
+     lambda _: uncharged(live(6), lambda o: sl.build_estimation_forest(
+         o, 0.5, 0.3, 2.9))),
+    ("build_balanced_estimation_forest delta=3", ValueError,
+     lambda _: uncharged(live(6), lambda o: sl.build_balanced_estimation_forest(
+         o, 0.5, 0.1, 3.0))),
+    ("quicksort_clustering delta=2", ValueError,
+     lambda _: uncharged(live(6), lambda o: sl.quicksort_clustering(
+         o, 0.5, 0.1, 2.0))),
     ("cluster_sort alpha", ValueError,
      lambda _: sl.cluster_sort(live(), 0.7, 0.1, 0.1)),
     ("cluster_sort delta=2", ValueError,
@@ -75,9 +92,9 @@ REFUSALS = [
      lambda _: compare_sample_size(0.5, 0.3, 1.5)),
     ("ratio_sample_size alpha", ValueError,
      lambda _: ratio_sample_size(0.7, 0.3, 0.1)),
-    ("BalancedEstimateParams.calibrated eps=0.2", ValueError,
-     lambda _: sl.BalancedEstimateParams.calibrated(0.2, 0.5, 0.1, 2.0,
-                                                    16.0)),
+    ("QueryBudget.calibrated balanced_params eps=0.2", ValueError,
+     lambda _: sl.QueryBudget.calibrated().balanced_params(graph(), 0.2, 0.5,
+                                                           0.1)),
     ("balanced_estimate_ratio i == j", ValueError,
      lambda _: balanced_estimate(0, 0)),
     ("balanced_estimate_ratio i < j", ValueError,
@@ -103,7 +120,8 @@ REFUSALS = [
     ("estimates_on_all_slates delta=1", ValueError,
      lambda _: sl.estimates_on_all_slates(live(4), 0.3, 1.0)),
     ("estimates_on_all_slates on a replay", ValueError,
-     lambda _: sl.estimates_on_all_slates(replay(), 0.5, 0.1)),
+     lambda _: uncharged(replay(), lambda o: sl.estimates_on_all_slates(
+         o, 0.5, 0.1))),
     ("separation_fixture n=1", ValueError,
      lambda _: sl.separation_fixture(1, 0.1)),
     ("separation_fixture eps", ValueError,

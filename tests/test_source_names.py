@@ -1,8 +1,10 @@
 """Static checks on the package source, using only the standard library.
 
 Every name a module imports must be read somewhere in that module,
-``slatelearn.__all__`` must list exactly the package's public names, and
-every dataclass field must be read as an attribute somewhere in the package.
+``slatelearn.__all__`` must list exactly the package's public names,
+every dataclass field must be read as an attribute somewhere in the package
+(or, for the few kept for outside callers, by those callers), and only
+``config.py`` tells the two budget presets apart.
 """
 
 import ast
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "slatelearn"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "slatelearn"
+CALLERS = ("tests", "demos", "perfbench")
 # perfbench's tracer patches this name on the module, so it stays imported
 # there though the module itself never reads it
 PATCHED = {("metrics", "slate_distribution")}
@@ -19,7 +23,6 @@ KEPT_FIELDS = {
     "EstimationForest.potential",   # tests/test_acceptance.py, test_forest.py
     "PotentialState.Z",             # the same two, through forest.potential
     "EstimationForest.stats",       # tests/test_forest.py: calls per target
-    "Ordering.eps_o",               # callers of epsilon_ordering: its slack
 }
 
 
@@ -91,14 +94,35 @@ def dataclass_fields(tree: ast.Module) -> dict:
             and isinstance(stmt.target, ast.Name)}
 
 
+def attributes_read(trees) -> set:
+    """Every attribute name any of the trees reads."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_dataclass_field_is_read():
     # by attribute name, on any object: a field is dead only when no module
     # reads any attribute of that name
     trees = [parse(module) for module in MODULES]
     fields = {k: v for tree in trees for k, v in dataclass_fields(tree).items()}
-    read = {node.attr for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+    read = attributes_read(trees)
     assert KEPT_FIELDS <= set(fields), "a kept field no longer exists"
     unread = {k for k, name in fields.items() if name not in read}
     assert unread - KEPT_FIELDS == set(), "dataclass fields nothing reads"
+
+
+def test_kept_fields_are_read_by_their_callers():
+    trees = [ast.parse(path.read_text()) for folder in CALLERS
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    read = attributes_read(trees)
+    assert {k for k in KEPT_FIELDS if k.split(".")[1] not in read} == set(), \
+        "kept fields no caller reads"
+
+
+def test_only_config_tells_the_budget_presets_apart():
+    readers = {module for module in MODULES if module != "config"
+               and any(isinstance(node, ast.Attribute)
+                       and node.attr == "worst_case"
+                       for node in ast.walk(parse(module)))}
+    assert readers == set(), "modules reading QueryBudget.worst_case"

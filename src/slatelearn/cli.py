@@ -95,12 +95,14 @@ def _model(ctx, param, path):
 
 def _run_trial(truth, trial, eps, samples, algo, delta, seed, oracle_mode, m,
                budget, retries):
-    """Learn ``truth`` as trial ``trial``; returns (learned, ledger, row).
+    """Learn ``truth`` as trial ``trial``; returns (learned, ledger, paid, row).
 
-    Attempt a runs at seed + 1000 trial + a, which no other trial's attempt
-    shares while retries < 1000. Algorithm failures are retried; an
-    exhausted replay budget or a demand above a cap is not, as no other
-    seed cures it.
+    ``ledger`` counts the queries the learner read, ``paid`` those the live
+    oracle was charged: the whole batch for the non-adaptive learner, the
+    same ledger for the others. Attempt a runs at seed + 1000 trial + a,
+    which no other trial's attempt shares while retries < 1000. Algorithm
+    failures are retried; an exhausted replay budget or a demand above a
+    cap is not, as no other seed cures it.
     """
     n = truth.n
     t0 = time.perf_counter()
@@ -130,7 +132,7 @@ def _run_trial(truth, trial, eps, samples, algo, delta, seed, oracle_mode, m,
     row = {"n": n, "eps": eps, "delta": delta, "algo": algo, "trial": trial,
            "d1": rep.d1, "dinf": rep.dinf, "total_queries": ledger.total,
            "max_pair_queries": ledger.max_per_pair, "seconds": seconds}
-    return learned, ledger, row
+    return learned, ledger, oracle.ledger, row
 
 
 instance_opts = [
@@ -211,12 +213,14 @@ def learn(kind, rho, gamma, heavy, p, pi, n, model, eps, trials, out,
     for trial in range(trials):
         truth = model if model is not None else _instance(
             kind, n, flags["seed"] + trial, rho, gamma, heavy, p, pi)
-        learned, ledger, row = _run_trial(truth, trial, eps, 200, **flags)
+        learned, ledger, paid, row = _run_trial(truth, trial, eps, 200,
+                                                **flags)
         if out is not None:
             save_model(learned, out if trials == 1 else f"{out}-t{trial}")
         rows.append(row)
         reports.append({"trial": trial, "d1": row["d1"],
-                        "ledger": ledger_report(ledger)})
+                        "ledger": ledger_report(ledger),
+                        "paid": ledger_report(paid)})
     if csv_path is not None:
         _write_rows(csv_path, rows)
     click.echo(json.dumps({"algo": flags["algo"], "n": truth.n, "eps": eps,
@@ -275,7 +279,7 @@ def bench(kind, rho, gamma, heavy, p, pi, ns, epss, trials, samples, out,
             for trial in range(trials):
                 truth = _instance(kind, n, flags["seed"] + trial, rho, gamma,
                                   heavy, p, pi)
-                rows.append(_run_trial(truth, trial, eps, samples, **flags)[2])
+                rows.append(_run_trial(truth, trial, eps, samples, **flags)[3])
     _write_rows(out, rows)
     click.echo(json.dumps({"rows": len(rows), "out": out}))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .primitives import BalancedEstimateParams
+from .primitives import BalancedEstimateParams, check_balanced_eps
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ class QueryBudget:
         if self.worst_case:
             return BalancedEstimateParams.from_formulas(
                 graph.a1, graph.a2, eps, alpha, delta)
-        if not (0.0 < eps < 0.2):
-            raise ValueError("balanced ratio estimation requires eps < 1/5")
+        check_balanced_eps(eps)
         M = max(3, math.ceil(2.0 * math.log(2.0 / delta)))
         N = math.ceil(16.0 * (1.0 / alpha + 1.0 / (eps * eps)))
         return BalancedEstimateParams(M=M, N=N)

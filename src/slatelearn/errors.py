@@ -10,16 +10,19 @@ class ReplayBudgetExhausted(SlateLearnError):
 
     This signals that the replication count m used to build the replay table
     was below the per-pair demand of the learner being simulated. Recoverable:
-    rebuild the table with a larger m.
+    rebuild the table with a larger m. ``needed`` is how many of the pair's
+    answers the refused read would have reached: an m of at least that
+    serves the call, and more may be needed when it is a geometric wait.
     """
 
-    def __init__(self, pair, m):
+    def __init__(self, pair, m, needed):
         self.pair = pair
         self.m = m
+        self.needed = needed
         super().__init__(
-            "pair {} exhausted its budget of {} pre-sampled answers; "
-            "rebuild the replay table with a larger m".format(pair, m)
-        )
+            "pair {} needs at least {} pre-sampled answers, above its budget "
+            "of m = {}; rebuild the replay table with a larger m".format(
+                pair, needed, m))
 
 
 class ForestBuildFailure(SlateLearnError):

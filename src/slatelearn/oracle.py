@@ -16,12 +16,16 @@ Oracles come in two pair-sampling modes:
     with other pairs. An answer is carried as one boolean, True where the
     lower-indexed item of the pair won; only :meth:`LiveOracle.sample_pair_block`
     turns answers into winner ids. A :class:`ReplayOracle` is this mode with
-    its answers drawn in advance: it runs the same stream-mode code and only
-    reads each pair's booleans from a table (one byte per answer), so a live
-    run and a replayed run agree bit for bit. A replay reads a pair's table
-    from where its own ledger stands, so the table is read-only and serves
-    any number of replays. A stream oracle can keep a transcript of every
-    answer, held as the same boolean chunks.
+    its answers paid for in advance: it runs the same stream-mode code and
+    only reads each pair's booleans from a :class:`ReplayTable` (one byte
+    per answer), so a live run and a replayed run agree bit for bit. The
+    table charges the live ledger the whole batch, m answers per pair, when
+    it is built, but draws a pair's answers from that pair's stream only
+    when a read first reaches past what it has drawn, and keeps them. A
+    replay reads a pair's answers from where its own ledger stands, so the
+    table serves any number of replays, each reading the same booleans. A
+    stream oracle can keep a transcript of every answer, held as the same
+    boolean chunks; a build on such an oracle draws every answer.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +68,9 @@ BINOMIAL_CHUNK = 1 << 62
 # and n = 4096, and a block of 2^30 int64 winners is already 8 GiB.
 STREAM_CHUNK = 1 << 20
 STREAM_MAX_DRAWS = 1 << 30
-# build_replay_table refuses a table of more answers than this, 1 GiB of
-# one-byte answers (non-adaptive eps 0.5, n 14, m 5e5 holds 4.6e7).
+# build_replay_table refuses a batch of more answers than this: 1 GiB of
+# one-byte answers, should a replay read them all (non-adaptive eps 0.5,
+# n 14, m 5e5 pays for 4.6e7).
 REPLAY_MAX_ANSWERS = 1 << 30
 # One Generator.negative_binomial draw takes its n as a double and refuses a
 # mean n (1 - p) / p above about 9.2e18: pieces of at most NB_CHUNK waits
@@ -235,10 +241,8 @@ class LiveOracle:
             raise DemandTooLarge(
                 "the stream draws of pair ({}, {}) in one call".format(a, b),
                 count, STREAM_MAX_DRAWS, "use binomial mode")
-        p_a = pair_probability(self.model, a, b)
-        rng = self._pair_rng(a, b)
-        for lo in range(0, max(count, 1), STREAM_CHUNK):
-            first = rng.random(min(count - lo, STREAM_CHUNK)) < p_a
+        for first in _answer_chunks(self._pair_rng(a, b),
+                                    pair_probability(self.model, a, b), count):
             if self._transcript is not None:
                 self._transcript.append((a, b, first))
             yield first
@@ -461,6 +465,16 @@ class LiveOracle:
         return totals.astype(np.int64)
 
 
+def _answer_chunks(rng: np.random.Generator, p_a: float, count: int):
+    """``count`` answers of a pair stream, True where the lower id won.
+
+    Yields chunks of at most STREAM_CHUNK answers, and one empty chunk for
+    a count of 0; chunked draws give the same doubles as one draw.
+    """
+    for lo in range(0, max(count, 1), STREAM_CHUNK):
+        yield rng.random(min(count - lo, STREAM_CHUNK)) < p_a
+
+
 def _segment_sums(losses: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Totals of consecutive runs of ``counts[k]`` entries of ``losses``."""
     prefix = np.concatenate(([0], np.cumsum(losses)))
@@ -480,25 +494,79 @@ def _binomial_pieces(count: int) -> list:
             for lo in range(0, max(count, 1), BINOMIAL_CHUNK)]
 
 
-@dataclass(frozen=True)
-class ReplayTable:
-    """Pre-sampled answers, m per pair of the n items, for a pair-only learner.
+NO_ANSWERS = np.zeros(0, dtype=bool)
 
-    Read-only: a :class:`ReplayOracle` reads its item count from ``n`` and
-    each pair's answers from ``answers``, so one table serves any number of
-    replays.
+
+@dataclass(frozen=True, eq=False)
+class ReplayTable:
+    """One non-adaptive batch of m answers per pair of the model's items.
+
+    :func:`build_replay_table` pays for the whole batch, but the table
+    draws a pair's answers only when :meth:`read` first reaches past what
+    it has drawn, from the pair's own stream resumed where the build found
+    it, and keeps them. So answers nothing reads are never drawn, and every
+    read of a pair, by any replay, sees the same booleans: the ones a live
+    stream of the same seed would have drawn in the batch. ``answers``
+    maps each pair to all m of its answers, drawn in full on access.
     """
 
-    n: int
+    model: Model
     m: int
-    answers: dict  # (u, v) with u < v -> bool array, length m; True = u won
+    starts: dict  # (u, v) with u < v -> the pair stream's state at the build
+    _drawn: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.model.n
+
+    @property
+    def answers(self) -> Mapping:
+        return _TableAnswers(self)
+
+    def read(self, key, stop: int) -> np.ndarray:
+        """The first ``stop`` <= m answers of pair ``key``; True = lower id won.
+
+        Draws what is missing, at least doubling the pair's drawn prefix
+        (up to m) so that many small reads make few draws.
+        """
+        prefix, rng = self._drawn.get(key, (NO_ANSWERS, None))
+        if stop > prefix.size:
+            if rng is None:
+                rng = np.random.Generator(np.random.PCG64())
+                rng.bit_generator.state = self.starts[key]
+            more = min(self.m, max(stop, 2 * prefix.size)) - prefix.size
+            prefix = np.concatenate([prefix, *_answer_chunks(
+                rng, pair_probability(self.model, *key), more)])
+            self._drawn[key] = prefix, rng
+        return prefix[:stop]
+
+
+class _TableAnswers(Mapping):
+    """A table's pairs, each mapped to all m of its answers."""
+
+    def __init__(self, table: ReplayTable):
+        self._table = table
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self._table.read(key, self._table.m)
+
+    def __contains__(self, key) -> bool:
+        return key in self._table.starts
+
+    def __iter__(self):
+        return iter(self._table.starts)
+
+    def __len__(self) -> int:
+        return len(self._table.starts)
 
 
 def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
-    """Query every pair m times in one non-adaptive batch.
+    """Pay for every pair's m queries in one non-adaptive batch.
 
-    The table keeps the stream's own booleans, one byte per answer; the
-    live ledger is charged m per pair.
+    The live ledger is charged m per pair, and each pair stream steps m
+    answers on, before any answer is read; a PCG64 ``advance(m)`` is exact
+    because a stream answer is one ``random()`` draw. An oracle keeping a
+    transcript reads every answer, pair by pair in u < v order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -508,25 +576,31 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
         raise DemandTooLarge(
             "a replay table of {} pairs x {} answers".format(pairs, m),
             pairs * m, REPLAY_MAX_ANSWERS, "use a smaller m or n")
-    answers = {}
+    starts = {}
     for u in range(n):
         for v in range(u + 1, n):
-            answers[(u, v)] = np.concatenate(
-                list(oracle._stream_answers(u, v, m)))
+            stream = oracle._pair_rng(u, v).bit_generator
+            starts[(u, v)] = stream.state
+            stream.advance(m)
             oracle.ledger.record_pair(u, v, m)
-    return ReplayTable(n=n, m=m, answers=answers)
+    table = ReplayTable(oracle.model, m, starts)
+    if oracle._transcript is not None:
+        oracle._transcript.extend((u, v, table.read((u, v), m))
+                                  for u, v in starts)
+    return table
 
 
 class ReplayOracle:
-    """A stream-mode oracle whose answers were drawn in advance into a table.
+    """A stream-mode oracle whose answers were paid for in advance.
 
     It answers only pair queries, reading each pair's answers from the
     :class:`ReplayTable` where a live stream would draw them; every other
     step is :class:`LiveOracle`'s own stream-mode code. Its ledger counts
     *simulated* queries, and is its read position: a pair's next answer is
-    the one at ``ledger.per_pair[pair]``. No live oracle is touched and the
-    table is never written, so replays of one table, in any interleaving,
-    each read the answers a live stream of the same seed would draw.
+    the one at ``ledger.per_pair[pair]``. No live oracle is touched and
+    every read of the table sees the same answers, so replays of one
+    table, in any interleaving, each read the answers a live stream of the
+    same seed would draw.
     """
 
     pair_mode = "stream"
@@ -539,13 +613,14 @@ class ReplayOracle:
     def _stream_answers(self, u: int, v: int, count: int, used: int = 0):
         """Yield the pair's next ``count`` answers, after ``used`` uncharged ones.
 
-        Raises ``ReplayBudgetExhausted`` when fewer are left.
+        Raises ``ReplayBudgetExhausted`` when fewer are left, before the
+        table draws anything.
         """
         key = (u, v) if u < v else (v, u)
         at = self.ledger.per_pair.get(key, 0) + used
         if at + count > self.table.m:
-            raise ReplayBudgetExhausted(key, self.table.m)
-        yield self.table.answers[key][at:at + count]
+            raise ReplayBudgetExhausted(key, self.table.m, at + count)
+        yield self.table.read(key, at + count)[at:]
 
     def max_sample(self, slate) -> int:
         slate = np.asarray(slate, dtype=np.int64)

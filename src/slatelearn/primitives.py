@@ -58,6 +58,12 @@ def check_delta(delta: float) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+def check_balanced_eps(eps: float) -> None:
+    """Refuse an accuracy balanced ratio estimation cannot reach: eps < 1/5."""
+    if not (0.0 < eps < 0.2):
+        raise ValueError("balanced ratio estimation requires eps < 1/5")
+
+
 def compare_sample_size(c: float, eps: float, delta: float) -> int:
     """The query count of one :func:`compare`; refuses parameters it cannot take."""
     if not (0.0 < c < 1.0):
@@ -147,8 +153,7 @@ class BalancedEstimateParams:
     def from_formulas(A1: float, A2: float, eps: float, alpha: float,
                       delta: float) -> "BalancedEstimateParams":
         """Worst-case sample shape; requires eps < 1/5."""
-        if not (0.0 < eps < 0.2):
-            raise ValueError("balanced ratio estimation requires eps < 1/5")
+        check_balanced_eps(eps)
         b1 = max(2.0 * eps / (1.0 - eps - 0.75),
                  6.0 / (1.0 - eps),
                  24.0 * eps / (23.0 - 4.0 * eps))

@@ -93,9 +93,10 @@ def learn_nonadaptive(oracle, n: int, eps: float, delta: float, m: int,
                       seed: int = 0) -> tuple[LogWeightMnl, ReplayOracle]:
     """Learn from one non-adaptive batch of m queries per pair.
 
-    Queries every pair exactly m times up front, then runs the balanced
-    learner against the recorded answers without touching the live oracle
-    again. Raises ``ReplayBudgetExhausted`` if some pair needs more than m
+    Charges the live oracle every pair's m queries up front, then runs the
+    balanced learner against the batch's answers without touching the live
+    oracle again; the table draws only the answers the learner reads.
+    Raises ``ReplayBudgetExhausted`` if some pair needs more than m
     answers. Returns the model and the replay oracle (whose ledger shows
     the simulated per-pair consumption).
     """

@@ -65,6 +65,22 @@ class TestLearn:
         assert code == 0
         assert json.loads(out)["results"][0]["ledger"]["total"] == 0
 
+    @pytest.mark.parametrize("algo", ["nonadaptive", "balanced"])
+    def test_learn_reports_the_queries_paid_beside_those_read(self, capsys,
+                                                             algo):
+        code, out, _ = run(capsys, "learn", "--n", "4", "--seed", "3",
+                           "--algo", algo, "--m", "200000")
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        read, paid = result["ledger"], result["paid"]
+        if algo == "balanced":
+            assert paid == read
+            return
+        # the whole batch: m for each of the 6 pairs, read or not
+        assert paid == {"total": 6 * 200_000, "max_per_pair": 200_000,
+                        "pairs_touched": 6, "per_size": {"2": 6 * 200_000}}
+        assert 0 < read["total"] < paid["total"]
+
     def test_nonadaptive_small_m_exits_3(self, capsys):
         code, _, err = run(capsys, "learn", "--instance", "uniform",
                            "--n", "4", "--algo", "nonadaptive", "--m", "5")
@@ -238,7 +254,7 @@ class TestTrialRunner:
                                                    monkeypatch):
         # no other seed cures these, so the first attempt's error stands
         for error, exit_code in (
-                (sl.ReplayBudgetExhausted((0, 1), 5), 3),
+                (sl.ReplayBudgetExhausted((0, 1), 5, 6), 3),
                 (sl.DemandTooLarge("M * N waits", 2**63, 2**62,
                                    "use a larger eps"), 2)):
             seeds = []

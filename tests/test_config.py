@@ -74,3 +74,13 @@ def test_balanced_params(eps, alpha, delta):
         p = budget.balanced_params(GRAPH, eps, alpha, delta)
         assert (p.M, p.N) == expected(eps, alpha, delta)
 
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.0])
+def test_both_presets_refuse_balanced_eps_outside_one_fifth(eps):
+    messages = set()
+    for budget in (sl.QueryBudget.theory(), sl.QueryBudget.calibrated()):
+        with pytest.raises(ValueError) as info:
+            budget.balanced_params(GRAPH, eps, 0.5, 0.1)
+        messages.add(str(info.value))
+    assert messages == {"balanced ratio estimation requires eps < 1/5"}

@@ -2,10 +2,12 @@
 
 Holding every geometric wait of a balanced ratio estimate at once needs
 about 9 GiB at n = 4096; drawing one loss total per (group, member) needs
-well under 100 MiB. A non-adaptive replay table of 91 pairs x 5e5 answers
-is 364 MB as int64 winner ids and 46 MB as one byte per answer. Each learn
-runs in a child process that caps its own address space, so only the child
-is limited.
+well under 100 MiB. A non-adaptive replay table pays for its whole batch
+but draws only the answers a replay reads, one byte each, in prefixes that
+at most double what was read: of the 1 GiB batch of 435 pairs x 2,468,364
+answers at n = 30, the learner reads 7.3e6 answers from 57 pairs. Each
+learn runs in a child process that caps its own address space, so only the
+child is limited.
 """
 
 import os
@@ -57,5 +59,16 @@ def test_nonadaptive_learn_with_m_5e5_fits_in_256_mib():
     run_child(256 << 20, 14, """
 oracle = sl.LiveOracle(truth, 1201, pair_mode="stream")
 model, replay = sl.learn_nonadaptive(oracle, 14, 0.5, 0.1, 500_000, seed=1201)
+print("finished", oracle.ledger.total, replay.ledger.total)
+""")
+
+
+def test_nonadaptive_learn_of_a_1_gib_batch_fits_in_192_mib():
+    # the child alone spans about 117 MiB; m bytes for each of the 57 pairs
+    # read would add 134 MiB more
+    run_child(192 << 20, 30, """
+oracle = sl.LiveOracle(truth, 1201, pair_mode="stream")
+model, replay = sl.learn_nonadaptive(oracle, 30, 0.5, 0.1, (1 << 30) // 435,
+                                     seed=1201)
 print("finished", oracle.ledger.total, replay.ledger.total)
 """)

@@ -447,6 +447,108 @@ class TestReplay:
             table.m = 6
 
 
+def pair_stream(model, seed, u, v, count):
+    """Reference: the first ``count`` answers of pair {u, v}'s stream, u < v."""
+    rng = np.random.default_rng(pair_streams_seed(seed, u, v))
+    return rng.random(count) < sl.pair_probability(model, u, v)
+
+
+def drawn_prefixes(table):
+    """Each drawn pair's prefix and where its stream stands, as copies."""
+    return {key: (prefix.copy(), rng.bit_generator.state)
+            for key, (prefix, rng) in table._drawn.items()}
+
+
+class TestLazyTable:
+    """A table pays for its batch up front and draws answers as they are read."""
+
+    @pytest.mark.parametrize("before", [0, 7])
+    def test_live_stream_stands_m_answers_on(self, before):
+        # pair (0, 2) answers `before` queries ahead of the build, (1, 2) none
+        model, m = mnl(1.0, 2.0, 3.0), 40
+        o = sl.LiveOracle(model, seed=21, pair_mode="stream")
+        if before:
+            o.sample_pair_block(2, 0, before)
+        table = sl.build_replay_table(o, m)
+        assert table._drawn == {}
+        for u, v, skip in ((0, 2, before), (1, 2, 0)):
+            stream = pair_stream(model, 21, u, v, skip + m + 1)
+            assert o.sample_pair(v, u) == (u if stream[-1] else v)
+            assert o.ledger.per_pair[(u, v)] == skip + m + 1
+            np.testing.assert_array_equal(table.answers[(u, v)],
+                                          stream[skip:skip + m])
+
+    def test_replays_of_a_fresh_table_read_as_a_drawn_one(self):
+        model = sl.generate_instance(sl.InstanceSpec("power-law", n=4,
+                                                     seed=10))
+        fresh, drawn = (sl.build_replay_table(
+            sl.LiveOracle(model, seed=10, pair_mode="stream"), 400_000)
+            for _ in range(2))
+        assert all(a.size == drawn.m for a in drawn.answers.values())
+        runs = [(o, sl.learn_balanced(o, 4, 0.5, 0.1, seed=10)) for o in
+                (sl.ReplayOracle(drawn), sl.ReplayOracle(fresh),
+                 sl.ReplayOracle(fresh))]
+        for replay, learned in runs[1:]:
+            np.testing.assert_array_equal(learned.log_w, runs[0][1].log_w)
+            assert replay.ledger == runs[0][0].ledger
+        # the fresh table drew only about what the replays read
+        read = runs[0][0].ledger.per_pair
+        assert fresh._drawn.keys() == read.keys()
+        for key, (prefix, _) in fresh._drawn.items():
+            assert read[key] <= prefix.size <= min(2 * read[key], fresh.m)
+            np.testing.assert_array_equal(prefix,
+                                          drawn.answers[key][:prefix.size])
+
+    def test_refused_read_draws_nothing(self):
+        table = sl.build_replay_table(sl.LiveOracle(mnl(1.0, 2.0, 3.0),
+                                                    seed=2), 50)
+        replay = sl.ReplayOracle(table)
+        with pytest.raises(sl.ReplayBudgetExhausted) as info:
+            replay.pair_win_count(2, 1, 51)
+        assert (info.value.pair, info.value.m, info.value.needed) == (
+            (1, 2), 50, 51)
+        assert table._drawn == {}
+        replay.sample_pair_block(0, 1, 3)
+        replay.sample_geometric(0, 2)
+        before = drawn_prefixes(table)
+        for refused, needed in (
+                (lambda: replay.pair_win_count(1, 0, 48), 51),
+                (lambda: replay.sample_geometric_block(1, 2, 51), 51),
+                (lambda: replay.sample_geometric_sums(
+                    2, np.array([0, 1]), [[0, 30], [0, 30]]), 60)):
+            with pytest.raises(sl.ReplayBudgetExhausted) as info:
+                refused()
+            assert info.value.needed == needed
+            assert "at least {} ".format(needed) in str(info.value)
+            assert "m = 50" in str(info.value)
+            after = drawn_prefixes(table)
+            assert after.keys() == before.keys()
+            for key, (prefix, state) in before.items():
+                np.testing.assert_array_equal(after[key][0], prefix)
+                assert after[key][1] == state
+
+    def test_a_transcript_build_reads_every_answer_in_pair_order(self,
+                                                                 tmp_path):
+        model, m = mnl(1.0, 2.0, 3.0), 30
+        o = sl.LiveOracle(model, seed=4, pair_mode="stream", transcript=True)
+        o.sample_pair_block(2, 1, 5)
+        table = sl.build_replay_table(o, m)
+        o.sample_pair(0, 1)
+        rows = [(1, 2, w) for w in np.where(
+            pair_stream(model, 4, 1, 2, 5), 1, 2)]
+        for u, v in ((0, 1), (0, 2), (1, 2)):
+            skip = 5 if (u, v) == (1, 2) else 0
+            answers = pair_stream(model, 4, u, v, skip + m + 1)[skip:]
+            rows += [(u, v, w) for w in np.where(answers[:m], u, v)]
+        assert all(a.size == m for a, _ in table._drawn.values())
+        answer = pair_stream(model, 4, 0, 1, m + 1)[-1]
+        rows.append((0, 1, 0 if answer else 1))
+        np.testing.assert_array_equal(o.transcript, rows)
+        path = tmp_path / "t.sltr"
+        sl.write_transcript(path, o.transcript)
+        assert path.read_bytes()[12:] == np.asarray(rows, "<u4").tobytes()
+
+
 class TestGeometric:
     def test_impossible_win_raises(self):
         model = sl.MatchingPseudoMnl(np.array([1.0]), np.arange(2))

@@ -149,14 +149,16 @@ def _traverse(forest: EstimationForest, roots) -> tuple:
 
 
 def _star_forest(graph: ClusterGraph, eps: float) -> EstimationForest:
-    forest = EstimationForest(graph=graph, edge_log={}, eps=eps)
-    for i, members in enumerate(graph.clusters):
-        c = int(graph.centers[i])
-        for u in members:
-            u = int(u)
-            if u != c:
-                forest.add_edge(u, c, graph.star_log[u])
-    return forest
+    """The forest of ``graph``'s star edges, one per member but a center."""
+    sizes = [len(c) for c in graph.clusters]
+    members = np.concatenate(graph.clusters).tolist()
+    centers = np.repeat(graph.centers, sizes).tolist()
+    edge_log = {}
+    for u, c in zip(members, centers):
+        if u != c:   # as add_edge stores it: key u < v, value log w_u / w_v
+            log_r = graph.star_log[u]
+            edge_log[(u, c) if u < c else (c, u)] = log_r if u < c else -log_r
+    return EstimationForest(graph=graph, edge_log=edge_log, eps=eps)
 
 
 def build_estimation_forest(oracle, alpha: float, eps: float, delta: float,

@@ -37,9 +37,11 @@ Oracles come in two pair-sampling modes:
     per-call sample sizes affordable. Every binomial-mode draw reads the one
     tagged stream in call order, so a run never builds a Generator per pair.
     Array calls read it as the scalar calls would, one pair or member after
-    another: :meth:`LiveOracle.pair_win_count` answers an array of pairs
-    with one vector draw, and :meth:`LiveOracle.sample_geometric_sums` a
-    whole balanced estimate, one column of counts per member, with a few.
+    another: :meth:`LiveOracle.pair_win_count` answers a small array of
+    pairs with one scalar draw each and a larger one with one vector draw,
+    and can stop at the first pair whose count reaches a threshold;
+    :meth:`LiveOracle.sample_geometric_sums` draws a whole balanced
+    estimate, one column of counts per member, with a few vector draws.
     Not replay-compatible.
 """
 
@@ -61,6 +63,10 @@ BINOMIAL_TAG = 0xB1A0
 GEOMETRIC_CAP = 10**9
 # Largest count passed to one Generator.binomial call, which takes a C long.
 BINOMIAL_CHUNK = 1 << 62
+# Most pairs one array pair query draws with a scalar binomial draw each:
+# numpy's vector draw gives the same values, but its set-up costs more than
+# this many scalar draws.
+SCALAR_PAIRS = 16
 # Stream mode draws a pair's uniforms in chunks of STREAM_CHUNK (8 MiB of
 # doubles) and refuses one call asking for more than STREAM_MAX_DRAWS, as
 # sample_geometric_block refuses more waits in either mode: the
@@ -113,21 +119,29 @@ class QueryLedger:
         ``counts`` is one count for every pair or a sequence of one count
         per pair; counts may be exact Python ints beyond int64.
         """
-        lo = np.ravel(np.minimum(us, vs)).tolist()
-        hi = np.ravel(np.maximum(us, vs)).tolist()
+        if isinstance(vs, (int, np.integer)):
+            us, vs = vs, us   # pairs are unordered: a scalar side goes first
+        if isinstance(us, (int, np.integer)):
+            # one partner, the shape of every array pair query: no numpy pass
+            v = int(us)
+            keys = [(u, v) if u < v else (v, u)
+                    for u in np.asarray(vs).ravel().tolist()]
+        else:
+            keys = list(zip(np.ravel(np.minimum(us, vs)).tolist(),
+                            np.ravel(np.maximum(us, vs)).tolist()))
         per_pair, get = self.per_pair, self.per_pair.get
-        if np.isscalar(counts):   # the hot path of every array pair query
+        if np.isscalar(counts):
             if counts == 0:
                 return
-            for key in zip(lo, hi):
+            for key in keys:
                 per_pair[key] = get(key, 0) + counts
-            total = counts * len(lo)
+            total = counts * len(keys)
         else:
             counts = np.ravel(counts).tolist()
-            if len(counts) != len(lo):
+            if len(counts) != len(keys):
                 raise ValueError("need one count per pair")
             total = 0
-            for key, count in zip(zip(lo, hi), counts):
+            for key, count in zip(keys, counts):
                 if count:
                     per_pair[key] = get(key, 0) + count
                     total += count
@@ -252,36 +266,56 @@ class LiveOracle:
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` queries to {u, v} at once; returns the winner sequence."""
+        _check_pair(u, v, self.n)
         a, b = (u, v) if u < v else (v, u)
         first = np.concatenate(list(self._stream_answers(u, v, count)))
         self.ledger.record_pair(u, v, count)
         return np.where(first, a, b).astype(np.int64, copy=False)
 
-    def pair_win_count(self, u, v, count: int):
+    def pair_win_count(self, u, v, count: int, stop: int | None = None):
         """How many of ``count`` queries to {u, v} return u.
 
         When ``u`` or ``v`` is a numpy array they broadcast against each
         other and the answer is a flat array, one count per pair in order.
-        Binomial mode draws all those pairs at once, one vector draw per
-        BINOMIAL_CHUNK piece of ``count``, and returns int64 counts, or
-        exact Python ints when ``count`` takes more than one piece. Stream
-        mode answers them with one scalar call per pair, so its answers,
-        ledger and transcript are those of the scalar calls in order.
+        With ``stop``, the pairs are answered in order up to and including
+        the first whose count reaches ``stop``; the pairs after it are
+        neither drawn nor charged, and the answer is the answered prefix.
+        Every id must lie in [0, n) and differ from its partner, or the call
+        raises ValueError and charges nothing.
+
+        Binomial mode returns int64 counts, or exact Python ints when
+        ``count`` takes more than one BINOMIAL_CHUNK piece, and reads the
+        stream as one scalar call per pair in order would. Up to
+        SCALAR_PAIRS pairs are drawn one scalar draw each; more take one
+        vector draw, which runs the same draw per element. With ``stop``,
+        the pairs are drawn in windows that double from SCALAR_PAIRS; a
+        vector window that holds a hit puts the stream back where it began
+        and draws again only the pairs through the hit, which gives the
+        same values. Stream mode answers the pairs with one scalar call per
+        pair, so its answers, ledger and transcript are those of the scalar
+        calls in order.
         """
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-            if self.pair_mode == "binomial":
-                return self._binomial_win_counts(u, v, count)
-            us, vs = np.broadcast_arrays(np.asarray(u, dtype=np.int64),
-                                         np.asarray(v, dtype=np.int64))
-            return np.array([self.pair_win_count(a, b, count) for a, b in
-                             zip(us.ravel().tolist(), vs.ravel().tolist())],
-                            dtype=np.int64)
+            us, vs, size = _pair_ids(u, v)
+            if self.pair_mode == "binomial" and count <= BINOMIAL_CHUNK:
+                return self._binomial_win_counts(us, vs, size, count, stop)
+            _check_ids(us, vs, self.n)   # each scalar call charges its pair
+            wins: list = []
+            for a, b in (pair for lo, hi in _windows(size, stop)
+                         for pair in _window_pairs(us, vs, lo, hi)):
+                wins.append(self.pair_win_count(a, b, count))
+                if stop is not None and wins[-1] >= stop:
+                    break
+            return np.array(wins, dtype=np.int64 if count <= BINOMIAL_CHUNK
+                            else object)
+        _check_pair(u, v, self.n)
         if self.pair_mode == "binomial":
             p_u = pair_probability(self.model, u, v)
-            # Binomial(a + b, p) = Binomial(a, p) + Binomial(b, p); a count
-            # up to BINOMIAL_CHUNK takes one draw, and count 0 draws nothing
-            wins = sum(int(self._binomial_rng.binomial(piece, p_u))
-                       for piece in _binomial_pieces(count))
+            if count <= BINOMIAL_CHUNK:
+                wins = self._binomial_rng.binomial(count, p_u)
+            else:   # Binomial(a + b, p) = Binomial(a, p) + Binomial(b, p)
+                wins = sum(int(self._binomial_rng.binomial(piece, p_u))
+                           for piece in _binomial_pieces(count))
         else:
             wins = sum(int(np.count_nonzero(first))
                        for first in self._stream_answers(u, v, count))
@@ -290,20 +324,52 @@ class LiveOracle:
         self.ledger.record_pair(u, v, count)
         return wins
 
-    def _binomial_win_counts(self, us, vs, count: int) -> np.ndarray:
+    def _binomial_win_counts(self, us, vs, size: int, count: int,
+                             stop: int | None) -> np.ndarray:
         """The array form of :meth:`pair_win_count` in binomial mode.
 
-        Each pair's pieces are drawn in turn, pair by pair, so the stream
-        is read as by one scalar call per pair in order.
+        ``count`` is one BINOMIAL_CHUNK piece at most. Each window's ids are
+        checked before it is drawn, and the ledger is charged for the
+        answered pairs on return.
         """
-        p = np.ravel(pair_probabilities(self.model, us, vs))
-        pieces = _binomial_pieces(count)
-        if len(pieces) == 1:
-            wins = self._binomial_rng.binomial(count, p)
-        else:
-            wins = self._binomial_rng.binomial(
-                pieces, p[:, None]).astype(object).sum(axis=1)
+        rng = self._binomial_rng
+        parts: list = []
+        for lo, hi in _windows(size, stop):
+            if hi - lo <= SCALAR_PAIRS:
+                drawn = np.array(self._draw_each(
+                    _window_pairs(us, vs, lo, hi), count, stop), dtype=np.int64)
+            else:
+                window = _cut(us, lo, hi), _cut(vs, lo, hi)
+                _check_ids(*window, self.n)
+                p = pair_probabilities(self.model, *window)
+                if stop is None:
+                    drawn = rng.binomial(count, p)
+                else:
+                    state = rng.bit_generator.state
+                    drawn = rng.binomial(count, p)
+                    hits = np.flatnonzero(drawn >= stop)
+                    if hits.size:   # redraw only the pairs through the hit
+                        rng.bit_generator.state = state
+                        drawn = rng.binomial(count, p[:hits[0] + 1])
+            parts.append(drawn)
+            if stop is not None and drawn[-1] >= stop:
+                break
+        wins = (parts[0] if len(parts) == 1
+                else np.concatenate(parts or [np.zeros(0, dtype=np.int64)]))
+        if wins.size < size:
+            us, vs = _cut(us, 0, wins.size), _cut(vs, 0, wins.size)
         self.ledger.record_pairs(us, vs, count)
+        return wins
+
+    def _draw_each(self, pairs, count: int, stop: int | None) -> list:
+        """Win counts of ``pairs``, one scalar draw each, through the first hit."""
+        rng, model, n = self._binomial_rng, self.model, self.n
+        wins: list = []
+        for a, b in pairs:
+            _check_pair(a, b, n)
+            wins.append(rng.binomial(count, pair_probability(model, a, b)))
+            if stop is not None and wins[-1] >= stop:
+                break
         return wins
 
     def sample_geometric(self, u: int, v: int) -> int:
@@ -317,6 +383,7 @@ class LiveOracle:
         STREAM_MAX_DRAWS, whose block of int64 losses alone would pass
         8 GiB, raises ``DemandTooLarge`` before anything is drawn.
         """
+        _check_pair(u, v, self.n)
         if count > STREAM_MAX_DRAWS:
             raise DemandTooLarge(
                 "the waits of pair ({}, {}) in one call".format(u, v), count,
@@ -377,7 +444,8 @@ class LiveOracle:
         waits of u against ``vs[k]``. The ledger charges each member those
         losses plus its waits, and a count of 0 draws nothing. A scalar
         ``vs`` with a vector ``counts`` is the one-column view and returns
-        a vector.
+        a vector. Every member must be an item of ``range(n)`` other than
+        u, or the call raises ValueError before it charges anything.
 
         The members are served in order, each column in row order, so the
         draws, the ledger, the transcript and the point where an error
@@ -396,6 +464,7 @@ class LiveOracle:
             return self.sample_geometric_sums(
                 u, np.array([vs]), counts[:, None])[:, 0]
         vs = np.asarray(vs, dtype=np.int64)
+        _check_ids(int(u), vs, self.n)   # before the first member is charged
         sums = np.zeros(counts.shape, dtype=np.int64)
         busy = counts.any(axis=0)
         if self.pair_mode == "stream":   # a replay has no model to read
@@ -492,6 +561,68 @@ def _binomial_pieces(count: int) -> list:
     """``count`` split into pieces of at most BINOMIAL_CHUNK; [0] for 0."""
     return [min(count - lo, BINOMIAL_CHUNK)
             for lo in range(0, max(count, 1), BINOMIAL_CHUNK)]
+
+
+def _check_pair(u, v, n: int) -> None:
+    """Refuse a pair whose ids are not two distinct items of ``range(n)``."""
+    if not (0 <= u < n and 0 <= v < n) or u == v:
+        raise ValueError(
+            "pair ({}, {}) needs two distinct items in [0, {})".format(u, v, n))
+
+
+def _check_ids(us, vs, n: int) -> None:
+    """:func:`_check_pair` on every pair of :func:`_pair_ids`, with numpy."""
+    for x in (us, vs):
+        # read as uint64, a negative id lies beyond every n
+        if (not 0 <= x < n if isinstance(x, int)
+                else x.size and x.view(np.uint64).max() >= n):
+            raise ValueError("pair ids must lie in [0, {})".format(n))
+    if (us == vs).any():
+        raise ValueError("pair items must be distinct")
+
+
+def _pair_ids(u, v) -> tuple:
+    """``(us, vs, size)``: the pairs of an array pair call, unchecked.
+
+    ``us`` and ``vs`` are flat int64 arrays of ``size`` ids in broadcast
+    order, except that a scalar side stays one int, the partner of every
+    pair.
+    """
+    if not isinstance(v, np.ndarray) or v.ndim == 0:
+        us, vs = np.asarray(u, dtype=np.int64).ravel(), int(v)
+    elif not isinstance(u, np.ndarray) or u.ndim == 0:
+        us, vs = int(u), v.astype(np.int64, copy=False).ravel()
+    else:
+        us, vs = (a.astype(np.int64, copy=False).ravel()
+                  for a in np.broadcast_arrays(u, v))
+    return us, vs, vs.size if isinstance(us, int) else us.size
+
+
+def _windows(size: int, stop: int | None):
+    """Yield the ``(lo, hi)`` windows an array pair call answers its pairs in.
+
+    One window of every pair without ``stop``; with it, windows that
+    double from SCALAR_PAIRS, so a call that stops early draws at most
+    about twice the pairs it answers.
+    """
+    lo, width = 0, size if stop is None else SCALAR_PAIRS
+    while lo < size:
+        yield lo, min(size, lo + width)
+        lo, width = lo + width, 2 * width
+
+
+def _cut(ids, lo: int, hi: int):
+    """Pairs ``lo`` to ``hi`` of one side of :func:`_pair_ids`."""
+    return ids if isinstance(ids, int) else ids[lo:hi]
+
+
+def _window_pairs(us, vs, lo: int, hi: int) -> list:
+    """The pairs ``lo`` to ``hi`` of :func:`_pair_ids` as Python int pairs."""
+    if isinstance(vs, int):
+        return [(a, vs) for a in us[lo:hi].tolist()]
+    if isinstance(us, int):
+        return [(us, b) for b in vs[lo:hi].tolist()]
+    return list(zip(us[lo:hi].tolist(), vs[lo:hi].tolist()))
 
 
 NO_ANSWERS = np.zeros(0, dtype=bool)

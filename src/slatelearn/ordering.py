@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primitives import (check_delta, estimate_ratio, log_ratio_of_wins,
-                         ratio_sample_size)
+# estimate_ratio is unused, but perfbench's tracer patches it here
+from .primitives import (check_delta, estimate_ratio,  # noqa: F401
+                         log_ratio_of_wins, ratio_sample_size)
 
 
 def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
@@ -44,10 +45,9 @@ def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
         if op == "emit":
             leaves.append(payload)
         elif payload:
-            pivot = (payload[int(rng.integers(len(payload)))]
-                     if len(payload) > 1 else payload[0])
-            lighter, leaf, heavier = split(
-                pivot, [x for x in payload if x != pivot])
+            at = int(rng.integers(len(payload))) if len(payload) > 1 else 0
+            lighter, leaf, heavier = split(payload[at],
+                                           payload[:at] + payload[at + 1:])
             stack += [("sort", heavier), ("emit", leaf), ("sort", lighter)]
     return leaves
 
@@ -65,9 +65,8 @@ def epsilon_ordering(oracle, eps_o: float, delta: float,
     is placed on the lighter side.
 
     Each pivot's comparisons are one ``oracle.pair_win_count`` call on the
-    array of its group: a binomial oracle answers them with one vector draw
-    from its shared stream, stream and replay oracles pair by pair in group
-    order.
+    array of its group, answered pair by pair in group order: a binomial
+    oracle reads its shared stream as one scalar call per pair would.
     """
     if not (0.0 < eps_o < 1.0):
         raise ValueError("eps_o must lie in (0, 1)")
@@ -78,10 +77,11 @@ def epsilon_ordering(oracle, eps_o: float, delta: float,
     def split(pivot, rest):
         if not rest:
             return [], pivot, []
-        rest = np.array(rest, dtype=np.int64)
-        wins = oracle.pair_win_count(rest, pivot, k)
-        heavy = np.asarray(wins > k // 2, dtype=bool)   # 2 wins > k
-        return rest[~heavy].tolist(), pivot, rest[heavy].tolist()
+        wins = oracle.pair_win_count(np.array(rest, dtype=np.int64), pivot,
+                                     k).tolist()
+        half = k // 2   # wins > half is 2 wins > k
+        return ([x for x, w in zip(rest, wins) if w <= half], pivot,
+                [x for x, w in zip(rest, wins) if w > half])
 
     return np.array(_pivot_sort(n, rng, split), dtype=np.int64)
 
@@ -108,18 +108,26 @@ class ClusterGraph:
         return self.gamma.size
 
     def check_structure(self) -> None:
-        n = self.n
+        """Raise AssertionError unless the graph is a well-formed clustering.
+
+        The clusters must partition the items, each must hold its center,
+        ``gamma`` must name each item's cluster, and every member but a
+        center must have a star edge.
+        """
+        sizes = [len(c) for c in self.clusters]
         seen = np.concatenate([np.asarray(c) for c in self.clusters])
-        if not np.array_equal(np.sort(seen), np.arange(n)):
+        if not np.array_equal(np.sort(seen), np.arange(self.n)):
             raise AssertionError("clusters must partition the items")
-        for i, members in enumerate(self.clusters):
-            if self.centers[i] not in members:
-                raise AssertionError("center must belong to its cluster")
-            for u in members:
-                if self.gamma[u] != i:
-                    raise AssertionError("gamma inconsistent with clusters")
-                if u != self.centers[i] and int(u) not in self.star_log:
-                    raise AssertionError("missing star edge for item {}".format(u))
+        label = np.repeat(np.arange(len(sizes)), sizes)
+        # a partition holds each center at most once
+        is_center = seen == np.asarray(self.centers)[label]
+        if np.count_nonzero(is_center) < len(sizes):
+            raise AssertionError("center must belong to its cluster")
+        if np.any(self.gamma[seen] != label):
+            raise AssertionError("gamma inconsistent with clusters")
+        for u in seen[~is_center].tolist():
+            if u not in self.star_log:
+                raise AssertionError("missing star edge for item {}".format(u))
 
 
 def _cluster_graph(n: int, leaves: list, a1: float, a2: float, eps: float,
@@ -139,6 +147,23 @@ def _cluster_graph(n: int, leaves: list, a1: float, a2: float, eps: float,
     return graph
 
 
+def _scan_stop(m: int, c: float, log_tau: float) -> int:
+    """The fewest wins in m queries whose log ratio exceeds ``log_tau``.
+
+    The least w in [0, m] with ``log_ratio_of_wins(w, m, c) > log_tau``,
+    or m + 1 when there is none; found by bisection, as that log ratio is
+    nondecreasing in w.
+    """
+    lo, hi = 0, m + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_ratio_of_wins(mid, m, c) > log_tau:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def cluster_sort(oracle, alpha: float, eps: float, delta: float,
                  rng: np.random.Generator | None = None) -> ClusterGraph:
     """Cluster an approximate ordering by walking it with ratio estimates.
@@ -150,6 +175,14 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
     the item starts a new one; otherwise the estimate becomes the item's
     star edge. Yields a (2/alpha, 1/alpha, eps)-cluster graph with
     probability 1 - delta.
+
+    Each run of the scan against one center is one ``oracle.pair_win_count``
+    call on the rest of the ordering, with ``stop`` set to the fewest wins
+    that close the cluster (see :func:`_scan_stop`): the oracle answers up
+    to the item that starts the next cluster and draws nothing past it.
+    Each answered item is read as :func:`estimate_ratio` reads one pair's
+    wins, so the draws, the ledger and the graph are those of one
+    ``estimate_ratio`` call per item.
 
     Requires eps in (0, 1/7). A zero ratio estimate against the current
     center contradicts the ordering guarantee; it is recorded in the
@@ -164,26 +197,30 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
     n = oracle.n
     seq = epsilon_ordering(oracle, 1.0 / 3.0, delta / 2.0, rng)
     log_tau = math.log(3.0 * (1.0 + eps) / (2.0 * alpha))
+    c, m = ratio_sample_size(2.0 * alpha / 3.0, eps, delta / (2.0 * n))
+    stop = _scan_stop(m, c, log_tau)
 
     leaves: list = []
     violations: list = []
     center = int(seq[0])
     start = 0
     pending: dict = {}   # member -> log ratio vs the current center
-    for pos in range(1, n):
-        item = int(seq[pos])
-        r = estimate_ratio(oracle, item, center, 2.0 * alpha / 3.0, eps,
-                           delta / (2.0 * n))
-        if r.log_ratio > log_tau:
-            leaves.append((seq[start:pos], center, pending))
-            pending = {}
-            center = item
-            start = pos
-        elif r.is_zero:
-            violations.append(("zero-ratio", item, center))
-            pending[item] = math.log(alpha)
-        else:
-            pending[item] = r.log_ratio
+    pos = 1
+    while pos < n:
+        wins = oracle.pair_win_count(seq[pos:], center, m, stop=stop).tolist()
+        for item, w in zip(seq[pos:pos + len(wins)].tolist(), wins):
+            log_ratio = log_ratio_of_wins(w, m, c)
+            if log_ratio > log_tau:
+                leaves.append((seq[start:pos], center, pending))
+                pending = {}
+                center = item
+                start = pos
+            elif log_ratio == -math.inf:
+                violations.append(("zero-ratio", item, center))
+                pending[item] = math.log(alpha)
+            else:
+                pending[item] = log_ratio
+            pos += 1
     leaves.append((seq[start:], center, pending))
     return _cluster_graph(n, leaves, 2.0 / alpha, 1.0 / alpha, eps, violations)
 
@@ -201,9 +238,8 @@ def quicksort_clustering(oracle, alpha: float, eps: float, delta: float,
 
     Each pivot's estimates are one ``oracle.pair_win_count`` call on the
     array of its group, read as :func:`estimate_ratio` reads one pair's
-    wins: a binomial oracle answers them with one vector draw, stream and
-    replay oracles pair by pair in group order, so the draws and the
-    ledger are those of one ``estimate_ratio`` call per item.
+    wins. The oracle answers them pair by pair in group order, so the
+    draws and the ledger are those of one ``estimate_ratio`` call per item.
     """
     check_delta(delta)
     n = oracle.n

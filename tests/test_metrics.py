@@ -305,10 +305,12 @@ class TestLedgerReport:
         counted = {"total": 0}
         inner = o.pair_win_count
 
-        def wrapper(u, v, count):
-            # u or v may be an array of pairs, each charged count queries
-            counted["total"] += count * np.broadcast(u, v).size
-            return inner(u, v, count)
+        def wrapper(u, v, count, stop=None):
+            # u or v may be an array of pairs, each answered pair charged
+            # count queries; with stop, only the answered prefix is charged
+            wins = inner(u, v, count, stop=stop)
+            counted["total"] += count * np.size(wins)
+            return wins
 
         o.pair_win_count = wrapper
         sl.learn_adaptive(o, 16, 0.3, 0.1, seed=1)

@@ -8,7 +8,7 @@ from conftest import mnl
 from slatelearn import oracle as oracle_mod
 from slatelearn.oracle import (BINOMIAL_CHUNK, BINOMIAL_TAG, GEOMETRIC_CAP,
                                INT64_MAX, NEGLIGIBLE_LOG, REPLAY_MAX_ANSWERS,
-                               STREAM_CHUNK, STREAM_MAX_DRAWS,
+                               SCALAR_PAIRS, STREAM_CHUNK, STREAM_MAX_DRAWS,
                                pair_streams_seed)
 
 
@@ -174,6 +174,97 @@ class TestBinomialChunks:
         assert all(type(w) is int for w in wins.tolist())
         assert a.ledger == b.ledger
         assert a._binomial_rng.random() == b._binomial_rng.random()
+
+
+class TestArrayDraws:
+    """Small arrays draw a scalar per pair, larger ones one vector draw."""
+
+    @pytest.mark.parametrize("size", [1, SCALAR_PAIRS, SCALAR_PAIRS + 1])
+    @pytest.mark.parametrize("scalar_first", [False, True])
+    def test_any_size_equals_one_vector_draw(self, size, scalar_first):
+        model = sl.generate_instance(sl.InstanceSpec(
+            "power-law", n=SCALAR_PAIRS + 2, seed=size, params={"gamma": 1.0}))
+        items = np.arange(1, size + 1)
+        o = sl.LiveOracle(model, seed=size)
+        rng = binomial_stream(size)
+        if scalar_first:
+            wins = o.pair_win_count(0, items, 1000)
+            p = sl.pair_probabilities(model, np.zeros(size, dtype=int), items)
+        else:
+            wins = o.pair_win_count(items, 0, 1000)
+            p = sl.pair_probabilities(model, items, np.zeros(size, dtype=int))
+        np.testing.assert_array_equal(wins, rng.binomial(1000, p))
+        assert wins.dtype == np.int64
+        # the stream stands where the vector draw left it
+        assert o._binomial_rng.random() == rng.random()
+        assert o.ledger.per_pair == {(0, int(u)): 1000 for u in items}
+
+
+def hit_model(size, hits):
+    """Items 1..size against item 0: those in ``hits`` win nearly always."""
+    log_w = np.full(size + 1, -30.0)
+    log_w[0] = 0.0
+    log_w[[h + 1 for h in hits]] = 30.0
+    return sl.LogWeightMnl(log_w)
+
+
+def stop_loop(o, items, v, count, stop):
+    """Reference: scalar calls in order, through the first count >= stop."""
+    wins = []
+    for u in items.tolist():
+        wins.append(o.pair_win_count(u, v, count))
+        if wins[-1] >= stop:
+            break
+    return wins
+
+
+class TestStop:
+    """``stop`` answers the prefix through the first hit, as a scalar loop."""
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream", "replay"])
+    @pytest.mark.parametrize("hit", [0, 5, SCALAR_PAIRS - 1, SCALAR_PAIRS,
+                                     SCALAR_PAIRS + 1, 3 * SCALAR_PAIRS - 1,
+                                     3 * SCALAR_PAIRS, 100, None])
+    def test_stop_is_the_scalar_loop(self, mode, hit):
+        size, count = 120, 200
+        hits = [] if hit is None else [hit, hit + 1, size - 1]
+        model = hit_model(size, hits)
+        a, b = (sl.LiveOracle(model, seed=3, pair_mode="stream"
+                              if mode != "binomial" else "binomial",
+                              transcript=mode == "stream") for _ in range(2))
+        if mode == "replay":
+            a, b = (sl.ReplayOracle(sl.build_replay_table(o, count))
+                    for o in (a, b))
+        items = np.arange(1, size + 1)
+        wins = a.pair_win_count(items, 0, count, stop=count // 2)
+        want = stop_loop(b, items, 0, count, count // 2)
+        assert wins.tolist() == want
+        assert len(want) == (size if hit is None else hit + 1)
+        assert wins.dtype == np.int64
+        assert a.ledger == b.ledger
+        assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
+        if mode == "binomial":
+            assert a._binomial_rng.random() == b._binomial_rng.random()
+        elif mode == "stream":
+            np.testing.assert_array_equal(a.transcript, b.transcript)
+
+    def test_stop_with_the_scalar_side_first(self):
+        model = hit_model(40, [30])
+        a, b = (sl.LiveOracle(model, seed=4) for _ in range(2))
+        # item 0 wins against every item but 31, so its count reaches the
+        # stop at once
+        wins = a.pair_win_count(0, np.arange(1, 41), 100, stop=50)
+        assert wins.tolist() == [b.pair_win_count(0, 1, 100)]
+        assert a.ledger == b.ledger
+        assert a._binomial_rng.random() == b._binomial_rng.random()
+
+    def test_empty_and_unreachable_stops(self):
+        o = sl.LiveOracle(hit_model(20, []), seed=5)
+        none = np.array([], dtype=np.int64)
+        assert o.pair_win_count(none, 0, 10, stop=1).size == 0
+        wins = o.pair_win_count(np.arange(1, 21), 0, 10, stop=11)
+        assert wins.size == 20
+        assert o.ledger.total == 200
 
 
 class TestDeterminism:

@@ -259,3 +259,118 @@ class TestArraySplit:
             assert a._binomial_rng.random() == b._binomial_rng.random()
         else:
             np.testing.assert_array_equal(a.transcript, b.transcript)
+
+
+def per_item_cluster_sort(oracle, alpha, eps, delta, rng):
+    """Reference: cluster_sort's scan with one estimate_ratio call per item."""
+    n = oracle.n
+    seq = ordering_mod.epsilon_ordering(oracle, 1.0 / 3.0, delta / 2.0, rng)
+    log_tau = math.log(3.0 * (1.0 + eps) / (2.0 * alpha))
+    leaves, violations, pending = [], [], {}
+    center, start = int(seq[0]), 0
+    for pos in range(1, n):
+        item = int(seq[pos])
+        r = sl.estimate_ratio(oracle, item, center, 2.0 * alpha / 3.0, eps,
+                              delta / (2.0 * n))
+        if r.log_ratio > log_tau:
+            leaves.append((seq[start:pos], center, pending))
+            pending, center, start = {}, item, pos
+        elif r.is_zero:
+            violations.append(("zero-ratio", item, center))
+            pending[item] = math.log(alpha)
+        else:
+            pending[item] = r.log_ratio
+    leaves.append((seq[start:], center, pending))
+    return ordering_mod._cluster_graph(n, leaves, 2.0 / alpha, 1.0 / alpha,
+                                       eps, violations)
+
+
+CLUSTER_SORT_CASES = {
+    "power-law": ("power-law", {"gamma": 2.0}),
+    "two-scale": ("two-scale", {"K": 50.0}),
+    # weights double item to item: clusters of two, T = n / 2
+    "geometric-ratio": ("geometric-ratio", {"rho": 2.0}),
+}
+
+
+class TestClusterSortScan:
+    """One stopping pair_win_count per cluster run reads as one estimate per item."""
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream", "replay"])
+    @pytest.mark.parametrize("case", sorted(CLUSTER_SORT_CASES) + ["shuffled"])
+    def test_equal_to_the_per_item_loop(self, monkeypatch, mode, case):
+        n = 40 if mode == "binomial" else 16
+        kind, params = CLUSTER_SORT_CASES.get(case, ("power-law", {"gamma": 3.0}))
+        model = sl.generate_instance(sl.InstanceSpec(kind, n=n, seed=5,
+                                                     params=params))
+        if case == "shuffled":
+            # lightest first, but each of 4 runs heaviest first: the scan's
+            # premise breaks, so cluster breaks and zero-ratio violations mix
+            runs = np.array_split(np.argsort(model.log_w), 4)
+            seq = np.concatenate([run[::-1] for run in runs])
+            monkeypatch.setattr(ordering_mod, "epsilon_ordering",
+                                lambda oracle, eps_o, delta, rng=None: seq)
+        graphs, oracles = [], []
+        for cluster in (sl.cluster_sort, per_item_cluster_sort):
+            o = sl.LiveOracle(model, seed=5, pair_mode="binomial"
+                              if mode == "binomial" else "stream",
+                              transcript=mode == "stream")
+            if mode == "replay":
+                o = sl.ReplayOracle(sl.build_replay_table(o, 400_000))
+            graphs.append(cluster(o, 0.5, 0.13, 0.1,
+                                  np.random.default_rng(5)))
+            oracles.append(o)
+        got, want = graphs
+        if case == "geometric-ratio":
+            assert got.T == n // 2
+        if case == "shuffled":
+            assert got.violations and got.T > 1
+        assert [c.tolist() for c in got.clusters] == [c.tolist()
+                                                      for c in want.clusters]
+        np.testing.assert_array_equal(got.centers, want.centers)
+        assert got.star_log == want.star_log
+        assert list(got.star_log) == list(want.star_log)
+        assert got.violations == want.violations
+        a, b = oracles
+        assert a.ledger == b.ledger
+        assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
+        if mode == "binomial":
+            assert a._binomial_rng.random() == b._binomial_rng.random()
+        elif mode == "stream":
+            np.testing.assert_array_equal(a.transcript, b.transcript)
+
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.4])
+    def test_scan_stop_is_the_least_winning_count(self, c):
+        for m in range(1, 80):
+            logs = [sl.primitives.log_ratio_of_wins(w, m, c)
+                    for w in range(m + 1)]
+            assert logs == sorted(logs)   # the premise of the bisection
+            for log_tau in {-math.inf, -1.0, 0.0, 0.7, 3.0, math.inf,
+                            *logs[::7]}:
+                want = next((w for w, x in enumerate(logs) if x > log_tau),
+                            m + 1)
+                assert ordering_mod._scan_stop(m, c, log_tau) == want
+
+
+def two_cluster_graph(**changes):
+    """Clusters {0, 1} and {2} with centers 0 and 2, then ``changes``."""
+    fields = dict(clusters=[np.array([0, 1]), np.array([2])],
+                  centers=np.array([0, 2]), star_log={1: 0.0},
+                  gamma=np.array([0, 0, 1]), a1=2.0, a2=2.0, eps=0.1)
+    return sl.ClusterGraph(**{**fields, **changes})
+
+
+class TestCheckStructure:
+    def test_a_well_formed_graph_passes(self):
+        two_cluster_graph().check_structure()
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(clusters=[np.array([0, 1]), np.array([1])]),
+         "clusters must partition the items"),
+        (dict(centers=np.array([2, 2])), "center must belong to its cluster"),
+        (dict(gamma=np.array([0, 1, 1])), "gamma inconsistent with clusters"),
+        (dict(star_log={}), "missing star edge for item 1"),
+    ])
+    def test_each_fault_names_itself(self, changes, message):
+        with pytest.raises(AssertionError, match=message):
+            two_cluster_graph(**changes).check_structure()

@@ -131,6 +131,47 @@ REFUSALS = [
     ("generate_instance rho=0", ValueError,
      lambda _: sl.generate_instance(
          sl.InstanceSpec("geometric-ratio", 3, params={"rho": 0.0}))),
+    # a pair call refuses ids that are not two distinct items, uncharged
+    ("ReplayOracle pair_win_count item >= n", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(0, 7, 3))),
+    ("ReplayOracle pair_win_count item >= n, count 0", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(0, 7, 0))),
+    ("ReplayOracle pair_win_count u == v", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(2, 2, 3))),
+    ("ReplayOracle array pair_win_count item >= n", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(
+         np.array([1, 2, 4]), 0, 3))),
+    ("LiveOracle pair_win_count item >= n", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(0, 9, 3))),
+    ("LiveOracle array pair_win_count negative item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         np.array([0, -1]), 2, 3))),
+    ("LiveOracle array pair_win_count u == v", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         1, np.array([0, 1]), 3))),
+    ("LiveOracle vector pair_win_count item >= n", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         np.append(np.arange(1, 30), 40), 0, 3))),
+    ("LiveOracle vector pair_win_count negative partner", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         np.arange(1, 30), -1, 3))),
+    ("LiveOracle pair_win_count stop past a bad item", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         np.append(np.arange(1, 39), 0), 0, 3, stop=4))),
+    ("LiveOracle stream array pair_win_count item >= n", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: o.pair_win_count(
+         np.array([1, 3]), 0, 3))),
+    ("LiveOracle sample_pair_block item >= n", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_pair_block(0, 3, 3))),
+    ("LiveOracle sample_geometric_sums negative member", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         0, np.array([1, -1]), np.array([[2, 2]])))),
+    ("ReplayOracle sample_geometric_sums member >= n", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.sample_geometric_sums(
+         0, np.array([1, 4]), np.array([[2, 2]])))),
+    ("ReplayOracle sample_geometric_block u == v", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.sample_geometric_block(
+         1, 1, 3))),
     ("check_structure without a star edge", AssertionError,
      lambda _: graph(star_log={}).check_structure()),
     ("check_structure without a partition", AssertionError,

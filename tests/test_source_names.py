@@ -15,9 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "slatelearn"
 CALLERS = ("tests", "demos", "perfbench")
-# perfbench's tracer patches this name on the module, so it stays imported
-# there though the module itself never reads it
-PATCHED = {("metrics", "slate_distribution")}
+# perfbench's tracer patches these names on their modules, so they stay
+# imported there though the modules themselves never read them
+PATCHED = {("metrics", "slate_distribution"), ("ordering", "estimate_ratio")}
 # Dataclass fields no package module reads, kept for the callers named here
 KEPT_FIELDS = {
     "EstimationForest.potential",   # tests/test_acceptance.py, test_forest.py

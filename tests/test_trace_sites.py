@@ -67,3 +67,18 @@ def test_balanced_estimate_ratio_notes_read_the_kind(heavy, kind):
     r = sl.balanced_estimate_ratio(oracle, graph, 1, 0, 0.19, 0.5, 0.1)
     assert estimate_notes()["primitives.balanced_estimate_ratio"](r) == kind
     assert math.isinf(r.log_ratio) == (kind == "infinite")
+
+
+@pytest.mark.parametrize("learner", ["learn_adaptive", "learn_balanced"])
+def test_traced_phases_account_for_every_query(learner):
+    # the traced benchmark refuses a run whose per-phase queries do not sum
+    # to the ledger total: a query made outside the wrapped calls is lost
+    tracing = load_tracing()
+    model = sl.generate_instance(
+        sl.InstanceSpec("power-law", n=64, seed=3, params={"gamma": 1.0}))
+    oracle = sl.LiveOracle(model, seed=3)
+    with tracing.Tracer() as tracer:
+        getattr(sl, learner)(oracle, 64, 0.3, 0.1, seed=3)
+    phases = tracing.phase_queries(tracer.spans)
+    assert phases["clustering"] > 0
+    assert sum(phases.values()) == oracle.ledger.total

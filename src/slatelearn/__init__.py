@@ -14,14 +14,13 @@ from .forest import (EstimationForest, PotentialState, ViolationReport,
                      build_balanced_estimation_forest, build_estimation_forest,
                      validate_forest)
 from .metrics import (DistanceReport, distance_exact, distance_sampled,
-                      estimates_on_all_slates, ledger_report,
-                      separation_fixture)
+                      ledger_report, separation_fixture)
 from .models import (InstanceSpec, LogWeightMnl, MatchingPseudoMnl, Model,
                      generate_instance, load_model, model_from_dict,
                      model_to_dict, pair_probabilities, pair_probability,
                      save_model, slate_distribution)
 from .oracle import (LiveOracle, QueryLedger, ReplayOracle, ReplayTable,
-                     build_replay_table, read_transcript, write_transcript)
+                     build_replay_table)
 from .ordering import (ClusterGraph, cluster_sort, epsilon_ordering,
                        quicksort_clustering)
 from .primitives import (BalancedEstimateParams, RatioEstimate,
@@ -35,19 +34,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BalancedEstimateParams", "ClusterGraph", "DEFAULT_BUDGET",
     "DemandTooLarge", "DistanceReport", "EstimationForest",
-    "ForestBuildFailure",
-    "GeometricCapExceeded", "InstanceSpec", "LiveOracle", "LogWeightMnl",
-    "MatchingPseudoMnl", "Model", "PotentialState", "QueryBudget",
-    "QueryLedger", "RatioEstimate", "ReplayBudgetExhausted", "ReplayOracle",
-    "ReplayTable", "SlateLearnError", "ViolationReport",
+    "ForestBuildFailure", "GeometricCapExceeded", "InstanceSpec", "LiveOracle",
+    "LogWeightMnl", "MatchingPseudoMnl", "Model", "PotentialState",
+    "QueryBudget", "QueryLedger", "RatioEstimate", "ReplayBudgetExhausted",
+    "ReplayOracle", "ReplayTable", "SlateLearnError", "ViolationReport",
     "balanced_estimate_ratio", "build_balanced_estimation_forest",
-    "build_estimation_forest", "build_replay_table", "cluster_sort",
-    "compare", "distance_exact", "distance_sampled", "epsilon_ordering",
-    "estimate_ratio", "estimates_on_all_slates", "generate_instance",
-    "generate_weights", "get_geometric", "ledger_report", "learn_adaptive",
-    "learn_balanced", "learn_nonadaptive", "load_model", "model_from_dict",
-    "model_to_dict", "pair_probabilities", "pair_probability",
-    "quicksort_clustering",
-    "read_transcript", "save_model", "separation_fixture",
-    "slate_distribution", "validate_forest", "write_transcript",
+    "build_estimation_forest", "build_replay_table", "cluster_sort", "compare",
+    "distance_exact", "distance_sampled", "epsilon_ordering", "estimate_ratio",
+    "generate_instance", "generate_weights", "get_geometric", "ledger_report",
+    "learn_adaptive", "learn_balanced", "learn_nonadaptive", "load_model",
+    "model_from_dict", "model_to_dict", "pair_probabilities",
+    "pair_probability", "quicksort_clustering", "save_model",
+    "separation_fixture", "slate_distribution", "validate_forest",
 ]

@@ -20,8 +20,6 @@ import numpy as np
 
 # slate_distribution is unused, but perfbench's tracer patches it here
 from .models import LogWeightMnl, Model, slate_distribution  # noqa: F401
-from .oracle import ReplayOracle
-from .primitives import check_delta
 
 
 @dataclass(frozen=True)
@@ -151,40 +149,6 @@ def separation_fixture(n: int, eps: float) -> tuple:
     lw2 = np.full(n, math.log1p(eps))
     lw2[-1] = math.log(n)
     return LogWeightMnl(lw1), LogWeightMnl(lw2)
-
-
-def estimates_on_all_slates(oracle, eps: float, delta: float) -> dict:
-    """Empirical winner distribution of every slate, each to l1 error eps.
-
-    Queries each of the 2^n - 1 slates q = ceil((2/eps^2)(n ln 3 +
-    ln(2/delta))) times; with probability 1 - delta every returned
-    distribution is within total l1 distance eps of the truth. Returns a
-    dict mapping each slate tuple to its empirical probability vector. A
-    replay oracle answers pairs only, so from n = 3 on it is refused before
-    any query.
-    """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    check_delta(delta)
-    n = oracle.n
-    if n >= 3 and isinstance(oracle, ReplayOracle):
-        raise ValueError("a replay oracle can only answer pair queries")
-    q = math.ceil((2.0 / (eps * eps)) * (n * math.log(3.0)
-                                         + math.log(2.0 / delta)))
-    out = {}
-    for slate in (np.flatnonzero(m) for masks in _mask_chunks(n)
-                  for m in masks):
-        if slate.size == 1:
-            out[(int(slate[0]),)] = np.ones(1)
-            continue
-        if slate.size == 2:
-            u, v = int(slate[0]), int(slate[1])
-            wins = oracle.pair_win_count(u, v, q)
-            counts = np.array([wins, q - wins], dtype=np.float64)
-        else:
-            counts = oracle.slate_win_counts(slate, q).astype(np.float64)
-        out[tuple(int(x) for x in slate)] = counts / q
-    return out
 
 
 def ledger_report(ledger) -> dict:

@@ -23,9 +23,7 @@ Oracles come in two pair-sampling modes:
     it is built, but draws a pair's answers from that pair's stream only
     when a read first reaches past what it has drawn, and keeps them. A
     replay reads a pair's answers from where its own ledger stands, so the
-    table serves any number of replays, each reading the same booleans. A
-    stream oracle can keep a transcript of every answer, held as the same
-    boolean chunks; a build on such an oracle draws every answer.
+    table serves any number of replays, each reading the same booleans.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -48,8 +46,6 @@ Oracles come in two pair-sampling modes:
 from __future__ import annotations
 
 import math
-import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,17 +166,13 @@ def pair_streams_seed(master_seed: int, u: int, v: int) -> np.random.SeedSequenc
 class LiveOracle:
     """Answers slate queries by sampling from a model's exact distributions."""
 
-    def __init__(self, model: Model, seed: int, pair_mode: str = "binomial",
-                 transcript: bool = False):
+    def __init__(self, model: Model, seed: int, pair_mode: str = "binomial"):
         if pair_mode not in ("stream", "binomial"):
             raise ValueError("pair_mode must be 'stream' or 'binomial'")
-        if transcript and pair_mode != "stream":
-            raise ValueError("transcripts require stream mode (individual answers)")
         self.model = model
         self.seed = seed
         self.pair_mode = pair_mode
         self.ledger = QueryLedger()
-        self._transcript = [] if transcript else None
         self._pair_rngs: dict = {}
         self._slate_rng = np.random.default_rng(
             np.random.SeedSequence((seed, SLATE_TAG)))
@@ -190,24 +182,6 @@ class LiveOracle:
     @property
     def n(self) -> int:
         return self.model.n
-
-    @property
-    def transcript(self):
-        """Every stream answer so far as (u, v, winner) uint32 rows, u < v.
-
-        None when the oracle keeps no transcript. Built from the kept
-        answer chunks on each read.
-        """
-        if self._transcript is None:
-            return None
-        rows = np.empty((sum(c[2].size for c in self._transcript), 3), np.uint32)
-        at = 0
-        for a, b, first in self._transcript:
-            block = rows[at:at + first.size]
-            block[:, 0], block[:, 1] = a, b
-            block[:, 2] = np.where(first, a, b)
-            at += first.size
-        return rows
 
     def _pair_rng(self, u: int, v: int) -> np.random.Generator:
         key = (u, v) if u < v else (v, u)
@@ -255,11 +229,8 @@ class LiveOracle:
             raise DemandTooLarge(
                 "the stream draws of pair ({}, {}) in one call".format(a, b),
                 count, STREAM_MAX_DRAWS, "use binomial mode")
-        for first in _answer_chunks(self._pair_rng(a, b),
-                                    pair_probability(self.model, a, b), count):
-            if self._transcript is not None:
-                self._transcript.append((a, b, first))
-            yield first
+        yield from _answer_chunks(self._pair_rng(a, b),
+                                  pair_probability(self.model, a, b), count)
 
     def sample_pair(self, u: int, v: int) -> int:
         return int(self.sample_pair_block(u, v, 1)[0])
@@ -292,8 +263,8 @@ class LiveOracle:
         vector window that holds a hit puts the stream back where it began
         and draws again only the pairs through the hit, which gives the
         same values. Stream mode answers the pairs with one scalar call per
-        pair, so its answers, ledger and transcript are those of the scalar
-        calls in order.
+        pair, so its answers, ledger and pair streams are those of the
+        scalar calls in order.
         """
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
             us, vs, size = _pair_ids(u, v)
@@ -409,7 +380,7 @@ class LiveOracle:
         Each round draws winners that one query at a time would draw too:
         every wait left needs a query, and wait k raises at its
         (GEOMETRIC_CAP - losses[k])-th loss at the latest. So the stream,
-        ledger, transcript and the query that raises match a per-query loop.
+        ledger and the query that raises match a per-query loop.
         The ledger is charged once, on return or when the cap fires, so a
         replay that runs out of answers partway charges nothing.
         """
@@ -448,16 +419,16 @@ class LiveOracle:
         u, or the call raises ValueError before it charges anything.
 
         The members are served in order, each column in row order, so the
-        draws, the ledger, the transcript and the point where an error
-        stops the call are those of one call per member. Stream mode sums
-        segments of each member's :meth:`sample_geometric_block`. Binomial
-        mode reads every p_u with one ``pair_probabilities`` call and draws
-        each total as one NegativeBinomial(count, p_u), a run of members at
-        a time in vector draws of at most NB_SLICE counts: O(M len(vs))
-        time and memory whatever the counts. A member is served on its own,
-        at its place, where p_u < 1 is so small that one wait could pass
-        GEOMETRIC_CAP (it sums the per-wait block, cap check included), or
-        where a count needs NB_CHUNK pieces.
+        draws, the ledger and the point where an error stops the call are
+        those of one call per member. Stream mode sums segments of each
+        member's :meth:`sample_geometric_block`. Binomial mode reads every
+        p_u with one ``pair_probabilities`` call and draws each total as one
+        NegativeBinomial(count, p_u), a run of members at a time in vector
+        draws of at most NB_SLICE counts: O(M len(vs)) time and memory
+        whatever the counts. A member is served on its own, at its place,
+        where p_u < 1 is so small that one wait could pass GEOMETRIC_CAP (it
+        sums the per-wait block, cap check included), or where a count needs
+        NB_CHUNK pieces.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if np.ndim(vs) == 0:
@@ -637,8 +608,7 @@ class ReplayTable:
     it has drawn, from the pair's own stream resumed where the build found
     it, and keeps them. So answers nothing reads are never drawn, and every
     read of a pair, by any replay, sees the same booleans: the ones a live
-    stream of the same seed would have drawn in the batch. ``answers``
-    maps each pair to all m of its answers, drawn in full on access.
+    stream of the same seed would have drawn in the batch.
     """
 
     model: Model
@@ -649,10 +619,6 @@ class ReplayTable:
     @property
     def n(self) -> int:
         return self.model.n
-
-    @property
-    def answers(self) -> Mapping:
-        return _TableAnswers(self)
 
     def read(self, key, stop: int) -> np.ndarray:
         """The first ``stop`` <= m answers of pair ``key``; True = lower id won.
@@ -672,23 +638,9 @@ class ReplayTable:
         return prefix[:stop]
 
 
-class _TableAnswers(Mapping):
-    """A table's pairs, each mapped to all m of its answers."""
-
-    def __init__(self, table: ReplayTable):
-        self._table = table
-
-    def __getitem__(self, key) -> np.ndarray:
-        return self._table.read(key, self._table.m)
-
-    def __contains__(self, key) -> bool:
-        return key in self._table.starts
-
-    def __iter__(self):
-        return iter(self._table.starts)
-
-    def __len__(self) -> int:
-        return len(self._table.starts)
+def max_table_m(n: int) -> int:
+    """The largest m :func:`build_replay_table` takes for ``n`` items."""
+    return REPLAY_MAX_ANSWERS // max(n * (n - 1) // 2, 1)
 
 
 def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
@@ -696,14 +648,14 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
 
     The live ledger is charged m per pair, and each pair stream steps m
     answers on, before any answer is read; a PCG64 ``advance(m)`` is exact
-    because a stream answer is one ``random()`` draw. An oracle keeping a
-    transcript reads every answer, pair by pair in u < v order.
+    because a stream answer is one ``random()`` draw. An m above
+    :func:`max_table_m` raises ``DemandTooLarge`` before anything is charged.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = oracle.n
     pairs = n * (n - 1) // 2
-    if pairs * m > REPLAY_MAX_ANSWERS:
+    if m > max_table_m(n):
         raise DemandTooLarge(
             "a replay table of {} pairs x {} answers".format(pairs, m),
             pairs * m, REPLAY_MAX_ANSWERS, "use a smaller m or n")
@@ -714,11 +666,7 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
             starts[(u, v)] = stream.state
             stream.advance(m)
             oracle.ledger.record_pair(u, v, m)
-    table = ReplayTable(oracle.model, m, starts)
-    if oracle._transcript is not None:
-        oracle._transcript.extend((u, v, table.read((u, v), m))
-                                  for u, v in starts)
-    return table
+    return ReplayTable(oracle.model, m, starts)
 
 
 class ReplayOracle:
@@ -745,11 +693,17 @@ class ReplayOracle:
         """Yield the pair's next ``count`` answers, after ``used`` uncharged ones.
 
         Raises ``ReplayBudgetExhausted`` when fewer are left, before the
-        table draws anything.
+        table draws anything, or ``DemandTooLarge`` when no table of n items
+        holds that many: no larger m cures that.
         """
         key = (u, v) if u < v else (v, u)
         at = self.ledger.per_pair.get(key, 0) + used
         if at + count > self.table.m:
+            if at + count > max_table_m(self.n):
+                raise DemandTooLarge(
+                    "the m pair {} needs in a table of {} items".format(
+                        key, self.n), at + count, max_table_m(self.n),
+                    "use the calibrated budget or a larger eps")
             raise ReplayBudgetExhausted(key, self.table.m, at + count)
         yield self.table.read(key, at + count)[at:]
 
@@ -758,10 +712,6 @@ class ReplayOracle:
         if slate.size != 2:
             raise ValueError("a replay oracle can only answer pair queries")
         return self.sample_pair(int(slate[0]), int(slate[1]))
-
-    def slate_win_counts(self, slate, count: int):
-        """Refused: the table holds answers to pair queries only."""
-        raise ValueError("a replay oracle can only answer pair queries")
 
     # Assigned, not inherited: perfbench's tracer wraps each class's own
     # methods, so every method a replay answers with is in its class body.
@@ -772,35 +722,3 @@ class ReplayOracle:
     sample_geometric_block = LiveOracle.sample_geometric_block
     _stream_waits = LiveOracle._stream_waits
     sample_geometric_sums = LiveOracle.sample_geometric_sums
-
-
-TRANSCRIPT_MAGIC = b"SLTR"
-TRANSCRIPT_VERSION = 1
-
-
-def write_transcript(path, records) -> None:
-    """Dump pair-query records as little-endian u32 (u, v, winner) triples.
-
-    ``records`` is an (N, 3) array such as :attr:`LiveOracle.transcript`, or
-    any sequence of N (u, v, winner) triples.
-    """
-    with open(path, "wb") as fh:
-        fh.write(TRANSCRIPT_MAGIC)
-        fh.write(struct.pack("<II", TRANSCRIPT_VERSION, len(records)))
-        fh.write(np.asarray(records, "<u4").reshape(-1, 3).tobytes())
-
-
-def read_transcript(path) -> np.ndarray:
-    """The (N, 3) uint32 array of (u, v, winner) rows a transcript file holds."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TRANSCRIPT_MAGIC:
-            raise ValueError("not a transcript file")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != TRANSCRIPT_VERSION:
-            raise ValueError("unsupported transcript version {}".format(version))
-        data = fh.read(12 * count)
-    if len(data) != 12 * count:
-        raise ValueError("truncated transcript: {} of {} records".format(
-            len(data) // 12, count))
-    return np.frombuffer(data, "<u4").reshape(-1, 3)

@@ -97,8 +97,9 @@ def learn_nonadaptive(oracle, n: int, eps: float, delta: float, m: int,
     balanced learner against the batch's answers without touching the live
     oracle again; the table draws only the answers the learner reads.
     Raises ``ReplayBudgetExhausted`` if some pair needs more than m
-    answers. Returns the model and the replay oracle (whose ledger shows
-    the simulated per-pair consumption).
+    answers, ``DemandTooLarge`` if more than any table of n items holds.
+    Returns the model and the replay oracle (whose ledger shows the
+    simulated per-pair consumption).
     """
     _check_learn_args(oracle, n, eps, delta)
     table = build_replay_table(oracle, m)

@@ -58,6 +58,16 @@ class FixedOracle:
         return sums
 
 
+def stream_states(oracle) -> dict:
+    """Where each pair stream of a live oracle stands, keyed by pair.
+
+    Each pair owns its stream, so two oracles of one seed whose states are
+    equal drew the same answers from every pair.
+    """
+    return {pair: rng.bit_generator.state
+            for pair, rng in oracle._pair_rngs.items()}
+
+
 def reference_distribution(model, slate) -> np.ndarray:
     """One slate's distribution, computed for that slate alone.
 

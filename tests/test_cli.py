@@ -87,6 +87,15 @@ class TestLearn:
         assert code == 3
         assert "rebuild the replay table" in err
 
+    def test_nonadaptive_demand_no_table_holds_exits_2(self, capsys):
+        # the theory budget asks pair (0, 1) for about 1.8e13 answers, and
+        # no table of 2 items takes an m above 2^30
+        code, _, err = run(capsys, "learn", "--algo", "nonadaptive", "--budget",
+                           "theory", "--n", "2", "--m", "100000000")
+        assert code == 2
+        assert "use the calibrated budget or a larger eps" in err
+        assert "rebuild the replay table" not in err and "Traceback" not in err
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run(capsys, "learn", "--no-such-flag")
         assert code == 1

@@ -268,23 +268,6 @@ class TestSeparationFixture:
         assert gap <= eps
 
 
-class TestEstimatesOnAllSlates:
-    def test_l1_error_within_budget(self):
-        eps, delta, trials = 0.3, 0.1, 20
-        model = sl.generate_instance(
-            sl.InstanceSpec("power-law", n=8, seed=0, params={"gamma": 1.0}))
-        ok = 0
-        for t in range(trials):
-            o = sl.LiveOracle(model, seed=t)
-            est = sl.estimates_on_all_slates(o, eps, delta)
-            worst = 0.0
-            for slate, probs in est.items():
-                truth = model.slate_distribution(list(slate))
-                worst = max(worst, float(np.abs(probs - truth).sum()))
-            ok += worst <= eps
-        assert ok / trials >= 0.9
-
-
 class TestLedgerReport:
     def test_empty(self):
         rep = sl.ledger_report(sl.QueryLedger())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import slatelearn as sl
-from conftest import failure_bound, mnl
+from conftest import failure_bound, mnl, stream_states
 from slatelearn import ordering as ordering_mod
 
 
@@ -238,8 +238,7 @@ class TestArraySplit:
             sl.InstanceSpec("power-law", n=40, seed=seed, params={"gamma": 3.0}))
         graphs, oracles = [], []
         for cluster in (sl.quicksort_clustering, per_item_quicksort_clustering):
-            o = sl.LiveOracle(model, seed=seed, pair_mode=mode,
-                              transcript=mode == "stream")
+            o = sl.LiveOracle(model, seed=seed, pair_mode=mode)
             graphs.append(cluster(o, 0.5, 0.15, 0.1,
                                   np.random.default_rng(seed)))
             oracles.append(o)
@@ -258,7 +257,7 @@ class TestArraySplit:
         if mode == "binomial":
             assert a._binomial_rng.random() == b._binomial_rng.random()
         else:
-            np.testing.assert_array_equal(a.transcript, b.transcript)
+            assert stream_states(a) == stream_states(b)
 
 
 def per_item_cluster_sort(oracle, alpha, eps, delta, rng):
@@ -313,8 +312,7 @@ class TestClusterSortScan:
         graphs, oracles = [], []
         for cluster in (sl.cluster_sort, per_item_cluster_sort):
             o = sl.LiveOracle(model, seed=5, pair_mode="binomial"
-                              if mode == "binomial" else "stream",
-                              transcript=mode == "stream")
+                              if mode == "binomial" else "stream")
             if mode == "replay":
                 o = sl.ReplayOracle(sl.build_replay_table(o, 400_000))
             graphs.append(cluster(o, 0.5, 0.13, 0.1,
@@ -337,7 +335,7 @@ class TestClusterSortScan:
         if mode == "binomial":
             assert a._binomial_rng.random() == b._binomial_rng.random()
         elif mode == "stream":
-            np.testing.assert_array_equal(a.transcript, b.transcript)
+            assert stream_states(a) == stream_states(b)
 
     @pytest.mark.parametrize("c", [0.1, 0.25, 0.4])
     def test_scan_stop_is_the_least_winning_count(self, c):

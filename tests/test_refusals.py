@@ -4,14 +4,11 @@ One call per refusal that no other test reaches: a bad argument must end in
 the documented exception, never in a bare numpy or lookup error further in.
 """
 
-import struct
-
 import numpy as np
 import pytest
 
 import slatelearn as sl
 from conftest import mnl
-from slatelearn.oracle import TRANSCRIPT_MAGIC
 from slatelearn.primitives import compare_sample_size, ratio_sample_size
 
 
@@ -25,12 +22,6 @@ def graph(**changes):
                   centers=np.array([0, 2]), star_log={1: 0.0},
                   gamma=np.array([0, 0, 1]), a1=2.0, a2=2.0, eps=0.1)
     return sl.ClusterGraph(**{**fields, **changes})
-
-
-def version_2_transcript(tmp_path):
-    path = tmp_path / "v2.sltr"
-    path.write_bytes(TRANSCRIPT_MAGIC + struct.pack("<II", 2, 0))
-    return sl.read_transcript(path)
 
 
 def replay(n=4, m=100):
@@ -58,9 +49,6 @@ REFUSALS = [
      lambda _: live().slate_win_counts([0, 1], 5)),
     ("build_replay_table m=0", ValueError,
      lambda _: sl.build_replay_table(live(mode="stream"), 0)),
-    ("ReplayOracle slate_win_counts", ValueError,
-     lambda _: replay().slate_win_counts([0, 1, 2], 5)),
-    ("read_transcript version 2", ValueError, version_2_transcript),
     ("epsilon_ordering eps_o", ValueError,
      lambda _: sl.epsilon_ordering(live(), 1.0, 0.1)),
     ("epsilon_ordering delta=0", ValueError,
@@ -111,17 +99,6 @@ REFUSALS = [
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0, 3.0), 5)),
     ("distance_sampled k=0", ValueError,
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), 0)),
-    ("estimates_on_all_slates eps=0", ValueError,
-     lambda _: sl.estimates_on_all_slates(live(4), 0.0, 0.1)),
-    ("estimates_on_all_slates eps<0", ValueError,
-     lambda _: sl.estimates_on_all_slates(live(4), -0.3, 0.1)),
-    ("estimates_on_all_slates delta=0", ValueError,
-     lambda _: sl.estimates_on_all_slates(live(4), 0.3, 0.0)),
-    ("estimates_on_all_slates delta=1", ValueError,
-     lambda _: sl.estimates_on_all_slates(live(4), 0.3, 1.0)),
-    ("estimates_on_all_slates on a replay", ValueError,
-     lambda _: uncharged(replay(), lambda o: sl.estimates_on_all_slates(
-         o, 0.5, 0.1))),
     ("separation_fixture n=1", ValueError,
      lambda _: sl.separation_fixture(1, 0.1)),
     ("separation_fixture eps", ValueError,

@@ -1,8 +1,8 @@
 """Static checks on the package source, using only the standard library.
 
 Every name a module imports must be read somewhere in that module,
-``slatelearn.__all__`` must list exactly the package's public names,
-every dataclass field must be read as an attribute somewhere in the package
+``slatelearn.__all__`` must list exactly the package's public names, each
+of which some code outside the tests calls, every dataclass field must be read as an attribute somewhere in the package
 (or, for the few kept for outside callers, by those callers), and only
 ``config.py`` tells the two budget presets apart.
 """
@@ -24,6 +24,9 @@ KEPT_FIELDS = {
     "PotentialState.Z",             # the same two, through forest.potential
     "EstimationForest.stats",       # tests/test_forest.py: calls per target
 }
+# Exports no code outside the tests calls: the paper's primitives, which
+# tests/test_acceptance.py reads
+KEPT_EXPORTS = {"compare", "get_geometric"}
 
 
 def parse(name: str) -> ast.Module:
@@ -78,6 +81,24 @@ def test_all_lists_the_public_names():
                and not t.id.startswith("_")}
     assert len(exported) == len(set(exported)), "__all__ repeats a name"
     assert set(exported) == public
+
+
+def loaded_names(tree: ast.Module) -> set:
+    """Every name the tree loads, bare or as an attribute of something."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_export_has_a_caller_outside_tests():
+    trees = [parse(module) for module in MODULES if module != "__init__"]
+    trees += [ast.parse(path.read_text()) for folder in ("demos", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    loaded = set().union(*map(loaded_names, trees))
+    exported = set(all_list(parse("__init__")))
+    assert KEPT_EXPORTS <= exported, "a kept export is no longer exported"
+    assert exported - loaded - KEPT_EXPORTS == set(), "exports only tests call"
 
 
 def is_dataclass_decorator(node: ast.expr) -> bool:

@@ -6,10 +6,11 @@ class SlateLearnError(Exception):
 
 
 class ReplayBudgetExhausted(SlateLearnError):
-    """A replayed pair ran out of pre-sampled answers.
+    """A replayed pair ran out of the answers its batch paid for.
 
     This signals that the replication count m used to build the replay table
-    was below the per-pair demand of the learner being simulated. Recoverable:
+    was below the per-pair demand of the learner being simulated; the
+    answers are paid for when the table is built, not sampled then. Recoverable:
     rebuild the table with a larger m. ``needed`` is how many of the pair's
     answers the refused read would have reached: an m of at least that
     serves the call, and more may be needed when it is a geometric wait.

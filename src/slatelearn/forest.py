@@ -88,18 +88,19 @@ class EstimationForest:
 
     def hop_distances(self) -> np.ndarray:
         """All-pairs hop counts; -1 marks disconnected pairs."""
-        return _hop_matrix(self, np.int64)
+        return _hop_matrix(_traverse(self, range(self.n)), np.int64)
 
 
-def _hop_matrix(forest: EstimationForest, dtype) -> np.ndarray:
+def _hop_matrix(walk: tuple, dtype) -> np.ndarray:
     """All-pairs hop counts as ``dtype``, which must hold -1 to n.
 
-    Rows are filled in preorder, each from its parent's: one step down from
-    p to its child w adds a hop towards every item of the tree except w's
-    own subtree, which comes a hop closer.
+    ``walk`` is the :func:`_traverse` of the forest from every item. Rows
+    are filled in preorder, each from its parent's: one step down from p to
+    its child w adds a hop towards every item of the tree except w's own
+    subtree, which comes a hop closer.
     """
-    n = forest.n
-    order, parent, size, root, _ = _traverse(forest, range(n))
+    order, parent, size, root, _ = walk
+    n = parent.size
     pre = np.argsort(order)  # position of each item in the preorder
     below_root = order[parent[order] >= 0]
     depth = np.zeros(n, dtype=np.int64)
@@ -308,9 +309,10 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
     log_w = np.asarray(log_w, dtype=np.float64)
     n, eps, t = forest.n, forest.eps, forest.t
     gamma = forest.graph.gamma
-    _, _, _, comp_of, lam = _traverse(forest, range(n))
+    walk = _traverse(forest, range(n))
+    _, _, _, comp_of, lam = walk
     # the one n x n matrix of the audit, in the narrowest type holding -1..n
-    dist = _hop_matrix(forest, np.min_scalar_type(-n - 1))
+    dist = _hop_matrix(walk, np.min_scalar_type(-n - 1))
     # lowest and highest cluster of each tree, indexed by its root
     lo_gamma, hi_gamma = np.full(n, gamma.max()), np.zeros_like(gamma)
     np.minimum.at(lo_gamma, comp_of, gamma)

@@ -16,14 +16,14 @@ Oracles come in two pair-sampling modes:
     with other pairs. An answer is carried as one boolean, True where the
     lower-indexed item of the pair won; only :meth:`LiveOracle.sample_pair_block`
     turns answers into winner ids. A :class:`ReplayOracle` is this mode with
-    its answers paid for in advance: it runs the same stream-mode code and
-    only reads each pair's booleans from a :class:`ReplayTable` (one byte
-    per answer), so a live run and a replayed run agree bit for bit. The
-    table charges the live ledger the whole batch, m answers per pair, when
-    it is built, but draws a pair's answers from that pair's stream only
-    when a read first reaches past what it has drawn, and keeps them. A
-    replay reads a pair's answers from where its own ledger stands, so the
-    table serves any number of replays, each reading the same booleans.
+    its answers paid for in advance: it runs the same stream-mode code on its
+    own copy of each pair stream, so a live run and a replayed run agree bit
+    for bit. A :class:`ReplayTable` charges the live ledger the whole batch,
+    m answers per pair, when it is built, and keeps only where each pair
+    stream stood before the batch, no answers. A replay restores a pair's
+    stream from there on its first read of the pair, moved on past the
+    answers its own ledger counts, so the table serves any number of
+    replays, each drawing the same answers.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -58,7 +58,11 @@ SLATE_TAG = 0x51A7
 BINOMIAL_TAG = 0xB1A0
 GEOMETRIC_CAP = 10**9
 # Largest count passed to one Generator.binomial call, which takes a C long.
+# A count is drawn as pieces of at most this, and one of more than 2^16
+# pieces is refused: adaptive eps 1e-9 asks about 7.6e27 queries of one
+# pair, which would be 1.6e9 pieces.
 BINOMIAL_CHUNK = 1 << 62
+BINOMIAL_MAX_COUNT = BINOMIAL_CHUNK << 16
 # Most pairs one array pair query draws with a scalar binomial draw each:
 # numpy's vector draw gives the same values, but its set-up costs more than
 # this many scalar draws.
@@ -70,9 +74,10 @@ SCALAR_PAIRS = 16
 # and n = 4096, and a block of 2^30 int64 winners is already 8 GiB.
 STREAM_CHUNK = 1 << 20
 STREAM_MAX_DRAWS = 1 << 30
-# build_replay_table refuses a batch of more answers than this: 1 GiB of
-# one-byte answers, should a replay read them all (non-adaptive eps 0.5,
-# n 14, m 5e5 pays for 4.6e7).
+# build_replay_table refuses a batch of more answers than this. A replay
+# keeps no answers, so the cap bounds the batch one build charges, and with
+# it the pairs one build sets up at a given m (non-adaptive eps 0.5, n 14,
+# m 5e5 pays for 4.6e7).
 REPLAY_MAX_ANSWERS = 1 << 30
 # One Generator.negative_binomial draw takes its n as a double and refuses a
 # mean n (1 - p) / p above about 9.2e18: pieces of at most NB_CHUNK waits
@@ -170,6 +175,7 @@ class LiveOracle:
         if pair_mode not in ("stream", "binomial"):
             raise ValueError("pair_mode must be 'stream' or 'binomial'")
         self.model = model
+        self.n = model.n
         self.seed = seed
         self.pair_mode = pair_mode
         self.ledger = QueryLedger()
@@ -178,10 +184,6 @@ class LiveOracle:
             np.random.SeedSequence((seed, SLATE_TAG)))
         self._binomial_rng = np.random.default_rng(
             np.random.SeedSequence((seed, BINOMIAL_TAG)))
-
-    @property
-    def n(self) -> int:
-        return self.model.n
 
     def _pair_rng(self, u: int, v: int) -> np.random.Generator:
         key = (u, v) if u < v else (v, u)
@@ -228,7 +230,8 @@ class LiveOracle:
         if count > STREAM_MAX_DRAWS:
             raise DemandTooLarge(
                 "the stream draws of pair ({}, {}) in one call".format(a, b),
-                count, STREAM_MAX_DRAWS, "use binomial mode")
+                count, STREAM_MAX_DRAWS,
+                "use binomial mode, the calibrated budget or a larger eps")
         yield from _answer_chunks(self._pair_rng(a, b),
                                   pair_probability(self.model, a, b), count)
 
@@ -255,17 +258,21 @@ class LiveOracle:
         raises ValueError and charges nothing.
 
         Binomial mode returns int64 counts, or exact Python ints when
-        ``count`` takes more than one BINOMIAL_CHUNK piece, and reads the
-        stream as one scalar call per pair in order would. Up to
-        SCALAR_PAIRS pairs are drawn one scalar draw each; more take one
-        vector draw, which runs the same draw per element. With ``stop``,
-        the pairs are drawn in windows that double from SCALAR_PAIRS; a
-        vector window that holds a hit puts the stream back where it began
-        and draws again only the pairs through the hit, which gives the
-        same values. Stream mode answers the pairs with one scalar call per
-        pair, so its answers, ledger and pair streams are those of the
-        scalar calls in order.
+        ``count`` takes more than one BINOMIAL_CHUNK piece, refuses a count
+        above BINOMIAL_MAX_COUNT with ``DemandTooLarge`` before any pair is
+        drawn or charged, and reads the stream as one scalar call per pair
+        in order would. Up to SCALAR_PAIRS pairs are drawn one scalar draw
+        each; more take one vector draw, which runs the same draw per
+        element. With ``stop``, the pairs are drawn in windows that double
+        from SCALAR_PAIRS; a vector window that holds a hit puts the stream
+        back where it began and draws again only the pairs through the hit,
+        which gives the same values. Stream mode answers the pairs with one
+        scalar call per pair, so its answers, ledger and pair streams are
+        those of the scalar calls in order.
         """
+        if self.pair_mode == "binomial" and count > BINOMIAL_MAX_COUNT:
+            raise DemandTooLarge("the queries of each pair in one call", count,
+                                 BINOMIAL_MAX_COUNT, "use a larger eps")
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
             us, vs, size = _pair_ids(u, v)
             if self.pair_mode == "binomial" and count <= BINOMIAL_CHUNK:
@@ -285,8 +292,9 @@ class LiveOracle:
             if count <= BINOMIAL_CHUNK:
                 wins = self._binomial_rng.binomial(count, p_u)
             else:   # Binomial(a + b, p) = Binomial(a, p) + Binomial(b, p)
-                wins = sum(int(self._binomial_rng.binomial(piece, p_u))
-                           for piece in _binomial_pieces(count))
+                wins = sum(int(self._binomial_rng.binomial(
+                    min(count - lo, BINOMIAL_CHUNK), p_u))
+                    for lo in range(0, count, BINOMIAL_CHUNK))
         else:
             wins = sum(int(np.count_nonzero(first))
                        for first in self._stream_answers(u, v, count))
@@ -438,7 +446,7 @@ class LiveOracle:
         _check_ids(int(u), vs, self.n)   # before the first member is charged
         sums = np.zeros(counts.shape, dtype=np.int64)
         busy = counts.any(axis=0)
-        if self.pair_mode == "stream":   # a replay has no model to read
+        if self.pair_mode == "stream":   # stream mode draws every wait
             for k in np.flatnonzero(busy).tolist():
                 sums[:, k] = _segment_sums(self.sample_geometric_block(
                     u, int(vs[k]), int(counts[:, k].sum())), counts[:, k])
@@ -528,12 +536,6 @@ def _column_totals(a: np.ndarray) -> list:
     return a.sum(axis=0).tolist()
 
 
-def _binomial_pieces(count: int) -> list:
-    """``count`` split into pieces of at most BINOMIAL_CHUNK; [0] for 0."""
-    return [min(count - lo, BINOMIAL_CHUNK)
-            for lo in range(0, max(count, 1), BINOMIAL_CHUNK)]
-
-
 def _check_pair(u, v, n: int) -> None:
     """Refuse a pair whose ids are not two distinct items of ``range(n)``."""
     if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -596,46 +598,20 @@ def _window_pairs(us, vs, lo: int, hi: int) -> list:
     return list(zip(us[lo:hi].tolist(), vs[lo:hi].tolist()))
 
 
-NO_ANSWERS = np.zeros(0, dtype=bool)
-
-
 @dataclass(frozen=True, eq=False)
 class ReplayTable:
     """One non-adaptive batch of m answers per pair of the model's items.
 
-    :func:`build_replay_table` pays for the whole batch, but the table
-    draws a pair's answers only when :meth:`read` first reaches past what
-    it has drawn, from the pair's own stream resumed where the build found
-    it, and keeps them. So answers nothing reads are never drawn, and every
-    read of a pair, by any replay, sees the same booleans: the ones a live
-    stream of the same seed would have drawn in the batch.
+    :func:`build_replay_table` pays for the whole batch and records where
+    each pair stream stood before it; the table keeps no answers. A
+    :class:`ReplayOracle` draws a pair's answers from that state, so every
+    replay of the table reads the answers a live stream of the same seed
+    would have drawn in the batch.
     """
 
     model: Model
     m: int
     starts: dict  # (u, v) with u < v -> the pair stream's state at the build
-    _drawn: dict = field(default_factory=dict, init=False, repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.model.n
-
-    def read(self, key, stop: int) -> np.ndarray:
-        """The first ``stop`` <= m answers of pair ``key``; True = lower id won.
-
-        Draws what is missing, at least doubling the pair's drawn prefix
-        (up to m) so that many small reads make few draws.
-        """
-        prefix, rng = self._drawn.get(key, (NO_ANSWERS, None))
-        if stop > prefix.size:
-            if rng is None:
-                rng = np.random.Generator(np.random.PCG64())
-                rng.bit_generator.state = self.starts[key]
-            more = min(self.m, max(stop, 2 * prefix.size)) - prefix.size
-            prefix = np.concatenate([prefix, *_answer_chunks(
-                rng, pair_probability(self.model, *key), more)])
-            self._drawn[key] = prefix, rng
-        return prefix[:stop]
 
 
 def max_table_m(n: int) -> int:
@@ -672,40 +648,54 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
 class ReplayOracle:
     """A stream-mode oracle whose answers were paid for in advance.
 
-    It answers only pair queries, reading each pair's answers from the
-    :class:`ReplayTable` where a live stream would draw them; every other
-    step is :class:`LiveOracle`'s own stream-mode code. Its ledger counts
-    *simulated* queries, and is its read position: a pair's next answer is
-    the one at ``ledger.per_pair[pair]``. No live oracle is touched and
-    every read of the table sees the same answers, so replays of one
-    table, in any interleaving, each read the answers a live stream of the
-    same seed would draw.
+    It answers only pair queries, with :class:`LiveOracle`'s own stream-mode
+    code, from its own copy of each pair stream: a pair's first read
+    restores the state the :class:`ReplayTable` recorded and moves it on
+    past the answers the replay's ledger counts. That ledger counts
+    *simulated* queries and is the replay's read position. No live oracle
+    is touched, so replays of one table, in any interleaving, each draw the
+    answers a live stream of the same seed would draw.
     """
 
     pair_mode = "stream"
 
     def __init__(self, table: ReplayTable):
         self.table = table
-        self.n = table.n
+        self.model = table.model
+        self.n = table.model.n
         self.ledger = QueryLedger()
+        self._pair_rngs: dict = {}
+
+    def _pair_rng(self, u: int, v: int) -> np.random.Generator:
+        key = (u, v) if u < v else (v, u)
+        rng = self._pair_rngs.get(key)
+        if rng is None:   # exact: a stream answer is one random() draw
+            bits = np.random.PCG64()
+            bits.state = self.table.starts[key]
+            rng = self._pair_rngs[key] = np.random.Generator(
+                bits.advance(self.ledger.per_pair.get(key, 0)))
+        return rng
 
     def _stream_answers(self, u: int, v: int, count: int, used: int = 0):
         """Yield the pair's next ``count`` answers, after ``used`` uncharged ones.
 
-        Raises ``ReplayBudgetExhausted`` when fewer are left, before the
-        table draws anything, or ``DemandTooLarge`` when no table of n items
-        holds that many: no larger m cures that.
+        Raises ``ReplayBudgetExhausted`` when fewer are left, before anything
+        is drawn, or ``DemandTooLarge`` when no table of n items holds that
+        many: no larger m cures that. A refusal drops the pair's stream,
+        which may stand past the ``used`` answers, so the next read
+        restores it where the ledger stands.
         """
         key = (u, v) if u < v else (v, u)
         at = self.ledger.per_pair.get(key, 0) + used
         if at + count > self.table.m:
+            self._pair_rngs.pop(key, None)
             if at + count > max_table_m(self.n):
                 raise DemandTooLarge(
                     "the m pair {} needs in a table of {} items".format(
                         key, self.n), at + count, max_table_m(self.n),
                     "use the calibrated budget or a larger eps")
             raise ReplayBudgetExhausted(key, self.table.m, at + count)
-        yield self.table.read(key, at + count)[at:]
+        yield from LiveOracle._stream_answers(self, u, v, count)
 
     def max_sample(self, slate) -> int:
         slate = np.asarray(slate, dtype=np.int64)

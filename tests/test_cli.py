@@ -286,6 +286,22 @@ class TestTrialRunner:
         assert code == 2
         assert "stream draws" in err
 
+    def test_stream_demand_advice_names_the_calibrated_budget(self, capsys):
+        # binomial mode fails this run too (its M * N waits pass their cap),
+        # so the advice must not send the user there alone
+        code, _, err = run(capsys, "learn", "--algo", "balanced", "--budget",
+                           "theory", "--oracle-mode", "stream", "--instance",
+                           "power-law", "--n", "6", "--eps", "0.5")
+        assert code == 2
+        assert "stream draws" in err and "the calibrated budget" in err
+
+    def test_binomial_count_of_too_many_pieces_exits_2(self, capsys):
+        # cluster_sort asks about 7.6e27 queries per comparison at eps 1e-9
+        code, _, err = run(capsys, "learn", "--algo", "adaptive", "--n", "6",
+                           "--eps", "1e-9")
+        assert code == 2
+        assert "use a larger eps" in err and "Traceback" not in err
+
     def test_theory_budget_demand_exits_2(self, capsys):
         # M = 69 groups of N, about 1.9e21 waits each, for one estimate
         code, _, err = run(capsys, "learn", "--algo", "balanced", "--budget",

@@ -3,9 +3,10 @@
 Holding every geometric wait of a balanced ratio estimate at once needs
 about 9 GiB at n = 4096; drawing one loss total per (group, member) needs
 well under 100 MiB. A non-adaptive replay table pays for its whole batch
-but draws only the answers a replay reads, one byte each, in prefixes that
-at most double what was read: of the 1 GiB batch of 435 pairs x 2,468,364
-answers at n = 30, the learner reads 7.3e6 answers from 57 pairs. Each
+but keeps no answers: a replay draws only the answers it reads, each
+pair's from its own stream, and keeps one Generator per pair it read. Of
+the 1 GiB batch of 435 pairs x 2,468,364 answers at n = 30, the learner
+reads 7.3e6 answers from 57 pairs. Each
 learn runs in a child process that caps its own address space, so only the
 child is limited.
 """

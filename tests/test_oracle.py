@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import slatelearn as sl
 from conftest import mnl, stream_states
 from slatelearn import oracle as oracle_mod
-from slatelearn.oracle import (BINOMIAL_CHUNK, BINOMIAL_TAG, GEOMETRIC_CAP,
-                               INT64_MAX, NEGLIGIBLE_LOG, REPLAY_MAX_ANSWERS,
-                               SCALAR_PAIRS, STREAM_CHUNK, STREAM_MAX_DRAWS,
-                               pair_streams_seed)
+from slatelearn.oracle import (BINOMIAL_CHUNK, BINOMIAL_MAX_COUNT, BINOMIAL_TAG,
+                               GEOMETRIC_CAP, INT64_MAX, NEGLIGIBLE_LOG,
+                               REPLAY_MAX_ANSWERS, SCALAR_PAIRS, STREAM_CHUNK,
+                               STREAM_MAX_DRAWS, pair_streams_seed)
 
 
 def uniform_pair():
@@ -161,6 +163,22 @@ class TestBinomialChunks:
                    for w in wins)
         assert o.ledger.per_pair == {(0, 1): 2**64, (1, 2): 2**64}
 
+    @pytest.mark.parametrize("pairs", [(0, 1), (np.array([2, 1]), 0)])
+    def test_count_of_too_many_pieces_is_refused(self, pairs):
+        # 7.6e27 queries of one pair would be 1.6e9 pieces; a count above
+        # 2^16 pieces is refused before any pair is drawn or charged
+        o = sl.LiveOracle(mnl(1.0, 3.0, 1.0), seed=9)
+        state = o._binomial_rng.bit_generator.state
+        with pytest.raises(sl.DemandTooLarge) as info:
+            o.pair_win_count(*pairs, BINOMIAL_MAX_COUNT + 1)
+        assert (info.value.count, info.value.cap) == (BINOMIAL_MAX_COUNT + 1,
+                                                      BINOMIAL_MAX_COUNT)
+        assert "use a larger eps" in str(info.value)
+        assert o.ledger == sl.QueryLedger()
+        assert o._binomial_rng.bit_generator.state == state
+        wins = o.pair_win_count(0, 1, BINOMIAL_MAX_COUNT)
+        assert abs(wins / BINOMIAL_MAX_COUNT - 0.25) < 1e-6
+        assert o.ledger.total == BINOMIAL_MAX_COUNT
 
     def test_array_pieces_are_drawn_pair_by_pair(self, monkeypatch):
         # every piece of one pair before the next pair, as scalar calls draw
@@ -395,9 +413,30 @@ class TestStreamChunks:
         assert o.pair_win_count(0, 1, 4 * STREAM_MAX_DRAWS) > 0
 
 
-def all_answers(table):
-    """Every pair of a replay table mapped to all m of its answers."""
-    return {key: table.read(key, table.m) for key in table.starts}
+def batch(table, key):
+    """Pair ``key``'s m answers in the table's batch, True = lower id won.
+
+    Drawn afresh from the pair stream's state in ``table.starts``.
+    """
+    bits = np.random.PCG64()
+    bits.state = table.starts[key]
+    return (np.random.Generator(bits).random(table.m)
+            < sl.pair_probability(table.model, *key))
+
+
+def ledger_states(replay):
+    """Where each pair stream of a replay stands by its ledger alone.
+
+    That is the table's start state moved on by the ledger's count, where
+    the stream stands if the replay drew exactly what it charged.
+    """
+    states = {}
+    for key in replay._pair_rngs:
+        bits = np.random.PCG64()
+        bits.state = replay.table.starts[key]
+        bits.advance(replay.ledger.per_pair.get(key, 0))
+        states[key] = bits.state
+    return states
 
 
 class TestReplay:
@@ -411,15 +450,18 @@ class TestReplay:
         o = sl.LiveOracle(sl.generate_instance(sl.InstanceSpec("uniform", n=8)),
                           seed=0)
         table = sl.build_replay_table(o, 5)
-        answers = all_answers(table)
-        assert all(len(a) == 5 for a in answers.values())
-        assert len(answers) == 28
-        # one byte per answer, True where the lower id won
-        live = sl.LiveOracle(o.model, seed=0)
-        for (u, v), first in answers.items():
-            assert first.dtype == bool and first.nbytes == 5
+        assert len(table.starts) == 28
+        assert o.ledger.per_pair == dict.fromkeys(table.starts, 5)
+        # each pair's batch is its live stream's first 5 answers, and a
+        # replay reads them all
+        live, replay = sl.LiveOracle(o.model, seed=0), sl.ReplayOracle(table)
+        for u, v in table.starts:
+            first = batch(table, (u, v))
             np.testing.assert_array_equal(
                 first, live.sample_pair_block(u, v, 5) == u)
+            np.testing.assert_array_equal(
+                first, replay.sample_pair_block(u, v, 5) == u)
+        assert stream_states(replay) == stream_states(live)
 
     def test_replay_matches_live_answers(self):
         model = mnl(1.0, 2.0, 3.0)
@@ -445,7 +487,7 @@ class TestReplay:
         o = sl.LiveOracle(uniform_pair(), seed=1)
         table = sl.build_replay_table(o, 4)
         replay = sl.ReplayOracle(table)
-        expected = np.where(table.read((0, 1), table.m), 0, 1).tolist()
+        expected = np.where(batch(table, (0, 1)), 0, 1).tolist()
         got = [replay.sample_pair(0, 1) for _ in range(4)]
         assert got == expected
         with pytest.raises(sl.ReplayBudgetExhausted) as info:
@@ -461,7 +503,7 @@ class TestReplay:
             replay.pair_win_count(1, 0, 4)
         assert (info.value.pair, info.value.m) == ((0, 1), 5)
         assert replay.ledger.per_pair == {(0, 1): 2}
-        winners = np.where(table.read((0, 1), table.m), 0, 1)
+        winners = np.where(batch(table, (0, 1)), 0, 1)
         assert replay.sample_pair(1, 0) == winners[2]
         assert replay.sample_pair(0, 1) == winners[3]
         assert replay.ledger.per_pair == {(0, 1): 4}
@@ -505,7 +547,7 @@ class TestReplay:
         assert "pair (1, 2)" in str(info.value)
         with pytest.raises(sl.ReplayBudgetExhausted):
             replay.pair_win_count(2, 1, cap)
-        assert table._drawn == {} and replay.ledger.total == 0
+        assert replay._pair_rngs == {} and replay.ledger.total == 0
 
     def test_replay_rejects_big_slates(self):
         o = sl.LiveOracle(mnl(1.0, 1.0, 1.0), seed=0)
@@ -515,28 +557,26 @@ class TestReplay:
 
     @staticmethod
     def power_law_table(m):
-        """A seed-10 power-law model of 4 items, a table of m and its copy."""
+        """A seed-10 power-law model of 4 items and a table of m."""
         model = sl.generate_instance(sl.InstanceSpec("power-law", n=4,
                                                      seed=10))
         table = sl.build_replay_table(
             sl.LiveOracle(model, seed=10, pair_mode="stream"), m)
-        return model, table, {k: a.copy() for k, a in all_answers(table).items()}
+        return model, table
 
     def test_one_table_replays_as_often_as_asked(self):
-        model, table, answers = self.power_law_table(400_000)
+        model, table = self.power_law_table(400_000)
         live = sl.LiveOracle(model, seed=10, pair_mode="stream")
         runs = [(o, sl.learn_balanced(o, 4, 0.5, 0.1, seed=10)) for o in
                 (live, sl.ReplayOracle(table), sl.ReplayOracle(table))]
         for replay, learned in runs[1:]:
             np.testing.assert_array_equal(learned.log_w, runs[0][1].log_w)
             assert replay.ledger == live.ledger
+            assert stream_states(replay) == stream_states(live)
         assert live.ledger.max_per_pair <= table.m
-        assert table.starts.keys() == answers.keys()
-        for key, first in answers.items():
-            np.testing.assert_array_equal(table.read(key, table.m), first)
 
     def test_interleaved_replays_of_one_table_agree(self):
-        model, table, answers = self.power_law_table(500)
+        model, table = self.power_law_table(500)
         live = sl.LiveOracle(model, seed=10, pair_mode="stream")
         oracles = (live, sl.ReplayOracle(table), sl.ReplayOracle(table))
         calls = [lambda o: o.sample_pair_block(1, 0, 5),
@@ -551,13 +591,15 @@ class TestReplay:
             for got in rest:
                 np.testing.assert_array_equal(got, first)
         assert oracles[1].ledger == oracles[2].ledger == live.ledger
-        for key, first in answers.items():
-            np.testing.assert_array_equal(table.read(key, table.m), first)
+        assert (stream_states(oracles[1]) == stream_states(oracles[2])
+                == stream_states(live))
 
     def test_table_is_frozen(self):
-        _, table, _ = self.power_law_table(5)
+        _, table = self.power_law_table(5)
         with pytest.raises(AttributeError):
             table.m = 6
+        assert [f.name for f in dataclasses.fields(table)] == [
+            "model", "m", "starts"]
 
 
 def pair_stream(model, seed, u, v, count):
@@ -566,14 +608,8 @@ def pair_stream(model, seed, u, v, count):
     return rng.random(count) < sl.pair_probability(model, u, v)
 
 
-def drawn_prefixes(table):
-    """Each drawn pair's prefix and where its stream stands, as copies."""
-    return {key: (prefix.copy(), rng.bit_generator.state)
-            for key, (prefix, rng) in table._drawn.items()}
-
-
 class TestLazyTable:
-    """A table pays for its batch up front and draws answers as they are read."""
+    """A table pays for its batch up front; a replay draws answers as it reads."""
 
     @pytest.mark.parametrize("before", [0, 7])
     def test_live_stream_stands_m_answers_on(self, before):
@@ -583,47 +619,39 @@ class TestLazyTable:
         if before:
             o.sample_pair_block(2, 0, before)
         table = sl.build_replay_table(o, m)
-        assert table._drawn == {}
         for u, v, skip in ((0, 2, before), (1, 2, 0)):
             stream = pair_stream(model, 21, u, v, skip + m + 1)
             assert o.sample_pair(v, u) == (u if stream[-1] else v)
             assert o.ledger.per_pair[(u, v)] == skip + m + 1
-            np.testing.assert_array_equal(table.read((u, v), m),
+            np.testing.assert_array_equal(batch(table, (u, v)),
                                           stream[skip:skip + m])
 
-    def test_replays_of_a_fresh_table_read_as_a_drawn_one(self):
+    def test_replay_streams_stand_where_its_ledger_says(self):
         model = sl.generate_instance(sl.InstanceSpec("power-law", n=4,
                                                      seed=10))
-        fresh, drawn = (sl.build_replay_table(
+        table = sl.build_replay_table(
             sl.LiveOracle(model, seed=10, pair_mode="stream"), 400_000)
-            for _ in range(2))
-        assert all(a.size == drawn.m for a in all_answers(drawn).values())
-        runs = [(o, sl.learn_balanced(o, 4, 0.5, 0.1, seed=10)) for o in
-                (sl.ReplayOracle(drawn), sl.ReplayOracle(fresh),
-                 sl.ReplayOracle(fresh))]
-        for replay, learned in runs[1:]:
-            np.testing.assert_array_equal(learned.log_w, runs[0][1].log_w)
-            assert replay.ledger == runs[0][0].ledger
-        # the fresh table drew only about what the replays read
-        read = runs[0][0].ledger.per_pair
-        assert fresh._drawn.keys() == read.keys()
-        for key, (prefix, _) in fresh._drawn.items():
-            assert read[key] <= prefix.size <= min(2 * read[key], fresh.m)
-            np.testing.assert_array_equal(prefix,
-                                          drawn.read(key, prefix.size))
+        replay = sl.ReplayOracle(table)
+        sl.learn_balanced(replay, 4, 0.5, 0.1, seed=10)
+        # one stream per pair read, standing past exactly the answers the
+        # ledger counts: the replay drew what it charged and nothing more
+        assert replay.ledger.per_pair.keys() <= replay._pair_rngs.keys()
+        assert stream_states(replay) == ledger_states(replay)
+        assert replay.ledger.max_per_pair <= table.m
 
     def test_refused_read_draws_nothing(self):
-        table = sl.build_replay_table(sl.LiveOracle(mnl(1.0, 2.0, 3.0),
-                                                    seed=2), 50)
+        model = mnl(1.0, 2.0, 3.0)
+        table = sl.build_replay_table(sl.LiveOracle(model, seed=2), 50)
         replay = sl.ReplayOracle(table)
+        live = sl.LiveOracle(model, seed=2, pair_mode="stream")
         with pytest.raises(sl.ReplayBudgetExhausted) as info:
             replay.pair_win_count(2, 1, 51)
         assert (info.value.pair, info.value.m, info.value.needed) == (
             (1, 2), 50, 51)
-        assert table._drawn == {}
-        replay.sample_pair_block(0, 1, 3)
-        replay.sample_geometric(0, 2)
-        before = drawn_prefixes(table)
+        assert replay._pair_rngs == {} and replay.ledger.total == 0
+        for o in (replay, live):
+            o.sample_pair_block(0, 1, 3)
+            o.sample_geometric(0, 2)
         for refused, needed in (
                 (lambda: replay.pair_win_count(1, 0, 48), 51),
                 (lambda: replay.sample_geometric_block(1, 2, 51), 51),
@@ -634,11 +662,15 @@ class TestLazyTable:
             assert info.value.needed == needed
             assert "at least {} ".format(needed) in str(info.value)
             assert "m = 50" in str(info.value)
-            after = drawn_prefixes(table)
-            assert after.keys() == before.keys()
-            for key, (prefix, state) in before.items():
-                np.testing.assert_array_equal(after[key][0], prefix)
-                assert after[key][1] == state
+            assert replay.ledger == live.ledger
+            assert stream_states(replay) == ledger_states(replay)
+        # the next reads go on from the ledger, as the live stream does
+        for call in (lambda o: o.pair_win_count(1, 0, 40),
+                     lambda o: o.sample_geometric_block(1, 2, 5),
+                     lambda o: o.sample_pair_block(2, 0, 5)):
+            np.testing.assert_array_equal(call(replay), call(live))
+        assert replay.ledger == live.ledger
+        assert stream_states(replay) == stream_states(live)
 
 
 class TestGeometric:
@@ -830,7 +862,7 @@ class TestGeometricSums:
         assert replay.ledger.per_pair == ledger
         # past u's last win the table holds only losses of u: a wait reads
         # some of them, runs out, and charges, so moves, nothing
-        answers = np.where(table.read((0, 1), table.m), 0, 1)
+        answers = np.where(batch(table, (0, 1)), 0, 1)
         u = 1 - int(answers[-1])
         last_win = int(np.flatnonzero(answers == u)[-1])
         assert ledger[(0, 1)] <= last_win < table.m - 1
@@ -841,6 +873,11 @@ class TestGeometricSums:
             with pytest.raises(sl.ReplayBudgetExhausted):
                 wait()
             assert replay.ledger.per_pair == ledger
+        # the next read starts where the ledger stands, not past the losses
+        # the refused waits read
+        at = ledger[(0, 1)]
+        np.testing.assert_array_equal(
+            replay.sample_pair_block(0, 1, table.m - at), answers[at:])
 
 
 def member_loop(o, u, vs, counts):

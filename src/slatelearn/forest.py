@@ -72,6 +72,11 @@ class EstimationForest:
         return -self.edge_log[(v, u)]
 
     def add_edge(self, u: int, v: int, log_r_uv: float) -> None:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError("edge ({}, {}) names an item outside range({})"
+                             .format(u, v, self.n))
+        if u == v:
+            raise ValueError("edge ({}, {}) is a self-loop".format(u, v))
         key, val = ((u, v), log_r_uv) if u < v else ((v, u), -log_r_uv)
         if key in self.edge_log:
             raise AssertionError("edge {} added twice".format(key))
@@ -92,29 +97,52 @@ class EstimationForest:
 
 
 def _hop_matrix(walk: tuple, dtype) -> np.ndarray:
-    """All-pairs hop counts as ``dtype``, which must hold -1 to n.
+    """Hop counts among the items ``walk`` reached, as ``dtype``, which must
+    hold -1 to n; -1 marks items of different trees.
 
-    ``walk`` is the :func:`_traverse` of the forest from every item. Rows
-    are filled in preorder, each from its parent's: one step down from p to
-    its child w adds a hop towards every item of the tree except w's own
-    subtree, which comes a hop closer.
+    ``walk`` is a :func:`_traverse` of the forest, or one whose preorder is
+    cut down to whole trees of it. Rows and columns follow the reached items
+    in increasing order, so a walk from every item gives the n x n matrix.
+    Rows are filled in preorder, each from its parent's: one step down from
+    p to its child w adds a hop towards every item of the tree except w's
+    own subtree, which comes a hop closer.
     """
     order, parent, size, root, _ = walk
-    n = parent.size
-    pre = np.argsort(order)  # position of each item in the preorder
+    slot = np.zeros(parent.size, dtype=np.int64)  # row of each reached item
+    slot[np.sort(order)] = np.arange(order.size)
+    pre = np.zeros(parent.size, dtype=np.int64)   # position in the preorder
+    pre[order] = np.arange(order.size)
+    cols = slot[order]
     below_root = order[parent[order] >= 0]
-    depth = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(parent.size, dtype=np.int64)
     for w in below_root:
         depth[w] = depth[parent[w]] + 1
-    dist = np.full((n, n), -1, dtype=dtype)
-    dist[root, np.arange(n)] = depth  # a root's row holds the depths
+    dist = np.full((order.size, order.size), -1, dtype=dtype)
+    dist[slot[root[order]], cols] = depth[order]  # a root's row holds depths
     for w in below_root:
         lo = pre[root[w]]
-        tree = order[lo:lo + size[root[w]]]
-        row = dist[parent[w], tree] + 1
+        tree = cols[lo:lo + size[root[w]]]
+        row = dist[slot[parent[w]], tree] + 1
         row[pre[w] - lo:pre[w] - lo + size[w]] -= 2
-        dist[w, tree] = row
+        dist[slot[w], tree] = row
     return dist
+
+
+def _tree_diameters(walk: tuple) -> np.ndarray:
+    """Hop diameter of each item's tree, from one pass up the preorder."""
+    order, parent, _, root, _ = walk
+    down = [0] * parent.size   # longest path down from an item
+    span = [0] * parent.size   # longest path within its subtree through it
+    up = parent.tolist()
+    for w in reversed(order.tolist()):
+        p = up[w]
+        if p >= 0:
+            reach = down[w] + 1
+            span[p] = max(span[p], down[p] + reach)
+            down[p] = max(down[p], reach)
+    diameter = np.zeros(parent.size, dtype=np.int64)
+    np.maximum.at(diameter, root, span)
+    return diameter[root]
 
 
 def _traverse(forest: EstimationForest, roots) -> tuple:
@@ -301,18 +329,43 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
                     ) -> ViolationReport:
     """Check every condition of the forest definition against true weights.
 
-    ``log_w`` are the ground-truth log weights; the report lists one entry
-    per violated (condition, pair) with the offending quantities, in (u, v)
-    order. Pairs are checked with numpy in blocks of rows u, each temporary
-    holding about ``VALIDATE_BLOCK_VALUES`` values.
+    ``log_w`` are the ground-truth log weights, one finite value per item;
+    the report lists one entry per violated (condition, pair) with the
+    offending quantities, in (u, v) order. Raises ValueError, before the
+    audit, for ``log_w`` of the wrong shape or with a non-finite value, and
+    for a forest with a non-finite path log.
+
+    Pairs are checked with numpy in blocks of rows u, each temporary holding
+    about ``VALIDATE_BLOCK_VALUES`` values, and only what the report reads
+    is computed. Outside condition 4, which cites a count beyond t, a hop
+    count is read only as a class: within t, beyond t, or another tree.
+    Every pair of a tree whose diameter is at most t is within t, so hop
+    counts are built only among the items of trees deeper than t, and the
+    other classes come from each item's tree. The mass sums of conditions 2
+    and 3 are read only at pairs beyond t or in another tree, so only rows
+    holding such a pair get them.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     n, eps, t = forest.n, forest.eps, forest.t
+    if log_w.shape != (n,):
+        raise ValueError("log_w has shape {}, not one value for each of {} "
+                         "items".format(log_w.shape, n))
+    if not np.all(np.isfinite(log_w)):
+        raise ValueError("log_w of item {} is not finite".format(
+            int(np.flatnonzero(~np.isfinite(log_w))[0])))
     gamma = forest.graph.gamma
     walk = _traverse(forest, range(n))
-    _, _, _, comp_of, lam = walk
-    # the one n x n matrix of the audit, in the narrowest type holding -1..n
-    dist = _hop_matrix(walk, np.min_scalar_type(-n - 1))
+    order, _, _, comp_of, lam = walk
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("path log of item {} is not finite: so is an edge "
+                         "estimate on its path".format(
+                             int(np.flatnonzero(~np.isfinite(lam))[0])))
+    # hop counts among the items of trees deeper than t, in item order
+    dtype = np.min_scalar_type(-n - 1)  # the narrowest type holding -1..n
+    deep = _tree_diameters(walk) > t
+    hops = _hop_matrix((order[deep[order]], *walk[1:]), dtype)
+    slot = np.cumsum(deep) - 1          # an item's row of hops if deep
+    deep_items = np.flatnonzero(deep)
     # lowest and highest cluster of each tree, indexed by its root
     lo_gamma, hi_gamma = np.full(n, gamma.max()), np.zeros_like(gamma)
     np.minimum.at(lo_gamma, comp_of, gamma)
@@ -326,44 +379,68 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
 
     for lo in range(0, n, rows):
         u = np.arange(lo, min(n, lo + rows))
-        d, gu, cu = dist[lo:lo + rows], gamma[u, None], comp_of[u, None]
-        pairs = (gu >= gamma) & (u[:, None] != np.arange(n))
-        far = (d > t) | (d < 0)
+        gu, cu = gamma[u, None], comp_of[u, None]
+        same = comp_of == cu
+        # within t hops: all of u's tree, unless its diameter is above t
+        near = same.copy()
+        in_deep = np.flatnonzero(deep[u])
+        h = hops[slot[u[in_deep]]]
+        near[in_deep[:, None], deep_items] = (h >= 0) & (h <= t)
+        pairs = gu >= gamma
+        pairs[np.arange(u.size), u] = False
+        far = pairs & ~near
         err = (lam[u, None] - lam) - (log_w[u, None] - log_w)
+        # conditions 2 to 4 read far pairs only: rows without one skip them
+        s = np.flatnonzero(far.any(axis=1))
+        at = np.zeros(u.size, dtype=np.int64)  # each row's position in s
+        at[s] = np.arange(s.size)
+        fs, gs, cs = far[s], gu[s], cu[s]
         # terms of u's tree no heavier in cluster than u; the rest stay 0
-        keep = (comp_of[by_gamma] == cu) & (gamma[by_gamma] <= gu)
+        keep = (comp_of[by_gamma] == cs) & (gamma[by_gamma] <= gs)
         # column v of a mass sum is the prefix sum at upto[v]
         true_sum, est_sum = (
-            np.cumsum(np.exp(x[by_gamma] - x[u, None], where=keep,
+            np.cumsum(np.exp(x[by_gamma] - x[u[s], None], where=keep,
                              out=np.zeros(keep.shape)), axis=1)[:, upto]
             for x in (log_w, lam))
+        checks = np.zeros((5, *far.shape), dtype=bool)
         # the (1 +- eps) bracket must hold in both directions, which
         # pins the log error to at most log(1 + eps) in magnitude
-        checks = (pairs & (d > 0) & (d <= t)
-                  & (np.abs(err) > math.log1p(eps)),
-                  pairs & far & (true_sum > eps),
-                  pairs & far & (est_sum > eps),
-                  pairs & (d < 0) & (gu > gamma)
-                  & (lo_gamma[cu] <= hi_gamma[comp_of]),
-                  pairs & far & (gu == gamma))
-        i, v = np.nonzero(np.logical_or.reduce(checks))
-        if not i.size:
+        checks[0] = pairs & near & (np.abs(err) > math.log1p(eps))
+        checks[1:, s] = (fs & (true_sum > eps), fs & (est_sum > eps),
+                         fs & ~same[s] & (gs > gamma)
+                         & (lo_gamma[cs] <= hi_gamma[comp_of]),
+                         fs & (gs == gamma))
+        hit = np.logical_or.reduce(checks)
+        if not hit.any():
             continue
+        i, v = np.nonzero(hit)
         # (pair, check) hits, in (u, v) order and check order within a pair
-        row, k = np.nonzero(np.column_stack([c[i, v] for c in checks]))
-        mass = np.where(d[i, v] > 0, 2, 3)
+        row, k = np.nonzero(checks[:, i, v].T)
+        mass = np.where(same[i, v], 2, 3)
         conds = np.column_stack((np.ones_like(mass), mass, mass,
                                  np.full_like(mass, 3), np.full_like(mass, 4)))
+
+        def hop_counts(a, b):
+            # condition 4 cites the hop count, -1 for another tree
+            count = np.full(a.size, -1, dtype=dtype)
+            tree = same[a, b]
+            count[tree] = hops[slot[lo + a[tree]], slot[b[tree]]]
+            return count
+
+        cite = (lambda a, b: err[a, b],
+                lambda a, b: true_sum[at[a], b],
+                lambda a, b: est_sum[at[a], b],
+                # condition 3 cites the cluster range of both trees
+                lambda a, b: np.fromiter(
+                    zip(lo_gamma[cu[a, 0]].tolist(),
+                        hi_gamma[comp_of[b]].tolist()),
+                    dtype=object, count=a.size),
+                hop_counts)
         values = np.empty(row.size, dtype=object)
-        for check, value in enumerate((err, true_sum, est_sum, None, d)):
-            hit = k == check
-            r = row[hit]
-            values[hit] = (value[i[r], v[r]].tolist() if value is not None
-                           # condition 3 cites the cluster range of both trees
-                           else np.fromiter(
-                               zip(lo_gamma[cu[i[r], 0]].tolist(),
-                                   hi_gamma[comp_of[v[r]]].tolist()),
-                               dtype=object, count=r.size))
+        for check, value in enumerate(cite):
+            fired = k == check
+            r = row[fired]
+            values[fired] = value(i[r], v[r])
         # a pair's entries share one tuple, made before the entries so that
         # the cyclic GC untracks both instead of rescanning millions
         cited = list(zip((lo + i).tolist(), v.tolist()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,41 @@ class TestValidateForest:
         assert not rep.ok
         assert any(cond == 1 for cond, _, _ in rep.violations)
 
+    @pytest.mark.parametrize("log_w", [[0.0, 0.3], [0.0, 0.3, -0.2, 0.1, 0.5],
+                                       [[0.0, 0.3, -0.2, 0.1]]])
+    def test_truth_of_the_wrong_shape_is_refused(self, log_w):
+        f = self.make_exact_forest(np.array([0.0, 0.3, -0.2, 0.1]))
+        with pytest.raises(ValueError, match="not one value for each"):
+            sl.validate_forest(f, log_w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_truth_is_refused(self, bad):
+        f = self.make_exact_forest(np.array([0.0, 0.3, -0.2, 0.1]))
+        with pytest.raises(ValueError, match="item 1 is not finite"):
+            sl.validate_forest(f, [0.0, bad, -0.2, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_edge_is_refused(self, bad):
+        # with the edges at 0.0 the same forest has violations to report;
+        # NaN or infinite path logs would drop some of them unreported
+        log_w = np.array([0.0, 3.0, -2.0, 1.0])
+        f = self.make_exact_forest(np.zeros(4))
+        assert len(sl.validate_forest(f, log_w).violations) == 12
+        f.edge_log[(0, 2)] = f.edge_log[(0, 3)] = bad
+        with pytest.raises(ValueError, match="item 2 is not finite"):
+            sl.validate_forest(f, log_w)
+
+    @pytest.mark.parametrize("u, v, match", [(0, 7, "outside"),
+                                             (-1, 2, "outside"),
+                                             (3, 1, "outside"),
+                                             (1, 1, "self-loop")])
+    def test_add_edge_refuses_bad_ids(self, u, v, match):
+        f = hand_built([0, 0, 1], [])
+        with pytest.raises(ValueError, match=match):
+            f.add_edge(u, v, 0.5)
+        assert f.edge_log == {}
+        assert [c.tolist() for c in f.components()] == [[0], [1], [2]]
+
     def test_adaptive_builder_output_validates(self):
         trials, clean = 100, 0
         for t in range(trials):
@@ -404,6 +440,20 @@ def perturbed(rng, forest, scale):
     return forest.path_logs() + rng.normal(0.0, scale, forest.n)
 
 
+def mixed_forest():
+    """136 items: a star on cluster 0 alone, a 40-item path (diameter 39)
+    and eleven stars of 8 (diameter 2), with clusters 1-16 spread over the
+    last two; the truth is the path logs pushed off by 0.5."""
+    rng = np.random.default_rng(19)
+    edges = [(0, k, rng.normal()) for k in range(1, 8)]
+    edges += [(k, k + 1, rng.normal()) for k in range(8, 47)]
+    edges += [(c, c + j, rng.normal()) for c in range(48, 136, 8)
+              for j in range(1, 8)]
+    f = hand_built(np.r_[np.zeros(8, dtype=np.int64),
+                         rng.permutation(np.arange(128) % 16 + 1)], edges)
+    return f, perturbed(rng, f, 0.5)
+
+
 class TestMatchesReference:
     @pytest.mark.parametrize("n", [8, 16, 33, 64])
     @pytest.mark.parametrize("builder", [build_adaptive, build_balanced])
@@ -510,6 +560,59 @@ class TestMatchesReference:
         want = ref_validate_forest(f, truth)
         monkeypatch.setattr(forest_mod, "VALIDATE_BLOCK_VALUES", values)
         assert_violations_match(sl.validate_forest(f, truth).violations, want)
+
+    def test_tree_diameters_match_hop_counts(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            f = random_forest(rng, int(rng.integers(1, 60)),
+                              link=rng.choice([0.5, 0.9, 1.0]))
+            dist = ref_hop_distances(f)
+            got = forest_mod._tree_diameters(
+                forest_mod._traverse(f, range(f.n)))
+            for comp in ref_components(f):
+                assert np.all(got[comp] == dist[np.ix_(comp, comp)].max())
+
+    def test_mixed_deep_and_shallow_trees(self):
+        f, truth = mixed_forest()
+        assert f.n >= 128  # hop counts in int16
+        got = sl.validate_forest(f, truth).violations
+        assert_violations_match(got, ref_validate_forest(f, truth))
+        assert {cond for cond, _, _ in got} == {1, 2, 3, 4}
+        # condition 4 cites hop counts read in the deep tree and -1
+        assert {-1} < {d for cond, _, d in got if cond == 4}
+        assert min(d for cond, _, d in got if cond == 4 and d > 0) > HOP_BOUND
+
+    @pytest.mark.parametrize("rows", [1, 5, 11])
+    def test_mixed_forest_blocks_with_and_without_far_rows(self, monkeypatch,
+                                                           rows):
+        f, truth = mixed_forest()
+        want = ref_validate_forest(f, truth)
+        # rows 0-7 have no far pair and every later row has one: in blocks
+        # of 5 rows the first has no far pair and the second mixes both
+        # kinds, a block of 11 mixes them, and a block of 1 never does
+        dist, gamma = ref_hop_distances(f), f.graph.gamma
+        far = ((dist > HOP_BOUND) | (dist < 0)) & (gamma[:, None] >= gamma)
+        assert np.flatnonzero(far.any(axis=1)).tolist() == list(range(8, f.n))
+        monkeypatch.setattr(forest_mod, "VALIDATE_BLOCK_VALUES", rows * f.n)
+        assert_violations_match(sl.validate_forest(f, truth).violations, want)
+
+    def test_shallow_forest_audit_builds_no_n_by_n_array(self):
+        # 64 stars of 64 items, their centers linked to the first: diameter
+        # 4, so the audit needs no hop count; an n x n int16 matrix would
+        # take 32 MiB
+        n = 4096
+        f = hand_built(np.arange(n) // 64,
+                       [(u, u - u % 64, 0.1) for u in range(n) if u % 64]
+                       + [(c, 0, 1.0) for c in range(64, n, 64)])
+        truth = f.path_logs()
+        tracemalloc.start()
+        try:
+            report = sl.validate_forest(f, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 8 << 20
 
     def test_extreme_weight_gaps_do_not_overflow(self):
         # only items no higher in cluster than u enter u's mass sums, so a

@@ -60,9 +60,13 @@ class EstimationForest:
 
     def adjacency(self) -> dict:
         adj: dict = {u: [] for u in range(self.n)}
-        for (a, b) in self.edge_log:
-            adj[a].append(b)
-            adj[b].append(a)
+        try:
+            for (a, b) in self.edge_log:
+                adj[a].append(b)
+                adj[b].append(a)
+        except KeyError:
+            raise ValueError("edge ({}, {}) names an item outside range({})"
+                             .format(a, b, self.n)) from None
         return adj
 
     def log_ratio(self, u: int, v: int) -> float:

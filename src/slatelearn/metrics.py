@@ -8,13 +8,16 @@ The headline distance between two models is the worst slate:
 Exhaustive evaluation enumerates all 2^n - 1 slates and is gated to n <= 20;
 the sampled variant checks a structured subset of slates and is a lower
 bound on the exact distances. Both score a chunk of slates at a time through
-each model's batched ``slate_distributions``.
+each model's batched ``slate_distributions``, as ragged slates: a chunk holds
+the items of its slates one after another, so it costs what the slates
+hold, not slates x n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,43 +34,50 @@ class DistanceReport:
     slates_checked: int
 
 
-# A batched temporary holds at most this many values (8 MiB of float64), or
-# one slate row when n is larger.
-CHUNK_VALUES = 1 << 20
+# A batched temporary holds at most this many values (1 MiB of float64), or
+# one slate when a slate is larger. Larger chunks run no faster.
+CHUNK_VALUES = 1 << 17
 
 
-def _mask_chunks(n: int):
-    """Slates 1 .. 2^n - 1 as chunks of mask rows; bit i of slate m is item i."""
-    bits, rows = np.arange(n), max(1, CHUNK_VALUES // n)
+def _subset_chunks(n: int):
+    """Slates 1 .. 2^n - 1 as ragged chunks; bit i of slate m is item i."""
+    items, rows = np.arange(n), max(1, CHUNK_VALUES // n)
+    bits = 1 << items.astype(np.int32)     # n <= 20, so int32 holds a slate
     for start in range(1, 1 << n, rows):
-        ids = np.arange(start, min(start + rows, 1 << n))
-        yield (ids[:, None] >> bits) & 1 == 1
+        ids = np.arange(start, min(start + rows, 1 << n), dtype=np.int32)
+        mask = ids[:, None] & bits != 0
+        sizes = mask.sum(axis=1)
+        yield (np.broadcast_to(items, mask.shape)[mask],
+               np.cumsum(sizes) - sizes)
 
 
-def _listed_chunks(slates: list, n: int):
-    """The listed slates as chunks of mask rows, in list order."""
-    rows = max(1, CHUNK_VALUES // n)
-    for start in range(0, len(slates), rows):
-        block = slates[start:start + rows]
-        masks = np.zeros((len(block), n), dtype=bool)
-        for r, s in enumerate(block):
-            masks[r, list(s)] = True
-        yield masks
+def _listed_chunks(slates: list):
+    """The listed slates as ragged chunks of at most CHUNK_VALUES items (or
+    one slate), in list order."""
+    sizes, first = [len(s) for s in slates], 0
+    while first < len(slates):
+        stop, total = first + 1, sizes[first]
+        while stop < len(slates) and total + sizes[stop] <= CHUNK_VALUES:
+            total, stop = total + sizes[stop], stop + 1
+        yield (np.fromiter(chain.from_iterable(slates[first:stop]), np.int64,
+                           total), np.cumsum([0] + sizes[first:stop - 1]))
+        first = stop
 
 
 def _worst_slate(a: Model, b: Model, chunks) -> tuple:
-    """d1, dinf and the first slate attaining d1 over chunks of mask rows."""
+    """d1, dinf and the first slate attaining d1 over ragged chunks."""
     best_d1, best_dinf, best_slate = -1.0, 0.0, ()
-    for masks in chunks:
-        diff = a.slate_distributions(masks)
-        diff -= b.slate_distributions(masks)
+    for items, starts in chunks:
+        diff = a.slate_distributions(items, starts)
+        diff -= b.slate_distributions(items, starts)
         np.abs(diff, out=diff)
-        tv = diff.sum(axis=1)
+        tv = np.add.reduceat(diff, starts)
         r = int(np.argmax(tv))
         best_dinf = max(best_dinf, float(diff.max()))
         if tv[r] > best_d1:
             best_d1 = float(tv[r])
-            best_slate = tuple(int(x) for x in np.flatnonzero(masks[r]))
+            end = np.append(starts, items.size)[r + 1]
+            best_slate = tuple(items[starts[r]:end].tolist())
     return best_d1, best_dinf, best_slate
 
 
@@ -78,7 +88,7 @@ def distance_exact(a: Model, b: Model) -> DistanceReport:
         raise ValueError("models must agree on n")
     if n > 20:
         raise ValueError("exhaustive slate enumeration is gated to n <= 20")
-    d1, dinf, slate = _worst_slate(a, b, _mask_chunks(n))
+    d1, dinf, slate = _worst_slate(a, b, _subset_chunks(n))
     return DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
                           exact=True, slates_checked=(1 << n) - 1)
 
@@ -89,8 +99,9 @@ def distance_sampled(a: Model, b: Model, k: int,
 
     Always includes the full slate and every prefix of a's items sorted
     heaviest first (when a is an MNL), then all pairs if the budget allows,
-    then uniform random subsets until k slates have been checked. A
-    one-item model has only its full slate.
+    then uniform random subsets until k slates, or all 2^n - n - 1 slates
+    of two or more items, are listed. A one-item model has only its full
+    slate.
     """
     n = a.n
     if b.n != n:
@@ -116,8 +127,9 @@ def distance_sampled(a: Model, b: Model, k: int,
                 if (u, v) not in seen:
                     seen.add((u, v))
                     slates.append((u, v))
-    attempts = 0
-    while n > 1 and len(slates) < k and attempts < 50 * k:
+    # every slate of size >= 2 may already be listed: stop there
+    room, attempts = min(k, (1 << n) - n - 1), 0
+    while len(slates) < room and attempts < 50 * k:
         attempts += 1
         size = int(rng.integers(2, n + 1))
         s = tuple(sorted(int(x) for x in
@@ -126,7 +138,7 @@ def distance_sampled(a: Model, b: Model, k: int,
             seen.add(s)
             slates.append(s)
     slates = slates[:k]
-    d1, dinf, slate = _worst_slate(a, b, _listed_chunks(slates, n))
+    d1, dinf, slate = _worst_slate(a, b, _listed_chunks(slates))
     return DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
                           exact=False, slates_checked=len(slates))
 

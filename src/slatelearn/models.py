@@ -6,8 +6,10 @@ distinct indices; distributions returned by :func:`slate_distribution` are
 aligned with the order of the slate as given.
 
 Each model computes distributions in one place, its batched
-``slate_distributions`` over boolean slate masks; :func:`slate_distribution`
-is a one-row view of it.
+``slate_distributions`` over ragged slates: a flat array of item ids,
+increasing within each slate, and the offset where each slate starts. It
+costs what the slates hold, not slates x n. :func:`slate_distribution` is
+its one-slate call.
 """
 
 from __future__ import annotations
@@ -44,17 +46,18 @@ class LogWeightMnl:
     def slate_distribution(self, slate) -> np.ndarray:
         return slate_distribution(self, slate)
 
-    def slate_distributions(self, masks) -> np.ndarray:
+    def slate_distributions(self, items, starts) -> np.ndarray:
         """Winning distributions of many slates at once.
 
-        ``masks`` is a boolean rows x n matrix holding one non-empty slate
-        per row. Row r of the result is the distribution on the slate
-        ``flatnonzero(masks[r])``, indexed by item and zero off the slate.
+        Slate r is ``items[starts[r]:starts[r + 1]]`` (the last runs to the
+        end), its ids strictly increasing. Entry j of the result is the
+        probability that ``items[j]`` wins its slate.
         """
-        probs = np.where(_check_masks(masks, self.n), self.log_w, -np.inf)
-        probs -= probs.max(axis=1, keepdims=True)
+        items, starts, sizes = _check_ragged(items, starts, self.n)
+        probs = self.log_w[items]
+        probs -= np.repeat(np.maximum.reduceat(probs, starts), sizes)
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs /= np.repeat(np.add.reduceat(probs, starts), sizes)
         return probs
 
 
@@ -91,40 +94,44 @@ class MatchingPseudoMnl:
     def slate_distribution(self, slate) -> np.ndarray:
         return slate_distribution(self, slate)
 
-    def slate_distributions(self, masks) -> np.ndarray:
+    def slate_distributions(self, items, starts) -> np.ndarray:
         """Batched form, as :meth:`LogWeightMnl.slate_distributions`."""
-        masks = _check_masks(masks, self.n)
+        items, starts, sizes = _check_ragged(items, starts, self.n)
         pos = np.empty(self.n, dtype=np.int64)
         pos[self.pi] = np.arange(self.n)
-        pair = np.where(masks, pos, -1).max(axis=1) // 2
-        lo, hi = self.pi[2 * pair], self.pi[2 * pair + 1]
-        rows = np.arange(masks.shape[0])
-        lo_in, hi_in = masks[rows, lo], masks[rows, hi]
-        probs = np.zeros(masks.shape)
-        probs[rows, hi] = np.where(lo_in, self.p[pair], 1.0) * hi_in
-        probs[rows, lo] = np.where(hi_in, 1.0 - self.p[pair], 1.0) * lo_in
-        return probs
+        at = pos[items]
+        pair = np.repeat(np.maximum.reduceat(at, starts) // 2, sizes)
+        mine = at // 2 == pair
+        both = np.repeat(np.add.reduceat(mine, starts) == 2, sizes)
+        p = np.where(at % 2 == 1, self.p[pair], 1.0 - self.p[pair])
+        return np.where(mine, np.where(both, p, 1.0), 0.0)
 
 
 Model = LogWeightMnl | MatchingPseudoMnl
 
 
-def _check_slate(slate, n: int) -> np.ndarray:
-    arr = np.asarray(slate, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("slate must be a non-empty sequence of items")
-    if np.any(arr < 0) or np.any(arr >= n):
-        raise ValueError("slate contains out-of-range items")
-    if np.unique(arr).size != arr.size:
-        raise ValueError("slate items must be distinct")
+def _check_slate(ids, n: int) -> np.ndarray:
+    """``ids`` as int64, refusing all but a non-empty 1-d run of range(n)."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise ValueError("need a non-empty sequence of integer ids")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.min() < 0 or arr.max() >= n:
+        raise ValueError("ids must lie in range({})".format(n))
     return arr
 
 
-def _check_masks(masks, n: int) -> np.ndarray:
-    arr = np.asarray(masks, dtype=bool)
-    if arr.ndim != 2 or arr.shape[1] != n or not arr.any(axis=1).all():
-        raise ValueError("masks must be rows x n booleans, no row all false")
-    return arr
+def _check_ragged(items, starts, n: int) -> tuple:
+    """Ragged slates as checked items, starts and sizes, else ValueError."""
+    items = _check_slate(items, n)
+    starts = _check_slate(starts, items.size)
+    sizes = np.diff(starts, append=items.size)
+    _require(starts[0] == 0 and (sizes > 0).all(),
+             "slate offsets must start at 0 and rise strictly")
+    rising = items[1:] > items[:-1]
+    rising[starts[1:] - 1] = True
+    _require(rising.all(), "slate items must strictly increase")
+    return items, starts, sizes
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -135,12 +142,14 @@ def _require(cond: bool, msg: str) -> None:
 def slate_distribution(model: Model, slate) -> np.ndarray:
     """Exact winning distribution of ``model`` on ``slate``, in slate order.
 
-    One row of the model's ``slate_distributions``, read at the slate.
+    The model's ``slate_distributions`` of the sorted slate, put back in
+    slate order; O(|slate|).
     """
     slate = _check_slate(slate, model.n)
-    mask = np.zeros((1, model.n), dtype=bool)
-    mask[0, slate] = True
-    return model.slate_distributions(mask)[0, slate]
+    order = np.argsort(slate)
+    probs = np.empty(slate.size)
+    probs[order] = model.slate_distributions(slate[order], [0])
+    return probs
 
 
 def pair_probability(model: Model, u: int, v: int) -> float:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DemandTooLarge, GeometricCapExceeded, ReplayBudgetExhausted
-from .models import Model, pair_probabilities, pair_probability
+from .models import Model, _check_slate, pair_probabilities, pair_probability
 
 PAIR_TAG = 0x70AB
 SLATE_TAG = 0x51A7
@@ -195,7 +195,7 @@ class LiveOracle:
 
     def max_sample(self, slate) -> int:
         """One query; returns the winning item."""
-        slate = np.asarray(slate, dtype=np.int64)
+        slate = _check_slate(slate, self.n)
         if slate.size == 2:
             return self.sample_pair(int(slate[0]), int(slate[1]))
         probs = self.model.slate_distribution(slate)
@@ -206,7 +206,7 @@ class LiveOracle:
 
     def slate_win_counts(self, slate, count: int) -> np.ndarray:
         """Winner tallies over ``count`` queries to a slate of size >= 3."""
-        slate = np.asarray(slate, dtype=np.int64)
+        slate = _check_slate(slate, self.n)
         if slate.size < 3:
             raise ValueError("use pair_win_count for slates of size 2")
         probs = self.model.slate_distribution(slate)
@@ -698,7 +698,7 @@ class ReplayOracle:
         yield from LiveOracle._stream_answers(self, u, v, count)
 
     def max_sample(self, slate) -> int:
-        slate = np.asarray(slate, dtype=np.int64)
+        slate = _check_slate(slate, self.n)
         if slate.size != 2:
             raise ValueError("a replay oracle can only answer pair queries")
         return self.sample_pair(int(slate[0]), int(slate[1]))

@@ -9,12 +9,21 @@ the 1 GiB batch of 435 pairs x 2,468,364 answers at n = 30, the learner
 reads 7.3e6 answers from 57 pairs. Each
 learn runs in a child process that caps its own address space, so only the
 child is limited.
+
+The distance evals score ragged slates, so their temporaries hold what the
+slates hold: their traced peaks are bounded in-process with tracemalloc.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import slatelearn as sl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,3 +82,33 @@ model, replay = sl.learn_nonadaptive(oracle, 30, 0.5, 0.1, (1 << 30) // 435,
                                      seed=1201)
 print("finished", oracle.ledger.total, replay.ledger.total)
 """)
+
+
+def traced_peak_mib(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def learned_pair(n: int) -> tuple:
+    """A power-law truth and a model off it by a little noise per item."""
+    truth = sl.generate_instance(
+        sl.InstanceSpec("power-law", n, 1201, {"gamma": 1.0}))
+    noise = np.random.default_rng(n).normal(scale=0.05, size=n)
+    return truth, sl.LogWeightMnl(truth.log_w + noise)
+
+
+def test_sampled_eval_at_n_4096_peaks_under_4_mib():
+    # 200 slates of about 26k items; 200 x 4096 mask rows peaked at 14.3 MiB
+    a, b = learned_pair(4096)
+    assert traced_peak_mib(lambda: sl.distance_sampled(a, b, 200)) < 4.0
+
+
+@pytest.mark.parametrize("n, mask_form_mib", [(14, 4.03), (20, 18.8)])
+def test_exact_eval_peaks_no_higher_than_mask_rows(n, mask_form_mib):
+    # the mask-row form of distance_exact peaked at mask_form_mib
+    a, b = learned_pair(n)
+    assert traced_peak_mib(lambda: sl.distance_exact(a, b)) <= mask_form_mib

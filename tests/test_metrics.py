@@ -213,6 +213,15 @@ class TestDistanceSampled:
         assert rep.d1 == rep.dinf == 0.0
         assert rng.bit_generator.state == state
 
+    def test_stops_once_every_slate_is_listed(self):
+        # 2^n - n - 1 slates have two or more items: 4 at n=3, 26 at n=5
+        for n, k, listed in ((3, 10**6, 4), (3, 10**30, 4), (5, 10**6, 26)):
+            a = mnl(*range(1, n + 1))
+            b = mnl(*range(2, n + 2))
+            rep = sl.distance_sampled(a, b, k, np.random.default_rng(n))
+            assert rep.slates_checked == listed
+            assert rep.d1 == sl.distance_exact(a, b).d1
+
     def test_matches_reference_listing(self):
         # n - 1 <= k lists pairs and random subsets; n - 1 > k stops early
         k = 50

@@ -41,26 +41,42 @@ class TestLogWeightMnl:
 
     def test_rejects_bad_slates(self):
         m = mnl(1.0, 1.0)
-        for bad in ([], [0, 0], [5]):
+        for bad in ([], [0, 0], [5], [0.5, 1], [-1], [[0, 1]]):
             with pytest.raises(ValueError):
                 m.slate_distribution(bad)
 
     def test_batched_rows_match_single_slates(self):
         m = mnl(1.0, 2.0, 5.0, 0.5)
-        masks = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 1]], bool)
-        probs = m.slate_distributions(masks)
-        for row, mask in zip(probs, masks):
-            slate = np.flatnonzero(mask)
-            np.testing.assert_allclose(row[slate],
-                                       reference_distribution(m, slate))
-            assert np.all(row[~mask] == 0.0)
+        slates = ([0, 2], [0, 1, 2, 3], [3])
+        probs = m.slate_distributions(np.concatenate(slates), [0, 2, 6])
+        for slate, got in zip(slates, np.split(probs, [2, 6])):
+            np.testing.assert_allclose(got, reference_distribution(m, slate))
 
-    def test_batched_form_rejects_bad_masks(self):
-        m = mnl(1.0, 1.0)
-        for bad in (np.zeros((1, 2), bool), np.ones((1, 3), bool),
-                    np.ones(2, bool)):
-            with pytest.raises(ValueError):
-                m.slate_distributions(bad)
+    def test_batched_form_rejects_bad_slates(self):
+        bad = {
+            "empty slate": ([0, 1], [0, 2, 2]),
+            "empty slate at the end": ([0, 1], [0, 2]),
+            "no slates": ([0, 1], []),
+            "no items": ([], [0]),
+            "offsets not from 0": ([0, 1, 2], [1]),
+            "offsets falling": ([0, 1, 0, 2], [0, 2, 1]),
+            "negative id": ([-1, 0], [0]),
+            "id >= n": ([0, 4], [0]),
+            "repeated id": ([1, 1], [0]),
+            "descending ids": ([2, 0, 1], [0]),
+            "descending ids in a later slate": ([0, 1, 3, 2], [0, 2]),
+            "fractional ids": ([0.5, 1.0], [0]),
+            "fractional offsets": ([0, 1], [0.0]),
+            "mask rows": (np.ones((1, 4), bool), [0]),
+            "2-d ids": ([[0, 1]], [0]),
+        }
+        models = (mnl(1.0, 1.0, 2.0, 3.0),
+                  sl.MatchingPseudoMnl(np.array([0.3, 0.6]), np.arange(4)))
+        for m in models:
+            for name, (items, starts) in bad.items():
+                with pytest.raises(ValueError):
+                    m.slate_distributions(items, starts)
+                    pytest.fail(name)
 
     @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=2,
                     max_size=8))
@@ -70,6 +86,27 @@ class TestLogWeightMnl:
         probs = m.slate_distribution(list(range(len(log_w))))
         assert probs.sum() == pytest.approx(1.0)
         assert np.all(probs >= 0)
+
+
+def test_random_ragged_batches_match_single_slates():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 7, 40):
+        models = [sl.LogWeightMnl(rng.normal(scale=5.0, size=n))]
+        if n % 2 == 0:
+            models.append(sl.MatchingPseudoMnl(rng.random(n // 2),
+                                               rng.permutation(n)))
+        for m in models:
+            # one-item slates among them, at the start, middle and end
+            slates = [np.sort(rng.choice(n, size=size, replace=False))
+                      for size in rng.integers(1, n + 1, size=30)]
+            for r in (0, 15, 29):
+                slates[r] = rng.integers(n, size=1)
+            starts = np.cumsum([0] + [s.size for s in slates[:-1]])
+            probs = m.slate_distributions(np.concatenate(slates), starts)
+            for slate, got in zip(slates, np.split(probs, starts[1:])):
+                np.testing.assert_allclose(
+                    got, reference_distribution(m, slate), rtol=1e-12, atol=0)
+                assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMatchingPseudoMnl:

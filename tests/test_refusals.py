@@ -149,6 +149,21 @@ REFUSALS = [
     ("ReplayOracle sample_geometric_block u == v", ValueError,
      lambda _: uncharged(replay(), lambda o: o.sample_geometric_block(
          1, 1, 3))),
+    # a fractional id is refused, not read as its floor, and uncharged
+    ("slate_distribution fractional item", ValueError,
+     lambda _: mnl(1.0, 2.0).slate_distribution([0.5, 1])),
+    ("LiveOracle max_sample fractional item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.max_sample([0.5, 1, 2]))),
+    ("LiveOracle max_sample fractional pair", ValueError,
+     lambda _: uncharged(live(), lambda o: o.max_sample([0.5, 1]))),
+    ("LiveOracle slate_win_counts fractional item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.slate_win_counts([0.9, 1, 2],
+                                                              10))),
+    ("ReplayOracle max_sample fractional item", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.max_sample([0.5, 1]))),
+    ("EstimationForest edge_log item >= n", ValueError,
+     lambda _: sl.EstimationForest(graph=graph(), edge_log={(0, 7): 1.0},
+                                   eps=0.3).components()),
     ("check_structure without a star edge", AssertionError,
      lambda _: graph(star_log={}).check_structure()),
     ("check_structure without a partition", AssertionError,

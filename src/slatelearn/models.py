@@ -157,7 +157,11 @@ def pair_probability(model: Model, u: int, v: int) -> float:
     if u == v:
         raise ValueError("pair items must be distinct")
     if isinstance(model, LogWeightMnl):
-        gap = model.log_w[v] - model.log_w[u]
+        try:
+            gap = model.log_w[v] - model.log_w[u]
+        except IndexError:   # numpy refuses a fractional id as an index
+            raise ValueError("pair ids must be integers in range({})".format(
+                model.n)) from None
         if gap >= 0:
             return float(np.exp(-np.log1p(np.exp(-gap)) - gap))
         return float(np.exp(-np.log1p(np.exp(gap))))
@@ -169,7 +173,11 @@ def pair_probabilities(model: Model, us, vs) -> np.ndarray:
 
     Bit for bit :func:`pair_probability` of each pair.
     """
-    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    us, vs = np.asarray(us), np.asarray(vs)
+    # a cast would read a fractional id as its floor
+    _require(all(x.dtype.kind in "iu" or not x.size for x in (us, vs)),
+             "pair ids must be integers")
+    us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
     if (us == vs).any():
         raise ValueError("pair items must be distinct")
     if isinstance(model, LogWeightMnl):

@@ -442,8 +442,9 @@ class LiveOracle:
         if np.ndim(vs) == 0:
             return self.sample_geometric_sums(
                 u, np.array([vs]), counts[:, None])[:, 0]
-        vs = np.asarray(vs, dtype=np.int64)
-        _check_ids(int(u), vs, self.n)   # before the first member is charged
+        vs = np.asarray(vs)
+        _check_ids(u, vs, self.n)   # before the first member is charged
+        u, vs = int(u), vs.astype(np.int64, copy=False)
         sums = np.zeros(counts.shape, dtype=np.int64)
         busy = counts.any(axis=0)
         if self.pair_mode == "stream":   # stream mode draws every wait
@@ -537,30 +538,48 @@ def _column_totals(a: np.ndarray) -> list:
 
 
 def _check_pair(u, v, n: int) -> None:
-    """Refuse a pair whose ids are not two distinct items of ``range(n)``."""
-    if not (0 <= u < n and 0 <= v < n) or u == v:
+    """Refuse a pair whose ids are not two distinct integer items of ``range(n)``."""
+    if (not (0 <= u < n and 0 <= v < n) or u == v
+            # a fractional id passes the range test; Python ints skip isinstance
+            or type(u) is not int and not isinstance(u, np.integer)
+            or type(v) is not int and not isinstance(v, np.integer)):
         raise ValueError(
             "pair ({}, {}) needs two distinct items in [0, {})".format(u, v, n))
 
 
+def _check_integers(*ids) -> None:
+    """Refuse ids, each one id or an array of them, that are not integers.
+
+    A cast to int64 would read a fractional id as its floor.
+    """
+    for x in ids:
+        if (type(x) is not int and np.asarray(x).dtype.kind not in "iu"
+                and np.size(x)):
+            raise ValueError("pair ids must be integers")
+
+
 def _check_ids(us, vs, n: int) -> None:
-    """:func:`_check_pair` on every pair of :func:`_pair_ids`, with numpy."""
+    """:func:`_check_pair` on every pair of ids or arrays of ids, with numpy."""
+    _check_integers(us, vs)
     for x in (us, vs):
         # read as uint64, a negative id lies beyond every n
-        if (not 0 <= x < n if isinstance(x, int)
-                else x.size and x.view(np.uint64).max() >= n):
+        if (not 0 <= x < n if isinstance(x, (int, np.integer))
+                else x.size and x.astype(np.int64, copy=False)
+                .view(np.uint64).max() >= n):
             raise ValueError("pair ids must lie in [0, {})".format(n))
     if (us == vs).any():
         raise ValueError("pair items must be distinct")
 
 
 def _pair_ids(u, v) -> tuple:
-    """``(us, vs, size)``: the pairs of an array pair call, unchecked.
+    """``(us, vs, size)``: the pairs of an array pair call.
 
     ``us`` and ``vs`` are flat int64 arrays of ``size`` ids in broadcast
     order, except that a scalar side stays one int, the partner of every
-    pair.
+    pair. A non-integer id raises ValueError; ranges are left to
+    :func:`_check_ids` and :func:`_check_pair`.
     """
+    _check_integers(u, v)
     if not isinstance(v, np.ndarray) or v.ndim == 0:
         us, vs = np.asarray(u, dtype=np.int64).ravel(), int(v)
     elif not isinstance(u, np.ndarray) or u.ndim == 0:

@@ -96,7 +96,11 @@ def compare(oracle, i: int, j: int, c: float, eps: float, delta: float):
 
 @functools.lru_cache(maxsize=64)   # a clusterer asks with one triple at a time
 def ratio_sample_size(alpha: float, eps: float, delta: float) -> tuple:
-    """The cutoff c and the query count m of one :func:`estimate_ratio`."""
+    """The cutoff c and the query count m of one :func:`estimate_ratio`.
+
+    m is also the most :func:`sequential_log_ratios` charges any one pair
+    at the same arguments.
+    """
     if not (0.0 < alpha <= 0.5):
         raise ValueError("alpha must lie in (0, 1/2]")
     c = alpha / (alpha + 1.0)
@@ -119,12 +123,91 @@ def estimate_ratio(oracle, i: int, j: int, alpha: float, eps: float,
     cutoff c = alpha/(alpha+1), and returns the log ratio of the two
     snapped frequencies. With probability 1 - delta the result is zero
     when the true ratio is at most alpha/(3 alpha + 4), infinite when it
-    is at least its inverse, and otherwise a (1 +- eps)-accurate finite
-    value. Zero and infinite returns are exact sentinels, log ratios of
-    -inf and +inf.
+    is at least its inverse, finite when it lies in [alpha, 1/alpha], and
+    (1 +- eps)-accurate whenever finite. Zero and infinite returns are
+    exact sentinels, log ratios of -inf and +inf.
     """
     c, m = ratio_sample_size(alpha, eps, delta)
     return RatioEstimate(log_ratio_of_wins(oracle.pair_win_count(i, j, m), m, c))
+
+
+@functools.lru_cache(maxsize=64)   # one plan serves every pivot of a clustering
+def sequential_plan(alpha: float, eps: float, delta: float) -> tuple:
+    """``(c, upsilon, log_term, checkpoints)`` of :func:`sequential_log_ratios`.
+
+    c and the last checkpoint, m, are :func:`ratio_sample_size`'s. A pair
+    is looked at fewer than R = m.bit_length() times before m, and
+    log_term = ln(6 R / delta) gives each look its share of the
+    confidence. upsilon = 3 (1 + e) log_term / e^2, at e = eps/3, is the
+    Chernoff form of the stopping threshold of Dagum, Karp, Luby and Ross
+    ("An optimal algorithm for Monte Carlo estimation", SIAM J. Comput.
+    29(5), 2000). The checkpoints are the cumulative totals a pair is
+    looked at: 4 upsilon, doubling while below m, then m. At 2 upsilon
+    only an exact tie gives both items upsilon wins; 4 upsilon is the
+    first total that settles every pair near even odds.
+    """
+    c, m = ratio_sample_size(alpha, eps, delta)
+    e = eps / 3.0
+    log_term = math.log(6.0 * m.bit_length() / delta)
+    upsilon = 3.0 * (1.0 + e) * log_term / (e * e)
+    checkpoints = []
+    total = math.ceil(4.0 * upsilon)
+    while total < m:
+        checkpoints.append(total)
+        total *= 2
+    return c, upsilon, log_term, tuple(checkpoints) + (m,)
+
+
+def sequential_log_ratios(oracle, i: int, js, alpha: float, eps: float,
+                          delta: float) -> np.ndarray:
+    """Log estimates of w_i / w_j for each j of the int64 array ``js``.
+
+    Each estimate keeps :func:`estimate_ratio`'s contract at the same
+    alpha, eps and delta, and no pair is charged more than that call's m.
+    A pair is drawn in rounds up to the totals of :func:`sequential_plan`
+    and stops at the first total N where:
+
+    * its rarer item has won at least upsilon times, so both frequencies
+      are (1 +- eps/3)-accurate;
+    * its rarer item's wins fall short of N c/2 by more than sqrt(N c
+      log_term), a one-sided Chernoff bound (a sequential test in the sense
+      of Wald, Ann. Math. Statist. 16(2), 1945) that puts that item's win
+      probability below c/2;
+    * N is m, the whole of :func:`estimate_ratio`'s sample.
+
+    Every stop reads the wins as :func:`log_ratio_of_wins` does, snap at
+    c/2 included, so the second stop always gives the rarer item's
+    sentinel. Each kind of look fails with probability at most delta/3
+    over all looks, and m keeps :func:`compare`'s bound. At the first
+    look, 4 upsilon queries, a pair settles if its rarer item wins at
+    least a quarter of the time or clearly less than c/2 of it; m is
+    20 ln(6/delta) / (c e^2), about 16 upsilon at alpha 1/2 and eps 0.1.
+
+    Each round is one ``oracle.pair_win_count`` call on the pairs still
+    open, in ``js`` order, decided with numpy. A pair's rounds depend on
+    its own answers alone, so a stream or replay oracle reads each pair's
+    stream as a call on that pair alone would. Counts stay exact Python
+    ints where m passes 2^53.
+    """
+    c, upsilon, log_term, checkpoints = sequential_plan(alpha, eps, delta)
+    m = checkpoints[-1]
+    logs = np.empty(len(js))
+    open_at = np.arange(len(js))
+    # int64 while a count divides exactly as a double, as log_ratio_of_wins does
+    wins = np.zeros(len(js), dtype=np.int64 if m < 1 << 53 else object)
+    drawn = 0
+    for total in checkpoints:
+        wins = wins + oracle.pair_win_count(i, js[open_at], total - drawn)
+        drawn = total
+        rarer = np.minimum(wins, total - wins)
+        done = ((rarer >= upsilon) | (total == m)
+                | (rarer < total * c / 2.0 - math.sqrt(total * c * log_term)))
+        logs[open_at[done]] = [log_ratio_of_wins(w, total, c)
+                               for w in wins[done].tolist()]
+        open_at, wins = open_at[~done], wins[~done]
+        if not open_at.size:
+            break
+    return logs
 
 
 def get_geometric(oracle, u: int, v: int) -> int:

@@ -202,17 +202,18 @@ class TestQuicksortClustering:
 
 
 def per_item_quicksort_clustering(oracle, alpha, eps, delta, rng):
-    """Reference: quicksort clustering with one estimate_ratio call per item."""
+    """Reference: quicksort clustering with one sampler call per item."""
     n = oracle.n
 
     def split(pivot, rest):
         members, edges, lighter, heavier = [pivot], {}, [], []
         for s in rest:
-            r = sl.estimate_ratio(oracle, pivot, s, alpha, eps, delta / (n * n))
-            if r.is_finite:
+            [log_ratio] = sl.primitives.sequential_log_ratios(
+                oracle, pivot, np.array([s]), alpha, eps, delta / (n * n))
+            if math.isfinite(log_ratio):
                 members.append(s)
-                edges[s] = -r.log_ratio
-            elif r.is_zero:
+                edges[s] = -log_ratio
+            elif log_ratio < 0.0:
                 heavier.append(s)
             else:
                 lighter.append(s)
@@ -224,21 +225,30 @@ def per_item_quicksort_clustering(oracle, alpha, eps, delta, rng):
 
 
 class TestArraySplit:
-    """One array pair_win_count per pivot reads as one estimate per item."""
+    """One sampler call per pivot reads each pair as a call on it alone.
 
-    @pytest.mark.parametrize("mode, chunk", [("binomial", None),
-                                             ("stream", None),
-                                             ("binomial", 100_000)])
+    A stream or replay oracle answers each pair from its own stream, so
+    the rounds one pivot's call draws for all its group read the same
+    answers, charge the same ledger and leave the same pair streams as
+    one call per item. (A binomial oracle reads one shared stream round by
+    round across the group, so it has no such per-item twin.)
+    """
+
+    @pytest.mark.parametrize("mode, chunk", [("stream", None),
+                                             ("replay", None),
+                                             ("stream", 5000)])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_equal_to_the_per_item_loop(self, monkeypatch, mode, chunk, seed):
         if chunk is not None:
-            # each estimate's 2.8e5 queries take three binomial pieces
-            monkeypatch.setattr(sl.oracle, "BINOMIAL_CHUNK", chunk)
+            # each round's draws span many stream chunks
+            monkeypatch.setattr(sl.oracle, "STREAM_CHUNK", chunk)
         model = sl.generate_instance(
             sl.InstanceSpec("power-law", n=40, seed=seed, params={"gamma": 3.0}))
         graphs, oracles = [], []
         for cluster in (sl.quicksort_clustering, per_item_quicksort_clustering):
-            o = sl.LiveOracle(model, seed=seed, pair_mode=mode)
+            o = sl.LiveOracle(model, seed=seed, pair_mode="stream")
+            if mode == "replay":
+                o = sl.ReplayOracle(sl.build_replay_table(o, 300_000))
             graphs.append(cluster(o, 0.5, 0.15, 0.1,
                                   np.random.default_rng(seed)))
             oracles.append(o)
@@ -254,10 +264,7 @@ class TestArraySplit:
         a, b = oracles
         assert a.ledger == b.ledger
         assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
-        if mode == "binomial":
-            assert a._binomial_rng.random() == b._binomial_rng.random()
-        else:
-            assert stream_states(a) == stream_states(b)
+        assert stream_states(a) == stream_states(b)
 
 
 def per_item_cluster_sort(oracle, alpha, eps, delta, rng):

@@ -129,6 +129,98 @@ class TestEstimateRatio:
         assert o.ledger.total == compare_sample_size(c, eps / 3.0, delta)
 
 
+class TestSequentialLogRatios:
+    """The sequential sampler keeps estimate_ratio's contract below its m."""
+
+    alpha, eps, delta, trials = 0.5, 0.3, 0.01, 300
+
+    def contract_cases(self):
+        """(ratio w_0 / w_j, kinds the contract allows) for items j = 1..5."""
+        a = self.alpha
+        low = a / (3.0 * a + 4.0)
+        return [(low, {"zero"}),
+                (1.0 / low, {"infinite"}),
+                (1.1 * low, {"zero", "finite"}),   # just inside both
+                (1.0 / (1.1 * low), {"infinite", "finite"}),
+                (1.0, {"finite"})]
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream"])
+    def test_contract_at_the_cutoffs(self, mode):
+        cases = self.contract_cases()
+        model = sl.LogWeightMnl(np.array(
+            [0.0] + [-math.log(ratio) for ratio, _ in cases]))
+        js = np.arange(1, len(cases) + 1)
+        _, m = sl.primitives.ratio_sample_size(self.alpha, self.eps, self.delta)
+        bad = [0] * len(cases)
+        for t in range(self.trials):
+            o = sl.LiveOracle(model, seed=t, pair_mode=mode)
+            logs = sl.primitives.sequential_log_ratios(
+                o, 0, js, self.alpha, self.eps, self.delta)
+            assert max(o.ledger.per_pair.values()) <= m
+            for k, ((ratio, kinds), log_r) in enumerate(zip(cases, logs)):
+                r = sl.RatioEstimate(float(log_r))
+                error = r.log_ratio - math.log(ratio)
+                bad[k] += not (r.kind in kinds and (
+                    not r.is_finite
+                    or math.log1p(-self.eps) <= error <= math.log1p(self.eps)))
+        allowed = failure_bound(self.delta, self.trials) * self.trials
+        assert max(bad) <= allowed, bad
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream"])
+    def test_far_pairs_stop_at_the_first_look(self, mode):
+        # log weights 800 apart: p_min underflows to 0 with no RuntimeWarning
+        model = sl.LogWeightMnl(np.array([0.0, 800.0, 1.0]))
+        o = sl.LiveOracle(model, seed=1, pair_mode=mode)
+        logs = sl.primitives.sequential_log_ratios(
+            o, 0, np.array([1, 2]), self.alpha, self.eps, self.delta)
+        first = sl.primitives.sequential_plan(
+            self.alpha, self.eps, self.delta)[3][0]
+        assert logs[0] == -math.inf and math.isfinite(logs[1])
+        assert o.ledger.per_pair[(0, 1)] == first
+        back = sl.primitives.sequential_log_ratios(
+            o, 1, np.array([0]), self.alpha, self.eps, self.delta)
+        assert back[0] == math.inf
+
+    def test_a_pair_that_never_settles_runs_to_m(self, monkeypatch):
+        # with neither early stop able to fire, a pair passes every look
+        # and reads all m answers as estimate_ratio reads them
+        c, _, _, looks = sl.primitives.sequential_plan(
+            self.alpha, self.eps, self.delta)
+        monkeypatch.setattr(sl.primitives, "sequential_plan",
+                            lambda *args: (c, math.inf, math.inf, looks))
+        model = ratio_model(1.7)
+        o = sl.LiveOracle(model, seed=2, pair_mode="stream")
+        logs = sl.primitives.sequential_log_ratios(
+            o, 0, np.array([1]), self.alpha, self.eps, self.delta)
+        fixed = sl.LiveOracle(model, seed=2, pair_mode="stream")
+        want = sl.estimate_ratio(fixed, 0, 1, self.alpha, self.eps, self.delta)
+        assert len(looks) > 1
+        assert logs[0] == want.log_ratio
+        assert o.ledger == fixed.ledger
+        assert o.ledger.total == looks[-1]
+
+    def test_plan_is_capped_at_m(self):
+        c, upsilon, _, looks = sl.primitives.sequential_plan(
+            self.alpha, self.eps, self.delta)
+        assert (c, looks[-1]) == sl.primitives.ratio_sample_size(
+            self.alpha, self.eps, self.delta)
+        assert list(looks) == sorted(set(looks))
+        assert looks[0] == math.ceil(4.0 * upsilon)
+        assert all(b == 2 * a for a, b in zip(looks[:-2], looks[1:-1]))
+
+    def test_counts_beyond_int64_stay_exact(self):
+        # eps 1e-9 puts m near 2.2e21: each look is drawn in BINOMIAL_CHUNK
+        # pieces, and the wins are summed as Python ints
+        o = sl.LiveOracle(mnl(1.0, 1.0, 1e9), seed=3)
+        logs = sl.primitives.sequential_log_ratios(
+            o, 0, np.array([1, 2]), self.alpha, 1e-9, self.delta)
+        looks = sl.primitives.sequential_plan(self.alpha, 1e-9, self.delta)[3]
+        assert looks[-1] > 1 << 63
+        assert abs(logs[0]) < 1e-9 and logs[1] == -math.inf
+        assert o.ledger.per_pair[(0, 2)] == looks[0]
+        assert o.ledger.per_pair[(0, 1)] in looks
+
+
 class TestGetGeometric:
     def test_instant_win_returns_zero(self):
         o = FixedOracle(2, winner=0)

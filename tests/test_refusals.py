@@ -161,6 +161,23 @@ REFUSALS = [
                                                               10))),
     ("ReplayOracle max_sample fractional item", ValueError,
      lambda _: uncharged(replay(), lambda o: o.max_sample([0.5, 1]))),
+    ("pair_probabilities fractional item", ValueError,
+     lambda _: sl.pair_probabilities(mnl(1.0, 2.0), [0.5], [1])),
+    ("pair_probability fractional item", ValueError,
+     lambda _: sl.pair_probability(mnl(1.0, 2.0), 0.5, 1)),
+    ("LiveOracle array pair_win_count fractional item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         np.array([0.5]), 1, 3))),
+    ("LiveOracle pair_win_count fractional item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(0.5, 1, 3))),
+    ("LiveOracle sample_geometric fractional item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric(0.5, 1))),
+    ("LiveOracle sample_geometric_sums fractional item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         0.5, [1], [[2]]))),
+    ("LiveOracle stream sample_pair fractional item", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: o.sample_pair(0.5,
+                                                                      1))),
     ("EstimationForest edge_log item >= n", ValueError,
      lambda _: sl.EstimationForest(graph=graph(), edge_log={(0, 7): 1.0},
                                    eps=0.3).components()),

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ class TestLearnBalanced:
         o = sl.LiveOracle(mnl(1.0), seed=0)
         model = sl.learn_balanced(o, 1, 0.5, 0.1)
         assert model.n == 1 and o.ledger.total == 0
+
+    # Median queries of learn_balanced at n = 64, eps 0.3, delta 0.1 over
+    # seeds 0-4, measured when quicksort_clustering read every pair at a
+    # fixed m = ceil(20 / (c (eps/3)^2) ln(6 n^2 / delta)).
+    FIXED_M_QUERIES = {"power-law": 67_556_185, "geometric-ratio": 207_484_550}
+
+    @pytest.mark.parametrize("kind, params", [("power-law", {"gamma": 1.0}),
+                                              ("geometric-ratio", {"rho": 2.0})])
+    def test_sequential_clustering_halves_the_queries(self, kind, params):
+        totals = []
+        for seed in range(5):
+            truth = sl.generate_instance(
+                sl.InstanceSpec(kind, n=64, seed=seed, params=params))
+            o = sl.LiveOracle(truth, seed=seed)
+            sl.learn_balanced(o, 64, 0.3, 0.1, seed=seed)
+            totals.append(o.ledger.total)
+        assert statistics.median(totals) <= self.FIXED_M_QUERIES[kind] / 2
 
 
 class TestLearnNonadaptive:

@@ -347,7 +347,11 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
     counts are built only among the items of trees deeper than t, and the
     other classes come from each item's tree. The mass sums of conditions 2
     and 3 are read only at pairs beyond t or in another tree, so only rows
-    holding such a pair get them.
+    holding such a pair get them. Two O(n) screens keep rows out of the
+    blocks: the log errors of condition 1 are built only on rows of a tree
+    whose spread of lam - log_w could reach log1p(eps), and a row of such
+    a clean tree, at most t across and below every item of the other trees
+    in cluster, holds no pair that can fail and is skipped.
     """
     log_w = np.asarray(log_w, dtype=np.float64)
     n, eps, t = forest.n, forest.eps, forest.t
@@ -374,6 +378,24 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
     lo_gamma, hi_gamma = np.full(n, gamma.max()), np.zeros_like(gamma)
     np.minimum.at(lo_gamma, comp_of, gamma)
     np.maximum.at(hi_gamma, comp_of, gamma)
+    # with d = lam - log_w, a pair's log error is d[u] - d[v] up to a
+    # rounding the margin bounds: a tree whose d spans at most log1p(eps)
+    # less the margin is clean, with no condition-1 hit; one whose d
+    # overflows stays dirty
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = lam - log_w
+        d_lo, d_hi = np.full(n, np.inf), np.full(n, -np.inf)
+        np.minimum.at(d_lo, comp_of, d)
+        np.maximum.at(d_hi, comp_of, d)
+        margin = 8 * 2.0**-52 * (np.abs(lam).max() + np.abs(log_w).max())
+        dirty = ~(d_hi - d_lo <= math.log1p(eps) - margin)[comp_of]
+    # only the lowest tree has items below the second-lowest tree's lowest
+    # cluster, and those lie below every other tree
+    lows = np.sort(lo_gamma[comp_of == np.arange(n)])
+    below = gamma < np.append(lows, gamma.max() + 1)[1]
+    # a row of a clean tree at most t across, below every other tree, is
+    # quiet: it holds neither a far pair nor a condition-1 hit
+    active = np.flatnonzero(dirty | deep | ~below)
     by_gamma = np.argsort(gamma, kind="stable")
     # the mass sums of conditions 2 and 3 depend on v only through gamma(v):
     # they are prefix sums over u's tree in gamma order, up to position upto[v]
@@ -381,8 +403,8 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
     rows = max(1, VALIDATE_BLOCK_VALUES // n)
     out = []
 
-    for lo in range(0, n, rows):
-        u = np.arange(lo, min(n, lo + rows))
+    for lo in range(0, active.size, rows):
+        u = active[lo:lo + rows]
         gu, cu = gamma[u, None], comp_of[u, None]
         same = comp_of == cu
         # within t hops: all of u's tree, unless its diameter is above t
@@ -393,11 +415,13 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
         pairs = gu >= gamma
         pairs[np.arange(u.size), u] = False
         far = pairs & ~near
-        err = (lam[u, None] - lam) - (log_w[u, None] - log_w)
-        # conditions 2 to 4 read far pairs only: rows without one skip them
+        # condition 1 reads the rows of dirty trees, conditions 2 to 4 the
+        # rows holding a far pair
+        e = np.flatnonzero(dirty[u])
+        err = (lam[u[e], None] - lam) - (log_w[u[e], None] - log_w)
         s = np.flatnonzero(far.any(axis=1))
-        at = np.zeros(u.size, dtype=np.int64)  # each row's position in s
-        at[s] = np.arange(s.size)
+        at = np.zeros((2, u.size), dtype=np.int64)  # each row's place in e, s
+        at[0, e], at[1, s] = np.arange(e.size), np.arange(s.size)
         fs, gs, cs = far[s], gu[s], cu[s]
         # terms of u's tree no heavier in cluster than u; the rest stay 0
         keep = (comp_of[by_gamma] == cs) & (gamma[by_gamma] <= gs)
@@ -409,7 +433,7 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
         checks = np.zeros((5, *far.shape), dtype=bool)
         # the (1 +- eps) bracket must hold in both directions, which
         # pins the log error to at most log(1 + eps) in magnitude
-        checks[0] = pairs & near & (np.abs(err) > math.log1p(eps))
+        checks[0, e] = pairs[e] & near[e] & (np.abs(err) > math.log1p(eps))
         checks[1:, s] = (fs & (true_sum > eps), fs & (est_sum > eps),
                          fs & ~same[s] & (gs > gamma)
                          & (lo_gamma[cs] <= hi_gamma[comp_of]),
@@ -428,12 +452,12 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
             # condition 4 cites the hop count, -1 for another tree
             count = np.full(a.size, -1, dtype=dtype)
             tree = same[a, b]
-            count[tree] = hops[slot[lo + a[tree]], slot[b[tree]]]
+            count[tree] = hops[slot[u[a[tree]]], slot[b[tree]]]
             return count
 
-        cite = (lambda a, b: err[a, b],
-                lambda a, b: true_sum[at[a], b],
-                lambda a, b: est_sum[at[a], b],
+        cite = (lambda a, b: err[at[0, a], b],
+                lambda a, b: true_sum[at[1, a], b],
+                lambda a, b: est_sum[at[1, a], b],
                 # condition 3 cites the cluster range of both trees
                 lambda a, b: np.fromiter(
                     zip(lo_gamma[cu[a, 0]].tolist(),
@@ -447,7 +471,7 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
             values[fired] = value(i[r], v[r])
         # a pair's entries share one tuple, made before the entries so that
         # the cyclic GC untracks both instead of rescanning millions
-        cited = list(zip((lo + i).tolist(), v.tolist()))
+        cited = list(zip(u[i].tolist(), v.tolist()))
         out += zip(conds[row, k].tolist(), map(cited.__getitem__, row.tolist()),
                    values.tolist())
     return ViolationReport(violations=out)

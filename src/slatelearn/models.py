@@ -158,8 +158,10 @@ def pair_probability(model: Model, u: int, v: int) -> float:
         raise ValueError("pair items must be distinct")
     if isinstance(model, LogWeightMnl):
         try:
+            if u < 0 or v < 0:   # numpy reads -1 as n - 1
+                raise IndexError
             gap = model.log_w[v] - model.log_w[u]
-        except IndexError:   # numpy refuses a fractional id as an index
+        except IndexError:   # numpy refuses a fractional id or one >= n
             raise ValueError("pair ids must be integers in range({})".format(
                 model.n)) from None
         if gap >= 0:
@@ -180,6 +182,15 @@ def pair_probabilities(model: Model, us, vs) -> np.ndarray:
     us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
     if (us == vs).any():
         raise ValueError("pair items must be distinct")
+    # numpy reads -1 as n - 1
+    _require(all(((x >= 0) & (x < model.n)).all() for x in (us, vs)),
+             "pair ids must be integers in range({})".format(model.n))
+    return _pair_probabilities(model, us, vs)
+
+
+def _pair_probabilities(model: Model, us, vs) -> np.ndarray:
+    """:func:`pair_probabilities` of ids already known to be distinct
+    integer items of ``range(model.n)``, as the oracles' checks leave them."""
     if isinstance(model, LogWeightMnl):
         gap = model.log_w[vs] - model.log_w[us]
         return np.exp(-np.log1p(np.exp(-np.abs(gap))) - np.maximum(gap, 0.0))

@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DemandTooLarge, GeometricCapExceeded, ReplayBudgetExhausted
-from .models import Model, _check_slate, pair_probabilities, pair_probability
+from .models import (Model, _check_slate, _pair_probabilities,
+                     pair_probability)
 
 PAIR_TAG = 0x70AB
 SLATE_TAG = 0x51A7
@@ -231,7 +232,8 @@ class LiveOracle:
             raise DemandTooLarge(
                 "the stream draws of pair ({}, {}) in one call".format(a, b),
                 count, STREAM_MAX_DRAWS,
-                "use binomial mode, the calibrated budget or a larger eps")
+                "use binomial mode; the calibrated budget and a larger eps "
+                "apply only to the balanced and non-adaptive learners")
         yield from _answer_chunks(self._pair_rng(a, b),
                                   pair_probability(self.model, a, b), count)
 
@@ -320,7 +322,7 @@ class LiveOracle:
             else:
                 window = _cut(us, lo, hi), _cut(vs, lo, hi)
                 _check_ids(*window, self.n)
-                p = pair_probabilities(self.model, *window)
+                p = _pair_probabilities(self.model, *window)
                 if stop is None:
                     drawn = rng.binomial(count, p)
                 else:
@@ -453,7 +455,7 @@ class LiveOracle:
                     u, int(vs[k]), int(counts[:, k].sum())), counts[:, k])
             return sums
         p = np.ones(vs.size)   # a column of zeros keeps p = 1 and draws nothing
-        p[busy] = pair_probabilities(self.model, u, vs[busy])
+        p[busy] = _pair_probabilities(self.model, u, vs[busy])
         # -log1p(-p) >= p, so only a small p can take the per-wait block;
         # p <= 0 takes it too, where the cap check raises
         per_wait = p * GEOMETRIC_CAP <= 2.0 * NEGLIGIBLE_LOG

@@ -286,6 +286,17 @@ class TestTrialRunner:
         assert code == 2
         assert "stream draws" in err
 
+    @pytest.mark.parametrize("eps", ["0.3", "0.9"])
+    def test_adaptive_stream_demand_advice_names_binomial_mode(self, capsys,
+                                                               eps):
+        # the adaptive learner takes no budget, and eps 0.9 still asks one
+        # pair for about 1.0e10 stream draws: only binomial mode helps it
+        code, _, err = run(capsys, "learn", "--algo", "adaptive", "--n", "10",
+                           "--eps", eps, "--oracle-mode", "stream")
+        assert code == 2
+        assert ("use binomial mode; the calibrated budget and a larger eps "
+                "apply only to the balanced and non-adaptive learners") in err
+
     def test_stream_demand_advice_names_the_calibrated_budget(self, capsys):
         # binomial mode fails this run too (its M * N waits pass their cap),
         # so the advice must not send the user there alone

@@ -454,6 +454,26 @@ def mixed_forest():
     return f, perturbed(rng, f, 0.5)
 
 
+def screened_forest(rng, scale):
+    """24 items in four trees, with clusters 0-5 shared between them: A, a
+    star on clusters 0-1 whose cluster-0 rows lie below every other tree; B,
+    a 9-item path on clusters 1-3 (diameter 8); C, a star on clusters 2-4;
+    D, a star on clusters 4-5. Edge logs are normal of sd ``scale``.
+    Returns the forest, its path logs and C's items."""
+    edges = [(0, k, rng.normal(0.0, scale)) for k in range(1, 5)]
+    edges += [(k, k + 1, rng.normal(0.0, scale)) for k in range(5, 13)]
+    edges += [(c, c + j, rng.normal(0.0, scale)) for c in (14, 19)
+              for j in range(1, 5)]
+    f = hand_built([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 2, 2, 3, 3, 4,
+                    4, 4, 5, 5, 5], edges)
+    return f, f.path_logs(), np.arange(14, 19)
+
+
+def screen_margin(lam, truth):
+    # the rounding margin of validate_forest's condition-1 screen
+    return 8 * 2.0**-52 * (np.abs(lam).max() + np.abs(truth).max())
+
+
 class TestMatchesReference:
     @pytest.mark.parametrize("n", [8, 16, 33, 64])
     @pytest.mark.parametrize("builder", [build_adaptive, build_balanced])
@@ -614,6 +634,40 @@ class TestMatchesReference:
         assert report.ok
         assert peak < 8 << 20
 
+    @pytest.mark.parametrize("scale, offset", [(0.1, 0.0), (30.0, 500.0)])
+    def test_screens_near_their_margin(self, scale, offset):
+        # tree C's d = lam - log_w spans log1p(eps), where its pairs start
+        # to violate condition 1, or log1p(eps) less the screen's margin,
+        # below which the screen passes C as clean, then its last item's
+        # truth steps up to 4 ulps either way. A and B stay clean and D is
+        # dirty. Every report must be the reference's, and C's spans must
+        # land on both sides of both lines. Edge logs of scale 30 and a
+        # truth 500 off the path logs make d round far coarser than the log
+        # errors
+        rng = np.random.default_rng(23)
+        sides, hit = {0: set(), 1: set()}, set()
+        for _ in range(6):
+            f, lam, c = screened_forest(rng, scale)
+            truth = lam + offset + rng.normal(0.0, 0.01, f.n)
+            truth[19:] += rng.normal(0.0, 0.5, 5)
+            d = np.r_[0.0, rng.uniform(0.0, 1.0, 3), 1.0]
+            for side in (0, 1):
+                truth[c] = lam[c] + offset - d * (
+                    math.log1p(f.eps) - side * screen_margin(lam, truth))
+                start = truth[c[-1]]
+                for ulps in range(-4, 5):
+                    truth[c[-1]] = start
+                    for _ in range(abs(ulps)):
+                        truth[c[-1]] = np.nextafter(truth[c[-1]], -ulps)
+                    got = sl.validate_forest(f, truth).violations
+                    assert_violations_match(got, ref_validate_forest(f, truth))
+                    line = (math.log1p(f.eps)
+                            - side * screen_margin(lam, truth))
+                    sides[side].add(np.sign(np.ptp(lam[c] - truth[c]) - line))
+                    hit.add(any(cond == 1 and p[0] in c for cond, p, _ in got))
+        assert sides[0] >= {-1, 1} and sides[1] >= {-1, 1}
+        assert hit == {False, True}
+
     def test_extreme_weight_gaps_do_not_overflow(self):
         # only items no higher in cluster than u enter u's mass sums, so a
         # heavy item e^800 times above u is never exponentiated against it
@@ -622,6 +676,14 @@ class TestMatchesReference:
         with np.errstate(over="raise", invalid="raise"):
             got = sl.validate_forest(f, truth).violations
         assert_violations_match(got, ref_validate_forest(f, truth))
+        # lam - log_w overflows here, though no log error does: the
+        # screen must leave the tree dirty and its pair still cited
+        f = hand_built([0, 0], [(0, 1, 1e308)])
+        truth = np.array([1e308, 1e308])
+        with np.errstate(over="raise", invalid="raise"):
+            got = sl.validate_forest(f, truth).violations
+        assert got == ref_validate_forest(f, truth) == [(1, (0, 1), 1e308),
+                                                       (1, (1, 0), -1e308)]
 
     def test_cycle_is_rejected(self):
         f = hand_built([0, 0, 0], [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)])

@@ -11,7 +11,8 @@ learn runs in a child process that caps its own address space, so only the
 child is limited.
 
 The distance evals score ragged slates, so their temporaries hold what the
-slates hold: their traced peaks are bounded in-process with tracemalloc.
+slates hold, and the forest audit builds row blocks only for rows that can
+hold a violation: their traced peaks are bounded in-process with tracemalloc.
 """
 
 import os
@@ -112,3 +113,18 @@ def test_exact_eval_peaks_no_higher_than_mask_rows(n, mask_form_mib):
     # the mask-row form of distance_exact peaked at mask_form_mib
     a, b = learned_pair(n)
     assert traced_peak_mib(lambda: sl.distance_exact(a, b)) <= mask_form_mib
+
+
+def test_valid_forest_audit_at_n_4096_peaks_under_1_5_mib():
+    # every row of the adaptive builder's one-tree forest of diameter 4 is
+    # quiet, so no row block is built; row blocks of every row peaked at
+    # 2.5 MiB
+    truth = sl.generate_instance(
+        sl.InstanceSpec("power-law", 4096, 1201, {"gamma": 1.0}))
+    forest = sl.build_estimation_forest(sl.LiveOracle(truth, 1201), 0.5, 0.3,
+                                        0.1, np.random.default_rng(1201))
+    report = []
+    peak = traced_peak_mib(
+        lambda: report.append(sl.validate_forest(forest, truth.log_w)))
+    assert report[0].ok
+    assert peak < 1.5

@@ -24,6 +24,11 @@ def graph(**changes):
     return sl.ClusterGraph(**{**fields, **changes})
 
 
+def pseudo():
+    return sl.MatchingPseudoMnl(p=np.array([0.3, 0.6]),
+                                pi=np.array([1, 0, 3, 2]))
+
+
 def replay(n=4, m=100):
     return sl.ReplayOracle(sl.build_replay_table(live(n, "stream"), m))
 
@@ -105,6 +110,19 @@ REFUSALS = [
      lambda _: sl.separation_fixture(4, 1.5)),
     ("pair_probability(u, u)", ValueError,
      lambda _: sl.pair_probability(mnl(1.0, 2.0), 1, 1)),
+    # a negative id is refused, not read from the end of the array
+    ("pair_probability negative item", ValueError,
+     lambda _: sl.pair_probability(mnl(1.0, 2.0, 4.0), -1, 0)),
+    ("pair_probability item >= n", ValueError,
+     lambda _: sl.pair_probability(mnl(1.0, 2.0, 4.0), 0, 3)),
+    ("pair_probabilities negative item", ValueError,
+     lambda _: sl.pair_probabilities(mnl(1.0, 2.0, 4.0), [1, -1], [0, 0])),
+    ("pair_probabilities item >= n", ValueError,
+     lambda _: sl.pair_probabilities(mnl(1.0, 2.0, 4.0), [0], [3])),
+    ("pair_probability pseudo-MNL negative item", ValueError,
+     lambda _: sl.pair_probability(pseudo(), 0, -1)),
+    ("pair_probabilities pseudo-MNL item >= n", ValueError,
+     lambda _: sl.pair_probabilities(pseudo(), [4], [0])),
     ("generate_instance rho=0", ValueError,
      lambda _: sl.generate_instance(
          sl.InstanceSpec("geometric-ratio", 3, params={"rho": 0.0}))),

@@ -1,10 +1,12 @@
 """Non-adaptive learning via a replay table.
 
 Because the balanced learner only ever queries pairs, its entire run can be
-simulated from a table of pre-sampled pair answers: ask every pair m times
-up front in one batch, then replay. The learned model is bit-identical to a
-live run with the same seed, and the live oracle is never touched after the
-batch.
+simulated from one non-adaptive batch: pay for m answers of every pair up
+front, then replay. The batch is a window on the live pair streams, not a
+table of answers: building it charges the live ledger and draws nothing,
+and a replay draws only the answers its learner reads. The learned model is
+bit-identical to a live run with the same seed, and the live oracle is
+never touched after the batch.
 """
 
 import numpy as np
@@ -28,9 +30,11 @@ def main():
     live = sl.LiveOracle(truth, seed=seed, pair_mode="stream")
     learned, replay = sl.learn_nonadaptive(live, n, eps, delta, m, seed=seed)
     pairs = n * (n - 1) // 2
-    print("live queries: {} (= m x {} pairs), slate sizes used: {}".format(
-        live.ledger.total, pairs, sorted(live.ledger.per_size)))
-    print("replayed (simulated) queries:", replay.ledger.total)
+    print("live queries: {} (= m x {} pairs, one batch charge), slate sizes"
+          " used: {}".format(live.ledger.total, pairs,
+                             sorted(live.ledger.per_size)))
+    print("replayed (simulated) queries: {}, read from {} of the {} pairs"
+          .format(replay.ledger.total, len(replay.ledger.per_pair), pairs))
 
     rep = sl.distance_exact(truth, learned)
     print("exact d1 =", round(rep.d1, 4), "(target <=", eps, ")")

@@ -12,7 +12,7 @@ is the instance's item count (2 len(p) for pseudo-mnl). Ranges: --n, --m,
 Exit codes: 0 success, 1 usage error (a bad flag or model file, an output
 that cannot be written), 2 algorithm failure (a forest build hit its failure
 branch, or a demand above a cap no --m lifts), 3 replay budget exhausted
-(the non-adaptive batch was too small; rerun with a larger --m).
+(the non-adaptive batch was too small; rerun with any larger --m).
 
 CSV outputs start with a ``# slatelearn-csv v1`` comment line followed by
 the fixed header. The seconds column is wall-clock time and is excluded

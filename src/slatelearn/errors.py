@@ -10,7 +10,7 @@ class ReplayBudgetExhausted(SlateLearnError):
 
     This signals that the replication count m used to build the replay table
     was below the per-pair demand of the learner being simulated; the
-    answers are paid for when the table is built, not sampled then. Recoverable:
+    answers are paid for when the table is built, drawn when read. Recoverable:
     rebuild the table with a larger m. ``needed`` is how many of the pair's
     answers the refused read would have reached: an m of at least that
     serves the call, and more may be needed when it is a geometric wait.
@@ -21,7 +21,7 @@ class ReplayBudgetExhausted(SlateLearnError):
         self.m = m
         self.needed = needed
         super().__init__(
-            "pair {} needs at least {} pre-sampled answers, above its budget "
+            "pair {} needs at least {} paid-for answers, above its budget "
             "of m = {}; rebuild the replay table with a larger m".format(
                 pair, needed, m))
 

@@ -168,6 +168,6 @@ def ledger_report(ledger) -> dict:
     return {
         "total": ledger.total,
         "max_per_pair": ledger.max_per_pair,
-        "pairs_touched": len(ledger.per_pair),
+        "pairs_touched": ledger.batch_pairs or len(ledger.per_pair),
         "per_size": {str(k): v for k, v in sorted(ledger.per_size.items())},
     }

@@ -15,15 +15,13 @@ Oracles come in two pair-sampling modes:
     how many times that pair has been queried, never on the interleaving
     with other pairs. An answer is carried as one boolean, True where the
     lower-indexed item of the pair won; only :meth:`LiveOracle.sample_pair_block`
-    turns answers into winner ids. A :class:`ReplayOracle` is this mode with
-    its answers paid for in advance: it runs the same stream-mode code on its
-    own copy of each pair stream, so a live run and a replayed run agree bit
-    for bit. A :class:`ReplayTable` charges the live ledger the whole batch,
-    m answers per pair, when it is built, and keeps only where each pair
-    stream stood before the batch, no answers. A replay restores a pair's
-    stream from there on its first read of the pair, moved on past the
-    answers its own ledger counts, so the table serves any number of
-    replays, each drawing the same answers.
+    turns answers into winner ids. Both oracles start a pair's stream, on
+    their first read of the pair, from its ``pair_streams_seed`` or a state
+    a batch saved, moved on by an exact PCG64 ``advance`` past the answers
+    charged to it since. A :class:`ReplayOracle` is this mode with its
+    answers paid for in advance by :func:`build_replay_table`, which draws
+    nothing; it runs the same stream-mode code on its own copy of each
+    stream, so a live run and every replay of a batch agree bit for bit.
 
 ``binomial``
     win counts over k queries are drawn directly as Binomial(k, p) variates
@@ -75,11 +73,6 @@ SCALAR_PAIRS = 16
 # and n = 4096, and a block of 2^30 int64 winners is already 8 GiB.
 STREAM_CHUNK = 1 << 20
 STREAM_MAX_DRAWS = 1 << 30
-# build_replay_table refuses a batch of more answers than this. A replay
-# keeps no answers, so the cap bounds the batch one build charges, and with
-# it the pairs one build sets up at a given m (non-adaptive eps 0.5, n 14,
-# m 5e5 pays for 4.6e7).
-REPLAY_MAX_ANSWERS = 1 << 30
 # One Generator.negative_binomial draw takes its n as a double and refuses a
 # mean n (1 - p) / p above about 9.2e18: pieces of at most NB_CHUNK waits
 # with a mean of at most NB_MEAN_MAX keep n exact and every draw legal.
@@ -99,13 +92,15 @@ INT64_MAX = (1 << 63) - 1
 class QueryLedger:
     """Counts oracle queries in total, per unordered pair, and per slate size.
 
-    A call that records 0 queries changes nothing, so ``per_pair`` holds
-    only pairs that were queried.
+    A pair's count is the ``batch`` charged to all ``batch_pairs`` pairs
+    plus its ``per_pair`` entry, which a call of 0 queries never creates.
     """
 
     total: int = 0
     per_pair: dict = field(default_factory=dict)
     per_size: dict = field(default_factory=dict)
+    batch: int = 0
+    batch_pairs: int = 0
 
     def record_pair(self, u: int, v: int, count: int = 1) -> None:
         if count == 0:
@@ -114,6 +109,14 @@ class QueryLedger:
         self.per_pair[key] = self.per_pair.get(key, 0) + count
         self.per_size[2] = self.per_size.get(2, 0) + count
         self.total += count
+
+    def record_batch(self, pairs: int, count: int) -> None:
+        """``count`` queries to each of ``pairs`` pairs: every pair of items."""
+        if pairs and count:
+            self.batch += count
+            self.batch_pairs = pairs
+            self.per_size[2] = self.per_size.get(2, 0) + pairs * count
+            self.total += pairs * count
 
     def record_pairs(self, us, vs, counts=1) -> None:
         """``record_pair(us[i], vs[i], counts[i])`` for every i, in order.
@@ -161,7 +164,7 @@ class QueryLedger:
 
     @property
     def max_per_pair(self) -> int:
-        return max(self.per_pair.values(), default=0)
+        return self.batch + max(self.per_pair.values(), default=0)
 
 
 def pair_streams_seed(master_seed: int, u: int, v: int) -> np.random.SeedSequence:
@@ -189,9 +192,9 @@ class LiveOracle:
     def _pair_rng(self, u: int, v: int) -> np.random.Generator:
         key = (u, v) if u < v else (v, u)
         rng = self._pair_rngs.get(key)
-        if rng is None:
-            rng = np.random.default_rng(pair_streams_seed(self.seed, u, v))
-            self._pair_rngs[key] = rng
+        if rng is None:   # a stream first read after a batch starts past it
+            rng = self._pair_rngs[key] = _open_stream(
+                pair_streams_seed(self.seed, u, v), self.ledger.batch)
         return rng
 
     def max_sample(self, slate) -> int:
@@ -222,10 +225,11 @@ class LiveOracle:
         are always compared against that item's win probability, so the
         answers a stream produces are independent of the order the caller
         names the pair in. Replay correctness depends on this. Chunked draws
-        give the same doubles as one ``random(count)``. A count above
-        STREAM_MAX_DRAWS raises before anything is drawn. ``used`` counts
-        the answers the calling method has read but not yet charged; the
-        Generator already stands past them, so a live oracle ignores it.
+        give the same doubles as one ``random(count)``; a count of 0 yields
+        one empty chunk, and one above STREAM_MAX_DRAWS raises before
+        anything is drawn. ``used`` counts the answers the calling method
+        has read but not yet charged; the Generator already stands past
+        them, so a live oracle ignores it.
         """
         a, b = (u, v) if u < v else (v, u)
         if count > STREAM_MAX_DRAWS:
@@ -234,14 +238,16 @@ class LiveOracle:
                 count, STREAM_MAX_DRAWS,
                 "use binomial mode; the calibrated budget and a larger eps "
                 "apply only to the balanced and non-adaptive learners")
-        yield from _answer_chunks(self._pair_rng(a, b),
-                                  pair_probability(self.model, a, b), count)
+        rng, p_a = self._pair_rng(a, b), pair_probability(self.model, a, b)
+        for lo in range(0, max(count, 1), STREAM_CHUNK):
+            yield rng.random(min(count - lo, STREAM_CHUNK)) < p_a
 
     def sample_pair(self, u: int, v: int) -> int:
         return int(self.sample_pair_block(u, v, 1)[0])
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` queries to {u, v} at once; returns the winner sequence."""
+        _check_count(count)
         _check_pair(u, v, self.n)
         a, b = (u, v) if u < v else (v, u)
         first = np.concatenate(list(self._stream_answers(u, v, count)))
@@ -256,8 +262,8 @@ class LiveOracle:
         With ``stop``, the pairs are answered in order up to and including
         the first whose count reaches ``stop``; the pairs after it are
         neither drawn nor charged, and the answer is the answered prefix.
-        Every id must lie in [0, n) and differ from its partner, or the call
-        raises ValueError and charges nothing.
+        Every id must lie in [0, n) and differ from its partner, and the
+        count be an integer >= 0, or the call raises ValueError, uncharged.
 
         Binomial mode returns int64 counts, or exact Python ints when
         ``count`` takes more than one BINOMIAL_CHUNK piece, refuses a count
@@ -272,6 +278,7 @@ class LiveOracle:
         scalar call per pair, so its answers, ledger and pair streams are
         those of the scalar calls in order.
         """
+        _check_count(count)
         if self.pair_mode == "binomial" and count > BINOMIAL_MAX_COUNT:
             raise DemandTooLarge("the queries of each pair in one call", count,
                                  BINOMIAL_MAX_COUNT, "use a larger eps")
@@ -364,6 +371,7 @@ class LiveOracle:
         STREAM_MAX_DRAWS, whose block of int64 losses alone would pass
         8 GiB, raises ``DemandTooLarge`` before anything is drawn.
         """
+        _check_count(count)
         _check_pair(u, v, self.n)
         if count > STREAM_MAX_DRAWS:
             raise DemandTooLarge(
@@ -425,8 +433,8 @@ class LiveOracle:
         waits of u against ``vs[k]``. The ledger charges each member those
         losses plus its waits, and a count of 0 draws nothing. A scalar
         ``vs`` with a vector ``counts`` is the one-column view and returns
-        a vector. Every member must be an item of ``range(n)`` other than
-        u, or the call raises ValueError before it charges anything.
+        a vector. A member that is not an item of ``range(n)`` other than u,
+        or a count not an integer >= 0, raises ValueError, uncharged.
 
         The members are served in order, each column in row order, so the
         draws, the ledger and the point where an error stops the call are
@@ -440,7 +448,10 @@ class LiveOracle:
         sums the per-wait block, cap check included), or where a count needs
         NB_CHUNK pieces.
         """
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
+        if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
+            raise ValueError("counts must be integers >= 0")
+        counts = counts.astype(np.int64, copy=False)
         if np.ndim(vs) == 0:
             return self.sample_geometric_sums(
                 u, np.array([vs]), counts[:, None])[:, 0]
@@ -516,16 +527,6 @@ class LiveOracle:
         return totals.astype(np.int64)
 
 
-def _answer_chunks(rng: np.random.Generator, p_a: float, count: int):
-    """``count`` answers of a pair stream, True where the lower id won.
-
-    Yields chunks of at most STREAM_CHUNK answers, and one empty chunk for
-    a count of 0; chunked draws give the same doubles as one draw.
-    """
-    for lo in range(0, max(count, 1), STREAM_CHUNK):
-        yield rng.random(min(count - lo, STREAM_CHUNK)) < p_a
-
-
 def _segment_sums(losses: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Totals of consecutive runs of ``counts[k]`` entries of ``losses``."""
     prefix = np.concatenate(([0], np.cumsum(losses)))
@@ -537,6 +538,21 @@ def _column_totals(a: np.ndarray) -> list:
     if a.size and int(a.max()) > INT64_MAX // a.shape[0]:
         return [sum(col) for col in a.T.tolist()]
     return a.sum(axis=0).tolist()
+
+
+def _check_count(count, least: int = 0) -> None:
+    """Refuse, uncharged, a count that is not an integer >= ``least``."""
+    if not isinstance(count, (int, np.integer)) or count < least:
+        raise ValueError("a count must be an integer >= {}".format(least))
+
+
+def _open_stream(start, skip: int) -> np.random.Generator:
+    """A pair stream from its SeedSequence or a saved PCG64 state, ``skip``
+    answers on: exact, as an answer is one ``random()`` draw."""
+    bits = np.random.PCG64(None if isinstance(start, dict) else start)
+    if isinstance(start, dict):
+        bits.state = start
+    return np.random.Generator(bits.advance(skip))
 
 
 def _check_pair(u, v, n: int) -> None:
@@ -621,61 +637,47 @@ def _window_pairs(us, vs, lo: int, hi: int) -> list:
 
 @dataclass(frozen=True, eq=False)
 class ReplayTable:
-    """One non-adaptive batch of m answers per pair of the model's items.
+    """One non-adaptive batch: m answers of every pair of the model's items.
 
-    :func:`build_replay_table` pays for the whole batch and records where
-    each pair stream stood before it; the table keeps no answers. A
-    :class:`ReplayOracle` draws a pair's answers from that state, so every
-    replay of the table reads the answers a live stream of the same seed
-    would have drawn in the batch.
+    It keeps no answers, only where the batch begins on each pair stream:
+    at the saved state of each stream the live oracle held, else at the
+    pair's seed moved on past the ``skip`` answers of earlier batches.
     """
 
     model: Model
     m: int
-    starts: dict  # (u, v) with u < v -> the pair stream's state at the build
-
-
-def max_table_m(n: int) -> int:
-    """The largest m :func:`build_replay_table` takes for ``n`` items."""
-    return REPLAY_MAX_ANSWERS // max(n * (n - 1) // 2, 1)
+    seed: int
+    skip: int
+    states: dict  # (u, v) with u < v -> a held stream's state at the build
 
 
 def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
     """Pay for every pair's m queries in one non-adaptive batch.
 
-    The live ledger is charged m per pair, and each pair stream steps m
-    answers on, before any answer is read; a PCG64 ``advance(m)`` is exact
-    because a stream answer is one ``random()`` draw. An m above
-    :func:`max_table_m` raises ``DemandTooLarge`` before anything is charged.
+    Draws nothing and costs O(streams the live oracle holds): the ledger
+    takes one batch charge, each held stream is saved and steps m answers
+    on, and every other stream starts past the batch when first read.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = oracle.n
-    pairs = n * (n - 1) // 2
-    if m > max_table_m(n):
-        raise DemandTooLarge(
-            "a replay table of {} pairs x {} answers".format(pairs, m),
-            pairs * m, REPLAY_MAX_ANSWERS, "use a smaller m or n")
-    starts = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            stream = oracle._pair_rng(u, v).bit_generator
-            starts[(u, v)] = stream.state
-            stream.advance(m)
-            oracle.ledger.record_pair(u, v, m)
-    return ReplayTable(oracle.model, m, starts)
+    _check_count(m, 1)
+    m, held = int(m), oracle._pair_rngs
+    table = ReplayTable(oracle.model, m, oracle.seed, oracle.ledger.batch,
+                        {key: rng.bit_generator.state
+                         for key, rng in held.items()})
+    for rng in held.values():
+        rng.bit_generator.advance(m)
+    oracle.ledger.record_batch(oracle.n * (oracle.n - 1) // 2, m)
+    return table
 
 
 class ReplayOracle:
     """A stream-mode oracle whose answers were paid for in advance.
 
-    It answers only pair queries, with :class:`LiveOracle`'s own stream-mode
-    code, from its own copy of each pair stream: a pair's first read
-    restores the state the :class:`ReplayTable` recorded and moves it on
-    past the answers the replay's ledger counts. That ledger counts
-    *simulated* queries and is the replay's read position. No live oracle
-    is touched, so replays of one table, in any interleaving, each draw the
-    answers a live stream of the same seed would draw.
+    It answers only pair queries, with :class:`LiveOracle`'s stream-mode
+    code on its own copy of each pair stream, started where the table's
+    batch begins and moved on past the answers its ledger counts: that
+    ledger counts *simulated* queries and is the read position. No live
+    oracle is touched, so replays of one table, in any interleaving, each
+    draw the answers a live stream of the same seed would draw.
     """
 
     pair_mode = "stream"
@@ -690,31 +692,28 @@ class ReplayOracle:
     def _pair_rng(self, u: int, v: int) -> np.random.Generator:
         key = (u, v) if u < v else (v, u)
         rng = self._pair_rngs.get(key)
-        if rng is None:   # exact: a stream answer is one random() draw
-            bits = np.random.PCG64()
-            bits.state = self.table.starts[key]
-            rng = self._pair_rngs[key] = np.random.Generator(
-                bits.advance(self.ledger.per_pair.get(key, 0)))
+        if rng is None:
+            t, read = self.table, self.ledger.per_pair.get(key, 0)
+            rng = self._pair_rngs[key] = (
+                _open_stream(t.states[key], read) if key in t.states else
+                _open_stream(pair_streams_seed(t.seed, u, v), t.skip + read))
         return rng
 
     def _stream_answers(self, u: int, v: int, count: int, used: int = 0):
         """Yield the pair's next ``count`` answers, after ``used`` uncharged ones.
 
-        Raises ``ReplayBudgetExhausted`` when fewer are left, before anything
-        is drawn, or ``DemandTooLarge`` when no table of n items holds that
-        many: no larger m cures that. A refusal drops the pair's stream,
-        which may stand past the ``used`` answers, so the next read
-        restores it where the ledger stands.
+        Refuses, before anything is drawn, a call above STREAM_MAX_DRAWS,
+        which no m serves, then one past m; the latter drops the pair's
+        stream, which may stand past the ``used`` answers.
         """
         key = (u, v) if u < v else (v, u)
+        if count > STREAM_MAX_DRAWS:
+            raise DemandTooLarge(
+                "the stream draws of pair {} in one call".format(key), count,
+                STREAM_MAX_DRAWS, "use the calibrated budget or a larger eps")
         at = self.ledger.per_pair.get(key, 0) + used
         if at + count > self.table.m:
             self._pair_rngs.pop(key, None)
-            if at + count > max_table_m(self.n):
-                raise DemandTooLarge(
-                    "the m pair {} needs in a table of {} items".format(
-                        key, self.n), at + count, max_table_m(self.n),
-                    "use the calibrated budget or a larger eps")
             raise ReplayBudgetExhausted(key, self.table.m, at + count)
         yield from LiveOracle._stream_answers(self, u, v, count)
 

@@ -93,13 +93,13 @@ def learn_nonadaptive(oracle, n: int, eps: float, delta: float, m: int,
                       seed: int = 0) -> tuple[LogWeightMnl, ReplayOracle]:
     """Learn from one non-adaptive batch of m queries per pair.
 
-    Charges the live oracle every pair's m queries up front, then runs the
-    balanced learner against the batch's answers without touching the live
-    oracle again; the table draws only the answers the learner reads.
-    Raises ``ReplayBudgetExhausted`` if some pair needs more than m
-    answers, ``DemandTooLarge`` if more than any table of n items holds.
-    Returns the model and the replay oracle (whose ledger shows the
-    simulated per-pair consumption).
+    Charges the live oracle every pair's m queries up front as one batch,
+    then runs the balanced learner against the batch's answers without
+    touching the live oracle again; the replay draws only the answers the
+    learner reads. Raises ``ReplayBudgetExhausted`` if some pair needs more
+    than m answers, ``DemandTooLarge`` if one read asks a pair for more
+    than STREAM_MAX_DRAWS, which no m serves. Returns the model and the
+    replay oracle (whose ledger shows the simulated per-pair consumption).
     """
     _check_learn_args(oracle, n, eps, delta)
     table = build_replay_table(oracle, m)

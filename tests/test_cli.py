@@ -329,11 +329,14 @@ class TestTrialRunner:
                            *instance, "--n", "6", "--eps", "0.5")
         assert code == 0, err
 
-    def test_replay_table_above_the_cap_exits_2(self, capsys):
-        code, _, err = run(capsys, "learn", "--algo", "nonadaptive", "--m",
-                           "100000000", "--n", "30")
-        assert code == 2
-        assert "435 pairs" in err and "Traceback" not in err
+    def test_replay_batch_above_the_old_cap_runs(self, capsys):
+        # 435 pairs x 1e8 answers, above the 2^30 a batch once took
+        code, out, err = run(capsys, "learn", "--algo", "nonadaptive", "--m",
+                             "100000000", "--n", "30")
+        assert code == 0, err
+        paid = json.loads(out)["results"][0]["paid"]
+        assert paid == {"total": 435 * 10**8, "max_per_pair": 10**8,
+                        "pairs_touched": 435, "per_size": {"2": 435 * 10**8}}
 
 
 def write(path, text):

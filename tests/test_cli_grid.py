@@ -3,9 +3,9 @@
 ``learn`` runs in-process over algo x budget x oracle mode at four instance
 points, and over algo x oracle mode at n = 6 with each flag at an edge of
 its accepted range. Each run must exit 0, 2 (an algorithm failure or a demand above a
-cap) or 3 (a replay budget exhausted) without a traceback, and an exit 3
-must name a ``needed`` that some replay table the package accepts could
-serve: its advice, a larger --m, has to be one a user can follow.
+cap) or 3 (a replay budget exhausted) without a traceback. An exit 3 names a
+pair and the answers it ``needed``; its advice, a larger --m, has to be one a
+user can follow, so the same run at --m needed must get past that refusal.
 """
 
 import itertools
@@ -14,17 +14,15 @@ import re
 import pytest
 
 from slatelearn.cli import main
-from slatelearn.oracle import max_table_m
 
-# instance flags and the item count they give
+# instance flags of each point
 POINTS = {
-    "power-law n=1": (["--instance", "power-law", "--n", "1"], 1),
-    "power-law n=6": (["--instance", "power-law", "--n", "6", "--eps", "0.5"],
-                      6),
-    "two-scale n=5": (["--instance", "two-scale", "--n", "5", "--eps", "0.3",
-                       "--delta", "0.2"], 5),
-    "geometric-ratio n=4": (["--instance", "geometric-ratio", "--n", "4",
-                             "--eps", "0.9", "--delta", "0.9"], 4),
+    "power-law n=1": ["--instance", "power-law", "--n", "1"],
+    "power-law n=6": ["--instance", "power-law", "--n", "6", "--eps", "0.5"],
+    "two-scale n=5": ["--instance", "two-scale", "--n", "5", "--eps", "0.3",
+                      "--delta", "0.2"],
+    "geometric-ratio n=4": ["--instance", "geometric-ratio", "--n", "4",
+                            "--eps", "0.9", "--delta", "0.9"],
 }
 ALGOS = ["adaptive", "balanced", "nonadaptive"]
 MODES = ["binomial", "stream"]
@@ -43,24 +41,40 @@ EDGES = {
 }
 
 
-def assert_result_or_typed_error(capsys, argv, n):
+def typed_exit(capsys, argv) -> tuple:
+    """``main(argv)``'s exit code and stderr; anything but 0, 2, 3 fails."""
     code = main(argv)
     out = capsys.readouterr()
     assert code in (0, 2, 3), out.err
     assert "Traceback" not in out.out + out.err
+    return code, out.err
+
+
+def refused(err: str) -> tuple:
+    """The pair and the answers it needed, as an exhausted budget says."""
+    pair, needed = re.search(r"pair (\(\d+, \d+\)) needs at least (\d+) ",
+                             err).groups()
+    return pair, int(needed)
+
+
+def assert_result_or_typed_error(capsys, argv):
+    code, err = typed_exit(capsys, argv)
     if code == 3:
-        needed = int(re.search(r"needs at least (\d+) ", out.err).group(1))
-        assert needed <= max_table_m(n), out.err
+        # click takes the last --m: the rerun is the same run at m = needed
+        pair, needed = refused(err)
+        code, err = typed_exit(capsys, argv + ["--m", str(needed)])
+        if code == 3:
+            again, more = refused(err)
+            assert again != pair or more > needed, err
 
 
 @pytest.mark.parametrize("point", list(POINTS))
 @pytest.mark.parametrize("algo, budget, mode", RUNS)
 def test_learn_ends_in_a_result_or_a_typed_error(capsys, algo, budget, mode,
                                                  point):
-    flags, n = POINTS[point]
     assert_result_or_typed_error(
         capsys, ["learn", "--algo", algo, "--budget", budget, "--oracle-mode",
-                 mode, "--m", "200000", *flags], n)
+                 mode, "--m", "200000", *POINTS[point]])
 
 
 @pytest.mark.parametrize("edge", list(EDGES))
@@ -68,4 +82,4 @@ def test_learn_ends_in_a_result_or_a_typed_error(capsys, algo, budget, mode,
 def test_flag_edges_end_in_a_result_or_a_typed_error(capsys, algo, mode, edge):
     assert_result_or_typed_error(
         capsys, ["learn", "--algo", algo, "--oracle-mode", mode, "--n", "6",
-                 "--m", "200000", *EDGES[edge]], 6)
+                 "--m", "200000", *EDGES[edge]])

@@ -2,13 +2,14 @@
 
 Holding every geometric wait of a balanced ratio estimate at once needs
 about 9 GiB at n = 4096; drawing one loss total per (group, member) needs
-well under 100 MiB. A non-adaptive replay table pays for its whole batch
-but keeps no answers: a replay draws only the answers it reads, each
-pair's from its own stream, and keeps one Generator per pair it read. Of
-the 1 GiB batch of 435 pairs x 2,468,364 answers at n = 30, the learner
-reads 7.3e6 answers from 57 pairs. Each
-learn runs in a child process that caps its own address space, so only the
-child is limited.
+well under 100 MiB. A non-adaptive batch pays for every pair's answers with
+one ledger charge and keeps no answers: building it costs what the live
+oracle's held pair streams cost, not n(n-1)/2, and a replay draws only the
+answers it reads, each pair's from its own stream, keeping one Generator
+per pair it read. Of the 1 GiB batch of 435 pairs x 2,468,364 answers at
+n = 30, the learner reads 7.3e6 answers from 57 pairs. Each learn runs in a
+child process that caps its own address space, so only the child is
+limited.
 
 The distance evals score ragged slates, so their temporaries hold what the
 slates hold, and the forest audit builds row blocks only for rows that can
@@ -82,6 +83,26 @@ oracle = sl.LiveOracle(truth, 1201, pair_mode="stream")
 model, replay = sl.learn_nonadaptive(oracle, 30, 0.5, 0.1, (1 << 30) // 435,
                                      seed=1201)
 print("finished", oracle.ledger.total, replay.ledger.total)
+""")
+
+
+def test_batch_at_n_4096_builds_in_a_tenth_of_a_second_under_100_mib():
+    # 8.4e6 pairs x 1e6 answers; a replay then reads 100 answers from each
+    # of 4,095 pairs
+    run_child(512 << 20, 4096, """
+import resource, time
+import numpy as np
+oracle = sl.LiveOracle(truth, 1201, pair_mode="stream")
+start = time.perf_counter()
+table = sl.build_replay_table(oracle, 10**6)
+built = time.perf_counter() - start
+assert built < 0.1, built
+assert oracle.ledger.total == 4096 * 4095 // 2 * 10**6
+wins = sl.ReplayOracle(table).pair_win_count(0, np.arange(1, 4096), 100)
+assert wins.size == 4095 and 0 < wins.sum() < 409500
+rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+assert rss_mib < 100, rss_mib
+print("finished", built, rss_mib)
 """)
 
 

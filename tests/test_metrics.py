@@ -287,7 +287,12 @@ class TestLedgerReport:
         sl.build_replay_table(o, 2)
         rep = sl.ledger_report(o.ledger)
         assert rep["total"] == 6 and rep["max_per_pair"] == 2
-        assert rep["per_size"] == {"2": 6}
+        assert rep["per_size"] == {"2": 6} and rep["pairs_touched"] == 3
+        # a pair read beyond the batch counts the batch plus its own
+        o.pair_win_count(0, 2, 5)
+        rep = sl.ledger_report(o.ledger)
+        assert (rep["total"], rep["max_per_pair"], rep["pairs_touched"]) == (
+            11, 7, 3)
 
     def test_learner_total_matches_independent_counter(self):
         # cross-check the ledger against a wrapper that counts calls itself

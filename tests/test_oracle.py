@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import mnl, stream_states
 from slatelearn import oracle as oracle_mod
 from slatelearn.oracle import (BINOMIAL_CHUNK, BINOMIAL_MAX_COUNT, BINOMIAL_TAG,
                                GEOMETRIC_CAP, INT64_MAX, NEGLIGIBLE_LOG,
-                               REPLAY_MAX_ANSWERS, SCALAR_PAIRS, STREAM_CHUNK,
+                               SCALAR_PAIRS, STREAM_CHUNK,
                                STREAM_MAX_DRAWS, pair_streams_seed)
 
 
@@ -414,26 +415,21 @@ class TestStreamChunks:
 
 
 def batch(table, key):
-    """Pair ``key``'s m answers in the table's batch, True = lower id won.
-
-    Drawn afresh from the pair stream's state in ``table.starts``.
-    """
-    bits = np.random.PCG64()
-    bits.state = table.starts[key]
-    return (np.random.Generator(bits).random(table.m)
-            < sl.pair_probability(table.model, *key))
+    """Pair ``key``'s m answers in the batch of a table built on a fresh
+    live oracle, True = lower id won: the first m of its stream."""
+    return pair_stream(table.model, table.seed, *key, table.m)
 
 
 def ledger_states(replay):
     """Where each pair stream of a replay stands by its ledger alone.
 
-    That is the table's start state moved on by the ledger's count, where
-    the stream stands if the replay drew exactly what it charged.
+    That is the seeded stream of a table built on a fresh live oracle moved
+    on by the ledger's count, where the stream stands if the replay drew
+    exactly what it charged.
     """
     states = {}
     for key in replay._pair_rngs:
-        bits = np.random.PCG64()
-        bits.state = replay.table.starts[key]
+        bits = np.random.PCG64(pair_streams_seed(replay.table.seed, *key))
         bits.advance(replay.ledger.per_pair.get(key, 0))
         states[key] = bits.state
     return states
@@ -443,19 +439,22 @@ class TestReplay:
     def test_build_counts(self):
         o = sl.LiveOracle(mnl(1.0, 1.0, 1.0), seed=0)
         sl.build_replay_table(o, 2)
-        assert o.ledger.total == 6
-        assert all(v == 2 for v in o.ledger.per_pair.values())
+        assert o.ledger.total == 6 and o.ledger.per_size == {2: 6}
+        # one batch charge of 2 for each of the 3 pairs, none of its own
+        assert (o.ledger.batch, o.ledger.batch_pairs) == (2, 3)
+        assert o.ledger.per_pair == {} and o.ledger.max_per_pair == 2
 
     def test_every_pair_count_is_m(self):
         o = sl.LiveOracle(sl.generate_instance(sl.InstanceSpec("uniform", n=8)),
                           seed=0)
         table = sl.build_replay_table(o, 5)
-        assert len(table.starts) == 28
-        assert o.ledger.per_pair == dict.fromkeys(table.starts, 5)
+        assert table.states == {} and o._pair_rngs == {}
+        assert (o.ledger.batch, o.ledger.batch_pairs) == (5, 28)
+        assert o.ledger.total == 28 * 5 and o.ledger.max_per_pair == 5
         # each pair's batch is its live stream's first 5 answers, and a
         # replay reads them all
         live, replay = sl.LiveOracle(o.model, seed=0), sl.ReplayOracle(table)
-        for u, v in table.starts:
+        for u, v in itertools.combinations(range(8), 2):
             first = batch(table, (u, v))
             np.testing.assert_array_equal(
                 first, live.sample_pair_block(u, v, 5) == u)
@@ -518,36 +517,44 @@ class TestReplay:
             assert live.sample_geometric(0, 1) == replay.sample_geometric(0, 1)
         assert live.ledger.per_pair == replay.ledger.per_pair
 
-    def test_table_above_the_cap_draws_and_charges_nothing(self):
-        o = sl.LiveOracle(sl.generate_instance(sl.InstanceSpec("uniform", n=30)),
-                          seed=0)
-        m = REPLAY_MAX_ANSWERS // 435 + 1
-        with pytest.raises(sl.DemandTooLarge) as info:
-            sl.build_replay_table(o, m)
-        assert info.value.count == 435 * m
-        assert info.value.cap == REPLAY_MAX_ANSWERS
-        assert "435 pairs" in str(info.value)
-        assert str(REPLAY_MAX_ANSWERS) in str(info.value)
-        assert o.ledger.total == 0 and o._pair_rngs == {}
+    def test_batch_of_4950_pairs_x_1e7_answers_is_accepted(self):
+        # 4.95e10 declared answers, above the 2^30 a batch once took: the
+        # build charges them at once and draws none of them
+        model = sl.generate_instance(sl.InstanceSpec("power-law", n=100,
+                                                     seed=4))
+        o = sl.LiveOracle(model, seed=4, pair_mode="stream")
+        table = sl.build_replay_table(o, 10**7)
+        assert table.states == {}
+        assert o.ledger.total == 4950 * 10**7 and o.ledger.batch_pairs == 4950
+        assert o.ledger.max_per_pair == 10**7 and o._pair_rngs == {}
+        replay = sl.ReplayOracle(table)
+        np.testing.assert_array_equal(
+            replay.sample_pair_block(98, 3, 1000) == 3,
+            pair_stream(model, 4, 3, 98, 1000))
+        # the live stream starts past the batch
+        stream = pair_stream(model, 4, 3, 98, 10**7 + 1)
+        assert o.sample_pair(3, 98) == (3 if stream[-1] else 98)
 
     def test_demand_no_table_holds_is_too_large(self):
-        # a read past the largest m a table of 3 items takes: no larger m
-        # serves it, so it is a demand above a cap, not an exhausted budget
-        cap = oracle_mod.max_table_m(3)
-        sl.build_replay_table(sl.LiveOracle(mnl(1.0, 2.0, 3.0), seed=2), cap)
-        with pytest.raises(sl.DemandTooLarge):
-            sl.build_replay_table(sl.LiveOracle(mnl(1.0, 2.0, 3.0), seed=2),
-                                  cap + 1)
-        table = sl.build_replay_table(sl.LiveOracle(mnl(1.0, 2.0, 3.0),
-                                                    seed=2), 50)
-        replay = sl.ReplayOracle(table)
-        with pytest.raises(sl.DemandTooLarge) as info:
-            replay.pair_win_count(2, 1, cap + 1)
-        assert (info.value.count, info.value.cap) == (cap + 1, cap)
-        assert "pair (1, 2)" in str(info.value)
+        # one read above STREAM_MAX_DRAWS: no m serves it, so it is a demand
+        # above a cap, refused before the budget is looked at
+        for m in (50, 4 * STREAM_MAX_DRAWS):
+            table = sl.build_replay_table(sl.LiveOracle(mnl(1.0, 2.0, 3.0),
+                                                        seed=2), m)
+            replay = sl.ReplayOracle(table)
+            with pytest.raises(sl.DemandTooLarge) as info:
+                replay.pair_win_count(2, 1, STREAM_MAX_DRAWS + 1)
+            assert (info.value.count, info.value.cap) == (
+                STREAM_MAX_DRAWS + 1, STREAM_MAX_DRAWS)
+            message = str(info.value)
+            assert "pair (1, 2)" in message
+            assert "use the calibrated budget or a larger eps" in message
+            assert "binomial" not in message
+            assert replay._pair_rngs == {} and replay.ledger.total == 0
         with pytest.raises(sl.ReplayBudgetExhausted):
-            replay.pair_win_count(2, 1, cap)
-        assert replay._pair_rngs == {} and replay.ledger.total == 0
+            sl.ReplayOracle(sl.build_replay_table(sl.LiveOracle(
+                mnl(1.0, 2.0, 3.0), seed=2), 50)).pair_win_count(
+                    2, 1, STREAM_MAX_DRAWS)
 
     def test_replay_rejects_big_slates(self):
         o = sl.LiveOracle(mnl(1.0, 1.0, 1.0), seed=0)
@@ -599,7 +606,7 @@ class TestReplay:
         with pytest.raises(AttributeError):
             table.m = 6
         assert [f.name for f in dataclasses.fields(table)] == [
-            "model", "m", "starts"]
+            "model", "m", "seed", "skip", "states"]
 
 
 def pair_stream(model, seed, u, v, count):
@@ -619,12 +626,31 @@ class TestLazyTable:
         if before:
             o.sample_pair_block(2, 0, before)
         table = sl.build_replay_table(o, m)
+        # only the stream the live oracle held is saved
+        assert table.states.keys() == ({(0, 2)} if before else set())
+        replay = sl.ReplayOracle(table)
         for u, v, skip in ((0, 2, before), (1, 2, 0)):
             stream = pair_stream(model, 21, u, v, skip + m + 1)
             assert o.sample_pair(v, u) == (u if stream[-1] else v)
-            assert o.ledger.per_pair[(u, v)] == skip + m + 1
-            np.testing.assert_array_equal(batch(table, (u, v)),
-                                          stream[skip:skip + m])
+            assert o.ledger.batch + o.ledger.per_pair[(u, v)] == skip + m + 1
+            np.testing.assert_array_equal(
+                replay.sample_pair_block(u, v, m) == u, stream[skip:skip + m])
+
+    def test_a_second_batch_starts_past_the_first(self):
+        # pair (0, 1) is read between the batches, (1, 2) only in replays
+        model = mnl(1.0, 2.0, 3.0)
+        o = sl.LiveOracle(model, seed=5, pair_mode="stream")
+        first = sl.build_replay_table(o, 30)
+        o.sample_pair_block(0, 1, 4)
+        second = sl.build_replay_table(o, 20)
+        assert (first.skip, second.skip, o.ledger.batch) == (0, 30, 50)
+        assert second.states.keys() == {(0, 1)}
+        for table, skips in ((first, (0, 0)), (second, (34, 30))):
+            replay = sl.ReplayOracle(table)
+            for (u, v), skip in zip(((0, 1), (1, 2)), skips):
+                stream = pair_stream(model, 5, u, v, skip + table.m)
+                answers = replay.sample_pair_block(v, u, table.m) == u
+                np.testing.assert_array_equal(answers, stream[skip:])
 
     def test_replay_streams_stand_where_its_ledger_says(self):
         model = sl.generate_instance(sl.InstanceSpec("power-law", n=4,
@@ -1029,8 +1055,8 @@ class TestGeometricColumns:
         model = mnl(1.0, 2.0, 3.0)
         a, fresh = (sl.LiveOracle(model, seed=26, pair_mode=mode)
                     for _ in range(2))
-        for vs, counts in (([1, 2], np.zeros((3, 2))), ([], np.zeros((3, 0))),
-                           ([1, 2], np.zeros((0, 2)))):
+        for vs, shape in (([1, 2], (3, 2)), ([], (3, 0)), ([1, 2], (0, 2))):
+            counts = np.zeros(shape, dtype=np.int64)
             sums = a.sample_geometric_sums(0, np.array(vs, dtype=np.int64),
                                            counts)
             assert sums.shape == counts.shape and not sums.any()

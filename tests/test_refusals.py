@@ -196,6 +196,51 @@ REFUSALS = [
     ("LiveOracle stream sample_pair fractional item", ValueError,
      lambda _: uncharged(live(mode="stream"), lambda o: o.sample_pair(0.5,
                                                                       1))),
+    # a count that is not an integer >= 0 is refused, not charged as a
+    # fraction or drawn as its floor, on both oracles
+    ("LiveOracle pair_win_count fractional count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(0, 1, 2.5))),
+    ("LiveOracle pair_win_count float count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         0, 1, np.float64(4.0)))),
+    ("LiveOracle array pair_win_count fractional count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         np.array([1, 2]), 0, 2.5))),
+    ("LiveOracle stream pair_win_count negative count", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: o.pair_win_count(
+         0, 1, -1))),
+    ("LiveOracle sample_pair_block fractional count", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: o.sample_pair_block(
+         0, 1, 2.5))),
+    ("LiveOracle sample_geometric_block fractional count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_block(
+         0, 1, 2.5))),
+    ("LiveOracle sample_geometric_block negative count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_block(
+         0, 1, -2))),
+    ("LiveOracle sample_geometric_sums fractional count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         0, [1, 2], [[2.5, 1]]))),
+    ("LiveOracle sample_geometric_sums negative count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         0, [1, 2], [[2, -1]]))),
+    ("ReplayOracle pair_win_count fractional count", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(0, 1, 2.5))),
+    ("ReplayOracle sample_pair_block float count", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.sample_pair_block(
+         0, 1, np.float64(4.0)))),
+    ("ReplayOracle sample_geometric_block fractional count", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.sample_geometric_block(
+         0, 1, 2.5))),
+    ("ReplayOracle sample_geometric_sums fractional count", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.sample_geometric_sums(
+         0, 1, [2.5, 1]))),
+    ("build_replay_table fractional m", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: sl.build_replay_table(
+         o, 2.5))),
+    ("build_replay_table float m", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: sl.build_replay_table(
+         o, np.float64(4.0)))),
     ("EstimationForest edge_log item >= n", ValueError,
      lambda _: sl.EstimationForest(graph=graph(), edge_log={(0, 7): 1.0},
                                    eps=0.3).components()),

@@ -69,16 +69,29 @@ def test_balanced_estimate_ratio_notes_read_the_kind(heavy, kind):
     assert math.isinf(r.log_ratio) == (kind == "infinite")
 
 
-@pytest.mark.parametrize("learner", ["learn_adaptive", "learn_balanced"])
+@pytest.mark.parametrize("learner", ["learn_adaptive", "learn_balanced",
+                                     "learn_nonadaptive"])
 def test_traced_phases_account_for_every_query(learner):
     # the traced benchmark refuses a run whose per-phase queries do not sum
-    # to the ledger total: a query made outside the wrapped calls is lost
+    # to the learner's ledger total: a query made outside the wrapped calls
+    # is lost. The non-adaptive learner's ledger is its replay's, and its
+    # build span charges the live oracle the whole batch.
     tracing = load_tracing()
+    batch = learner == "learn_nonadaptive"
+    n, m = (8, 200_000) if batch else (64, 0)
     model = sl.generate_instance(
-        sl.InstanceSpec("power-law", n=64, seed=3, params={"gamma": 1.0}))
-    oracle = sl.LiveOracle(model, seed=3)
+        sl.InstanceSpec("power-law", n=n, seed=3, params={"gamma": 1.0}))
+    oracle = sl.LiveOracle(model, seed=3,
+                           pair_mode="stream" if batch else "binomial")
     with tracing.Tracer() as tracer:
-        getattr(sl, learner)(oracle, 64, 0.3, 0.1, seed=3)
+        if batch:
+            _, read = sl.learn_nonadaptive(oracle, n, 0.5, 0.1, m, seed=3)
+        else:
+            getattr(sl, learner)(oracle, n, 0.3, 0.1, seed=3)
+            read = oracle
     phases = tracing.phase_queries(tracer.spans)
     assert phases["clustering"] > 0
-    assert sum(phases.values()) == oracle.ledger.total
+    assert sum(phases.values()) == read.ledger.total
+    assert [s.queries for s in tracer.spans
+            if s.name == "oracle.build_replay_table"] == (
+        [n * (n - 1) // 2 * m] if batch else [])

@@ -3,6 +3,8 @@
 ``learn`` and ``bench`` share the trial flags (--algo, --delta, --seed,
 --oracle-mode, --m, --budget, --retries) and one trial runner: trial t
 learns the instance generated at seed + t, its attempt a at seed + 1000 t + a.
+Only nonadaptive reads --m, adaptive ignores --budget, and nonadaptive's
+replay reads pair streams whatever --oracle-mode says.
 ``bench`` sweeps repeatable --n and --eps and adds --samples for the sampled
 distance scored when n > 20 (``learn`` scores 200 slates). The ``n`` column
 is the instance's item count (2 len(p) for pseudo-mnl). Ranges: --n, --m,
@@ -34,7 +36,8 @@ import numpy as np
 from .config import QueryBudget
 from .errors import DemandTooLarge, ReplayBudgetExhausted, SlateLearnError
 from .metrics import distance_exact, distance_sampled, ledger_report
-from .models import InstanceSpec, generate_instance, load_model, save_model
+from .models import (KINDS, InstanceSpec, generate_instance, load_model,
+                     save_model)
 from .oracle import LiveOracle
 from .weights import learn_adaptive, learn_balanced, learn_nonadaptive
 
@@ -137,9 +140,7 @@ def _run_trial(truth, trial, eps, samples, algo, delta, seed, oracle_mode, m,
 
 instance_opts = [
     click.option("--instance", "kind", default="uniform",
-                 type=click.Choice(["uniform", "geometric-ratio", "power-law",
-                                    "two-scale", "pseudo-mnl"]),
-                 help="instance family to generate"),
+                 type=click.Choice(KINDS), help="instance family to generate"),
     click.option("--rho", default=2.0, type=POSITIVE,
                  help="weight ratio for geometric-ratio instances"),
     click.option("--gamma", default=1.0, type=RealRange(min=0.0),
@@ -159,11 +160,14 @@ trial_opts = [
     click.option("--seed", default=0, type=SEED),
     click.option("--oracle-mode", default="binomial",
                  type=click.Choice(["binomial", "stream"]),
-                 help="pair sampling mode of the live oracle"),
+                 help="pair sampling mode of the live oracle; nonadaptive "
+                 "reads stream answers in either mode"),
     click.option("--m", default=10000, type=COUNT,
-                 help="per-pair batch size for the non-adaptive learner"),
+                 help="per-pair batch size; read only by nonadaptive"),
     click.option("--budget", default="calibrated",
-                 type=click.Choice(sorted(BUDGETS))),
+                 type=click.Choice(sorted(BUDGETS)),
+                 help="query budget preset of balanced and nonadaptive; "
+                 "adaptive ignores it"),
     click.option("--retries", default=0, type=click.IntRange(0, 999),
                  help="extra attempts (fresh seeds) after an algorithm failure"),
 ]

@@ -152,22 +152,41 @@ def slate_distribution(model: Model, slate) -> np.ndarray:
     return probs
 
 
+def _check_pair(u, v, n: int) -> None:
+    """Refuse a pair whose ids are not two distinct integer items of ``range(n)``."""
+    if (not (0 <= u < n and 0 <= v < n) or u == v
+            # numpy would read a fractional id as its floor, a bool as a mask
+            or type(u) is not int and not isinstance(u, np.integer)
+            or type(v) is not int and not isinstance(v, np.integer)):
+        raise ValueError(
+            "pair ({}, {}) needs two distinct items in [0, {})".format(u, v, n))
+
+
+def _check_pairs(us, vs, n: int) -> None:
+    """:func:`_check_pair` on every pair of ``us`` and ``vs``, each one id or
+    an array of ids: one numpy pass over each array."""
+    for x in (us, vs):
+        if type(x) is not bool and isinstance(x, (int, np.integer)):
+            _require(0 <= x < n, "pair ids must lie in [0, n)")
+            continue
+        x = np.asarray(x)
+        _require(x.dtype.kind in "iu" or not x.size, "pair ids must be integers")
+        # read as uint64, a negative id lies beyond every n
+        _require(not x.size or x.astype(np.int64, copy=False)
+                 .view(np.uint64).max() < n, "pair ids must lie in [0, n)")
+    _require(not (np.asarray(us) == vs).any(), "pair items must be distinct")
+
+
 def pair_probability(model: Model, u: int, v: int) -> float:
     """P(u wins the slate {u, v}), computed without building arrays for MNLs."""
-    if u == v:
-        raise ValueError("pair items must be distinct")
-    if isinstance(model, LogWeightMnl):
-        try:
-            if u < 0 or v < 0:   # numpy reads -1 as n - 1
-                raise IndexError
-            gap = model.log_w[v] - model.log_w[u]
-        except IndexError:   # numpy refuses a fractional id or one >= n
-            raise ValueError("pair ids must be integers in range({})".format(
-                model.n)) from None
-        if gap >= 0:
-            return float(np.exp(-np.log1p(np.exp(-gap)) - gap))
-        return float(np.exp(-np.log1p(np.exp(gap))))
-    return float(pair_probabilities(model, u, v))
+    if not isinstance(model, LogWeightMnl):
+        return float(pair_probabilities(model, u, v))
+    log_w = model.log_w
+    _check_pair(u, v, log_w.size)
+    gap = log_w[v] - log_w[u]
+    if gap >= 0:
+        return float(np.exp(-np.log1p(np.exp(-gap)) - gap))
+    return float(np.exp(-np.log1p(np.exp(gap))))
 
 
 def pair_probabilities(model: Model, us, vs) -> np.ndarray:
@@ -175,22 +194,14 @@ def pair_probabilities(model: Model, us, vs) -> np.ndarray:
 
     Bit for bit :func:`pair_probability` of each pair.
     """
-    us, vs = np.asarray(us), np.asarray(vs)
-    # a cast would read a fractional id as its floor
-    _require(all(x.dtype.kind in "iu" or not x.size for x in (us, vs)),
-             "pair ids must be integers")
-    us, vs = us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
-    if (us == vs).any():
-        raise ValueError("pair items must be distinct")
-    # numpy reads -1 as n - 1
-    _require(all(((x >= 0) & (x < model.n)).all() for x in (us, vs)),
-             "pair ids must be integers in range({})".format(model.n))
-    return _pair_probabilities(model, us, vs)
+    _check_pairs(us, vs, model.n)
+    return _pair_probabilities(model, np.asarray(us, dtype=np.int64),
+                               np.asarray(vs, dtype=np.int64))
 
 
 def _pair_probabilities(model: Model, us, vs) -> np.ndarray:
-    """:func:`pair_probabilities` of ids already known to be distinct
-    integer items of ``range(model.n)``, as the oracles' checks leave them."""
+    """:func:`pair_probabilities` of ids :func:`_check_pairs` passed, each
+    side an int or an int64 array."""
     if isinstance(model, LogWeightMnl):
         gap = model.log_w[vs] - model.log_w[us]
         return np.exp(-np.log1p(np.exp(-np.abs(gap))) - np.maximum(gap, 0.0))

@@ -30,12 +30,15 @@ Oracles come in two pair-sampling modes:
     p) draw (the number of losses before the k-th win); the ledger charges
     that total plus k. Distributionally identical and O(1) per call
     regardless of k, which is what makes the adaptive pipeline's very large
-    per-call sample sizes affordable. Every binomial-mode draw reads the one
-    tagged stream in call order, so a run never builds a Generator per pair.
-    Array calls read it as the scalar calls would, one pair or member after
-    another: :meth:`LiveOracle.pair_win_count` answers a small array of
-    pairs with one scalar draw each and a larger one with one vector draw,
-    and can stop at the first pair whose count reaches a threshold;
+    per-call sample sizes affordable. Every binomial-mode count, wait and
+    loss total reads the one tagged stream in call order; only
+    :meth:`LiveOracle.sample_pair_block` (so ``sample_pair``, and
+    ``max_sample`` on a pair), which no learner calls, reads the pair's own
+    stream in this mode too. Array calls read the tagged stream as the
+    scalar calls would, one pair or member after another:
+    :meth:`LiveOracle.pair_win_count` answers a small array of pairs with
+    one scalar draw each and a larger one with one vector draw, and can
+    stop at the first pair whose count reaches a threshold;
     :meth:`LiveOracle.sample_geometric_sums` draws a whole balanced
     estimate, one column of counts per member, with a few vector draws.
     Not replay-compatible.
@@ -49,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DemandTooLarge, GeometricCapExceeded, ReplayBudgetExhausted
-from .models import (Model, _check_slate, _pair_probabilities,
-                     pair_probability)
+from .models import (Model, _check_pair, _check_pairs, _check_slate,
+                     _pair_probabilities, pair_probability)
 
 PAIR_TAG = 0x70AB
 SLATE_TAG = 0x51A7
@@ -209,10 +212,17 @@ class LiveOracle:
         return winner
 
     def slate_win_counts(self, slate, count: int) -> np.ndarray:
-        """Winner tallies over ``count`` queries to a slate of size >= 3."""
+        """Winner tallies over ``count`` queries to a slate of size >= 3.
+
+        One multinomial draw takes a count up to INT64_MAX; above it, the
+        call raises ``DemandTooLarge``, uncharged."""
+        _check_count(count)
         slate = _check_slate(slate, self.n)
         if slate.size < 3:
             raise ValueError("use pair_win_count for slates of size 2")
+        if count > INT64_MAX:
+            raise DemandTooLarge("the queries of one slate in one call", count,
+                                 INT64_MAX, "split them over several calls")
         probs = self.model.slate_distribution(slate)
         counts = self._slate_rng.multinomial(count, probs)
         self.ledger.record_slate(slate.size, count)
@@ -262,8 +272,10 @@ class LiveOracle:
         With ``stop``, the pairs are answered in order up to and including
         the first whose count reaches ``stop``; the pairs after it are
         neither drawn nor charged, and the answer is the answered prefix.
-        Every id must lie in [0, n) and differ from its partner, and the
-        count be an integer >= 0, or the call raises ValueError, uncharged.
+        The count must be an integer >= 0, and every id an integer in
+        [0, n) other than its partner's. Every id is checked before the
+        first draw, in both modes and with or without ``stop``: a bad one
+        anywhere raises ValueError, with nothing drawn or charged.
 
         Binomial mode returns int64 counts, or exact Python ints when
         ``count`` takes more than one BINOMIAL_CHUNK piece, refuses a count
@@ -283,13 +295,12 @@ class LiveOracle:
             raise DemandTooLarge("the queries of each pair in one call", count,
                                  BINOMIAL_MAX_COUNT, "use a larger eps")
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-            us, vs, size = _pair_ids(u, v)
+            us, vs, size, pairs = _pair_ids(u, v, self.n)
             if self.pair_mode == "binomial" and count <= BINOMIAL_CHUNK:
-                return self._binomial_win_counts(us, vs, size, count, stop)
-            _check_ids(us, vs, self.n)   # each scalar call charges its pair
-            wins: list = []
-            for a, b in (pair for lo, hi in _windows(size, stop)
-                         for pair in _window_pairs(us, vs, lo, hi)):
+                return self._binomial_win_counts(us, vs, size, pairs, count,
+                                                 stop)
+            wins: list = []   # each scalar call charges its pair
+            for a, b in pairs or _window_pairs(us, vs, 0, size):
                 wins.append(self.pair_win_count(a, b, count))
                 if stop is not None and wins[-1] >= stop:
                     break
@@ -312,23 +323,20 @@ class LiveOracle:
         self.ledger.record_pair(u, v, count)
         return wins
 
-    def _binomial_win_counts(self, us, vs, size: int, count: int,
+    def _binomial_win_counts(self, us, vs, size: int, pairs, count: int,
                              stop: int | None) -> np.ndarray:
-        """The array form of :meth:`pair_win_count` in binomial mode.
-
-        ``count`` is one BINOMIAL_CHUNK piece at most. Each window's ids are
-        checked before it is drawn, and the ledger is charged for the
-        answered pairs on return.
-        """
+        """The array form of :meth:`pair_win_count` in binomial mode, on ids
+        :func:`_pair_ids` checked, of one BINOMIAL_CHUNK piece at most. A
+        call of ``pairs`` is one window; the ledger is charged on return."""
         rng = self._binomial_rng
         parts: list = []
-        for lo, hi in _windows(size, stop):
+        for lo, hi in [(0, size)] if pairs else _windows(size, stop):
             if hi - lo <= SCALAR_PAIRS:
                 drawn = np.array(self._draw_each(
-                    _window_pairs(us, vs, lo, hi), count, stop), dtype=np.int64)
+                    pairs or _window_pairs(us, vs, lo, hi), count, stop),
+                    dtype=np.int64)
             else:
                 window = _cut(us, lo, hi), _cut(vs, lo, hi)
-                _check_ids(*window, self.n)
                 p = _pair_probabilities(self.model, *window)
                 if stop is None:
                     drawn = rng.binomial(count, p)
@@ -351,10 +359,9 @@ class LiveOracle:
 
     def _draw_each(self, pairs, count: int, stop: int | None) -> list:
         """Win counts of ``pairs``, one scalar draw each, through the first hit."""
-        rng, model, n = self._binomial_rng, self.model, self.n
+        rng, model = self._binomial_rng, self.model
         wins: list = []
         for a, b in pairs:
-            _check_pair(a, b, n)
             wins.append(rng.binomial(count, pair_probability(model, a, b)))
             if stop is not None and wins[-1] >= stop:
                 break
@@ -455,9 +462,8 @@ class LiveOracle:
         if np.ndim(vs) == 0:
             return self.sample_geometric_sums(
                 u, np.array([vs]), counts[:, None])[:, 0]
-        vs = np.asarray(vs)
-        _check_ids(u, vs, self.n)   # before the first member is charged
-        u, vs = int(u), vs.astype(np.int64, copy=False)
+        _check_pairs(u, vs, self.n)   # before the first member is charged
+        u, vs = int(u), np.asarray(vs, dtype=np.int64)
         sums = np.zeros(counts.shape, dtype=np.int64)
         busy = counts.any(axis=0)
         if self.pair_mode == "stream":   # stream mode draws every wait
@@ -542,7 +548,8 @@ def _column_totals(a: np.ndarray) -> list:
 
 def _check_count(count, least: int = 0) -> None:
     """Refuse, uncharged, a count that is not an integer >= ``least``."""
-    if not isinstance(count, (int, np.integer)) or count < least:
+    if (type(count) is bool or not isinstance(count, (int, np.integer))
+            or count < least):
         raise ValueError("a count must be an integer >= {}".format(least))
 
 
@@ -555,66 +562,41 @@ def _open_stream(start, skip: int) -> np.random.Generator:
     return np.random.Generator(bits.advance(skip))
 
 
-def _check_pair(u, v, n: int) -> None:
-    """Refuse a pair whose ids are not two distinct integer items of ``range(n)``."""
-    if (not (0 <= u < n and 0 <= v < n) or u == v
-            # a fractional id passes the range test; Python ints skip isinstance
-            or type(u) is not int and not isinstance(u, np.integer)
-            or type(v) is not int and not isinstance(v, np.integer)):
-        raise ValueError(
-            "pair ({}, {}) needs two distinct items in [0, {})".format(u, v, n))
+def _pair_ids(u, v, n: int) -> tuple:
+    """``(us, vs, size, pairs)``: the ``size`` pairs of an array pair call,
+    every id checked.
 
-
-def _check_integers(*ids) -> None:
-    """Refuse ids, each one id or an array of them, that are not integers.
-
-    A cast to int64 would read a fractional id as its floor.
+    ``us`` and ``vs`` are flat integer arrays of ids in broadcast order, but
+    a scalar side stays one Python id, the partner of every pair. Up to
+    SCALAR_PAIRS pairs also come as ``pairs``, a list of Python id pairs
+    each checked by :func:`_check_pair`, which tells a fractional or bool id
+    by its type; more pairs, or none, get one :func:`_check_pairs` pass.
     """
-    for x in ids:
-        if (type(x) is not int and np.asarray(x).dtype.kind not in "iu"
-                and np.size(x)):
-            raise ValueError("pair ids must be integers")
-
-
-def _check_ids(us, vs, n: int) -> None:
-    """:func:`_check_pair` on every pair of ids or arrays of ids, with numpy."""
-    _check_integers(us, vs)
-    for x in (us, vs):
-        # read as uint64, a negative id lies beyond every n
-        if (not 0 <= x < n if isinstance(x, (int, np.integer))
-                else x.size and x.astype(np.int64, copy=False)
-                .view(np.uint64).max() >= n):
-            raise ValueError("pair ids must lie in [0, {})".format(n))
-    if (us == vs).any():
-        raise ValueError("pair items must be distinct")
-
-
-def _pair_ids(u, v) -> tuple:
-    """``(us, vs, size)``: the pairs of an array pair call.
-
-    ``us`` and ``vs`` are flat int64 arrays of ``size`` ids in broadcast
-    order, except that a scalar side stays one int, the partner of every
-    pair. A non-integer id raises ValueError; ranges are left to
-    :func:`_check_ids` and :func:`_check_pair`.
-    """
-    _check_integers(u, v)
     if not isinstance(v, np.ndarray) or v.ndim == 0:
-        us, vs = np.asarray(u, dtype=np.int64).ravel(), int(v)
+        us, vs = np.asarray(u).ravel(), np.asarray(v).tolist()
     elif not isinstance(u, np.ndarray) or u.ndim == 0:
-        us, vs = int(u), v.astype(np.int64, copy=False).ravel()
+        us, vs = np.asarray(u).tolist(), v.ravel()
     else:
-        us, vs = (a.astype(np.int64, copy=False).ravel()
-                  for a in np.broadcast_arrays(u, v))
-    return us, vs, vs.size if isinstance(us, int) else us.size
+        us, vs = (a.ravel() for a in np.broadcast_arrays(u, v))
+    size = (us if isinstance(us, np.ndarray) else vs).size
+    pairs = None
+    if 0 < size <= SCALAR_PAIRS:
+        pairs = _window_pairs(us, vs, 0, size)
+        for a, b in pairs:
+            _check_pair(a, b, n)
+    else:
+        _check_pairs(us, vs, n)
+    if isinstance(us, np.ndarray) and isinstance(vs, np.ndarray):
+        # one dtype, as the ledger's np.minimum of the two sides needs
+        us, vs = us.astype(np.int64), vs.astype(np.int64)
+    return us, vs, size, pairs
 
 
 def _windows(size: int, stop: int | None):
-    """Yield the ``(lo, hi)`` windows an array pair call answers its pairs in.
-
-    One window of every pair without ``stop``; with it, windows that
-    double from SCALAR_PAIRS, so a call that stops early draws at most
-    about twice the pairs it answers.
-    """
+    """Yield the ``(lo, hi)`` windows a binomial array pair call draws in:
+    one of every pair without ``stop``; with it, windows that double from
+    SCALAR_PAIRS, so a call that stops early draws at most about twice the
+    pairs it answers."""
     lo, width = 0, size if stop is None else SCALAR_PAIRS
     while lo < size:
         yield lo, min(size, lo + width)
@@ -623,14 +605,14 @@ def _windows(size: int, stop: int | None):
 
 def _cut(ids, lo: int, hi: int):
     """Pairs ``lo`` to ``hi`` of one side of :func:`_pair_ids`."""
-    return ids if isinstance(ids, int) else ids[lo:hi]
+    return ids[lo:hi] if isinstance(ids, np.ndarray) else ids
 
 
 def _window_pairs(us, vs, lo: int, hi: int) -> list:
-    """The pairs ``lo`` to ``hi`` of :func:`_pair_ids` as Python int pairs."""
-    if isinstance(vs, int):
+    """The pairs ``lo`` to ``hi`` of :func:`_pair_ids` as Python id pairs."""
+    if not isinstance(vs, np.ndarray):
         return [(a, vs) for a in us[lo:hi].tolist()]
-    if isinstance(us, int):
+    if not isinstance(us, np.ndarray):
         return [(us, b) for b in vs[lo:hi].tolist()]
     return list(zip(us[lo:hi].tolist(), vs[lo:hi].tolist()))
 

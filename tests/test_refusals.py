@@ -33,12 +33,35 @@ def replay(n=4, m=100):
     return sl.ReplayOracle(sl.build_replay_table(live(n, "stream"), m))
 
 
+def generators(oracle) -> tuple:
+    """The state of every Generator a draw of ``oracle`` could move: each
+    pair stream it holds and, on a live oracle, its two shared streams."""
+    shared = [getattr(oracle, name, None) for name in ("_binomial_rng",
+                                                       "_slate_rng")]
+    return ({key: rng.bit_generator.state
+             for key, rng in oracle._pair_rngs.items()},
+            [rng.bit_generator.state for rng in shared if rng is not None])
+
+
 def uncharged(oracle, call):
-    """Run ``call(oracle)``; whatever it raises, the oracle is still uncharged."""
+    """Run ``call(oracle)``; whatever it raises, the oracle is still
+    uncharged and has drawn nothing."""
+    before = generators(oracle)
     try:
         call(oracle)
     finally:
         assert oracle.ledger.total == 0
+        assert generators(oracle) == before
+
+
+def pair_refusal(call):
+    """Run ``call()``: the ValueError it raises must be the refusal of a
+    pair's ids, not one numpy raises further in."""
+    try:
+        call()
+    except ValueError as exc:
+        assert "pair" in str(exc), exc
+        raise
 
 
 def balanced_estimate(i, j):
@@ -153,6 +176,14 @@ REFUSALS = [
     ("LiveOracle pair_win_count stop past a bad item", ValueError,
      lambda _: uncharged(live(40), lambda o: o.pair_win_count(
          np.append(np.arange(1, 39), 0), 0, 3, stop=4))),
+    # the stop is reached at the first pair, long before the bad id
+    ("LiveOracle pair_win_count stop hit before a bad item", ValueError,
+     lambda _: uncharged(live(50), lambda o: o.pair_win_count(
+         0, np.where(np.arange(1, 41) == 36, 99, np.arange(1, 41)), 10,
+         stop=0))),
+    ("LiveOracle small pair_win_count stop hit before a bad item", ValueError,
+     lambda _: uncharged(live(5), lambda o: o.pair_win_count(
+         0, np.array([1, 2, 9]), 10, stop=0))),
     ("LiveOracle stream array pair_win_count item >= n", ValueError,
      lambda _: uncharged(live(mode="stream"), lambda o: o.pair_win_count(
          np.array([1, 3]), 0, 3))),
@@ -183,6 +214,16 @@ REFUSALS = [
      lambda _: sl.pair_probabilities(mnl(1.0, 2.0), [0.5], [1])),
     ("pair_probability fractional item", ValueError,
      lambda _: sl.pair_probability(mnl(1.0, 2.0), 0.5, 1)),
+    # numpy would read a bool id as a mask
+    ("pair_probability bool item", ValueError,
+     lambda _: pair_refusal(lambda: sl.pair_probability(
+         mnl(1.0, 2.0, 4.0), True, 2))),
+    ("pair_probability numpy bool item", ValueError,
+     lambda _: pair_refusal(lambda: sl.pair_probability(
+         mnl(1.0, 2.0, 4.0), np.True_, 2))),
+    ("LiveOracle array pair_win_count bool item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         np.array([True]), 2, 3))),
     ("LiveOracle array pair_win_count fractional item", ValueError,
      lambda _: uncharged(live(), lambda o: o.pair_win_count(
          np.array([0.5]), 1, 3))),
@@ -221,6 +262,15 @@ REFUSALS = [
     ("LiveOracle sample_geometric_sums fractional count", ValueError,
      lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
          0, [1, 2], [[2.5, 1]]))),
+    ("LiveOracle slate_win_counts fractional count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.slate_win_counts([0, 1, 2], 2.5))),
+    ("LiveOracle slate_win_counts bool count", ValueError,
+     lambda _: uncharged(live(), lambda o: o.slate_win_counts([0, 1, 2],
+                                                              True))),
+    # one multinomial draw takes a C long
+    ("LiveOracle slate_win_counts count above int64", sl.DemandTooLarge,
+     lambda _: uncharged(live(), lambda o: o.slate_win_counts([0, 1, 2],
+                                                              10**20))),
     ("LiveOracle sample_geometric_sums negative count", ValueError,
      lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
          0, [1, 2], [[2, -1]]))),

@@ -3,11 +3,13 @@
 Every name a module imports must be read somewhere in that module,
 ``slatelearn.__all__`` must list exactly the package's public names, each
 of which some code outside the tests calls, every dataclass field must be read as an attribute somewhere in the package
-(or, for the few kept for outside callers, by those callers), and only
-``config.py`` tells the two budget presets apart.
+(or, for the few kept for outside callers, by those callers), only
+``config.py`` tells the two budget presets apart, and only ``models.py``
+decides what a valid pair of item ids is.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -147,3 +149,32 @@ def test_only_config_tells_the_budget_presets_apart():
                        and node.attr == "worst_case"
                        for node in ast.walk(parse(module)))}
     assert readers == set(), "modules reading QueryBudget.worst_case"
+
+
+# The message of a refusal about the ids or items of a pair
+PAIR_ID_MESSAGE = re.compile(r"\bpairs?\b.*\b(ids?|items?)\b")
+
+
+def pair_id_checks(tree: ast.Module) -> set:
+    """Functions of the tree that refuse a pair's ids: their own body
+    raises, or hands ``_require``, a message about a pair's ids or items."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        refusals = [node for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Raise) or isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_require"]
+        if any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and PAIR_ID_MESSAGE.search(node.value)
+               for refusal in refusals for node in ast.walk(refusal)):
+            found.add(fn.name)
+    return found
+
+
+def test_only_models_checks_pair_ids():
+    assert pair_id_checks(parse("models")), "models.py checks no pair ids"
+    checks = {module: pair_id_checks(parse(module)) for module in MODULES
+              if module != "models"}
+    assert {m: names for m, names in checks.items() if names} == {}, \
+        "pair-id checks outside models.py"

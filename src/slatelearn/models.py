@@ -154,26 +154,32 @@ def slate_distribution(model: Model, slate) -> np.ndarray:
 
 def _check_pair(u, v, n: int) -> None:
     """Refuse a pair whose ids are not two distinct integer items of ``range(n)``."""
-    if (not (0 <= u < n and 0 <= v < n) or u == v
+    if (type(u) is not int and not isinstance(u, np.integer)
             # numpy would read a fractional id as its floor, a bool as a mask
-            or type(u) is not int and not isinstance(u, np.integer)
-            or type(v) is not int and not isinstance(v, np.integer)):
+            or type(v) is not int and not isinstance(v, np.integer)
+            or not (0 <= u < n and 0 <= v < n) or u == v):
         raise ValueError(
             "pair ({}, {}) needs two distinct items in [0, {})".format(u, v, n))
 
 
-def _check_pairs(us, vs, n: int) -> None:
-    """:func:`_check_pair` on every pair of ``us`` and ``vs``, each one id or
-    an array of ids: one numpy pass over each array."""
+def _check_pairs(us, vs, n: int, pairs=None) -> None:
+    """:func:`_check_pair` on each pair of ``us`` and ``vs`` (numpy arrays of
+    ids or one id): one numpy pass per array or, cheaper for a few pairs, a
+    dtype test and a Python pass over ``pairs``, the same pairs as ids."""
     for x in (us, vs):
-        if type(x) is not bool and isinstance(x, (int, np.integer)):
-            _require(0 <= x < n, "pair ids must lie in [0, n)")
-            continue
-        x = np.asarray(x)
-        _require(x.dtype.kind in "iu" or not x.size, "pair ids must be integers")
-        # read as uint64, a negative id lies beyond every n
-        _require(not x.size or x.astype(np.int64, copy=False)
-                 .view(np.uint64).max() < n, "pair ids must lie in [0, n)")
+        if isinstance(x, np.ndarray) and x.size and x.dtype.kind not in "iu":
+            raise ValueError("pair ids must be integers")
+    if pairs is not None:
+        for a, b in pairs:
+            _check_pair(a, b, n)
+        return
+    for x in (us, vs):
+        if isinstance(x, np.ndarray):   # as uint64, a negative id is >= n
+            ok = not x.size or x.astype(np.int64, copy=False).view(np.uint64).max() < n
+        else:   # one id, the partner of every pair
+            ok = type(x) is not bool and isinstance(x, (int, np.integer)) and 0 <= x < n
+        if not ok:
+            raise ValueError("pair ids must be integers in [0, {})".format(n))
     _require(not (np.asarray(us) == vs).any(), "pair items must be distinct")
 
 
@@ -181,9 +187,15 @@ def pair_probability(model: Model, u: int, v: int) -> float:
     """P(u wins the slate {u, v}), computed without building arrays for MNLs."""
     if not isinstance(model, LogWeightMnl):
         return float(pair_probabilities(model, u, v))
-    log_w = model.log_w
-    _check_pair(u, v, log_w.size)
-    gap = log_w[v] - log_w[u]
+    _check_pair(u, v, model.log_w.size)
+    return _pair_probability(model, u, v)
+
+
+def _pair_probability(model: Model, u: int, v: int) -> float:
+    """:func:`pair_probability` of a pair :func:`_check_pair` passed."""
+    if not isinstance(model, LogWeightMnl):
+        return float(_pair_probabilities(model, u, v))
+    gap = model.log_w[v] - model.log_w[u]
     if gap >= 0:
         return float(np.exp(-np.log1p(np.exp(-gap)) - gap))
     return float(np.exp(-np.log1p(np.exp(gap))))
@@ -194,9 +206,9 @@ def pair_probabilities(model: Model, us, vs) -> np.ndarray:
 
     Bit for bit :func:`pair_probability` of each pair.
     """
+    us, vs = np.asarray(us), np.asarray(vs)
     _check_pairs(us, vs, model.n)
-    return _pair_probabilities(model, np.asarray(us, dtype=np.int64),
-                               np.asarray(vs, dtype=np.int64))
+    return _pair_probabilities(model, us.astype(np.int64), vs.astype(np.int64))
 
 
 def _pair_probabilities(model: Model, us, vs) -> np.ndarray:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DemandTooLarge, GeometricCapExceeded, ReplayBudgetExhausted
 from .models import (Model, _check_pair, _check_pairs, _check_slate,
-                     _pair_probabilities, pair_probability)
+                     _pair_probabilities, _pair_probability, pair_probability)
 
 PAIR_TAG = 0x70AB
 SLATE_TAG = 0x51A7
@@ -267,28 +267,26 @@ class LiveOracle:
     def pair_win_count(self, u, v, count: int, stop: int | None = None):
         """How many of ``count`` queries to {u, v} return u.
 
-        When ``u`` or ``v`` is a numpy array they broadcast against each
-        other and the answer is a flat array, one count per pair in order.
-        With ``stop``, the pairs are answered in order up to and including
-        the first whose count reaches ``stop``; the pairs after it are
-        neither drawn nor charged, and the answer is the answered prefix.
-        The count must be an integer >= 0, and every id an integer in
-        [0, n) other than its partner's. Every id is checked before the
-        first draw, in both modes and with or without ``stop``: a bad one
-        anywhere raises ValueError, with nothing drawn or charged.
+        Numpy arrays ``u`` and ``v`` broadcast against each other, a side
+        that is not one is one id, and the answer is a flat array, one count
+        per pair in order. With ``stop``, the pairs are answered in order up
+        to and including the first whose count reaches ``stop``, and the
+        answer is that prefix; the rest are neither drawn nor charged. A
+        count that is not an integer >= 0, or any id that is not an integer
+        in [0, n) other than its partner's, raises ValueError before the
+        first draw, in both modes and with or without ``stop``.
 
-        Binomial mode returns int64 counts, or exact Python ints when
-        ``count`` takes more than one BINOMIAL_CHUNK piece, refuses a count
-        above BINOMIAL_MAX_COUNT with ``DemandTooLarge`` before any pair is
-        drawn or charged, and reads the stream as one scalar call per pair
-        in order would. Up to SCALAR_PAIRS pairs are drawn one scalar draw
-        each; more take one vector draw, which runs the same draw per
-        element. With ``stop``, the pairs are drawn in windows that double
-        from SCALAR_PAIRS; a vector window that holds a hit puts the stream
-        back where it began and draws again only the pairs through the hit,
-        which gives the same values. Stream mode answers the pairs with one
-        scalar call per pair, so its answers, ledger and pair streams are
-        those of the scalar calls in order.
+        Binomial mode returns int64 counts (exact Python ints when ``count``
+        takes more than one BINOMIAL_CHUNK piece), refuses a count above
+        BINOMIAL_MAX_COUNT with ``DemandTooLarge``, uncharged, and reads the
+        stream as one scalar call per pair in order would: up to
+        SCALAR_PAIRS pairs with one scalar draw each, more with one vector
+        draw, which runs the same draw per element. With ``stop`` it draws
+        in windows that double from SCALAR_PAIRS; a vector window that holds
+        a hit puts the stream back and redraws only the pairs through the
+        hit, which gives the same values. Stream mode makes one scalar call
+        per pair, so its answers, ledger and pair streams are those of the
+        scalar calls in order.
         """
         _check_count(count)
         if self.pair_mode == "binomial" and count > BINOMIAL_MAX_COUNT:
@@ -297,8 +295,7 @@ class LiveOracle:
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
             us, vs, size, pairs = _pair_ids(u, v, self.n)
             if self.pair_mode == "binomial" and count <= BINOMIAL_CHUNK:
-                return self._binomial_win_counts(us, vs, size, pairs, count,
-                                                 stop)
+                return self._binomial_win_counts(us, vs, size, pairs, count, stop)
             wins: list = []   # each scalar call charges its pair
             for a, b in pairs or _window_pairs(us, vs, 0, size):
                 wins.append(self.pair_win_count(a, b, count))
@@ -306,9 +303,8 @@ class LiveOracle:
                     break
             return np.array(wins, dtype=np.int64 if count <= BINOMIAL_CHUNK
                             else object)
-        _check_pair(u, v, self.n)
         if self.pair_mode == "binomial":
-            p_u = pair_probability(self.model, u, v)
+            p_u = pair_probability(self.model, u, v)   # refuses a bad pair
             if count <= BINOMIAL_CHUNK:
                 wins = self._binomial_rng.binomial(count, p_u)
             else:   # Binomial(a + b, p) = Binomial(a, p) + Binomial(b, p)
@@ -316,6 +312,7 @@ class LiveOracle:
                     min(count - lo, BINOMIAL_CHUNK), p_u))
                     for lo in range(0, count, BINOMIAL_CHUNK))
         else:
+            _check_pair(u, v, self.n)
             wins = sum(int(np.count_nonzero(first))
                        for first in self._stream_answers(u, v, count))
             if u > v:
@@ -358,11 +355,11 @@ class LiveOracle:
         return wins
 
     def _draw_each(self, pairs, count: int, stop: int | None) -> list:
-        """Win counts of ``pairs``, one scalar draw each, through the first hit."""
+        """Win counts of checked ``pairs``, one draw each, through the first hit."""
         rng, model = self._binomial_rng, self.model
         wins: list = []
         for a, b in pairs:
-            wins.append(rng.binomial(count, pair_probability(model, a, b)))
+            wins.append(rng.binomial(count, _pair_probability(model, a, b)))
             if stop is not None and wins[-1] >= stop:
                 break
         return wins
@@ -462,7 +459,7 @@ class LiveOracle:
         if np.ndim(vs) == 0:
             return self.sample_geometric_sums(
                 u, np.array([vs]), counts[:, None])[:, 0]
-        _check_pairs(u, vs, self.n)   # before the first member is charged
+        _check_pairs(u, np.asarray(vs), self.n)   # before the first charge
         u, vs = int(u), np.asarray(vs, dtype=np.int64)
         sums = np.zeros(counts.shape, dtype=np.int64)
         busy = counts.any(axis=0)
@@ -564,28 +561,19 @@ def _open_stream(start, skip: int) -> np.random.Generator:
 
 def _pair_ids(u, v, n: int) -> tuple:
     """``(us, vs, size, pairs)``: the ``size`` pairs of an array pair call,
-    every id checked.
-
-    ``us`` and ``vs`` are flat integer arrays of ids in broadcast order, but
-    a scalar side stays one Python id, the partner of every pair. Up to
-    SCALAR_PAIRS pairs also come as ``pairs``, a list of Python id pairs
-    each checked by :func:`_check_pair`, which tells a fractional or bool id
-    by its type; more pairs, or none, get one :func:`_check_pairs` pass.
-    """
-    if not isinstance(v, np.ndarray) or v.ndim == 0:
-        us, vs = np.asarray(u).ravel(), np.asarray(v).tolist()
-    elif not isinstance(u, np.ndarray) or u.ndim == 0:
-        us, vs = np.asarray(u).tolist(), v.ravel()
+    every id checked. ``us`` and ``vs`` are flat arrays of ids in broadcast
+    order, but a side that is not a numpy array stays one Python id, the
+    partner of every pair. Up to SCALAR_PAIRS pairs also come as ``pairs``,
+    a list of Python id pairs, which :func:`_check_pairs` checks in Python."""
+    if not isinstance(v, np.ndarray):   # a numpy scalar becomes a Python one
+        us, vs = u.ravel(), v.item() if isinstance(v, np.generic) else v
+    elif not isinstance(u, np.ndarray):
+        us, vs = u.item() if isinstance(u, np.generic) else u, v.ravel()
     else:
         us, vs = (a.ravel() for a in np.broadcast_arrays(u, v))
     size = (us if isinstance(us, np.ndarray) else vs).size
-    pairs = None
-    if 0 < size <= SCALAR_PAIRS:
-        pairs = _window_pairs(us, vs, 0, size)
-        for a, b in pairs:
-            _check_pair(a, b, n)
-    else:
-        _check_pairs(us, vs, n)
+    pairs = _window_pairs(us, vs, 0, size) if 0 < size <= SCALAR_PAIRS else None
+    _check_pairs(us, vs, n, pairs)
     if isinstance(us, np.ndarray) and isinstance(vs, np.ndarray):
         # one dtype, as the ledger's np.minimum of the two sides needs
         us, vs = us.astype(np.int64), vs.astype(np.int64)

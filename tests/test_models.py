@@ -175,6 +175,8 @@ class TestPairProbability:
             assert got.tobytes() == np.array(want).tobytes()
             with pytest.raises(ValueError):
                 sl.pair_probabilities(model, [0, 1], [2, 1])
+            with pytest.raises(ValueError, match=r"\[0, 12\)"):
+                sl.pair_probabilities(model, [0, 12], [2, 1])
 
 
 class TestInstanceGenerators:

@@ -224,6 +224,23 @@ REFUSALS = [
     ("LiveOracle array pair_win_count bool item", ValueError,
      lambda _: uncharged(live(), lambda o: o.pair_win_count(
          np.array([True]), 2, 3))),
+    # numpy would read an object array's ids as Python ints
+    ("LiveOracle array pair_win_count object ids", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         np.array([1, 2], dtype=object), 0, 3))),
+    ("LiveOracle stream array pair_win_count object ids", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: o.pair_win_count(
+         np.array([1, 2], dtype=object), 0, 3))),
+    # a side that is not a numpy array is one id, at every size and mode
+    ("LiveOracle pair_win_count list partner", ValueError,
+     lambda _: uncharged(live(30), lambda o: o.pair_win_count(
+         np.arange(20), [25] * 20, 10))),
+    ("LiveOracle small pair_win_count list partner", ValueError,
+     lambda _: uncharged(live(30), lambda o: o.pair_win_count(
+         np.arange(3), [25] * 3, 10, stop=0))),
+    ("LiveOracle stream pair_win_count list partner", ValueError,
+     lambda _: uncharged(live(30, "stream"), lambda o: o.pair_win_count(
+         [25] * 20, np.arange(20), 10))),
     ("LiveOracle array pair_win_count fractional item", ValueError,
      lambda _: uncharged(live(), lambda o: o.pair_win_count(
          np.array([0.5]), 1, 3))),

@@ -23,6 +23,7 @@ import numpy as np
 
 # slate_distribution is unused, but perfbench's tracer patches it here
 from .models import LogWeightMnl, Model, slate_distribution  # noqa: F401
+from .oracle import _check_count
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ def distance_sampled(a: Model, b: Model, k: int,
     n = a.n
     if b.n != n:
         raise ValueError("models must agree on n")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _check_count(k, 1)
     if rng is None:
         rng = np.random.default_rng(0xC0FFEE)
 

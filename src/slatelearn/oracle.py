@@ -34,8 +34,9 @@ Oracles come in two pair-sampling modes:
     loss total reads the one tagged stream in call order; only
     :meth:`LiveOracle.sample_pair_block` (so ``sample_pair``, and
     ``max_sample`` on a pair), which no learner calls, reads the pair's own
-    stream in this mode too. Array calls read the tagged stream as the
-    scalar calls would, one pair or member after another:
+    stream in this mode too. An array call, in either mode, is one item
+    against a numpy array of its partners. It reads the tagged stream as
+    the scalar calls would, one pair or member after another:
     :meth:`LiveOracle.pair_win_count` answers a small array of pairs with
     one scalar draw each and a larger one with one vector draw, and can
     stop at the first pair whose count reaches a threshold;
@@ -47,6 +48,7 @@ Oracles come in two pair-sampling modes:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,22 +123,15 @@ class QueryLedger:
             self.per_size[2] = self.per_size.get(2, 0) + pairs * count
             self.total += pairs * count
 
-    def record_pairs(self, us, vs, counts=1) -> None:
-        """``record_pair(us[i], vs[i], counts[i])`` for every i, in order.
+    def record_pairs(self, u: int, vs, counts=1) -> None:
+        """``record_pair(u, vs[i], counts[i])`` for every i, in order.
 
-        ``counts`` is one count for every pair or a sequence of one count
-        per pair; counts may be exact Python ints beyond int64.
+        ``u`` is one id and ``vs`` a 1-D array of its partners. ``counts``
+        is one count for every pair or a sequence of one count per pair;
+        counts may be exact Python ints beyond int64.
         """
-        if isinstance(vs, (int, np.integer)):
-            us, vs = vs, us   # pairs are unordered: a scalar side goes first
-        if isinstance(us, (int, np.integer)):
-            # one partner, the shape of every array pair query: no numpy pass
-            v = int(us)
-            keys = [(u, v) if u < v else (v, u)
-                    for u in np.asarray(vs).ravel().tolist()]
-        else:
-            keys = list(zip(np.ravel(np.minimum(us, vs)).tolist(),
-                            np.ravel(np.maximum(us, vs)).tolist()))
+        u = operator.index(u)   # an exact Python int, as every key holds
+        keys = [(u, v) if u < v else (v, u) for v in np.asarray(vs).tolist()]
         per_pair, get = self.per_pair, self.per_pair.get
         if np.isscalar(counts):
             if counts == 0:
@@ -216,7 +211,7 @@ class LiveOracle:
 
         One multinomial draw takes a count up to INT64_MAX; above it, the
         call raises ``DemandTooLarge``, uncharged."""
-        _check_count(count)
+        count = _check_count(count)
         slate = _check_slate(slate, self.n)
         if slate.size < 3:
             raise ValueError("use pair_win_count for slates of size 2")
@@ -257,7 +252,7 @@ class LiveOracle:
 
     def sample_pair_block(self, u: int, v: int, count: int) -> np.ndarray:
         """``count`` queries to {u, v} at once; returns the winner sequence."""
-        _check_count(count)
+        count = _check_count(count)
         _check_pair(u, v, self.n)
         a, b = (u, v) if u < v else (v, u)
         first = np.concatenate(list(self._stream_answers(u, v, count)))
@@ -267,14 +262,15 @@ class LiveOracle:
     def pair_win_count(self, u, v, count: int, stop: int | None = None):
         """How many of ``count`` queries to {u, v} return u.
 
-        Numpy arrays ``u`` and ``v`` broadcast against each other, a side
-        that is not one is one id, and the answer is a flat array, one count
-        per pair in order. With ``stop``, the pairs are answered in order up
-        to and including the first whose count reaches ``stop``, and the
-        answer is that prefix; the rest are neither drawn nor charged. A
-        count that is not an integer >= 0, or any id that is not an integer
-        in [0, n) other than its partner's, raises ValueError before the
-        first draw, in both modes and with or without ``stop``.
+        An array call is one id against a numpy array of its partners, on
+        either side; the array is read flat, and the answer is a flat array,
+        one count per pair in order. With ``stop``, the pairs are answered
+        in order up to and including the first whose count reaches
+        ``stop``, and the answer is that prefix; the rest are neither drawn
+        nor charged. Two numpy arrays, a count or ``stop`` that is not an
+        integer >= 0, or any id that is not an integer in [0, n) other than
+        its partner's, raises ValueError before the first draw, in both
+        modes and with or without ``stop``.
 
         Binomial mode returns int64 counts (exact Python ints when ``count``
         takes more than one BINOMIAL_CHUNK piece), refuses a count above
@@ -288,7 +284,9 @@ class LiveOracle:
         per pair, so its answers, ledger and pair streams are those of the
         scalar calls in order.
         """
-        _check_count(count)
+        count = _check_count(count)
+        if stop is not None:
+            stop = _check_count(stop)
         if self.pair_mode == "binomial" and count > BINOMIAL_MAX_COUNT:
             raise DemandTooLarge("the queries of each pair in one call", count,
                                  BINOMIAL_MAX_COUNT, "use a larger eps")
@@ -349,9 +347,9 @@ class LiveOracle:
                 break
         wins = (parts[0] if len(parts) == 1
                 else np.concatenate(parts or [np.zeros(0, dtype=np.int64)]))
-        if wins.size < size:
-            us, vs = _cut(us, 0, wins.size), _cut(vs, 0, wins.size)
-        self.ledger.record_pairs(us, vs, count)
+        u, vs = (vs, us) if isinstance(us, np.ndarray) else (us, vs)
+        self.ledger.record_pairs(u, vs if wins.size == size
+                                 else vs[:wins.size], count)
         return wins
 
     def _draw_each(self, pairs, count: int, stop: int | None) -> list:
@@ -375,7 +373,7 @@ class LiveOracle:
         STREAM_MAX_DRAWS, whose block of int64 losses alone would pass
         8 GiB, raises ``DemandTooLarge`` before anything is drawn.
         """
-        _check_count(count)
+        count = _check_count(count)
         _check_pair(u, v, self.n)
         if count > STREAM_MAX_DRAWS:
             raise DemandTooLarge(
@@ -432,12 +430,12 @@ class LiveOracle:
     def sample_geometric_sums(self, u: int, vs, counts) -> np.ndarray:
         """Loss totals of runs of geometric waits of u against each of ``vs``.
 
-        ``counts`` is an M x len(vs) matrix with one column per member:
+        ``u`` is one id, ``vs`` a 1-D array of its partners, the members,
+        and ``counts`` an M x len(vs) matrix with one column per member:
         entry [g, k] is the total loss count of the next ``counts[g, k]``
         waits of u against ``vs[k]``. The ledger charges each member those
-        losses plus its waits, and a count of 0 draws nothing. A scalar
-        ``vs`` with a vector ``counts`` is the one-column view and returns
-        a vector. A member that is not an item of ``range(n)`` other than u,
+        losses plus its waits, and a count of 0 draws nothing. Any other
+        shape, a member that is not an item of ``range(n)`` other than u,
         or a count not an integer >= 0, raises ValueError, uncharged.
 
         The members are served in order, each column in row order, so the
@@ -452,15 +450,16 @@ class LiveOracle:
         sums the per-wait block, cap check included), or where a count needs
         NB_CHUNK pieces.
         """
-        counts = np.asarray(counts)
+        vs, counts = np.asarray(vs), np.asarray(counts)
+        if (isinstance(u, np.ndarray) or vs.ndim != 1 or counts.ndim != 2
+                or counts.shape[1] != vs.size):
+            raise ValueError("sample_geometric_sums takes one id, a 1-D array "
+                             "of its partners and one column of counts each")
         if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
             raise ValueError("counts must be integers >= 0")
         counts = counts.astype(np.int64, copy=False)
-        if np.ndim(vs) == 0:
-            return self.sample_geometric_sums(
-                u, np.array([vs]), counts[:, None])[:, 0]
-        _check_pairs(u, np.asarray(vs), self.n)   # before the first charge
-        u, vs = int(u), np.asarray(vs, dtype=np.int64)
+        _check_pairs(u, vs, self.n)   # before the first charge
+        u, vs = int(u), vs.astype(np.int64, copy=False)
         sums = np.zeros(counts.shape, dtype=np.int64)
         busy = counts.any(axis=0)
         if self.pair_mode == "stream":   # stream mode draws every wait
@@ -543,11 +542,13 @@ def _column_totals(a: np.ndarray) -> list:
     return a.sum(axis=0).tolist()
 
 
-def _check_count(count, least: int = 0) -> None:
-    """Refuse, uncharged, a count that is not an integer >= ``least``."""
+def _check_count(count, least: int = 0) -> int:
+    """``count`` as an exact Python int, so no numpy integer reaches a
+    ledger; refuse, uncharged, one that is not an integer >= ``least``."""
     if (type(count) is bool or not isinstance(count, (int, np.integer))
             or count < least):
-        raise ValueError("a count must be an integer >= {}".format(least))
+        raise ValueError("{!r} is not an integer >= {}".format(count, least))
+    return operator.index(count)
 
 
 def _open_stream(start, skip: int) -> np.random.Generator:
@@ -561,22 +562,20 @@ def _open_stream(start, skip: int) -> np.random.Generator:
 
 def _pair_ids(u, v, n: int) -> tuple:
     """``(us, vs, size, pairs)``: the ``size`` pairs of an array pair call,
-    every id checked. ``us`` and ``vs`` are flat arrays of ids in broadcast
-    order, but a side that is not a numpy array stays one Python id, the
-    partner of every pair. Up to SCALAR_PAIRS pairs also come as ``pairs``,
-    a list of Python id pairs, which :func:`_check_pairs` checks in Python."""
-    if not isinstance(v, np.ndarray):   # a numpy scalar becomes a Python one
-        us, vs = u.ravel(), v.item() if isinstance(v, np.generic) else v
-    elif not isinstance(u, np.ndarray):
+    every id checked. One side is a numpy array, read flat, and the other
+    one Python id, the partner of every pair; a call with two arrays is
+    refused. Up to SCALAR_PAIRS pairs also come as ``pairs``, a list of
+    Python id pairs, which :func:`_check_pairs` checks in Python."""
+    if isinstance(v, np.ndarray):
+        if isinstance(u, np.ndarray):
+            raise ValueError("an array call takes one id against an array "
+                             "of its partners, not two arrays")
         us, vs = u.item() if isinstance(u, np.generic) else u, v.ravel()
-    else:
-        us, vs = (a.ravel() for a in np.broadcast_arrays(u, v))
+    else:   # a numpy scalar becomes a Python one
+        us, vs = u.ravel(), v.item() if isinstance(v, np.generic) else v
     size = (us if isinstance(us, np.ndarray) else vs).size
     pairs = _window_pairs(us, vs, 0, size) if 0 < size <= SCALAR_PAIRS else None
     _check_pairs(us, vs, n, pairs)
-    if isinstance(us, np.ndarray) and isinstance(vs, np.ndarray):
-        # one dtype, as the ledger's np.minimum of the two sides needs
-        us, vs = us.astype(np.int64), vs.astype(np.int64)
     return us, vs, size, pairs
 
 
@@ -598,11 +597,9 @@ def _cut(ids, lo: int, hi: int):
 
 def _window_pairs(us, vs, lo: int, hi: int) -> list:
     """The pairs ``lo`` to ``hi`` of :func:`_pair_ids` as Python id pairs."""
-    if not isinstance(vs, np.ndarray):
+    if isinstance(us, np.ndarray):
         return [(a, vs) for a in us[lo:hi].tolist()]
-    if not isinstance(us, np.ndarray):
-        return [(us, b) for b in vs[lo:hi].tolist()]
-    return list(zip(us[lo:hi].tolist(), vs[lo:hi].tolist()))
+    return [(us, b) for b in vs[lo:hi].tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -628,8 +625,7 @@ def build_replay_table(oracle: LiveOracle, m: int) -> ReplayTable:
     takes one batch charge, each held stream is saved and steps m answers
     on, and every other stream starts past the batch when first read.
     """
-    _check_count(m, 1)
-    m, held = int(m), oracle._pair_rngs
+    m, held = _check_count(m, 1), oracle._pair_rngs
     table = ReplayTable(oracle.model, m, oracle.seed, oracle.ledger.batch,
                         {key: rng.bit_generator.state
                          for key, rng in held.items()})

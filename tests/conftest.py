@@ -47,10 +47,8 @@ class FixedOracle:
                         dtype=np.int64)
 
     def sample_geometric_sums(self, u, vs, counts):
-        """One column of counts per member of ``vs``; a scalar ``vs`` is one column."""
+        """One column of counts per member of ``vs``."""
         counts = np.asarray(counts, dtype=np.int64)
-        if np.ndim(vs) == 0:
-            return self.sample_geometric_sums(u, [vs], counts[:, None])[:, 0]
         sums = np.zeros(counts.shape, dtype=np.int64)
         for k, v in enumerate(vs):
             for g, c in enumerate(counts[:, k].tolist()):

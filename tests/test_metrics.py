@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -281,6 +282,32 @@ class TestLedgerReport:
     def test_empty(self):
         rep = sl.ledger_report(sl.QueryLedger())
         assert rep["total"] == 0 and rep["max_per_pair"] == 0
+
+    @pytest.mark.parametrize("mode, call", [
+        ("binomial", lambda o, c: o.pair_win_count(0, 1, c)),
+        ("stream", lambda o, c: o.pair_win_count(0, 1, c)),
+        ("binomial", lambda o, c: o.pair_win_count(np.array([1, 2]), 0, c)),
+        ("stream", lambda o, c: o.pair_win_count(0, np.array([1, 2]), c)),
+        ("binomial", lambda o, c: o.sample_pair_block(0, 1, c)),
+        ("stream", lambda o, c: o.sample_pair_block(0, 1, c)),
+        ("binomial", lambda o, c: o.slate_win_counts([0, 1, 2], c)),
+        ("stream", lambda o, c: o.sample_geometric_block(0, 1, c)),
+        ("replay", lambda o, c: o.pair_win_count(0, 1, c)),
+        ("replay", lambda o, c: o.pair_win_count(np.array([1, 2]), 0, c)),
+    ], ids=["pair", "stream pair", "array", "stream array", "block",
+            "stream block", "slate", "stream waits", "replay pair",
+            "replay array"])
+    def test_numpy_counts_keep_the_report_json(self, mode, call):
+        # a numpy-integer count is charged as an exact Python int
+        o = sl.LiveOracle(mnl(1.0, 2.0, 3.0), seed=0,
+                          pair_mode="binomial" if mode == "binomial"
+                          else "stream")
+        if mode == "replay":
+            o = sl.ReplayOracle(sl.build_replay_table(o, 20))
+        call(o, np.int64(5))
+        rep = sl.ledger_report(o.ledger)
+        assert json.loads(json.dumps(rep)) == rep
+        assert rep["total"] >= 5
 
     def test_replay_table_accounting(self):
         o = sl.LiveOracle(mnl(1.0, 1.0, 1.0), seed=0)

@@ -22,6 +22,13 @@ def binomial_stream(seed):
     return np.random.default_rng(np.random.SeedSequence((seed, BINOMIAL_TAG)))
 
 
+def one_column(o, u, v, counts):
+    """``sample_geometric_sums`` of u against the one member v: the loss
+    totals of runs of ``counts[g]`` waits, as a vector."""
+    return o.sample_geometric_sums(u, np.array([v]),
+                                   np.asarray(counts)[:, None])[:, 0]
+
+
 class TestMaxSample:
     def test_singleton_always_returns_the_item(self):
         o = sl.LiveOracle(mnl(1.0, 2.0, 3.0), seed=0)
@@ -87,36 +94,43 @@ class TestLedger:
         o.pair_win_count(np.array([0, 2]), 1, 0)
         o.sample_pair_block(1, 2, 0)
         o.sample_geometric_block(2, 0, 0)
-        o.sample_geometric_sums(0, 2, [0, 0])
+        one_column(o, 0, 2, [0, 0])
         assert o.ledger == sl.QueryLedger()   # per_pair {}, total 0
 
     def test_record_pairs_is_repeated_record_pair(self):
-        us, vs = [3, 0, 1, 2, 3], [1, 2, 0, 0, 1]
+        # one id against its partners, below and above it, some repeated
+        u, vs = 2, [3, 0, 1, 0, 3]
         for count in (0, 1, 7, 2**64):
             batched, looped = sl.QueryLedger(), sl.QueryLedger()
             batched.record_pair(2, 3)
             looped.record_pair(2, 3)
-            batched.record_pairs(np.array(us), np.array(vs), count)
-            for u, v in zip(us, vs):
+            batched.record_pairs(u, np.array(vs), count)
+            for v in vs:
                 looped.record_pair(u, v, count)
             assert batched == looped
             assert list(batched.per_pair) == list(looped.per_pair)
             assert all(type(k) is int for key in batched.per_pair for k in key)
         empty = sl.QueryLedger()
-        empty.record_pairs(np.array([], dtype=np.int64),
-                           np.array([], dtype=np.int64), 5)
+        empty.record_pairs(5, np.array([], dtype=np.int64), 5)
         assert empty == sl.QueryLedger()
-        for u, v in ((3, 1), (0, 1), (np.int64(2), np.array(0))):
+        # numpy ids of any integer dtype give Python int keys
+        for a, b in ((np.int64(2), np.array([0])),
+                     (np.uint64(1), np.array([2], dtype=np.uint64)),
+                     (np.array(3), np.array([1], dtype=np.int32))):
             batched, looped = sl.QueryLedger(), sl.QueryLedger()
-            batched.record_pairs(u, v, 4)
-            looped.record_pair(int(u), int(v), 4)
+            batched.record_pairs(a, b, 4)
+            looped.record_pair(int(a), int(b[0]), 4)
             assert batched == looped
+            assert all(type(k) is int for key in batched.per_pair for k in key)
+        with pytest.raises(TypeError):   # two arrays of ids
+            sl.QueryLedger().record_pairs(np.array([1], dtype=np.uint64),
+                                          np.array([2]), 3)
         # one count per pair: a zero adds no key, and counts may pass 2^63
         for counts in ([0, 4, 0, 2**64, 1], np.array([5, 0, 3, 0, 2]),
                        [2**63, 2**63 + 1, 0, 0, 2**70], [0] * 5):
             batched, looped = sl.QueryLedger(), sl.QueryLedger()
-            batched.record_pairs(np.array(us), np.array(vs), counts)
-            for u, v, count in zip(us, vs, counts):
+            batched.record_pairs(u, np.array(vs), counts)
+            for v, count in zip(vs, counts):
                 looped.record_pair(u, v, int(count))
             assert batched == looped
             assert list(batched.per_pair) == list(looped.per_pair)
@@ -126,7 +140,7 @@ class TestLedger:
         assert batched.per_pair == {(0, 2): 1, (2, 3): 6}
         assert batched.total == batched.per_size[2] == 7
         with pytest.raises(ValueError):
-            batched.record_pairs(np.array(us), np.array(vs), [1, 2])
+            batched.record_pairs(u, np.array(vs), [1, 2])
 
 
 class TestBinomialChunks:
@@ -135,19 +149,21 @@ class TestBinomialChunks:
         # oracle's binomial stream, and one vector draw for many pairs
         model = mnl(1.0, 3.0, 2.0)
         p = sl.pair_probability(model, 0, 1)
-        us, vs = [0, 2, 1, 0], [1, 1, 2, 2]
-        ps = [sl.pair_probability(model, u, v) for u, v in zip(us, vs)]
+        # one id against its partners, the array on either side
+        calls = [(np.array([0, 2, 0]), 1), (2, np.array([1, 0]))]
         for count in (0, 1, 1000, 2**40, BINOMIAL_CHUNK):
             o = sl.LiveOracle(model, seed=8)
             rng = binomial_stream(8)
             assert o.pair_win_count(0, 1, count) == rng.binomial(count, p)
-            wins = o.pair_win_count(np.array(us), np.array(vs), count)
-            np.testing.assert_array_equal(wins, rng.binomial(count, ps))
-            assert wins.dtype == np.int64
+            for u, v in calls:
+                wins = o.pair_win_count(u, v, count)
+                np.testing.assert_array_equal(wins, rng.binomial(
+                    count, sl.pair_probabilities(model, u, v)))
+                assert wins.dtype == np.int64
             # a 0-d array is one pair, drawn and charged like the rest
             assert (o.pair_win_count(np.array(0), 1, count).tolist()
                     == [rng.binomial(count, p)])
-            assert o.ledger.total == count * (len(us) + 2)
+            assert o.ledger.total == count * 7
             assert o._pair_rngs == {}
 
     def test_count_beyond_c_long(self):
@@ -330,15 +346,15 @@ class TestDeterminism:
             assert wins.tolist() == [b.pair_win_count(int(u), 2, count)
                                      for u in us]
             assert wins.dtype == np.int64
-            assert a.pair_win_count(none, none, count).size == 0
+            assert a.pair_win_count(none, 2, count).size == 0
             # a 0-d array is one pair, answered as a one-element array
             assert (a.pair_win_count(np.array(3), 1, count).tolist()
                     == [b.pair_win_count(3, 1, count)])
         assert a.ledger == b.ledger   # a replay's read position too
         if not replay:
             assert stream_states(a) == stream_states(b)
-        with pytest.raises(ValueError):   # us and vs do not broadcast
-            a.pair_win_count(us, np.array([2, 3, 0]), 1)
+        with pytest.raises(ValueError):   # two arrays are refused
+            a.pair_win_count(us, np.array([2, 3, 0, 0]), 1)
 
 
 def one_shot_stream(model, seed, count):
@@ -759,7 +775,7 @@ class TestGeometricSums:
         o = sl.LiveOracle(mnl(w_u, w_v), seed=31)
         p = sl.pair_probability(o.model, 0, 1)
         count, k = 7, 40_000
-        sums = o.sample_geometric_sums(0, 1, np.full(k, count))
+        sums = one_column(o, 0, 1, np.full(k, count))
         mean, var = count * (1 - p) / p, count * (1 - p) / p ** 2
         assert abs(sums.mean() - mean) < 5 * np.sqrt(var / k)
         assert abs(sums.var() / var - 1) < 0.06
@@ -770,7 +786,7 @@ class TestGeometricSums:
         o = sl.LiveOracle(model, seed=8)
         p = sl.pair_probability(model, 0, 1)
         rng = binomial_stream(8)
-        sums = o.sample_geometric_sums(0, 1, COUNTS)
+        sums = one_column(o, 0, 1, COUNTS)
         expected = np.zeros(len(COUNTS), dtype=np.int64)
         nonzero = np.flatnonzero(COUNTS)
         expected[nonzero] = rng.negative_binomial(np.array(COUNTS)[nonzero], p)
@@ -780,12 +796,12 @@ class TestGeometricSums:
 
     def test_zero_counts_draw_and_charge_nothing(self):
         o = sl.LiveOracle(mnl(1.0, 3.0), seed=8)
-        np.testing.assert_array_equal(o.sample_geometric_sums(0, 1, [0, 0]),
+        np.testing.assert_array_equal(one_column(o, 0, 1, [0, 0]),
                                       [0, 0])
         assert o.ledger.total == 0 and o.ledger.per_pair == {}
         twin = sl.LiveOracle(mnl(1.0, 3.0), seed=8)
-        assert (o.sample_geometric_sums(0, 1, [0, 4, 0])[1]
-                == twin.sample_geometric_sums(0, 1, [4])[0])
+        assert (one_column(o, 0, 1, [0, 4, 0])[1]
+                == one_column(twin, 0, 1, [4])[0])
 
     def test_chunked_count_is_the_exact_sum_of_its_pieces(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "NB_CHUNK", 4)
@@ -796,7 +812,7 @@ class TestGeometricSums:
         # 10 = 4 + 4 + 2, 3 = 3, 8 = 4 + 4: remainders first, then pieces
         rest = rng.negative_binomial([2, 3], p)
         pieces = rng.negative_binomial(4, p, 4)
-        sums = o.sample_geometric_sums(0, 1, [10, 3, 0, 8])
+        sums = one_column(o, 0, 1, [10, 3, 0, 8])
         np.testing.assert_array_equal(
             sums, [rest[0] + pieces[0] + pieces[1], rest[1], 0,
                    pieces[2] + pieces[3]])
@@ -804,7 +820,7 @@ class TestGeometricSums:
 
     def test_counts_beyond_one_draw(self):
         o = sl.LiveOracle(mnl(3.0, 1.0), seed=9)
-        sums = o.sample_geometric_sums(1, 0, [2**60, 1])
+        sums = one_column(o, 1, 0, [2**60, 1])
         # 128 pieces of 2^53 waits at p = 1/4: the sd of sums[0] / 2^60 is
         # about 2e-9
         assert abs(sums[0] / 2**60 - 3.0) < 1e-6
@@ -813,7 +829,7 @@ class TestGeometricSums:
     def test_loss_total_beyond_int64_raises(self):
         o = sl.LiveOracle(mnl(3.0, 1.0), seed=9)
         with pytest.raises(sl.DemandTooLarge) as info:
-            o.sample_geometric_sums(1, 0, [2**62])
+            one_column(o, 1, 0, [2**62])
         assert info.value.cap == INT64_MAX and info.value.count > INT64_MAX
         # the draws were made, so they are charged
         assert o.ledger.total == info.value.count + 2**62
@@ -824,7 +840,7 @@ class TestGeometricSums:
         p_u = sl.pair_probability(model, 0, 1)
         assert GEOMETRIC_CAP * -np.log1p(-p_u) <= NEGLIGIBLE_LOG
         o, twin = (sl.LiveOracle(model, seed=3) for _ in range(2))
-        sums = o.sample_geometric_sums(0, 1, [2, 0, 3])
+        sums = one_column(o, 0, 1, [2, 0, 3])
         block = twin.sample_geometric_block(0, 1, 5)
         assert sums.tolist() == segment_sums(block, [2, 0, 3])
         assert o.ledger.per_pair == twin.ledger.per_pair
@@ -834,7 +850,7 @@ class TestGeometricSums:
         o = sl.LiveOracle(mnl(1.0, 99.0), seed=3)
         # P(one wait > 1000) = 0.99^1000, about 4e-5 per wait
         with pytest.raises(sl.GeometricCapExceeded):
-            o.sample_geometric_sums(0, 1, [100_000, 100_000])
+            one_column(o, 0, 1, [100_000, 100_000])
         assert o.ledger.total == 1000
 
     @pytest.mark.parametrize("pair_mode", ["binomial", "stream"])
@@ -844,21 +860,21 @@ class TestGeometricSums:
         assert sl.pair_probability(model, 0, 1) == 1.0
         o = sl.LiveOracle(model, seed=1, pair_mode=pair_mode)
         counts = np.array([3, 0, 5])
-        assert o.sample_geometric_sums(0, 1, counts).tolist() == [0, 0, 0]
+        assert one_column(o, 0, 1, counts).tolist() == [0, 0, 0]
         assert o.ledger.total == counts.sum()
 
     def test_impossible_win_raises(self):
         model = sl.MatchingPseudoMnl(np.array([1.0]), np.arange(2))
         o = sl.LiveOracle(model, seed=0)
         with pytest.raises(sl.GeometricCapExceeded):
-            o.sample_geometric_sums(0, 1, [0, 3])
+            one_column(o, 0, 1, [0, 3])
         assert o.ledger.total == GEOMETRIC_CAP
 
     @pytest.mark.parametrize("w_u, w_v", ODDS)
     def test_stream_sums_are_segment_sums_of_the_block(self, w_u, w_v):
         a, b = (sl.LiveOracle(mnl(w_u, w_v), seed=4, pair_mode="stream")
                 for _ in range(2))
-        sums = a.sample_geometric_sums(1, 0, COUNTS)
+        sums = one_column(a, 1, 0, COUNTS)
         assert sums.tolist() == segment_sums(
             b.sample_geometric_block(1, 0, sum(COUNTS)), COUNTS)
         assert a.ledger.per_pair == b.ledger.per_pair
@@ -871,7 +887,7 @@ class TestGeometricSums:
             sl.LiveOracle(model, seed=13, pair_mode="stream"), 500))
             for _ in range(2)]
         for _ in range(3):
-            sums = replays[0].sample_geometric_sums(0, 1, COUNTS)
+            sums = one_column(replays[0], 0, 1, COUNTS)
             block = replays[1].sample_geometric_block(0, 1, sum(COUNTS))
             assert sums.tolist() == segment_sums(block, COUNTS)
             assert replays[0].ledger.per_pair == replays[1].ledger.per_pair
@@ -879,12 +895,12 @@ class TestGeometricSums:
     def test_exhausted_replay_sums_move_nothing(self):
         table = sl.build_replay_table(sl.LiveOracle(uniform_pair(), seed=2), 50)
         replay = sl.ReplayOracle(table)
-        replay.sample_geometric_sums(0, 1, [2, 3])
+        one_column(replay, 0, 1, [2, 3])
         ledger = dict(replay.ledger.per_pair)
         with pytest.raises(sl.ReplayBudgetExhausted):
-            replay.sample_geometric_sums(1, 0, [10, 0, 40])
+            one_column(replay, 1, 0, [10, 0, 40])
         assert replay.ledger.per_pair == ledger
-        assert replay.sample_geometric_sums(0, 1, [0]).tolist() == [0]
+        assert one_column(replay, 0, 1, [0]).tolist() == [0]
         assert replay.ledger.per_pair == ledger
         # past u's last win the table holds only losses of u: a wait reads
         # some of them, runs out, and charges, so moves, nothing
@@ -907,9 +923,10 @@ class TestGeometricSums:
 
 
 def member_loop(o, u, vs, counts):
-    """Reference: one scalar sample_geometric_sums call per member, in order."""
+    """Reference: one one-member sample_geometric_sums call per member, in
+    order."""
     counts = np.asarray(counts, dtype=np.int64)
-    return np.column_stack([o.sample_geometric_sums(u, int(v), counts[:, k])
+    return np.column_stack([one_column(o, u, int(v), counts[:, k])
                             for k, v in enumerate(vs)])
 
 

@@ -127,6 +127,10 @@ REFUSALS = [
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0, 3.0), 5)),
     ("distance_sampled k=0", ValueError,
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), 0)),
+    ("distance_sampled fractional k", ValueError,
+     lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), 2.5)),
+    ("distance_sampled bool k", ValueError,
+     lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), True)),
     ("separation_fixture n=1", ValueError,
      lambda _: sl.separation_fixture(1, 0.1)),
     ("separation_fixture eps", ValueError,
@@ -301,7 +305,67 @@ REFUSALS = [
          0, 1, 2.5))),
     ("ReplayOracle sample_geometric_sums fractional count", ValueError,
      lambda _: uncharged(replay(), lambda o: o.sample_geometric_sums(
-         0, 1, [2.5, 1]))),
+         0, np.array([1]), [[2.5], [1]]))),
+    # a stop that is not an integer >= 0 is refused before the first draw,
+    # not read as no stop or compared as it comes
+    ("LiveOracle pair_win_count text stop", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         np.arange(1, 30), 0, 10, stop="x"))),
+    ("LiveOracle stream pair_win_count text stop", ValueError,
+     lambda _: uncharged(live(40, "stream"), lambda o: o.pair_win_count(
+         np.arange(1, 30), 0, 10, stop="x"))),
+    ("ReplayOracle pair_win_count text stop", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(
+         np.arange(1, 4), 0, 10, stop="x"))),
+    ("LiveOracle pair_win_count nan stop", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         np.arange(1, 30), 0, 10, stop=float("nan")))),
+    ("LiveOracle stream pair_win_count fractional stop", ValueError,
+     lambda _: uncharged(live(40, "stream"), lambda o: o.pair_win_count(
+         np.arange(1, 30), 0, 10, stop=2.5))),
+    ("LiveOracle pair_win_count bool stop", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         0, np.arange(1, 4), 10, stop=True))),
+    ("ReplayOracle pair_win_count negative stop", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(
+         0, np.arange(1, 4), 10, stop=-1))),
+    # an array call is one id against an array of its partners
+    ("LiveOracle pair_win_count two arrays", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         np.arange(1, 30), np.zeros(29, dtype=np.int64), 10))),
+    ("LiveOracle pair_win_count two arrays with stop", ValueError,
+     lambda _: uncharged(live(40), lambda o: o.pair_win_count(
+         np.arange(1, 4), np.zeros(3, dtype=np.int64), 10, stop=0))),
+    ("LiveOracle pair_win_count two 0-d arrays", ValueError,
+     lambda _: uncharged(live(), lambda o: o.pair_win_count(
+         np.array(0), np.array(1), 10))),
+    ("LiveOracle stream pair_win_count two arrays", ValueError,
+     lambda _: uncharged(live(40, "stream"), lambda o: o.pair_win_count(
+         np.arange(1, 30), np.zeros(29, dtype=np.int64), 10))),
+    ("LiveOracle stream pair_win_count two arrays with stop", ValueError,
+     lambda _: uncharged(live(40, "stream"), lambda o: o.pair_win_count(
+         np.arange(1, 4), np.zeros(3, dtype=np.int64), 10, stop=0))),
+    ("ReplayOracle pair_win_count two arrays", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(
+         np.arange(1, 4), np.zeros(3, dtype=np.int64), 10))),
+    ("ReplayOracle pair_win_count two arrays with stop", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.pair_win_count(
+         np.arange(1, 4), np.zeros(3, dtype=np.int64), 10, stop=0))),
+    ("LiveOracle sample_geometric_sums scalar member", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         0, 1, [2, 3]))),
+    ("LiveOracle stream sample_geometric_sums scalar member", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: o.sample_geometric_sums(
+         0, 1, [2, 3]))),
+    ("ReplayOracle sample_geometric_sums scalar member", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.sample_geometric_sums(
+         0, 1, [2, 3]))),
+    ("LiveOracle sample_geometric_sums array item", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         np.array([0]), np.array([1]), [[2]]))),
+    ("LiveOracle sample_geometric_sums one count column short", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         0, np.array([1, 2]), [[2], [3]]))),
     ("build_replay_table fractional m", ValueError,
      lambda _: uncharged(live(mode="stream"), lambda o: sl.build_replay_table(
          o, 2.5))),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -40,6 +39,12 @@ class DistanceReport:
 CHUNK_VALUES = 1 << 17
 
 
+def _mask_chunk(ids, mask, sizes):
+    """Row r of ``mask``, holding ``sizes[r]`` trues, as the slate of the
+    ``ids`` it keeps: one ragged chunk."""
+    return np.broadcast_to(ids, mask.shape)[mask], np.cumsum(sizes) - sizes
+
+
 def _subset_chunks(n: int):
     """Slates 1 .. 2^n - 1 as ragged chunks; bit i of slate m is item i."""
     items, rows = np.arange(n), max(1, CHUNK_VALUES // n)
@@ -47,27 +52,122 @@ def _subset_chunks(n: int):
     for start in range(1, 1 << n, rows):
         ids = np.arange(start, min(start + rows, 1 << n), dtype=np.int32)
         mask = ids[:, None] & bits != 0
-        sizes = mask.sum(axis=1)
-        yield (np.broadcast_to(items, mask.shape)[mask],
-               np.cumsum(sizes) - sizes)
+        yield _mask_chunk(items, mask, mask.sum(axis=1))
 
 
-def _listed_chunks(slates: list):
-    """The listed slates as ragged chunks of at most CHUNK_VALUES items (or
-    one slate), in list order."""
-    sizes, first = [len(s) for s in slates], 0
-    while first < len(slates):
-        stop, total = first + 1, sizes[first]
-        while stop < len(slates) and total + sizes[stop] <= CHUNK_VALUES:
-            total, stop = total + sizes[stop], stop + 1
-        yield (np.fromiter(chain.from_iterable(slates[first:stop]), np.int64,
-                           total), np.cumsum([0] + sizes[first:stop - 1]))
-        first = stop
+def _row_blocks(sizes):
+    """``(lo, hi)`` runs of rows whose ``sizes`` sum to at most CHUNK_VALUES,
+    or one row when a row is larger."""
+    ends, lo = np.cumsum(sizes), 0
+    while lo < ends.size:
+        cap = CHUNK_VALUES + (int(ends[lo - 1]) if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _heaviest(log_w, top: int):
+    """The ``top`` heaviest ids, heaviest first and equal weights in id
+    order: ``np.argsort(-log_w, kind="stable")[:top]``, sorting only the
+    ids at least as heavy as the top-th."""
+    if top == 0:
+        return np.arange(0)
+    ids = np.flatnonzero(log_w >= np.partition(log_w, log_w.size - top)[
+        log_w.size - top])
+    return ids[np.argsort(-log_w[ids], kind="stable")[:top]]
+
+
+def _prefix_chunks(order, rank, top: int):
+    """The prefixes of sizes 2 .. top of ``order`` (the top ids heaviest
+    first, of heaviness ``rank``), each sorted by id: one mask block over
+    the top ids in id order, whose row of size s keeps the ids of rank < s."""
+    sizes, ids = np.arange(2, top + 1), np.sort(order)
+    for lo, hi in _row_blocks(sizes):
+        cols = ids[rank[ids] < sizes[hi - 1]]   # the ids these rows can keep
+        yield _mask_chunk(cols, rank[cols] < sizes[lo:hi, None], sizes[lo:hi])
+
+
+def _pair_chunks(n: int, skip):
+    """Every pair (u, v) with u < v in lexicographic order but ``skip``, a
+    pair listed already (or None), as chunks of whole rows u."""
+    us = np.arange(n - 1)
+    for lo, hi in _row_blocks(2 * (n - 1 - us)):
+        vs = np.arange(lo + 1, n)
+        mask = vs > us[lo:hi, None]
+        if skip is not None and lo <= skip[0] < hi:
+            mask[skip[0] - lo, skip[1] - lo - 1] = False
+        pairs = np.stack((np.broadcast_to(us[lo:hi, None], mask.shape)[mask],
+                          np.broadcast_to(vs, mask.shape)[mask]), axis=1)
+        if pairs.size:
+            yield pairs.ravel(), np.arange(0, pairs.size, 2)
+
+
+def _packed(pieces):
+    """Consecutive ragged pieces joined into chunks of at most CHUNK_VALUES
+    items, or one piece when a piece is larger."""
+    held, values = [], 0
+    for piece in pieces:
+        if held and values + piece[0].size > CHUNK_VALUES:
+            yield _join(held)
+            held, values = [], 0
+        held.append(piece)
+        values += piece[0].size
+    if held:
+        yield _join(held)
+
+
+def _join(pieces: list):
+    """Ragged pieces as one chunk, their slates in order."""
+    if len(pieces) == 1:
+        return pieces[0]
+    sizes = [items.size for items, _ in pieces]
+    shift = np.cumsum(sizes) - sizes
+    return (np.concatenate([items for items, _ in pieces]),
+            np.concatenate([starts for _, starts in pieces])
+            + np.repeat(shift, [starts.size for _, starts in pieces]))
+
+
+def _sampled_slates(a: Model, k: int, rng):
+    """The slates :func:`distance_sampled` lists, in list order, as ragged
+    pieces of at most CHUNK_VALUES items (or one slate)."""
+    n, first = a.n, np.zeros(1, dtype=np.int64)
+    yield np.arange(n), first
+    listed, top = 1, 0   # prefixes of sizes 2 .. top are listed
+    if isinstance(a, LogWeightMnl):
+        # prefixes differ in size, so they are distinct; once k are listed
+        # neither the pairs nor the random subsets below can be added
+        top = min(n - 1, k)
+        order = _heaviest(a.log_w, top)
+        rank = np.full(n, n)   # heaviness rank in the top, else n
+        rank[order] = np.arange(top)
+        yield from _prefix_chunks(order, rank, top)
+        listed += max(0, top - 1)
+    paired = listed + n * (n - 1) // 2 <= k
+    if paired:   # the full slate or the prefix of size 2 lists one pair
+        skip = ((0, 1) if n == 2 else
+                tuple(np.sort(order[:2]).tolist()) if top >= 2 else None)
+        yield from _pair_chunks(n, skip)
+        listed += n * (n - 1) // 2 - (skip is not None)
+    # every slate of size >= 2 may already be listed: stop there
+    room, attempts, seen = min(k, (1 << n) - n - 1), 0, set()
+    while listed < room and attempts < 50 * k:
+        attempts += 1
+        size = int(rng.integers(2, n + 1))
+        s = np.sort(rng.choice(n, size=size, replace=False))
+        if (size == n or (paired and size == 2)
+                or (size <= top and rank[s].max() < size)):
+            continue   # the full slate, a listed pair or a listed prefix
+        key = s.tobytes()   # in seen when an earlier subset drew it
+        if key not in seen:
+            seen.add(key)
+            listed += 1
+            yield s, first
 
 
 def _worst_slate(a: Model, b: Model, chunks) -> tuple:
-    """d1, dinf and the first slate attaining d1 over ragged chunks."""
-    best_d1, best_dinf, best_slate = -1.0, 0.0, ()
+    """d1, dinf, the first slate attaining d1 and the number of slates, over
+    ragged chunks."""
+    best_d1, best_dinf, best_slate, checked = -1.0, 0.0, (), 0
     for items, starts in chunks:
         diff = a.slate_distributions(items, starts)
         diff -= b.slate_distributions(items, starts)
@@ -79,7 +179,8 @@ def _worst_slate(a: Model, b: Model, chunks) -> tuple:
             best_d1 = float(tv[r])
             end = np.append(starts, items.size)[r + 1]
             best_slate = tuple(items[starts[r]:end].tolist())
-    return best_d1, best_dinf, best_slate
+        checked += starts.size
+    return best_d1, best_dinf, best_slate, checked
 
 
 def distance_exact(a: Model, b: Model) -> DistanceReport:
@@ -89,20 +190,26 @@ def distance_exact(a: Model, b: Model) -> DistanceReport:
         raise ValueError("models must agree on n")
     if n > 20:
         raise ValueError("exhaustive slate enumeration is gated to n <= 20")
-    d1, dinf, slate = _worst_slate(a, b, _subset_chunks(n))
+    d1, dinf, slate, checked = _worst_slate(a, b, _subset_chunks(n))
     return DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
-                          exact=True, slates_checked=(1 << n) - 1)
+                          exact=True, slates_checked=checked)
 
 
 def distance_sampled(a: Model, b: Model, k: int,
                      rng: np.random.Generator | None = None) -> DistanceReport:
     """Lower-bound d1 and dinf from at most k slates.
 
-    Always includes the full slate and every prefix of a's items sorted
-    heaviest first (when a is an MNL), then all pairs if the budget allows,
-    then uniform random subsets until k slates, or all 2^n - n - 1 slates
-    of two or more items, are listed. A one-item model has only its full
-    slate.
+    Always includes the full slate and, when a is an MNL, the prefixes of
+    sizes 2 .. min(n - 1, k) of a's items sorted heaviest first; then all
+    pairs if the budget allows, then uniform random subsets not listed yet
+    until k slates, or all 2^n - n - 1 slates of two or more items, are
+    listed, or 50 k subsets are drawn. A one-item model has only its full
+    slate. ``rng`` (a numpy Generator; None seeds one) draws the random
+    subsets; anything else raises ValueError before a slate is scored.
+
+    The slates are listed and scored a chunk of ragged arrays at a time,
+    so what a call holds at once is bounded whatever k, but for the bytes
+    of each random subset, kept to skip its repeats.
     """
     n = a.n
     if b.n != n:
@@ -110,37 +217,12 @@ def distance_sampled(a: Model, b: Model, k: int,
     k = _check_count(k, 1)
     if rng is None:
         rng = np.random.default_rng(0xC0FFEE)
-
-    slates: list = [tuple(range(n))]
-    seen = {slates[0]}
-    if isinstance(a, LogWeightMnl):
-        order = np.argsort(-a.log_w, kind="stable")
-        # prefixes differ in size, so they are distinct; once k are listed
-        # neither the pairs nor the random subsets below can be added
-        for size in range(2, min(n, k + 1)):
-            s = tuple(np.sort(order[:size]).tolist())
-            seen.add(s)
-            slates.append(s)
-    if len(slates) + n * (n - 1) // 2 <= k:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) not in seen:
-                    seen.add((u, v))
-                    slates.append((u, v))
-    # every slate of size >= 2 may already be listed: stop there
-    room, attempts = min(k, (1 << n) - n - 1), 0
-    while len(slates) < room and attempts < 50 * k:
-        attempts += 1
-        size = int(rng.integers(2, n + 1))
-        s = tuple(sorted(int(x) for x in
-                         rng.choice(n, size=size, replace=False)))
-        if s not in seen:
-            seen.add(s)
-            slates.append(s)
-    slates = slates[:k]
-    d1, dinf, slate = _worst_slate(a, b, _listed_chunks(slates))
+    elif not isinstance(rng, np.random.Generator):
+        raise ValueError("rng must be a numpy.random.Generator or None")
+    chunks = _packed(_sampled_slates(a, k, rng))
+    d1, dinf, slate, checked = _worst_slate(a, b, chunks)
     return DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
-                          exact=False, slates_checked=len(slates))
+                          exact=False, slates_checked=checked)
 
 
 def separation_fixture(n: int, eps: float) -> tuple:

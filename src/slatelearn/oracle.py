@@ -430,13 +430,15 @@ class LiveOracle:
     def sample_geometric_sums(self, u: int, vs, counts) -> np.ndarray:
         """Loss totals of runs of geometric waits of u against each of ``vs``.
 
-        ``u`` is one id, ``vs`` a 1-D array of its partners, the members,
-        and ``counts`` an M x len(vs) matrix with one column per member:
-        entry [g, k] is the total loss count of the next ``counts[g, k]``
-        waits of u against ``vs[k]``. The ledger charges each member those
-        losses plus its waits, and a count of 0 draws nothing. Any other
-        shape, a member that is not an item of ``range(n)`` other than u,
-        or a count not an integer >= 0, raises ValueError, uncharged.
+        ``u`` is one id, ``vs`` a 1-D numpy array of its partners, the
+        members, and ``counts`` an M x len(vs) matrix with one column per
+        member: entry [g, k] is the total loss count of the next
+        ``counts[g, k]`` waits of u against ``vs[k]``. The ledger charges
+        each member those losses plus its waits, and a count of 0 draws
+        nothing. Partners that are not a numpy array (as in
+        :meth:`pair_win_count`), any other shape, a member that is not an
+        item of ``range(n)`` other than u, or a count not an integer >= 0,
+        raises ValueError, uncharged.
 
         The members are served in order, each column in row order, so the
         draws, the ledger and the point where an error stops the call are
@@ -450,11 +452,13 @@ class LiveOracle:
         sums the per-wait block, cap check included), or where a count needs
         NB_CHUNK pieces.
         """
-        vs, counts = np.asarray(vs), np.asarray(counts)
-        if (isinstance(u, np.ndarray) or vs.ndim != 1 or counts.ndim != 2
+        counts = np.asarray(counts)
+        if (isinstance(u, np.ndarray) or not isinstance(vs, np.ndarray)
+                or vs.ndim != 1 or counts.ndim != 2
                 or counts.shape[1] != vs.size):
-            raise ValueError("sample_geometric_sums takes one id, a 1-D array "
-                             "of its partners and one column of counts each")
+            raise ValueError("sample_geometric_sums takes one id, a 1-D numpy "
+                             "array of its partners and one column of counts "
+                             "each")
         if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
             raise ValueError("counts must be integers >= 0")
         counts = counts.astype(np.int64, copy=False)

@@ -11,8 +11,8 @@ n = 30, the learner reads 7.3e6 answers from 57 pairs. Each learn runs in a
 child process that caps its own address space, so only the child is
 limited.
 
-The distance evals score ragged slates, so their temporaries hold what the
-slates hold, and the forest audit builds row blocks only for rows that can
+The distance evals list and score ragged slates a chunk at a time, so their
+temporaries hold what a chunk of slates holds, at any number of slates, and the forest audit builds row blocks only for rows that can
 hold a violation: their traced peaks are bounded in-process with tracemalloc.
 """
 
@@ -127,6 +127,13 @@ def test_sampled_eval_at_n_4096_peaks_under_4_mib():
     # 200 slates of about 26k items; 200 x 4096 mask rows peaked at 14.3 MiB
     a, b = learned_pair(4096)
     assert traced_peak_mib(lambda: sl.distance_sampled(a, b, 200)) < 4.0
+
+
+def test_sampled_eval_of_2000_slates_at_n_4096_peaks_under_8_mib():
+    # the full slate and 1,999 prefixes, 2e6 items in all; listed as Python
+    # tuples they peaked at 77.0 MiB
+    a, b = learned_pair(4096)
+    assert traced_peak_mib(lambda: sl.distance_sampled(a, b, 2000)) < 8.0
 
 
 @pytest.mark.parametrize("n, mask_form_mib", [(14, 4.03), (20, 18.8)])

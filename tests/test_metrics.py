@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,36 +36,47 @@ def reference_all_slates(n: int) -> list:
             for mask in range(1, 1 << n)]
 
 
-def reference_sampled_slates(a, n: int, k: int, rng) -> list:
-    """The slate list distance_sampled checked before it stopped early.
+def reference_sampled_slates(a, n: int, k: int, rng, repeats=None) -> list:
+    """The slates distance_sampled lists, built one tuple at a time.
 
-    It lists every heaviest-first prefix, then cuts the list to k.
+    The full slate; the heaviest-first prefixes of sizes 2 .. min(n - 1, k)
+    when a is an MNL; every pair not listed yet if they all fit in k; then
+    random subsets until k slates, or all 2^n - n - 1 of two or more items,
+    are listed, or 50 k draws are made. A ``repeats`` Counter counts the
+    random draws that repeat a listed slate, by what that slate was listed
+    as: "full", "prefix", "pair" or "random".
     """
-    slates = [tuple(range(n))]
-    seen = {slates[0]}
+    listed = {tuple(range(n)): "full"}
     if isinstance(a, sl.LogWeightMnl):
         order = np.argsort(-a.log_w, kind="stable")
-        for size in range(2, n):
-            s = tuple(sorted(int(x) for x in order[:size]))
-            if s not in seen:
-                seen.add(s)
-                slates.append(s)
-    if len(slates) + n * (n - 1) // 2 <= k:
+        for size in range(2, min(n, k + 1)):
+            listed[tuple(sorted(int(x) for x in order[:size]))] = "prefix"
+    if len(listed) + n * (n - 1) // 2 <= k:
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) not in seen:
-                    seen.add((u, v))
-                    slates.append((u, v))
-    attempts = 0
-    while len(slates) < k and attempts < 50 * k:
+                listed.setdefault((u, v), "pair")
+    room, attempts = min(k, 2 ** n - n - 1), 0
+    while len(listed) < room and attempts < 50 * k:
         attempts += 1
         size = int(rng.integers(2, n + 1))
         s = tuple(sorted(int(x) for x in
                          rng.choice(n, size=size, replace=False)))
-        if s not in seen:
-            seen.add(s)
-            slates.append(s)
-    return slates[:k]
+        if s not in listed:
+            listed[s] = "random"
+        elif repeats is not None:
+            repeats[listed[s]] += 1
+    return list(listed)
+
+
+def listed_report(a, b, slates) -> sl.DistanceReport:
+    """The report of the models' batched kernel over the listed slates,
+    handed over as one chunk."""
+    sizes = np.array([len(s) for s in slates])
+    items = np.array([i for s in slates for i in s], dtype=np.int64)
+    d1, dinf, slate, checked = metrics._worst_slate(
+        a, b, [(items, np.cumsum(sizes) - sizes)])
+    return sl.DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
+                             exact=False, slates_checked=checked)
 
 
 def assert_matches(rep, ref) -> None:
@@ -245,6 +257,62 @@ class TestDistanceSampled:
             assert_matches(sl.distance_sampled(a, b, 30,
                                                np.random.default_rng(n)),
                            reference_worst(a, b, slates))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 300])
+    def test_array_listing_is_the_tuple_listing(self, n, monkeypatch):
+        # small n: every k from 1 past n(n-1)/2 + n; larger n: the k at
+        # which each stage of the listing starts, stops or is cut short
+        # (pairs fit from k = full - 1 after an MNL's prefixes, from
+        # k = full - n + 1 after a pseudo-MNL's full slate alone); at
+        # n = 300 the k that list some 45,000 random subsets are left out
+        # for time
+        full = n * (n - 1) // 2 + n
+        ks = (range(1, full + 3) if n <= 5 else
+              [1, 2, 3, n - 2, n - 1, n, n + 1, 2 * n, full - 1, full,
+               full + 2] + ([full - n, full - n + 1, full - 2] if n < 300
+                            else []))
+        rng = np.random.default_rng(n)
+        firsts = [sl.LogWeightMnl(rng.normal(size=n))]
+        if n % 2 == 0:
+            firsts.append(random_pseudo(rng, n))
+        b = sl.LogWeightMnl(rng.normal(size=n))
+        for a in firsts:
+            for k in ks:
+                ref_rng = np.random.default_rng(k)
+                slates = reference_sampled_slates(a, n, k, ref_rng)
+                want = listed_report(a, b, slates)
+                if len(slates) <= 1000:
+                    assert_matches(want, reference_worst(a, b, slates))
+                # one slate per chunk is slow on tens of thousands of slates
+                for values in ((1 << 17, 1, 3 * n + 1) if len(slates) <= 5000
+                               else (1 << 17, 3 * n + 1)):
+                    monkeypatch.setattr(metrics, "CHUNK_VALUES", values)
+                    got_rng = np.random.default_rng(k)
+                    assert sl.distance_sampled(a, b, k, got_rng) == want
+                    assert (got_rng.bit_generator.state
+                            == ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("n, k, first, seed", [
+        (5, 17, "mnl", 5), (5, 26, "mnl", 0), (6, 30, "mnl", 2),
+        (6, 30, "pseudo", 0), (40, 900, "pseudo", 6)])
+    def test_random_repeats_of_listed_slates_are_skipped(self, n, k, first,
+                                                         seed):
+        # at these seeds random draws repeat the full slate, a pair, an
+        # earlier random subset and, after an MNL, a prefix; each is
+        # skipped, and only those
+        rng = np.random.default_rng(n)
+        a = (sl.LogWeightMnl(rng.normal(size=n)) if first == "mnl"
+             else random_pseudo(rng, n))
+        b = sl.LogWeightMnl(rng.normal(size=n))
+        repeats = Counter()
+        ref_rng, got_rng = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        slates = reference_sampled_slates(a, n, k, ref_rng, repeats)
+        assert {"full", "pair", "random"} | (
+            {"prefix"} if first == "mnl" else set()) <= set(repeats), repeats
+        assert sl.distance_sampled(a, b, k, got_rng) == listed_report(
+            a, b, slates)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSeparationFixture:

@@ -418,7 +418,7 @@ class TestStreamChunks:
             if method == "block":
                 o.sample_geometric_block(0, 1, count)
             else:
-                o.sample_geometric_sums(0, [1], [[count]])
+                o.sample_geometric_sums(0, np.array([1]), [[count]])
         assert info.value.count == count
         assert info.value.cap == STREAM_MAX_DRAWS
         assert o.ledger == sl.QueryLedger()

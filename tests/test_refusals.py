@@ -127,6 +127,17 @@ REFUSALS = [
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0, 3.0), 5)),
     ("distance_sampled k=0", ValueError,
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), 0)),
+    # a bad rng is refused before any slate is scored, whether or not a
+    # random subset would be drawn
+    ("distance_sampled int rng", ValueError,
+     lambda _: sl.distance_sampled(mnl(*range(1, 7)), mnl(*range(1, 7)), 20,
+                                   5)),
+    ("distance_sampled int rng without random subsets", ValueError,
+     lambda _: sl.distance_sampled(mnl(*range(1, 31)), mnl(*range(1, 31)),
+                                   10, 5)),
+    ("distance_sampled legacy RandomState", ValueError,
+     lambda _: sl.distance_sampled(mnl(*range(1, 7)), mnl(*range(1, 7)), 20,
+                                   np.random.RandomState(0))),
     ("distance_sampled fractional k", ValueError,
      lambda _: sl.distance_sampled(mnl(1.0, 2.0), mnl(1.0, 2.0), 2.5)),
     ("distance_sampled bool k", ValueError,
@@ -254,7 +265,7 @@ REFUSALS = [
      lambda _: uncharged(live(), lambda o: o.sample_geometric(0.5, 1))),
     ("LiveOracle sample_geometric_sums fractional item", ValueError,
      lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
-         0.5, [1], [[2]]))),
+         0.5, np.array([1]), [[2]]))),
     ("LiveOracle stream sample_pair fractional item", ValueError,
      lambda _: uncharged(live(mode="stream"), lambda o: o.sample_pair(0.5,
                                                                       1))),
@@ -282,7 +293,7 @@ REFUSALS = [
          0, 1, -2))),
     ("LiveOracle sample_geometric_sums fractional count", ValueError,
      lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
-         0, [1, 2], [[2.5, 1]]))),
+         0, np.array([1, 2]), [[2.5, 1]]))),
     ("LiveOracle slate_win_counts fractional count", ValueError,
      lambda _: uncharged(live(), lambda o: o.slate_win_counts([0, 1, 2], 2.5))),
     ("LiveOracle slate_win_counts bool count", ValueError,
@@ -294,7 +305,7 @@ REFUSALS = [
                                                               10**20))),
     ("LiveOracle sample_geometric_sums negative count", ValueError,
      lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
-         0, [1, 2], [[2, -1]]))),
+         0, np.array([1, 2]), [[2, -1]]))),
     ("ReplayOracle pair_win_count fractional count", ValueError,
      lambda _: uncharged(replay(), lambda o: o.pair_win_count(0, 1, 2.5))),
     ("ReplayOracle sample_pair_block float count", ValueError,
@@ -360,6 +371,16 @@ REFUSALS = [
     ("ReplayOracle sample_geometric_sums scalar member", ValueError,
      lambda _: uncharged(replay(), lambda o: o.sample_geometric_sums(
          0, 1, [2, 3]))),
+    # partners that are not a numpy array are refused, as in pair_win_count
+    ("LiveOracle sample_geometric_sums list partners", ValueError,
+     lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
+         0, [1], [[3]]))),
+    ("LiveOracle stream sample_geometric_sums list partners", ValueError,
+     lambda _: uncharged(live(mode="stream"), lambda o: o.sample_geometric_sums(
+         0, [1, 2], [[3, 1]]))),
+    ("ReplayOracle sample_geometric_sums tuple partners", ValueError,
+     lambda _: uncharged(replay(), lambda o: o.sample_geometric_sums(
+         0, (1, 2), [[3, 1]]))),
     ("LiveOracle sample_geometric_sums array item", ValueError,
      lambda _: uncharged(live(), lambda o: o.sample_geometric_sums(
          np.array([0]), np.array([1]), [[2]]))),

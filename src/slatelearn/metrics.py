@@ -7,10 +7,13 @@ The headline distance between two models is the worst slate:
 
 Exhaustive evaluation enumerates all 2^n - 1 slates and is gated to n <= 20;
 the sampled variant checks a structured subset of slates and is a lower
-bound on the exact distances. Both score a chunk of slates at a time through
-each model's batched ``slate_distributions``, as ragged slates: a chunk holds
-the items of its slates one after another, so it costs what the slates
-hold, not slates x n.
+bound on the exact distances. Both score a chunk of slates at a time, as
+ragged slates: a chunk holds the items of its slates one after another, so
+it costs what the slates hold, not slates x n. Each chunk is checked once,
+with ``models._check_ragged``, and then scored by both models' unchecked
+kernels, the ones behind their batched ``slate_distributions``. The exact
+variant reads an MNL's per-slate max log weight from two tables of subset
+maxima rather than reducing each slate for it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # slate_distribution is unused, but perfbench's tracer patches it here
-from .models import LogWeightMnl, Model, slate_distribution  # noqa: F401
+from .models import (LogWeightMnl, Model, _check_ragged,
+                     slate_distribution)  # noqa: F401
 from .oracle import _check_count
 
 
@@ -41,18 +45,41 @@ CHUNK_VALUES = 1 << 17
 
 def _mask_chunk(ids, mask, sizes):
     """Row r of ``mask``, holding ``sizes[r]`` trues, as the slate of the
-    ``ids`` it keeps: one ragged chunk."""
-    return np.broadcast_to(ids, mask.shape)[mask], np.cumsum(sizes) - sizes
+    ``ids`` it keeps: one ragged chunk, its items of the dtype of ``ids``.
+    The id row is tiled afresh for each chunk; held from one chunk to the
+    next, the tiled row would raise the peak of the eval."""
+    return (np.compress(mask.ravel(), np.tile(ids, len(mask))),
+            np.cumsum(sizes) - sizes)
+
+
+def _subset_fold(values, ufunc, empty):
+    """A function from slate bit masks (bit i holds ``values[i]``) to
+    ``ufunc`` folded over the values each slate holds, read from two
+    tables: the folds over every subset of the low ``(n + 1) // 2`` values
+    and over every subset of the rest, ``empty`` for an empty subset."""
+    half, tables = (values.size + 1) // 2, []
+    for part in (values[:half], values[half:]):
+        table = np.empty(1 << part.size, dtype=values.dtype)
+        table[0] = empty
+        for i, v in enumerate(part):
+            ufunc(table[:1 << i], v, out=table[1 << i:2 << i])
+        tables.append(table)
+    low, high = tables
+    return lambda masks: ufunc(low[masks & (1 << half) - 1],
+                               high[masks >> half])
 
 
 def _subset_chunks(n: int):
-    """Slates 1 .. 2^n - 1 as ragged chunks; bit i of slate m is item i."""
-    items, rows = np.arange(n), max(1, CHUNK_VALUES // n)
-    bits = 1 << items.astype(np.int32)     # n <= 20, so int32 holds a slate
+    """Slates 1 .. 2^n - 1 as ragged chunks ``(items, starts, masks)``; bit
+    i of slate ``masks[r]`` is item i, and slate sizes are subset counts."""
+    rows = max(1, CHUNK_VALUES // n)
+    count = _subset_fold(np.ones(n, dtype=np.int64), np.add, 0)
+    items = np.arange(n, dtype=np.int8)   # n <= 20
+    bits = 1 << items.astype(np.int32)   # so int32 holds a slate
     for start in range(1, 1 << n, rows):
-        ids = np.arange(start, min(start + rows, 1 << n), dtype=np.int32)
-        mask = ids[:, None] & bits != 0
-        yield _mask_chunk(items, mask, mask.sum(axis=1))
+        masks = np.arange(start, min(start + rows, 1 << n), dtype=np.int32)
+        yield (*_mask_chunk(items, masks[:, None] & bits != 0, count(masks)),
+               masks)
 
 
 def _row_blocks(sizes):
@@ -81,7 +108,9 @@ def _prefix_chunks(order, rank, top: int):
     """The prefixes of sizes 2 .. top of ``order`` (the top ids heaviest
     first, of heaviness ``rank``), each sorted by id: one mask block over
     the top ids in id order, whose row of size s keeps the ids of rank < s."""
-    sizes, ids = np.arange(2, top + 1), np.sort(order)
+    sizes = np.arange(2, top + 1)
+    # narrow ids, since each block tiles them once per row
+    ids = np.sort(order).astype(np.min_scalar_type(rank.size))
     for lo, hi in _row_blocks(sizes):
         cols = ids[rank[ids] < sizes[hi - 1]]   # the ids these rows can keep
         yield _mask_chunk(cols, rank[cols] < sizes[lo:hi, None], sizes[lo:hi])
@@ -104,16 +133,16 @@ def _pair_chunks(n: int, skip):
 
 def _packed(pieces):
     """Consecutive ragged pieces joined into chunks of at most CHUNK_VALUES
-    items, or one piece when a piece is larger."""
+    items, or one piece when a piece is larger, with no bit masks."""
     held, values = [], 0
     for piece in pieces:
         if held and values + piece[0].size > CHUNK_VALUES:
-            yield _join(held)
+            yield (*_join(held), None)
             held, values = [], 0
         held.append(piece)
         values += piece[0].size
     if held:
-        yield _join(held)
+        yield (*_join(held), None)
 
 
 def _join(pieces: list):
@@ -157,20 +186,30 @@ def _sampled_slates(a: Model, k: int, rng):
         if (size == n or (paired and size == 2)
                 or (size <= top and rank[s].max() < size)):
             continue   # the full slate, a listed pair or a listed prefix
-        key = s.tobytes()   # in seen when an earlier subset drew it
+        member = np.zeros(n, dtype=bool)
+        member[s] = True
+        key = np.packbits(member).tobytes()   # in seen when drawn before
         if key not in seen:
             seen.add(key)
             listed += 1
             yield s, first
 
 
-def _worst_slate(a: Model, b: Model, chunks) -> tuple:
+def _worst_slate(a: Model, b: Model, chunks, maxima=(None, None)) -> tuple:
     """d1, dinf, the first slate attaining d1 and the number of slates, over
-    ragged chunks."""
+    ragged chunks ``(items, starts, masks)``.
+
+    Each chunk is checked once and scored by both models' unchecked
+    kernels. ``maxima[i]``, a :func:`_subset_fold` of model i's log
+    weights or None, gives its per-slate max log weights from the chunk's
+    slate bit ``masks``, which only :func:`_subset_chunks` yields (else
+    None).
+    """
     best_d1, best_dinf, best_slate, checked = -1.0, 0.0, (), 0
-    for items, starts in chunks:
-        diff = a.slate_distributions(items, starts)
-        diff -= b.slate_distributions(items, starts)
+    for items, starts, masks in chunks:
+        items, starts, sizes = _check_ragged(items, starts, a.n)
+        diff = _distributions(a, maxima[0], items, starts, sizes, masks)
+        diff -= _distributions(b, maxima[1], items, starts, sizes, masks)
         np.abs(diff, out=diff)
         tv = np.add.reduceat(diff, starts)
         r = int(np.argmax(tv))
@@ -183,6 +222,14 @@ def _worst_slate(a: Model, b: Model, chunks) -> tuple:
     return best_d1, best_dinf, best_slate, checked
 
 
+def _distributions(model: Model, maxima, items, starts, sizes, masks):
+    """``model``'s unchecked kernel on a checked chunk, handed the slates'
+    max log weights when ``maxima`` is not None."""
+    if maxima is None:
+        return model._slate_distributions(items, starts, sizes)
+    return model._slate_distributions(items, starts, sizes, maxima(masks))
+
+
 def distance_exact(a: Model, b: Model) -> DistanceReport:
     """Exact d1 and dinf over every non-empty slate; requires n <= 20."""
     n = a.n
@@ -190,7 +237,9 @@ def distance_exact(a: Model, b: Model) -> DistanceReport:
         raise ValueError("models must agree on n")
     if n > 20:
         raise ValueError("exhaustive slate enumeration is gated to n <= 20")
-    d1, dinf, slate, checked = _worst_slate(a, b, _subset_chunks(n))
+    maxima = [_subset_fold(m.log_w, np.maximum, -np.inf)
+              if isinstance(m, LogWeightMnl) else None for m in (a, b)]
+    d1, dinf, slate, checked = _worst_slate(a, b, _subset_chunks(n), maxima)
     return DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
                           exact=True, slates_checked=checked)
 
@@ -208,8 +257,9 @@ def distance_sampled(a: Model, b: Model, k: int,
     subsets; anything else raises ValueError before a slate is scored.
 
     The slates are listed and scored a chunk of ragged arrays at a time,
-    so what a call holds at once is bounded whatever k, but for the bytes
-    of each random subset, kept to skip its repeats.
+    so what a call holds at once is bounded whatever k, but for the
+    membership bits of each random subset (n / 8 bytes), kept to skip its
+    repeats.
     """
     n = a.n
     if b.n != n:

@@ -9,7 +9,9 @@ Each model computes distributions in one place, its batched
 ``slate_distributions`` over ragged slates: a flat array of item ids,
 increasing within each slate, and the offset where each slate starts. It
 costs what the slates hold, not slates x n. :func:`slate_distribution` is
-its one-slate call.
+its one-slate call. ``slate_distributions`` is a check of the slates and
+then the model's unchecked kernel, ``_slate_distributions``, which the
+distance evals call on chunks they have checked once for both models.
 """
 
 from __future__ import annotations
@@ -53,11 +55,23 @@ class LogWeightMnl:
         end), its ids strictly increasing. Entry j of the result is the
         probability that ``items[j]`` wins its slate.
         """
-        items, starts, sizes = _check_ragged(items, starts, self.n)
+        return self._slate_distributions(*_check_ragged(items, starts, self.n))
+
+    def _slate_distributions(self, items, starts, sizes,
+                             top=None) -> np.ndarray:
+        """:meth:`slate_distributions` of slates :func:`_check_ragged` passed.
+
+        ``top``, when given, is each slate's max log weight; else it is
+        taken here with ``np.maximum.reduceat``. A max is exact, so either
+        gives the same bits. The slate sums then overwrite ``top``, so the
+        kernel holds one per-slate array, not two.
+        """
         probs = self.log_w[items]
-        probs -= np.repeat(np.maximum.reduceat(probs, starts), sizes)
+        if top is None:
+            top = np.maximum.reduceat(probs, starts)
+        probs -= np.repeat(top, sizes)
         np.exp(probs, out=probs)
-        probs /= np.repeat(np.add.reduceat(probs, starts), sizes)
+        probs /= np.repeat(np.add.reduceat(probs, starts, out=top), sizes)
         return probs
 
 
@@ -96,7 +110,10 @@ class MatchingPseudoMnl:
 
     def slate_distributions(self, items, starts) -> np.ndarray:
         """Batched form, as :meth:`LogWeightMnl.slate_distributions`."""
-        items, starts, sizes = _check_ragged(items, starts, self.n)
+        return self._slate_distributions(*_check_ragged(items, starts, self.n))
+
+    def _slate_distributions(self, items, starts, sizes) -> np.ndarray:
+        """:meth:`slate_distributions` of slates :func:`_check_ragged` passed."""
         pos = np.empty(self.n, dtype=np.int64)
         pos[self.pi] = np.arange(self.n)
         at = pos[items]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import slatelearn as sl
 import slatelearn.metrics as metrics
+import slatelearn.models as models
 from conftest import mnl, reference_distribution
 
 
@@ -34,6 +35,38 @@ def reference_all_slates(n: int) -> list:
     items = np.arange(n)
     return [items[[(mask >> i) & 1 == 1 for i in range(n)]]
             for mask in range(1, 1 << n)]
+
+
+def reference_subset_chunks(n: int):
+    """Every non-empty slate in mask order, chunked as distance_exact chunks
+    them, but built as it was before subset tables: each chunk's mask rows
+    gathered through a broadcast view of the ids, slate sizes from
+    ``mask.sum`` and no slate masks, so that an MNL's kernel takes each
+    slate's max with ``np.maximum.reduceat``."""
+    items, rows = np.arange(n), max(1, metrics.CHUNK_VALUES // n)
+    bits = 1 << items
+    for start in range(1, 1 << n, rows):
+        ids = np.arange(start, min(start + rows, 1 << n))
+        mask = ids[:, None] & bits != 0
+        sizes = mask.sum(axis=1)
+        yield (np.broadcast_to(items, mask.shape)[mask],
+               np.cumsum(sizes) - sizes, None)
+
+
+def reference_exact(a, b) -> sl.DistanceReport:
+    """distance_exact over :func:`reference_subset_chunks`."""
+    d1, dinf, slate, checked = metrics._worst_slate(
+        a, b, reference_subset_chunks(a.n))
+    return sl.DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
+                             exact=True, slates_checked=checked)
+
+
+LOG_WEIGHTS = {
+    "random": lambda rng, n: rng.normal(size=n),
+    "tied": lambda rng, n: rng.integers(0, 3, size=n).astype(np.float64),
+    "extreme": lambda rng, n: (1000.0 * rng.choice([-1.0, 1.0], size=n)
+                               + rng.normal(size=n)),
+}
 
 
 def reference_sampled_slates(a, n: int, k: int, rng, repeats=None) -> list:
@@ -74,7 +107,7 @@ def listed_report(a, b, slates) -> sl.DistanceReport:
     sizes = np.array([len(s) for s in slates])
     items = np.array([i for s in slates for i in s], dtype=np.int64)
     d1, dinf, slate, checked = metrics._worst_slate(
-        a, b, [(items, np.cumsum(sizes) - sizes)])
+        a, b, [(items, np.cumsum(sizes) - sizes, None)])
     return sl.DistanceReport(d1=d1, dinf=dinf, argmax_slate=slate,
                              exact=False, slates_checked=checked)
 
@@ -188,6 +221,78 @@ class TestDistanceExact:
             assert sl.distance_exact(a, b) == exact
             assert sl.distance_sampled(
                 a, b, 40, np.random.default_rng(1)) == sampled
+
+    @pytest.mark.parametrize("kind", LOG_WEIGHTS)
+    def test_subset_tables_give_the_mask_gather_bits(self, kind,
+                                                     monkeypatch):
+        # MNL and pseudo-MNL pairs in both orders, at the default chunk and
+        # at 7 rows per chunk with a partial chunk left over; 1 and 3 rows
+        # per chunk, which are slow, up to n = 8
+        rng = np.random.default_rng(17)
+        for n in range(1, 13):
+            a, b = (sl.LogWeightMnl(LOG_WEIGHTS[kind](rng, n))
+                    for _ in range(2))
+            pairs = [(a, b), (b, a)]
+            if n % 2 == 0:
+                pseudo = random_pseudo(rng, n)
+                pairs += [(pseudo, a), (a, pseudo)]
+            for values in (1 << 17, 7 * n + 1) + (1, 3 * n) * (n <= 8):
+                monkeypatch.setattr(metrics, "CHUNK_VALUES", values)
+                for x, y in pairs:
+                    assert sl.distance_exact(x, y) == reference_exact(x, y)
+
+    @pytest.mark.parametrize("kind", LOG_WEIGHTS)
+    def test_subset_tables_are_the_reduceat_maxima(self, kind, monkeypatch):
+        rng = np.random.default_rng(18)
+        for n in range(1, 13):
+            m = sl.LogWeightMnl(LOG_WEIGHTS[kind](rng, n))
+            maxima = metrics._subset_fold(m.log_w, np.maximum, -np.inf)
+            for values in (1 << 17, 3 * n, 7 * n + 1):
+                monkeypatch.setattr(metrics, "CHUNK_VALUES", values)
+                for got, want in zip(metrics._subset_chunks(n),
+                                     reference_subset_chunks(n)):
+                    items, starts, masks = got
+                    assert np.array_equal(items, want[0])
+                    assert np.array_equal(starts, want[1])
+                    top = np.maximum.reduceat(m.log_w[want[0]], want[1])
+                    assert np.array_equal(maxima(masks).view(np.int64),
+                                          top.view(np.int64))
+
+    def test_each_chunk_is_checked_once(self, monkeypatch):
+        # both models score a chunk after one check of it, in either eval
+        counts = Counter()
+
+        def counting(f):
+            def call(*args):
+                counts["checks"] += 1
+                return f(*args)
+            return call
+
+        def chunk_counting(f):
+            def chunks(*args):
+                for chunk in f(*args):
+                    counts["chunks"] += 1
+                    yield chunk
+            return chunks
+
+        check = counting(models._check_ragged)
+        monkeypatch.setattr(models, "_check_ragged", check)
+        monkeypatch.setattr(metrics, "_check_ragged", check)
+        for name in ("_subset_chunks", "_packed"):
+            monkeypatch.setattr(metrics, name,
+                                chunk_counting(getattr(metrics, name)))
+        n = 10
+        monkeypatch.setattr(metrics, "CHUNK_VALUES", 3 * n)
+        rng = np.random.default_rng(19)
+        a = sl.LogWeightMnl(rng.normal(size=n))
+        for b in (sl.LogWeightMnl(rng.normal(size=n)), random_pseudo(rng, n)):
+            for x, y in ((a, b), (b, a)):
+                for call in (sl.distance_exact,
+                             lambda x, y: sl.distance_sampled(x, y, 60)):
+                    counts.clear()
+                    call(x, y)
+                    assert counts["chunks"] > 1
+                    assert counts["checks"] == counts["chunks"]
 
 
 class TestDistanceSampled:

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ledger import _check_count
 # slate_distribution is unused, but perfbench's tracer patches it here
 from .models import (LogWeightMnl, Model, _check_ragged,
                      slate_distribution)  # noqa: F401
-from .oracle import _check_count
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,11 @@ def separation_fixture(n: int, eps: float) -> tuple:
 
 
 def ledger_report(ledger) -> dict:
-    """Flatten a query ledger into a JSON-friendly summary."""
+    """Flatten a query ledger into a JSON-friendly summary.
+
+    Every count is an exact Python int. ``max_per_pair`` and
+    ``pairs_touched`` read the ledger's per-pair arrays, if it has them,
+    without listing its pairs."""
     return {
         "total": ledger.total,
         "max_per_pair": ledger.max_per_pair,

@@ -43,17 +43,23 @@ Oracles come in two pair-sampling modes:
     :meth:`LiveOracle.sample_geometric_sums` draws a whole balanced
     estimate, one column of counts per member, with a few vector draws.
     Not replay-compatible.
+
+Every oracle charges its queries to a :class:`~slatelearn.ledger.QueryLedger`.
+An array call charges it one run: the item, an owned int64 copy of its
+partners and the count, not one dict entry per pair. A ledger that only
+ever sees scalar charges, as in stream mode and every replay (whose read
+position it is), keeps its per-pair counts in a dict read in O(1).
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DemandTooLarge, GeometricCapExceeded, ReplayBudgetExhausted
+from .ledger import INT64_MAX, QueryLedger, _check_count
 from .models import (Model, _check_pair, _check_pairs, _check_slate,
                      _pair_probabilities, _pair_probability, pair_probability)
 
@@ -90,79 +96,6 @@ NB_SLICE = 1 << 10
 # Above this exponent, P(one wait > GEOMETRIC_CAP) = (1 - p)^GEOMETRIC_CAP is
 # below the smallest double, so the per-wait cap check can never fire.
 NEGLIGIBLE_LOG = 745.0
-INT64_MAX = (1 << 63) - 1
-
-
-@dataclass
-class QueryLedger:
-    """Counts oracle queries in total, per unordered pair, and per slate size.
-
-    A pair's count is the ``batch`` charged to all ``batch_pairs`` pairs
-    plus its ``per_pair`` entry, which a call of 0 queries never creates.
-    """
-
-    total: int = 0
-    per_pair: dict = field(default_factory=dict)
-    per_size: dict = field(default_factory=dict)
-    batch: int = 0
-    batch_pairs: int = 0
-
-    def record_pair(self, u: int, v: int, count: int = 1) -> None:
-        if count == 0:
-            return
-        key = (u, v) if u < v else (v, u)
-        self.per_pair[key] = self.per_pair.get(key, 0) + count
-        self.per_size[2] = self.per_size.get(2, 0) + count
-        self.total += count
-
-    def record_batch(self, pairs: int, count: int) -> None:
-        """``count`` queries to each of ``pairs`` pairs: every pair of items."""
-        if pairs and count:
-            self.batch += count
-            self.batch_pairs = pairs
-            self.per_size[2] = self.per_size.get(2, 0) + pairs * count
-            self.total += pairs * count
-
-    def record_pairs(self, u: int, vs, counts=1) -> None:
-        """``record_pair(u, vs[i], counts[i])`` for every i, in order.
-
-        ``u`` is one id and ``vs`` a 1-D array of its partners. ``counts``
-        is one count for every pair or a sequence of one count per pair;
-        counts may be exact Python ints beyond int64.
-        """
-        u = operator.index(u)   # an exact Python int, as every key holds
-        keys = [(u, v) if u < v else (v, u) for v in np.asarray(vs).tolist()]
-        per_pair, get = self.per_pair, self.per_pair.get
-        if np.isscalar(counts):
-            if counts == 0:
-                return
-            for key in keys:
-                per_pair[key] = get(key, 0) + counts
-            total = counts * len(keys)
-        else:
-            counts = np.ravel(counts).tolist()
-            if len(counts) != len(keys):
-                raise ValueError("need one count per pair")
-            total = 0
-            for key, count in zip(keys, counts):
-                if count:
-                    per_pair[key] = get(key, 0) + count
-                    total += count
-        if total:
-            self.per_size[2] = self.per_size.get(2, 0) + total
-            self.total += total
-
-    def record_slate(self, size: int, count: int = 1) -> None:
-        if size == 2:
-            raise ValueError("size-2 queries must go through record_pair")
-        if count == 0:
-            return
-        self.per_size[size] = self.per_size.get(size, 0) + count
-        self.total += count
-
-    @property
-    def max_per_pair(self) -> int:
-        return self.batch + max(self.per_pair.values(), default=0)
 
 
 def pair_streams_seed(master_seed: int, u: int, v: int) -> np.random.SeedSequence:
@@ -544,15 +477,6 @@ def _column_totals(a: np.ndarray) -> list:
     if a.size and int(a.max()) > INT64_MAX // a.shape[0]:
         return [sum(col) for col in a.T.tolist()]
     return a.sum(axis=0).tolist()
-
-
-def _check_count(count, least: int = 0) -> int:
-    """``count`` as an exact Python int, so no numpy integer reaches a
-    ledger; refuse, uncharged, one that is not an integer >= ``least``."""
-    if (type(count) is bool or not isinstance(count, (int, np.integer))
-            or count < least):
-        raise ValueError("{!r} is not an integer >= {}".format(count, least))
-    return operator.index(count)
 
 
 def _open_stream(start, skip: int) -> np.random.Generator:

@@ -15,7 +15,9 @@ The distance evals list and score ragged slates a chunk at a time, so their
 temporaries hold what a chunk of slates holds, at any number of slates (the
 sampled eval adds n / 8 bytes per random subset, to skip its repeats), and
 the forest audit builds row blocks only for rows that can hold a violation:
-their traced peaks are bounded in-process with tracemalloc.
+their traced peaks are bounded in-process with tracemalloc. A ledger logs
+an array charge as one run and folds its runs into per-pair arrays, about
+24 bytes a pair touched, where a dict entry per pair took 130 to 170.
 """
 
 import os
@@ -170,3 +172,35 @@ def test_valid_forest_audit_at_n_4096_peaks_under_1_5_mib():
         lambda: report.append(sl.validate_forest(forest, truth.log_w)))
     assert report[0].ok
     assert peak < 1.5
+
+
+def test_array_charges_of_100_000_pairs_retain_under_4_mib():
+    # 100 runs of 1,000 distinct partners each; charged as one dict entry
+    # per pair they retained 12.9 MiB and peaked at 14.5 MiB
+    tracemalloc.start()
+    try:
+        ledger = sl.QueryLedger()
+        for u in range(100):
+            ledger.record_pairs(u, np.arange(100, 1100), 3)
+        retained, peak = (b / 2**20 for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(ledger.per_pair) == 100_000 and ledger.max_per_pair == 3
+    assert retained < 4.0 and peak < 8.0
+
+
+def test_adaptive_learn_at_n_4096_retains_under_2_mib():
+    # 54,290 pairs, each charged about once; one dict entry per pair
+    # retained 8.9 MiB
+    truth = sl.generate_instance(
+        sl.InstanceSpec("power-law", 4096, 1201, {"gamma": 1.0}))
+    oracle = sl.LiveOracle(truth, 1201)
+    tracemalloc.start()
+    try:
+        model = sl.learn_adaptive(oracle, 4096, 0.3, 0.1, seed=1201)
+        assert oracle.ledger.max_per_pair > 0   # a read folds every run
+        retained = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert model.n == 4096 and len(oracle.ledger.per_pair) > 50_000
+    assert retained < 2.0

@@ -1,11 +1,15 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slatelearn as sl
 from conftest import mnl, stream_states
+from slatelearn import ledger as ledger_mod
 from slatelearn import oracle as oracle_mod
 from slatelearn.oracle import (BINOMIAL_CHUNK, BINOMIAL_MAX_COUNT, BINOMIAL_TAG,
                                GEOMETRIC_CAP, INT64_MAX, NEGLIGIBLE_LOG,
@@ -141,6 +145,203 @@ class TestLedger:
         assert batched.total == batched.per_size[2] == 7
         with pytest.raises(ValueError):
             batched.record_pairs(u, np.array(vs), [1, 2])
+
+
+class DictLedger:
+    """The per-pair dict ledger a charge loop builds: the reference."""
+
+    def __init__(self):
+        self.total, self.batch, self.batch_pairs = 0, 0, 0
+        self.per_pair, self.per_size = {}, {}
+
+    def record_pair(self, u, v, count):
+        if count:
+            key = (u, v) if u < v else (v, u)
+            self.per_pair[key] = self.per_pair.get(key, 0) + count
+            self.per_size[2] = self.per_size.get(2, 0) + count
+            self.total += count
+
+    def record_pairs(self, u, vs, counts):
+        each = counts if isinstance(counts, list) else [counts] * len(vs)
+        for v, count in zip(vs, each):
+            self.record_pair(u, v, count)
+
+    def record_batch(self, pairs, count):
+        if pairs and count:
+            self.batch, self.batch_pairs = self.batch + count, pairs
+            self.per_size[2] = self.per_size.get(2, 0) + pairs * count
+            self.total += pairs * count
+
+    @property
+    def max_per_pair(self):
+        return self.batch + max(self.per_pair.values(), default=0)
+
+
+def charge_lists(ids, counts):
+    """Interleavings of scalar, array and batch charges, and reads."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("pair"), ids, ids, counts),
+        st.tuples(st.just("pairs"), ids, st.lists(ids, max_size=12),
+                  st.one_of(counts, st.lists(counts, min_size=12,
+                                             max_size=12))),
+        st.tuples(st.just("batch"), st.integers(0, 40), counts),
+        st.tuples(st.just("read"))), max_size=40)
+
+
+# few ids, so pairs repeat; sums that may pass int64; and ids and counts
+# past what the arrays hold, which send a ledger back to its dict
+SMALL_IDS = st.integers(0, 7)
+CHARGES = {
+    "small": charge_lists(SMALL_IDS, st.integers(0, 3)),
+    "large": charge_lists(SMALL_IDS | st.just(2**30),
+                          st.integers(0, 3) | st.integers(0, 2**62)),
+    "exotic": charge_lists(
+        SMALL_IDS | st.sampled_from([-1, 2**30, 2**31, 2**40]),
+        st.integers(0, 3) | st.integers(2**63, 2**70)),
+}
+
+
+def assert_reads_alike(ledger, ref):
+    pairs = ledger.per_pair
+    assert list(pairs.items()) == list(ref.per_pair.items())
+    assert list(pairs) == list(ref.per_pair)
+    assert list(pairs.values()) == list(ref.per_pair.values())
+    assert pairs == ref.per_pair and len(pairs) == len(ref.per_pair)
+    assert all(type(k) is int for key in pairs for k in key)
+    assert all(type(c) is int for c in pairs.values())
+    for key, count in ref.per_pair.items():
+        assert pairs[key] == pairs.get(key) == count and key in pairs
+    for key in ((0, 99), (1, 0), (3, 3), "ab", (0, 1.5)):
+        if key not in ref.per_pair:
+            assert key not in pairs and pairs.get(key, -1) == -1
+            with pytest.raises(KeyError):
+                pairs[key]
+    assert (ledger.total, ledger.per_size, ledger.max_per_pair) == (
+        ref.total, ref.per_size, ref.max_per_pair)
+    assert (json.dumps(sl.ledger_report(ledger))
+            == json.dumps(sl.ledger_report(ref)))
+
+
+@pytest.mark.parametrize("kind", sorted(CHARGES))
+@given(data=st.data(), fold_min=st.sampled_from([1, 5, ledger_mod.FOLD_MIN]))
+@settings(max_examples=150, deadline=None)
+def test_runs_read_as_the_dict_loop(kind, data, fold_min):
+    # any interleaving of charges, read at any point and folded early
+    # or late, reads as the dict a charge loop builds
+    charges = data.draw(CHARGES[kind])
+    saved, ledger_mod.FOLD_MIN = ledger_mod.FOLD_MIN, fold_min
+    try:
+        ledger, twin, ref = sl.QueryLedger(), sl.QueryLedger(), DictLedger()
+        for op, *args in charges:
+            if op == "pairs":   # one count for all, or one per pair
+                u, vs, counts = args
+                if isinstance(counts, list):
+                    counts = counts[:len(vs)]
+                ledger.record_pairs(u, np.array(vs, dtype=np.int64), counts)
+                ref.record_pairs(u, vs, counts)
+                for v, count in zip(vs, counts if isinstance(counts, list)
+                                    else [counts] * len(vs)):
+                    twin.record_pair(u, v, count)
+            elif op == "read":
+                assert_reads_alike(ledger, ref)
+            else:
+                getattr(ledger, "record_" + op)(*args)
+                getattr(twin, "record_" + op)(*args)
+                getattr(ref, "record_" + op)(*args)
+        assert_reads_alike(ledger, ref)
+        assert_reads_alike(twin, ref)
+        assert ledger == twin
+    finally:
+        ledger_mod.FOLD_MIN = saved
+    with pytest.raises(TypeError):
+        ledger.per_pair[(0, 1)] = 1
+    with pytest.raises(TypeError):
+        del ledger.per_pair[(0, 1)]
+
+
+class TestLedgerRuns:
+    @pytest.mark.parametrize("call", [
+        lambda led: led.record_pairs(0, np.array([1, 2]), -3),
+        lambda led: led.record_pairs(0, np.array([1, 2]), 1.0),
+        lambda led: led.record_pairs(0, np.array([1, 2]), np.array([1, -1])),
+        lambda led: led.record_pairs(0, np.array([1, 2]), [1, 0.5]),
+        lambda led: led.record_pairs(0, np.array([1, 2]), np.array([1.0, 2.0])),
+        lambda led: led.record_pairs(0, np.array([1, 2]), [True, 1]),
+        lambda led: led.record_pairs(0, np.array([1.5]), 1),
+        lambda led: led.record_pairs(0, np.array([True]), 1),
+        lambda led: led.record_pair(0, 1, -3),
+        lambda led: led.record_pair(0, 1, 2.0),
+        lambda led: led.record_batch(3, -1),
+        lambda led: led.record_batch(-3, 1),
+        lambda led: led.record_slate(3, -1),
+    ])
+    def test_charges_the_oracle_refuses_are_refused_unchanged(self, call):
+        ledger = sl.QueryLedger()
+        ledger.record_pairs(3, np.array([0, 5]), 2)
+        before = (ledger.total, dict(ledger.per_size),
+                  list(ledger.per_pair.items()))
+        with pytest.raises(ValueError):
+            call(ledger)
+        assert before == (ledger.total, ledger.per_size,
+                          list(ledger.per_pair.items()))
+
+    def test_sums_near_int64_stay_exact(self):
+        # past an int64 total, a fold adds up its pairs only where no sum
+        # can pass 2^62, and otherwise hands every count to the dict
+        ledger, ref = sl.QueryLedger(), DictLedger()
+        for u, vs, count in ((0, [1, 2, 3, 4, 5], 2**61), (0, [1], 5),
+                             (2, [0], 2**62), (2, [0, 1], 2**62 - 1)):
+            ledger.record_pairs(u, np.array(vs), count)
+            ref.record_pairs(u, vs, count)
+            assert_reads_alike(ledger, ref)
+        assert ledger.per_pair[(0, 2)] == 2**61 + 2**63 - 1
+
+    def test_numpy_counts_are_charged_as_python_ints(self):
+        ledger = sl.QueryLedger()
+        ledger.record_pairs(0, np.array([1, 2]), np.int64(5))
+        ledger.record_pair(0, 3, np.uint8(2))
+        ledger.record_pairs(4, np.array([1], dtype=np.int32), np.array([7]))
+        report = sl.ledger_report(ledger)
+        assert json.loads(json.dumps(report)) == report
+        assert report["total"] == 19 and report["pairs_touched"] == 4
+        assert all(type(c) is int for c in ledger.per_pair.values())
+
+
+class CheckedLedger(sl.QueryLedger):
+    """A ledger that also tallies every pair charge through the dict loop."""
+
+    def __init__(self):
+        super().__init__()
+        self.ref = DictLedger()
+
+    def record_pair(self, u, v, count=1):
+        super().record_pair(u, v, count)
+        self.ref.record_pair(u, v, int(count))
+
+    def record_pairs(self, u, vs, counts=1):
+        super().record_pairs(u, vs, counts)
+        counts = (int(counts) if np.isscalar(counts)
+                  else [int(c) for c in np.ravel(counts).tolist()])
+        self.ref.record_pairs(int(u), np.ravel(vs).tolist(), counts)
+
+
+@pytest.mark.parametrize("fold_min", [64, ledger_mod.FOLD_MIN])
+@pytest.mark.parametrize("learn, n", [(sl.learn_adaptive, 256),
+                                      (sl.learn_balanced, 64)])
+def test_learners_charge_as_the_dict_loop(learn, n, fold_min, monkeypatch):
+    # the learners' array charges, folded often or only when read, read as
+    # the dict loop's: same pairs in the same order, same counts
+    monkeypatch.setattr(ledger_mod, "FOLD_MIN", fold_min)
+    truth = sl.generate_instance(
+        sl.InstanceSpec("power-law", n, 1201, {"gamma": 1.0}))
+    o = sl.LiveOracle(truth, 1201)
+    o.ledger = CheckedLedger()
+    learn(o, n, 0.3, 0.1, seed=1201)
+    ref = o.ledger.ref
+    assert len(ref.per_pair) > n
+    assert list(o.ledger.per_pair.items()) == list(ref.per_pair.items())
+    assert o.ledger.max_per_pair == ref.max_per_pair
+    assert len(o.ledger.per_pair) == len(ref.per_pair)
 
 
 class TestBinomialChunks:

@@ -4,8 +4,8 @@ A :class:`QueryLedger` counts queries in total, per unordered pair and per
 slate size, every count an exact Python int. An array charge (one item
 against a numpy array of its partners) is logged as one run, not one dict
 entry per pair, and ``per_pair`` is a read-only :class:`PairCounts` mapping
-in first-charge order over a dict or over per-pair arrays the runs are
-folded into.
+in first-charge order over a dict or over per-pair arrays the logged
+charges are folded into.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ INT64_MAX = (1 << 63) - 1
 # a << ID_BITS | b; see PairCounts for ids outside [0, ID_LIMIT).
 ID_BITS = 31
 ID_LIMIT = 1 << ID_BITS
-# A ledger folds its pending runs once they hold more than FOLD_MIN pairs
-# (512 KiB of partners) and more than its arrays, and lists its pairs
+# A ledger folds its pending charges once they hold more than FOLD_MIN
+# pairs (512 KiB of partners) and more than its arrays, and lists its pairs
 # CHUNK_PAIRS at a time.
 FOLD_MIN = 1 << 16
 CHUNK_PAIRS = 1 << 12
@@ -34,15 +34,17 @@ class PairCounts(Mapping):
 
     Keys come in first-charge order and every count is an exact Python int.
     A ledger that only ever sees scalar charges keeps them in a dict. From
-    its first array charge on, every charge is logged as a run: one item,
-    an owned int64 copy of its partners and a count, one or one per pair.
-    Pending runs are folded, vectorized, into three arrays sorted by pair
-    code ``a << ID_BITS | b``: codes, counts and the index of each pair's
-    first charge. A fold runs when the mapping is read and when pending
-    runs hold more pairs than the arrays and FOLD_MIN, so memory stays
+    its first array charge on, it logs each array charge as a run (one
+    item, an owned int64 copy of its partners and a count, one or one per
+    pair) and each scalar charge into a dict of pending pairs, both tagged
+    with their place in the charge order. Pending charges are folded,
+    vectorized, into three arrays sorted by pair code
+    ``a << ID_BITS | b``: codes, counts and the place of each pair's first
+    charge. A fold runs when the mapping is read and when pending charges
+    hold more pairs than the arrays and FOLD_MIN, so memory stays
     O(pairs touched) and the work amortized. A ledger that meets an id
-    outside [0, 2^ID_BITS), or a pair's count that could pass int64, falls
-    back to the dict of exact Python ints for good. Listing pairs reads the
+    outside [0, 2^ID_BITS), or whose charges add up past int64, falls back
+    to the dict of exact Python ints for good. Listing pairs reads the
     arrays CHUNK_PAIRS pairs at a time, with one int object per item id and
     per distinct count.
     """
@@ -50,24 +52,37 @@ class PairCounts(Mapping):
     def __init__(self):
         self._pairs: dict = {}
         self._logging = self._exact = False
-        self._us: list = []     # the pending runs: items,
-        self._vs: list = []     # partners
-        self._ks: list = []     # and counts
-        self._pending = 0       # pairs the pending runs hold
+        self._us: list = []      # the pending runs: items,
+        self._vs: list = []      # partners,
+        self._ks: list = []      # counts
+        self._starts: list = []  # and places of their first pair
+        self._single: dict = {}  # pending scalar charges {key: [place, count]}
+        self._pending = 0        # pairs the pending charges hold
         self._fold_at = FOLD_MIN
-        self._logged = 0        # queries charged to the log, an exact int
-        self._charged = 0       # index of the next pair charge logged
+        self._logged = 0         # queries charged to the log
+        self._charged = 0        # place of the next pair charge
         self._codes = self._counts = self._first = np.zeros(0, dtype=np.int64)
 
     def _add(self, u: int, v: int, count: int) -> None:
         """Charge ``count`` > 0 queries to {u, v}."""
+        key = (u, v) if u < v else (v, u)
         if self._logging:
-            if (isinstance(u, (int, np.integer)) and
-                    isinstance(v, (int, np.integer)) and 0 <= v < ID_LIMIT):
-                self._add_run(u, np.array([v], dtype=np.int64), count, count)
+            if (isinstance(u, (int, np.integer))
+                    and isinstance(v, (int, np.integer))
+                    and 0 <= key[0] and key[1] < ID_LIMIT
+                    and self._logged + count <= INT64_MAX):
+                self._logged += count
+                entry = self._single.get(key)
+                if entry is not None:
+                    entry[1] += count
+                    return
+                self._single[key] = [self._charged, count]
+                self._charged += 1
+                self._pending += 1
+                if self._pending > self._fold_at:
+                    self._fold()
                 return
             self._fall_back()
-        key = (u, v) if u < v else (v, u)
         self._pairs[key] = self._pairs.get(key, 0) + count
 
     def _add_run(self, u: int, vs: np.ndarray, counts, total: int) -> None:
@@ -79,12 +94,13 @@ class PairCounts(Mapping):
             for (a, b), count in pairs.items():
                 self._add(a, b, count)
         if (self._logging and 0 <= u < ID_LIMIT
-                and (counts <= INT64_MAX if type(counts) is int
-                     else isinstance(counts, np.ndarray))
+                and self._logged + total <= INT64_MAX
                 and not (vs.dtype.kind == "u" and vs.max() > INT64_MAX)):
             self._us.append(u)
             self._vs.append(vs.astype(np.int64))
             self._ks.append(counts)
+            self._starts.append(self._charged)
+            self._charged += vs.size
             self._pending += vs.size
             self._logged += total
             if self._pending > self._fold_at:
@@ -95,42 +111,52 @@ class PairCounts(Mapping):
         _add_each(self._pairs, u, vs, counts)
 
     def _fold(self) -> None:
-        """Merge the pending runs into the arrays, or fall back."""
-        sizes = [vs.size for vs in self._vs]
-        vs = np.concatenate(self._vs)
-        us = np.repeat(np.array(self._us, dtype=np.int64), sizes)
-        first = np.arange(self._charged, self._charged + vs.size)
+        """Merge the pending charges into the arrays, or fall back."""
+        sizes = np.array([vs.size for vs in self._vs], dtype=np.int64)
+        single = np.array([(*key, *entry) for key, entry
+                           in self._single.items()], dtype=np.int64)
+        single = single.reshape(-1, 4)   # a, b, place, count
+        vs = np.concatenate(self._vs + [single[:, 1]])
+        us = np.concatenate((np.repeat(np.array(self._us, dtype=np.int64),
+                                       sizes), single[:, 0]))
+        runs = np.arange(sizes.sum()) + np.repeat(
+            np.array(self._starts, dtype=np.int64) - np.cumsum(sizes) + sizes,
+            sizes)
+        first = np.concatenate((runs, single[:, 2]))
         if all(type(k) is int for k in self._ks):
             counts = np.repeat(np.array(self._ks, dtype=np.int64), sizes)
-        else:   # a count of 0 adds no pair
+        else:
             counts = np.concatenate([np.broadcast_to(k, size)
                                      for k, size in zip(self._ks, sizes)])
-            some = np.flatnonzero(counts)
+        counts = np.concatenate((counts, single[:, 3]))
+        some = np.flatnonzero(counts)   # a count of 0 adds no pair
+        if some.size < counts.size:
             us, vs, counts, first = us[some], vs[some], counts[some], first[some]
         if vs.size and (vs.min() < 0 or vs.max() >= ID_LIMIT):
             return self._fall_back()
-        merged = _group(
+        self._codes, self._counts, self._first = _group(
             np.concatenate((self._codes, np.minimum(us, vs) << ID_BITS
                             | np.maximum(us, vs))),
             np.concatenate((self._counts, counts)),
-            np.concatenate((self._first, first)), self._logged <= INT64_MAX)
-        if merged is None:
-            return self._fall_back()
-        self._codes, self._counts, self._first = merged
-        self._charged += sum(sizes)
-        self._us, self._vs, self._ks, self._pending = [], [], [], 0
+            np.concatenate((self._first, first)))
+        self._us, self._vs, self._ks, self._starts = [], [], [], []
+        self._single, self._pending = {}, 0
         self._fold_at = max(self._codes.size, FOLD_MIN)
 
     def _fall_back(self) -> None:
         """Move every count into the dict, which takes all charges from now."""
         pairs = dict(self._array_items())
-        for u, vs, counts in zip(self._us, self._vs, self._ks):
+        log = list(zip(self._starts, self._us, self._vs, self._ks))
+        log += [(place, a, np.array([b]), count)
+                for (a, b), (place, count) in self._single.items()]
+        log.sort(key=operator.itemgetter(0))
+        for _, u, vs, counts in log:
             _add_each(pairs, u, vs, counts)
         self.__init__()
         self._pairs, self._exact = pairs, True
 
     def _in_arrays(self) -> bool:
-        """Fold the pending runs; True where the counts are in the arrays."""
+        """Fold what is pending; True where the counts are in the arrays."""
         if self._pending:
             self._fold()
         return self._logging
@@ -227,20 +253,15 @@ class _PairValues(ValuesView):
         return chain.from_iterable(counts for _, counts in pairs._chunks())
 
 
-def _group(codes, counts, first, bounded: bool):
+def _group(codes, counts, first):
     """``(codes, counts, first)`` with one entry per distinct code, sorted:
-    counts summed, the earliest first charge kept. None where a sum could
-    pass int64, which ``bounded`` rules out."""
+    counts summed, the earliest first charge kept."""
     order = np.argsort(codes)
     codes, counts, first = codes[order], counts[order], first[order]
     split = codes[1:] != codes[:-1]
     if split.all():   # every code once
         return codes, counts, first
     head = np.flatnonzero(np.concatenate(([True], split)))
-    # a float sum below 2^62 puts the exact one below 2^63
-    if not bounded and np.add.reduceat(counts.astype(np.float64),
-                                       head).max() >= 2.0 ** 62:
-        return None
     return (codes[head], np.add.reduceat(counts, head),
             np.minimum.reduceat(first, head))
 

@@ -48,7 +48,8 @@ Every oracle charges its queries to a :class:`~slatelearn.ledger.QueryLedger`.
 An array call charges it one run: the item, an owned int64 copy of its
 partners and the count, not one dict entry per pair. A ledger that only
 ever sees scalar charges, as in stream mode and every replay (whose read
-position it is), keeps its per-pair counts in a dict read in O(1).
+position it is), keeps its per-pair counts in a dict read in O(1); after
+its first run, a scalar charge waits in a small dict of pending pairs.
 """
 
 from __future__ import annotations

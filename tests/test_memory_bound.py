@@ -189,6 +189,22 @@ def test_array_charges_of_100_000_pairs_retain_under_4_mib():
     assert retained < 4.0 and peak < 8.0
 
 
+def test_scalar_charges_after_an_array_charge_retain_under_64_kib():
+    # 200,000 scalar charges to three pairs after one run; logged as a
+    # one-partner run each they held up to 15 MiB before a fold
+    tracemalloc.start()
+    try:
+        ledger = sl.QueryLedger()
+        ledger.record_pairs(0, np.arange(1, 11), 1)
+        for i in range(200_000):
+            ledger.record_pair(1 + i % 3, 20, 1000)
+        retained, peak = (b / 2**20 for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(ledger.per_pair) == 13 and ledger.max_per_pair == 66_667_000
+    assert retained < 1 / 16 and peak < 1 / 16
+
+
 def test_adaptive_learn_at_n_4096_retains_under_2_mib():
     # 54,290 pairs, each charged about once; one dict entry per pair
     # retained 8.9 MiB

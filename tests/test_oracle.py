@@ -286,8 +286,8 @@ class TestLedgerRuns:
                           list(ledger.per_pair.items()))
 
     def test_sums_near_int64_stay_exact(self):
-        # past an int64 total, a fold adds up its pairs only where no sum
-        # can pass 2^62, and otherwise hands every count to the dict
+        # a ledger whose charges add up past int64 hands every count to
+        # the dict
         ledger, ref = sl.QueryLedger(), DictLedger()
         for u, vs, count in ((0, [1, 2, 3, 4, 5], 2**61), (0, [1], 5),
                              (2, [0], 2**62), (2, [0, 1], 2**62 - 1)):
@@ -295,6 +295,27 @@ class TestLedgerRuns:
             ref.record_pairs(u, vs, count)
             assert_reads_alike(ledger, ref)
         assert ledger.per_pair[(0, 2)] == 2**61 + 2**63 - 1
+
+    @pytest.mark.parametrize("last", [("pairs", 6, [7], 2**63),
+                                      ("pairs", 6, [2**31], 1),
+                                      ("pair", 7, 6, 2**63)])
+    def test_a_fall_back_keeps_the_charge_order(self, last):
+        # pending scalar and array charges, interleaved, move to the dict
+        # in the order they were charged
+        ledger, ref = sl.QueryLedger(), DictLedger()
+        for op, u, v, count in (("pairs", 0, [1], 1), ("pair", 3, 2, 1),
+                                ("pairs", 4, [5, 2], 1), ("pair", 2, 3, 4),
+                                ("pair", 1, 0, 2), last):
+            if op == "pairs":
+                ledger.record_pairs(u, np.array(v), count)
+                ref.record_pairs(u, v, count)
+            else:
+                ledger.record_pair(u, v, count)
+                ref.record_pair(u, v, count)
+        assert_reads_alike(ledger, ref)
+        assert list(ledger.per_pair) == [(0, 1), (2, 3), (4, 5), (2, 4),
+                                         (6, last[2][0]) if last[0] == "pairs"
+                                         else (6, 7)]
 
     def test_numpy_counts_are_charged_as_python_ints(self):
         ledger = sl.QueryLedger()

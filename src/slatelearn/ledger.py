@@ -35,10 +35,10 @@ class PairCounts(Mapping):
     Keys come in first-charge order and every count is an exact Python int.
     A ledger that only ever sees scalar charges keeps them in a dict. From
     its first array charge on, it logs each array charge as a run (one
-    item, an owned int64 copy of its partners and a count, one or one per
-    pair) and each scalar charge into a dict of pending pairs, both tagged
-    with their place in the charge order. Pending charges are folded,
-    vectorized, into three arrays sorted by pair code
+    item or, ragged, one a pair, an owned int64 copy of its partners and a
+    count, one or one a pair) and each scalar charge into a dict of pending
+    pairs, both tagged with their place in the charge order. Pending
+    charges are folded, vectorized, into three arrays sorted by pair code
     ``a << ID_BITS | b``: codes, counts and the place of each pair's first
     charge. A fold runs when the mapping is read and when pending charges
     hold more pairs than the arrays and FOLD_MIN, so memory stays
@@ -85,18 +85,20 @@ class PairCounts(Mapping):
             self._fall_back()
         self._pairs[key] = self._pairs.get(key, 0) + count
 
-    def _add_run(self, u: int, vs: np.ndarray, counts, total: int) -> None:
+    def _add_run(self, u, vs: np.ndarray, counts, total: int) -> None:
         """Charge ``counts`` (an int, an int64 array or a list of exact
-        ints, one per pair; ``total`` in all) to u against each integer id
-        of ``vs``."""
+        ints, one per pair; ``total`` in all) to u, one id or an integer
+        array of one id per pair, against each integer id of ``vs``."""
         if not (self._logging or self._exact):   # the first run
             pairs, self._pairs, self._logging = self._pairs, {}, True
             for (a, b), count in pairs.items():
                 self._add(a, b, count)
-        if (self._logging and 0 <= u < ID_LIMIT
+        if (self._logging and (0 <= u < ID_LIMIT if type(u) is int
+                               else 0 <= u.min() and u.max() < ID_LIMIT)
                 and self._logged + total <= INT64_MAX
                 and not (vs.dtype.kind == "u" and vs.max() > INT64_MAX)):
-            self._us.append(u)
+            self._us.append(u if type(u) is int
+                            else u.astype(np.int64, copy=False))
             self._vs.append(vs.astype(np.int64))
             self._ks.append(counts)
             self._starts.append(self._charged)
@@ -117,8 +119,8 @@ class PairCounts(Mapping):
                            in self._single.items()], dtype=np.int64)
         single = single.reshape(-1, 4)   # a, b, place, count
         vs = np.concatenate(self._vs + [single[:, 1]])
-        us = np.concatenate((np.repeat(np.array(self._us, dtype=np.int64),
-                                       sizes), single[:, 0]))
+        us = np.concatenate([np.broadcast_to(u, size) for u, size
+                             in zip(self._us, sizes)] + [single[:, 0]])
         runs = np.arange(sizes.sum()) + np.repeat(
             np.array(self._starts, dtype=np.int64) - np.cumsum(sizes) + sizes,
             sizes)
@@ -266,9 +268,10 @@ def _group(codes, counts, first):
             np.minimum.reduceat(first, head))
 
 
-def _add_each(pairs: dict, u: int, vs: np.ndarray, counts) -> None:
+def _add_each(pairs: dict, u, vs: np.ndarray, counts) -> None:
     """The dict form of a run: ``counts`` added to each pair's entry."""
-    keys = [(u, v) if u < v else (v, u) for v in vs.tolist()]
+    us = u.tolist() if isinstance(u, np.ndarray) else [u] * vs.size
+    keys = [(a, b) if a < b else (b, a) for a, b in zip(us, vs.tolist())]
     get = pairs.get
     if isinstance(counts, int):
         for key in keys:
@@ -290,7 +293,7 @@ class QueryLedger:
     order, built by the ledger alone: an array charge is logged as one run,
     not one entry per pair. Every charge method refuses, with ValueError
     and before anything changes, a count that is not an integer >= 0, and
-    :meth:`record_pairs` partners of a non-integer dtype.
+    :meth:`record_pairs` ids of a non-integer dtype or bad ``starts``.
     """
 
     total: int = 0
@@ -317,16 +320,23 @@ class QueryLedger:
             self.batch_pairs = pairs
             self._charge_pairs(pairs * count)
 
-    def record_pairs(self, u: int, vs, counts=1) -> None:
+    def record_pairs(self, u, vs, counts=1, starts=None) -> None:
         """``record_pair(u, vs[i], counts[i])`` for every i, in order.
 
-        ``u`` is one id and ``vs`` a 1-D integer array of its partners.
-        ``counts`` is one count for every pair or a sequence of one count
-        per pair; counts may be exact Python ints beyond int64.
+        ``u`` is one id and ``vs`` a 1-D integer array of its partners; with
+        ``starts`` (see :func:`_check_starts`), ``u`` has one id per run of
+        ``vs``. ``counts`` is one count for every pair or a sequence of one
+        count per pair; counts may be exact Python ints beyond int64.
         """
-        u, vs = operator.index(u), np.asarray(vs).ravel()
-        if vs.size and vs.dtype.kind not in "iu":
-            raise ValueError("record_pairs takes integer partners")
+        vs = np.asarray(vs).ravel()
+        if starts is None:
+            u = operator.index(u)
+        else:   # one id per pair
+            u = np.repeat(np.asarray(u).ravel(), np.diff(_check_starts(
+                starts, np.size(u), vs.size), append=vs.size))
+        if vs.size and (vs.dtype.kind not in "iu" or starts is not None
+                        and u.dtype.kind not in "iu"):
+            raise ValueError("record_pairs takes integer ids")
         if type(counts) is int or np.isscalar(counts):
             counts = _check_count(counts)
             total = counts * vs.size
@@ -365,6 +375,19 @@ def _per_pair_counts(counts, size: int) -> tuple:
     total = sum(counts)
     return (np.array(counts, dtype=np.int64) if total <= INT64_MAX
             else counts), total
+
+
+def _check_starts(starts, runs: int, size: int) -> np.ndarray:
+    """``starts`` as int64, where each of ``runs`` runs begins in an array
+    of ``size`` partners, the last ending at its end. ValueError unless
+    they are ``runs`` 1-D integers rising from 0 within the array."""
+    starts = np.asarray(starts)
+    if (starts.ndim != 1 or starts.size != runs or (
+            starts.dtype.kind not in "iu" or starts[0] != 0
+            or starts[-1] > size or (starts[1:] < starts[:-1]).any()
+            if runs else size)):
+        raise ValueError("starts must rise from 0 within the partners")
+    return starts.astype(np.int64)
 
 
 def _check_count(count, least: int = 0) -> int:

@@ -179,18 +179,15 @@ def _check_pair(u, v, n: int) -> None:
             "pair ({}, {}) needs two distinct items in [0, {})".format(u, v, n))
 
 
-def _check_pairs(us, vs, n: int, pairs=None) -> None:
+def _check_pairs(us, vs, n: int, runs=None) -> None:
     """:func:`_check_pair` on each pair of ``us`` and ``vs`` (numpy arrays of
-    ids or one id): one numpy pass per array or, cheaper for a few pairs, a
-    dtype test and a Python pass over ``pairs``, the same pairs as ids."""
-    for x in (us, vs):
+    ids or one id), one numpy pass per array. Where ``us`` repeats each id
+    of the array ``runs`` once per partner, every id of ``runs`` is
+    checked, those with no partner too."""
+    ids = (us, vs) if runs is None else (runs, vs)
+    for x in ids:
         if isinstance(x, np.ndarray) and x.size and x.dtype.kind not in "iu":
             raise ValueError("pair ids must be integers")
-    if pairs is not None:
-        for a, b in pairs:
-            _check_pair(a, b, n)
-        return
-    for x in (us, vs):
         if isinstance(x, np.ndarray):   # as uint64, a negative id is >= n
             ok = not x.size or x.astype(np.int64, copy=False).view(np.uint64).max() < n
         else:   # one id, the partner of every pair

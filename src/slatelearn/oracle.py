@@ -35,8 +35,9 @@ Oracles come in two pair-sampling modes:
     :meth:`LiveOracle.sample_pair_block` (so ``sample_pair``, and
     ``max_sample`` on a pair), which no learner calls, reads the pair's own
     stream in this mode too. An array call, in either mode, is one item
-    against a numpy array of its partners. It reads the tagged stream as
-    the scalar calls would, one pair or member after another:
+    against a numpy array of its partners, or several, each against its
+    slice of one array (a ragged ``pair_win_count`` call). It reads the
+    tagged stream as the scalar calls would, one pair after another:
     :meth:`LiveOracle.pair_win_count` answers a small array of pairs with
     one scalar draw each and a larger one with one vector draw, and can
     stop at the first pair whose count reaches a threshold;
@@ -45,9 +46,9 @@ Oracles come in two pair-sampling modes:
     Not replay-compatible.
 
 Every oracle charges its queries to a :class:`~slatelearn.ledger.QueryLedger`.
-An array call charges it one run: the item, an owned int64 copy of its
-partners and the count, not one dict entry per pair. A ledger that only
-ever sees scalar charges, as in stream mode and every replay (whose read
+An array call charges it one run: its item (one a pair if ragged), an
+owned int64 copy of its partners and the count. A ledger that only ever
+sees scalar charges, as in stream mode and every replay (whose read
 position it is), keeps its per-pair counts in a dict read in O(1); after
 its first run, a scalar charge waits in a small dict of pending pairs.
 """
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DemandTooLarge, GeometricCapExceeded, ReplayBudgetExhausted
-from .ledger import INT64_MAX, QueryLedger, _check_count
+from .ledger import INT64_MAX, QueryLedger, _check_count, _check_starts
 from .models import (Model, _check_pair, _check_pairs, _check_slate,
                      _pair_probabilities, _pair_probability, pair_probability)
 
@@ -193,7 +194,8 @@ class LiveOracle:
         self.ledger.record_pair(u, v, count)
         return np.where(first, a, b).astype(np.int64, copy=False)
 
-    def pair_win_count(self, u, v, count: int, stop: int | None = None):
+    def pair_win_count(self, u, v, count: int, stop: int | None = None,
+                       starts=None):
         """How many of ``count`` queries to {u, v} return u.
 
         An array call is one id against a numpy array of its partners, on
@@ -201,10 +203,13 @@ class LiveOracle:
         one count per pair in order. With ``stop``, the pairs are answered
         in order up to and including the first whose count reaches
         ``stop``, and the answer is that prefix; the rest are neither drawn
-        nor charged. Two numpy arrays, a count or ``stop`` that is not an
-        integer >= 0, or any id that is not an integer in [0, n) other than
-        its partner's, raises ValueError before the first draw, in both
-        modes and with or without ``stop``.
+        nor charged. A ragged call, with ``starts`` as a ledger's
+        ``record_pairs`` takes them, answers each id of the array ``u``
+        against its slice of the array ``v``, run after run, and is one
+        ragged charge. Two arrays without ``starts``, bad ``starts``,
+        ``stop`` with ``starts``, a count or ``stop`` that is not an integer
+        >= 0, or any id that is not an integer in [0, n) other than its
+        partner's, raises ValueError before the first draw, in both modes.
 
         Binomial mode returns int64 counts (exact Python ints when ``count``
         takes more than one BINOMIAL_CHUNK piece), refuses a count above
@@ -221,15 +226,19 @@ class LiveOracle:
         count = _check_count(count)
         if stop is not None:
             stop = _check_count(stop)
+            if starts is not None:
+                raise ValueError("a call with starts takes no stop")
         if self.pair_mode == "binomial" and count > BINOMIAL_MAX_COUNT:
             raise DemandTooLarge("the queries of each pair in one call", count,
                                  BINOMIAL_MAX_COUNT, "use a larger eps")
-        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-            us, vs, size, pairs = _pair_ids(u, v, self.n)
+        if (starts is not None or isinstance(u, np.ndarray)
+                or isinstance(v, np.ndarray)):
+            us, vs, size, charge = _pair_ids(u, v, self.n, starts)
             if self.pair_mode == "binomial" and count <= BINOMIAL_CHUNK:
-                return self._binomial_win_counts(us, vs, size, pairs, count, stop)
+                return self._binomial_win_counts(us, vs, size, count, stop,
+                                                 charge)
             wins: list = []   # each scalar call charges its pair
-            for a, b in pairs or _window_pairs(us, vs, 0, size):
+            for a, b in _window_pairs(us, vs, 0, size):
                 wins.append(self.pair_win_count(a, b, count))
                 if stop is not None and wins[-1] >= stop:
                     break
@@ -252,18 +261,22 @@ class LiveOracle:
         self.ledger.record_pair(u, v, count)
         return wins
 
-    def _binomial_win_counts(self, us, vs, size: int, pairs, count: int,
-                             stop: int | None) -> np.ndarray:
+    def _binomial_win_counts(self, us, vs, size: int, count: int,
+                             stop: int | None, charge) -> np.ndarray:
         """The array form of :meth:`pair_win_count` in binomial mode, on ids
-        :func:`_pair_ids` checked, of one BINOMIAL_CHUNK piece at most. A
-        call of ``pairs`` is one window; the ledger is charged on return."""
+        :func:`_pair_ids` checked, of one BINOMIAL_CHUNK piece at most; the
+        ledger takes ``charge`` on return, cut to the pairs answered."""
         rng = self._binomial_rng
         parts: list = []
-        for lo, hi in [(0, size)] if pairs else _windows(size, stop):
+        for lo, hi in _windows(size, stop):
             if hi - lo <= SCALAR_PAIRS:
-                drawn = np.array(self._draw_each(
-                    pairs or _window_pairs(us, vs, lo, hi), count, stop),
-                    dtype=np.int64)
+                drawn = []
+                for a, b in _window_pairs(us, vs, lo, hi):
+                    drawn.append(rng.binomial(
+                        count, _pair_probability(self.model, a, b)))
+                    if stop is not None and drawn[-1] >= stop:
+                        break
+                drawn = np.array(drawn, dtype=np.int64)
             else:
                 window = _cut(us, lo, hi), _cut(vs, lo, hi)
                 p = _pair_probabilities(self.model, *window)
@@ -281,19 +294,9 @@ class LiveOracle:
                 break
         wins = (parts[0] if len(parts) == 1
                 else np.concatenate(parts or [np.zeros(0, dtype=np.int64)]))
-        u, vs = (vs, us) if isinstance(us, np.ndarray) else (us, vs)
+        u, vs, starts = charge
         self.ledger.record_pairs(u, vs if wins.size == size
-                                 else vs[:wins.size], count)
-        return wins
-
-    def _draw_each(self, pairs, count: int, stop: int | None) -> list:
-        """Win counts of checked ``pairs``, one draw each, through the first hit."""
-        rng, model = self._binomial_rng, self.model
-        wins: list = []
-        for a, b in pairs:
-            wins.append(rng.binomial(count, _pair_probability(model, a, b)))
-            if stop is not None and wins[-1] >= stop:
-                break
+                                 else vs[:wins.size], count, starts=starts)
         return wins
 
     def sample_geometric(self, u: int, v: int) -> int:
@@ -489,23 +492,30 @@ def _open_stream(start, skip: int) -> np.random.Generator:
     return np.random.Generator(bits.advance(skip))
 
 
-def _pair_ids(u, v, n: int) -> tuple:
-    """``(us, vs, size, pairs)``: the ``size`` pairs of an array pair call,
-    every id checked. One side is a numpy array, read flat, and the other
-    one Python id, the partner of every pair; a call with two arrays is
-    refused. Up to SCALAR_PAIRS pairs also come as ``pairs``, a list of
-    Python id pairs, which :func:`_check_pairs` checks in Python."""
-    if isinstance(v, np.ndarray):
+def _pair_ids(u, v, n: int, starts) -> tuple:
+    """``(us, vs, size, charge)``: the ``size`` pairs of an array pair call,
+    every id checked, and their ledger charge ``(u, vs, starts)``. One side
+    is a numpy array, read flat, and the other one Python id, the partner
+    of every pair, or, with ``starts``, ``u`` is an array of one id per
+    run, repeated as ``us`` once per partner."""
+    runs = None
+    if starts is not None:
+        if not (isinstance(u, np.ndarray) and isinstance(v, np.ndarray)):
+            raise ValueError("a call with starts takes two arrays")
+        runs, vs = u.ravel(), v.ravel()
+        starts = _check_starts(starts, runs.size, vs.size)
+        us = np.repeat(runs, np.diff(starts, append=vs.size))
+    elif isinstance(v, np.ndarray):
         if isinstance(u, np.ndarray):
             raise ValueError("an array call takes one id against an array "
                              "of its partners, not two arrays")
         us, vs = u.item() if isinstance(u, np.generic) else u, v.ravel()
     else:   # a numpy scalar becomes a Python one
         us, vs = u.ravel(), v.item() if isinstance(v, np.generic) else v
-    size = (us if isinstance(us, np.ndarray) else vs).size
-    pairs = _window_pairs(us, vs, 0, size) if 0 < size <= SCALAR_PAIRS else None
-    _check_pairs(us, vs, n, pairs)
-    return us, vs, size, pairs
+    _check_pairs(us, vs, n, runs)
+    return us, vs, (vs if isinstance(vs, np.ndarray) else us).size, (
+        (runs, vs, starts) if runs is not None else
+        (vs, us, None) if isinstance(us, np.ndarray) else (us, vs, None))
 
 
 def _windows(size: int, stop: int | None):
@@ -526,9 +536,8 @@ def _cut(ids, lo: int, hi: int):
 
 def _window_pairs(us, vs, lo: int, hi: int) -> list:
     """The pairs ``lo`` to ``hi`` of :func:`_pair_ids` as Python id pairs."""
-    if isinstance(us, np.ndarray):
-        return [(a, vs) for a in us[lo:hi].tolist()]
-    return [(us, b) for b in vs[lo:hi].tolist()]
+    return list(zip(*[ids[lo:hi].tolist() if isinstance(ids, np.ndarray)
+                      else [ids] * (hi - lo) for ids in (us, vs)]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,14 +34,14 @@ from .primitives import (check_delta, estimate_ratio,  # noqa: F401
 
 
 def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
-    """Randomized quicksort of ``range(n)`` with an explicit stack.
+    """:func:`quicksort_clustering`'s sort of ``range(n)``, depth first.
 
     A group of two or more items draws its pivot uniformly from ``rng``; a
     group of one is its own pivot and draws nothing. ``split(pivot, rest)``,
     with ``rest`` the rest of the group in group order, returns ``(lighter,
-    leaf, heavier)``. Lighter groups are sorted first, so pivots are drawn
-    and ``split`` is called depth first, and the leaves come back lightest
-    first.
+    leaf, heavier)``. An explicit stack sorts lighter groups first, so
+    pivots are drawn and ``split`` is called depth first, and the leaves
+    come back lightest first.
     """
     if rng is None:
         rng = np.random.default_rng(0xC0FFEE)
@@ -71,26 +71,36 @@ def epsilon_ordering(oracle, eps_o: float, delta: float,
     the slack an eps_o-ordering allows. Ties favor the pivot, i.e. the item
     is placed on the lighter side.
 
-    Each pivot's comparisons are one ``oracle.pair_win_count`` call on the
-    array of its group, answered pair by pair in group order: a binomial
-    oracle reads its shared stream as one scalar call per pair would.
+    It sorts level by level: at each depth, one vector draw from ``rng``
+    picks a uniform pivot for every group of two or more items, one ragged
+    ``oracle.pair_win_count`` call answers every (pivot, member) pair of
+    the depth, and each group splits into its lighter members, pivot and
+    heavier members, each in group order. Quicksort's output and cost do
+    not depend on the order its groups are split in, so this has the law,
+    not the draws, of a depth-first sort.
     """
     if not (0.0 < eps_o < 1.0):
         raise ValueError("eps_o must lie in (0, 1)")
     check_delta(delta)
     n = oracle.n
     k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
-
-    def split(pivot, rest):
-        if not rest:
-            return [], pivot, []
-        wins = oracle.pair_win_count(np.array(rest, dtype=np.int64), pivot,
-                                     k).tolist()
-        half = k // 2   # wins > half is 2 wins > k
-        return ([x for x, w in zip(rest, wins) if w <= half], pivot,
-                [x for x, w in zip(rest, wins) if w > half])
-
-    return np.array(_pivot_sort(n, rng, split), dtype=np.int64)
+    rng = np.random.default_rng(0xC0FFEE) if rng is None else rng
+    order = np.arange(n, dtype=np.int64)
+    sizes = np.array([n])   # the groups, each a contiguous slice of order
+    while (sizes > 1).any():
+        split = sizes > 1
+        at = (np.cumsum(sizes) - sizes)[split] + rng.integers(sizes[split])
+        group = np.repeat(np.arange(sizes.size), sizes)
+        member = split[group]
+        member[at] = False
+        runs = sizes[split] - 1
+        wins = oracle.pair_win_count(order[at], order[member], k,
+                                     starts=np.cumsum(runs) - runs)
+        key = 3 * group + 1   # 3g lighter, 3g + 1 pivot or leaf, 3g + 2 heavy
+        key[member] += np.where(2 * wins < k, 1, -1)   # a tie to the pivot
+        order = order[np.argsort(key, kind="stable")]
+        sizes = np.unique(key, return_counts=True)[1]
+    return order
 
 
 @dataclass

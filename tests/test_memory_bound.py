@@ -94,7 +94,7 @@ def test_batch_at_n_4096_builds_in_a_tenth_of_a_second_under_100_mib():
     # 8.4e6 pairs x 1e6 answers; a replay then reads 100 answers from each
     # of 4,095 pairs
     run_child(512 << 20, 4096, """
-import resource, time
+import time
 import numpy as np
 oracle = sl.LiveOracle(truth, 1201, pair_mode="stream")
 start = time.perf_counter()
@@ -104,7 +104,10 @@ assert built < 0.1, built
 assert oracle.ledger.total == 4096 * 4095 // 2 * 10**6
 wins = sl.ReplayOracle(table).pair_win_count(0, np.arange(1, 4096), 100)
 assert wins.size == 4095 and 0 < wins.sum() < 409500
-rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+# the child's own peak: ru_maxrss keeps the parent's across exec
+with open("/proc/self/status") as status:
+    rss_mib = next(int(line.split()[1]) for line in status
+                   if line.startswith("VmHWM:")) / 1024
 assert rss_mib < 100, rss_mib
 print("finished", built, rss_mib)
 """)

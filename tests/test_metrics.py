@@ -502,10 +502,11 @@ class TestLedgerReport:
         counted = {"total": 0}
         inner = o.pair_win_count
 
-        def wrapper(u, v, count, stop=None):
-            # u or v may be an array of pairs, each answered pair charged
-            # count queries; with stop, only the answered prefix is charged
-            wins = inner(u, v, count, stop=stop)
+        def wrapper(u, v, count, stop=None, starts=None):
+            # u or v may be an array of pairs, or both with starts, each
+            # answered pair charged count queries; with stop, only the
+            # answered prefix is charged
+            wins = inner(u, v, count, stop=stop, starts=starts)
             counted["total"] += count * np.size(wins)
             return wins
 

@@ -339,11 +339,19 @@ class CheckedLedger(sl.QueryLedger):
         super().record_pair(u, v, count)
         self.ref.record_pair(u, v, int(count))
 
-    def record_pairs(self, u, vs, counts=1):
-        super().record_pairs(u, vs, counts)
+    def record_pairs(self, u, vs, counts=1, starts=None):
+        super().record_pairs(u, vs, counts, starts=starts)
+        vs = np.ravel(vs).tolist()
         counts = (int(counts) if np.isscalar(counts)
                   else [int(c) for c in np.ravel(counts).tolist()])
-        self.ref.record_pairs(int(u), np.ravel(vs).tolist(), counts)
+        if starts is None:
+            self.ref.record_pairs(int(u), vs, counts)
+            return
+        # a ragged charge: run i is u[i] against its slice of vs
+        ends = np.append(starts[1:], len(vs)).tolist()
+        for item, lo, hi in zip(np.ravel(u).tolist(), starts.tolist(), ends):
+            self.ref.record_pairs(item, vs[lo:hi], counts if type(counts)
+                                  is int else counts[lo:hi])
 
 
 @pytest.mark.parametrize("fold_min", [64, ledger_mod.FOLD_MIN])
@@ -520,6 +528,133 @@ class TestStop:
         wins = o.pair_win_count(np.arange(1, 21), 0, 10, stop=11)
         assert wins.size == 20
         assert o.ledger.total == 200
+
+
+def ragged_case(n=40, sizes=(10, 0, 20, 3), seed=7):
+    """A power-law model and a ragged call on it: items, flat partners and
+    starts, each run's partners drawn without its item."""
+    model = sl.generate_instance(sl.InstanceSpec(
+        "power-law", n=n, seed=seed, params={"gamma": 1.0}))
+    rng = np.random.default_rng(seed)
+    items = rng.choice(n, size=len(sizes), replace=False)
+    runs = [rng.choice(np.delete(np.arange(n), item), size=size,
+                       replace=False) for item, size in zip(items, sizes)]
+    starts = np.cumsum([0, *sizes[:-1]])
+    return model, items, np.concatenate(runs), starts
+
+
+def run_slices(items, partners, starts):
+    """(item, its partners) of each run of a ragged call, in run order."""
+    ends = np.append(starts[1:], partners.size)
+    return [(int(u), partners[lo:hi])
+            for u, lo, hi in zip(items, starts.tolist(), ends.tolist())]
+
+
+# three runs: 0 against [1, 2], 3 against [4] and 5 against [1, 2]
+ITEMS, PARTNERS = np.array([0, 3, 5]), np.array([1, 2, 4, 1, 2])
+BAD_STARTS = [np.array([0, 2]),             # wrong length
+              np.array([0, 3, 2]),          # decreasing
+              np.array([0, 2, 6]),          # past the end
+              np.array([1, 2, 3]),          # not from 0
+              np.array([0.0, 2.0, 3.0]),    # not integers
+              np.array([0, 5, 3], dtype=np.uint64),
+              np.array([[0, 2, 3]])]        # not 1-D
+
+
+class TestRaggedCalls:
+    """``starts`` answers each item against its slice of the partners."""
+
+    @pytest.mark.parametrize("starts", BAD_STARTS)
+    def test_the_ledger_refuses_bad_starts(self, starts):
+        ledger = sl.QueryLedger()
+        with pytest.raises(ValueError):
+            ledger.record_pairs(ITEMS, PARTNERS, 3, starts=starts)
+        assert ledger == sl.QueryLedger()
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream", "replay"])
+    @pytest.mark.parametrize("items, partners, starts, stop", [
+        *((ITEMS, PARTNERS, starts, None) for starts in BAD_STARTS),
+        (ITEMS, PARTNERS, np.array([0, 2, 3]), 1),            # with stop
+        (np.array([0, 3, 6]), PARTNERS, np.array([0, 2, 3]), None),
+        (ITEMS, np.array([1, 2, 4, -1, 2]), np.array([0, 2, 3]), None),
+        (np.array([0, 4, 5]), PARTNERS, np.array([0, 2, 3]), None),  # u == v
+        (np.array([0, 3, 9]), PARTNERS, np.array([0, 2, 5]), None),  # empty run
+        (np.array([0.0, 3.0, 5.0]), PARTNERS, np.array([0, 2, 3]), None),
+        (ITEMS, PARTNERS.tolist(), np.array([0, 2, 3]), None),
+        (0, PARTNERS, np.array([0]), None),
+        (np.array([], dtype=np.int64), PARTNERS, np.array([], dtype=int),
+         None),
+    ])
+    def test_refused_before_any_draw(self, mode, items, partners, starts,
+                                     stop):
+        o = sl.LiveOracle(mnl(*range(1, 7)), seed=3, pair_mode=mode
+                          if mode == "binomial" else "stream")
+        if mode == "replay":
+            o = sl.ReplayOracle(sl.build_replay_table(o, 50))
+            before = {}
+        else:
+            before = {"binomial": o._binomial_rng.bit_generator.state,
+                      "slate": o._slate_rng.bit_generator.state}
+        with pytest.raises(ValueError):
+            o.pair_win_count(items, partners, 10, stop=stop, starts=starts)
+        assert o.ledger == sl.QueryLedger()
+        assert o._pair_rngs == {}
+        if before:
+            assert before == {"binomial": o._binomial_rng.bit_generator.state,
+                              "slate": o._slate_rng.bit_generator.state}
+
+    @pytest.mark.parametrize("sizes", [(10, 0, 20, 3), (2, 3, 0, 1), (0,)])
+    def test_binomial_is_one_vector_draw(self, sizes):
+        model, items, partners, starts = ragged_case(sizes=sizes)
+        o = sl.LiveOracle(model, seed=4)
+        wins = o.pair_win_count(items, partners, 1000, starts=starts)
+        rng = binomial_stream(4)
+        np.testing.assert_array_equal(wins, rng.binomial(
+            1000, sl.pair_probabilities(
+                model, np.repeat(items, np.diff(starts, append=partners.size)),
+                partners)))
+        assert wins.dtype == np.int64
+        assert o._binomial_rng.random() == rng.random()
+        ref = sl.QueryLedger()
+        for u, vs in run_slices(items, partners, starts):
+            ref.record_pairs(u, vs, 1000)
+        assert o.ledger == ref
+        assert list(o.ledger.per_pair.items()) == list(ref.per_pair.items())
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_stream_and_replay_are_the_scalar_calls(self, replay):
+        model, items, partners, starts = ragged_case()
+        a, b = (sl.LiveOracle(model, seed=5, pair_mode="stream")
+                for _ in range(2))
+        if replay:
+            a, b = (sl.ReplayOracle(sl.build_replay_table(o, 100))
+                    for o in (a, b))
+        for count in (7, 0, 30):
+            wins = a.pair_win_count(items, partners, count, starts=starts)
+            assert wins.tolist() == [
+                b.pair_win_count(u, v, count)
+                for u, vs in run_slices(items, partners, starts)
+                for v in vs.tolist()]
+            assert wins.dtype == np.int64
+        assert a.ledger == b.ledger   # a replay's read position too
+        assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
+        assert stream_states(a) == stream_states(b)
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream"])
+    @pytest.mark.parametrize("size", [5, 30])
+    def test_one_run_is_the_array_call(self, mode, size):
+        model, items, partners, starts = ragged_case(sizes=(size,))
+        a, b = (sl.LiveOracle(model, seed=6, pair_mode=mode)
+                for _ in range(2))
+        for count in (1000, 3):
+            got = a.pair_win_count(items, partners, count, starts=starts)
+            want = b.pair_win_count(int(items[0]), partners, count)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        assert a.ledger == b.ledger
+        assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
+        assert a._binomial_rng.random() == b._binomial_rng.random()
+        assert stream_states(a) == stream_states(b)
 
 
 class TestDeterminism:

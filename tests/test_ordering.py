@@ -70,6 +70,83 @@ class TestEpsilonOrdering:
         np.testing.assert_array_equal(np.sort(ordering), np.arange(8))
 
 
+def depth_first_epsilon_ordering(oracle, eps_o, delta, rng):
+    """Reference: the ordering sorted depth first, one array call per pivot."""
+    n = oracle.n
+    k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
+
+    def split(pivot, rest):
+        if not rest:
+            return [], pivot, []
+        wins = oracle.pair_win_count(np.array(rest), pivot, k).tolist()
+        return ([x for x, w in zip(rest, wins) if 2 * w <= k], pivot,
+                [x for x, w in zip(rest, wins) if 2 * w > k])
+
+    return np.array(ordering_mod._pivot_sort(n, rng, split), dtype=np.int64)
+
+
+def inversions(ordering, log_w) -> int:
+    """Pairs the ordering puts heavier first."""
+    lw = log_w[ordering]
+    return int(np.count_nonzero(np.triu(lw[:, None] > lw[None, :], 1)))
+
+
+def ks_statistic(a, b) -> float:
+    """The two-sample Kolmogorov-Smirnov distance of two samples."""
+    grid = np.union1d(a, b)
+    cdf = [np.searchsorted(np.sort(x), grid, side="right") / len(x)
+           for x in (a, b)]
+    return float(np.abs(cdf[0] - cdf[1]).max())
+
+
+class TestLevelOrder:
+    """Level order sorts with the depth-first sort's law.
+
+    Quicksort's output and cost do not depend on the order its groups are
+    split in, given a uniform pivot per group and independent comparisons
+    (Hoare, 1962), so the two sorts' comparison and inversion counts have
+    one law, though their draws differ.
+    """
+
+    SEEDS = range(40)
+
+    def test_counts_agree_in_law(self):
+        # neighbours 0.03 apart in log weight: pairs within a few places
+        # are near coin flips at k of about 1,850, so both counts vary
+        model = sl.LogWeightMnl(np.linspace(0.0, 1.5, 48))
+        k = math.ceil(162.0 * math.log(4.0 * 48 * 48 / 0.1))
+        counts = []
+        for offset, sort in ((0, sl.epsilon_ordering),
+                             (1000, depth_first_epsilon_ordering)):
+            comparisons, inverted = [], []
+            for seed in self.SEEDS:   # independent seeds for each sort
+                o = sl.LiveOracle(model, seed=offset + seed)
+                ordering = sort(o, 1.0 / 3.0, 0.1,
+                                np.random.default_rng(offset + seed))
+                assert o.ledger.total % k == 0
+                comparisons.append(o.ledger.total // k)
+                inverted.append(inversions(ordering, model.log_w))
+            counts.append((comparisons, inverted))
+        (comparisons, inverted), (ref_comparisons, ref_inverted) = counts
+        assert len(set(comparisons)) > 10 and len(set(inverted)) > 5
+        # asymptotic two-sample KS bound at alpha = 0.001 each, so the
+        # false-alarm rate of the two checks is at most 0.002 (ties in
+        # integer counts only lower it)
+        bound = math.sqrt(-0.5 * math.log(0.001 / 2)) * math.sqrt(
+            2.0 / len(self.SEEDS))
+        assert ks_statistic(comparisons, ref_comparisons) <= bound
+        assert ks_statistic(inverted, ref_inverted) <= bound
+
+    def test_powers_of_two_both_sort_exactly(self):
+        model = sl.LogWeightMnl(np.arange(32) * math.log(2.0))
+        for seed in self.SEEDS:
+            for sort in (sl.epsilon_ordering, depth_first_epsilon_ordering):
+                o = sl.LiveOracle(model, seed=seed)
+                ordering = sort(o, 1.0 / 3.0, 0.1,
+                                np.random.default_rng(seed))
+                np.testing.assert_array_equal(ordering, np.arange(32))
+
+
 class TestClusterSort:
     def test_rejects_eps_of_a_seventh_or_more(self):
         o = sl.LiveOracle(mnl(1.0, 1.0), seed=0)

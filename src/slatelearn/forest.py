@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -87,17 +88,17 @@ class EstimationForest:
         self.edge_log[key] = val
 
     def components(self) -> list:
-        order, parent, size, _, _ = _traverse(self, range(self.n))
+        order, parent, size, _, _ = _traverse(self, np.arange(self.n))
         return [np.sort(order[k:k + size[order[k]]])
                 for k in np.flatnonzero(parent[order] < 0)]
 
     def path_logs(self) -> np.ndarray:
         """Log estimated weight of every item, anchored at 0 per component root."""
-        return _traverse(self, range(self.n))[4]
+        return _traverse(self, np.arange(self.n))[4]
 
     def hop_distances(self) -> np.ndarray:
         """All-pairs hop counts; -1 marks disconnected pairs."""
-        return _hop_matrix(_traverse(self, range(self.n)), np.int64)
+        return _hop_matrix(_traverse(self, np.arange(self.n)), np.int64)
 
 
 def _hop_matrix(walk: tuple, dtype) -> np.ndarray:
@@ -133,17 +134,19 @@ def _hop_matrix(walk: tuple, dtype) -> np.ndarray:
 
 
 def _tree_diameters(walk: tuple) -> np.ndarray:
-    """Hop diameter of each item's tree, from one pass up the preorder."""
-    order, parent, _, root, _ = walk
-    down = [0] * parent.size   # longest path down from an item
-    span = [0] * parent.size   # longest path within its subtree through it
-    up = parent.tolist()
-    for w in reversed(order.tolist()):
-        p = up[w]
-        if p >= 0:
-            reach = down[w] + 1
-            span[p] = max(span[p], down[p] + reach)
-            down[p] = max(down[p], reach)
+    """Hop diameter of each item's tree, from one pass up the preorder in
+    which a parent of c tips (items of size 1) starts at down = min(c, 1)
+    and span = min(c, 2), and only its other children are folded in."""
+    order, parent, size, root, _ = walk
+    tips = np.bincount(parent[(size == 1) & (parent >= 0)],
+                       minlength=parent.size)
+    down = np.minimum(tips, 1).tolist()   # longest path down from an item
+    span = np.minimum(tips, 2).tolist()   # ... within its subtree through it
+    inner = order[(size[order] > 1) & (parent[order] >= 0)][::-1]
+    for w, p in zip(inner.tolist(), parent[inner].tolist()):
+        reach = down[w] + 1
+        span[p] = max(span[p], down[p] + reach)
+        down[p] = max(down[p], reach)
     diameter = np.zeros(parent.size, dtype=np.int64)
     np.maximum.at(diameter, root, span)
     return diameter[root]
@@ -155,30 +158,86 @@ def _traverse(forest: EstimationForest, roots) -> tuple:
     Returns the reached items in preorder, then per item its parent (-1 at a
     root), subtree size, tree root (-1 if unreached) and the sum of edge log
     ratios down from its root. Every subtree is one contiguous run of the
-    preorder. Raises ValueError when the edges close a cycle.
+    preorder. Raises ValueError when the edges close a cycle or name an item
+    that is not an integer in range(n).
+
+    A tip, an item of degree 1, hangs off its one neighbour in numpy, right
+    after it in the preorder; Python walks only the other items, in
+    ``roots`` order. A tip first of ``roots`` in its tree roots it, and the
+    walk goes on from its neighbour.
     """
-    adj = forest.adjacency()
-    parent, size, root = [-1] * forest.n, [1] * forest.n, [-1] * forest.n
-    order, lam = [], [0.0] * forest.n
-    for r in roots:
-        if root[r] >= 0:
+    n, keys = forest.n, list(forest.edge_log)
+    ends = np.fromiter(chain.from_iterable(keys), np.float64,
+                       2 * len(keys)).reshape(-1, 2)
+    valid = (np.floor(np.clip(ends, 0, n - 1)) == ends).all(axis=1)
+    if not valid.all():   # an id below 0, from n on, fractional or NaN
+        raise ValueError("edge ({}, {}) names an item outside range({})"
+                         .format(*keys[np.argmin(valid)], n))
+    # each edge from both ends: item u, neighbour v and lam[u] - lam[v]
+    u, v = (e.astype(np.int64).ravel() for e in (ends, ends[:, ::-1]))
+    d = np.fromiter(forest.edge_log.values(), np.float64, len(keys))
+    d = np.column_stack((d, -d)).ravel()
+    tip = np.bincount(u, minlength=n) == 1
+    # a tip's neighbour and lam[tip] - lam[nb]; others are their own
+    nb, step = np.arange(n), np.zeros(n)
+    nb[u[tip[u]]], step[u[tip[u]]] = v[tip[u]], d[tip[u]]
+    # the edges between inner items, by u in cut[u]:cut[u + 1]
+    inner = ~(tip[u] | tip[v])
+    by = np.argsort(u[inner])
+    dst, rise = v[inner][by].tolist(), (-d[inner][by]).tolist()
+    cut = np.searchsorted(u[inner][by], np.arange(n + 1)).tolist()
+    # each root stands for its tree's inner item it is or hangs off, a tip
+    # pair for its lower item; only the first root of each counts
+    roots = np.asarray(roots, dtype=np.int64)
+    key = np.where(tip[nb[roots]], np.minimum(roots, nb[roots]), nb[roots])
+    first = np.full(n, roots.size)
+    np.minimum.at(first, key, np.arange(roots.size))
+    first = np.sort(first[first < roots.size])
+    lead = tip[roots[first]] & ~tip[key[first]]   # a tip rooting inner items
+    seen, parent, lam = bytearray(n), [-1] * n, [0.0] * n
+    walk, up, trees = [], [], []
+    for r, k, into, back in zip(roots[first].tolist(), key[first].tolist(),
+                                lead.tolist(), (-step[roots[first]]).tolist()):
+        if seen[k]:
             continue
-        root[r], stack = r, [r]
+        trees.append(len(walk))
+        seen[r], stack = 1, [r]
+        if into:
+            walk.append(r)
+            up.append(-1)
+            seen[k], parent[k], lam[k], stack = 1, r, 0.0 + back, [k]
         while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in adj[u]:
-                if root[w] < 0:
-                    root[w], parent[w] = r, u
-                    lam[w] = lam[u] + forest.log_ratio(w, u)
-                    stack.append(w)
-                elif w != parent[u]:
-                    raise ValueError("forest has a cycle through {}".format(w))
-    for w in reversed(order):
-        if parent[w] >= 0:
-            size[parent[w]] += size[w]
-    return (*(np.array(a, dtype=np.int64)
-              for a in (order, parent, size, root)), np.array(lam))
+            w = stack.pop()
+            walk.append(w)
+            up.append(parent[w])
+            for h in range(cut[w], cut[w + 1]):
+                z = dst[h]
+                if not seen[z]:
+                    seen[z], parent[z], lam[z] = 1, w, lam[w] + rise[h]
+                    stack.append(z)
+                elif z != parent[w]:
+                    raise ValueError("forest has a cycle through {}".format(z))
+    walked = np.array(walk, dtype=np.int64)
+    root_of, parent_of, lam_of = np.full(n, -1), np.full(n, -1), np.zeros(n)
+    # each tree is one run of the walk, led by its root
+    root_of[walked] = np.repeat(walked[trees], np.diff(trees + [len(walk)]))
+    parent_of[walked] = up
+    lam_of[walked] = [lam[w] for w in walk]
+    # tips hang off the walked items, right after them in the preorder
+    hung = np.flatnonzero(tip & (root_of < 0) & (root_of[nb] >= 0))
+    root_of[hung], parent_of[hung] = root_of[nb[hung]], nb[hung]
+    lam_of[hung] = lam_of[nb[hung]] + step[hung]
+    at = np.zeros(n, dtype=np.int64)
+    at[walked] = np.arange(walked.size)
+    order = np.concatenate((walked, hung))[np.argsort(np.concatenate(
+        (2 * np.arange(walked.size), 2 * at[nb[hung]] + 1)), kind="stable")]
+    size = 1 + np.bincount(nb[hung], minlength=n)
+    sizes = dict(zip(walk, size[walked].tolist()))
+    for w, p in zip(reversed(walk), reversed(up)):
+        if p >= 0:
+            sizes[p] += sizes[w]
+    size[walked] = np.fromiter(sizes.values(), np.int64, len(sizes))
+    return order, parent_of, size, root_of, lam_of
 
 
 def _star_forest(graph: ClusterGraph, eps: float) -> EstimationForest:
@@ -362,7 +421,7 @@ def validate_forest(forest: EstimationForest, log_w: np.ndarray,
         raise ValueError("log_w of item {} is not finite".format(
             int(np.flatnonzero(~np.isfinite(log_w))[0])))
     gamma = forest.graph.gamma
-    walk = _traverse(forest, range(n))
+    walk = _traverse(forest, np.arange(n))
     order, _, _, comp_of, lam = walk
     if not np.all(np.isfinite(lam)):
         raise ValueError("path log of item {} is not finite: so is an edge "

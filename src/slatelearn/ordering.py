@@ -29,8 +29,8 @@ import numpy as np
 
 # estimate_ratio is unused, but perfbench's tracer patches it here
 from .primitives import (check_delta, estimate_ratio,  # noqa: F401
-                         log_ratio_of_wins, ratio_sample_size,
-                         sequential_log_ratios)
+                         log_ratio_of_wins, log_ratios_of_wins,
+                         ratio_sample_size, sequential_log_ratios)
 
 
 def _pivot_sort(n: int, rng: np.random.Generator | None, split) -> list:
@@ -77,7 +77,9 @@ def epsilon_ordering(oracle, eps_o: float, delta: float,
     the depth, and each group splits into its lighter members, pivot and
     heavier members, each in group order. Quicksort's output and cost do
     not depend on the order its groups are split in, so this has the law,
-    not the draws, of a depth-first sort.
+    not the draws, of a depth-first sort. Only the unsettled groups are
+    kept, as (offset, size) slices of the order, and a member's new place
+    counts the earlier members of its group on its side.
     """
     if not (0.0 < eps_o < 1.0):
         raise ValueError("eps_o must lie in (0, 1)")
@@ -86,20 +88,29 @@ def epsilon_ordering(oracle, eps_o: float, delta: float,
     k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
     rng = np.random.default_rng(0xC0FFEE) if rng is None else rng
     order = np.arange(n, dtype=np.int64)
-    sizes = np.array([n])   # the groups, each a contiguous slice of order
+    # the unsettled groups, in order, each the slice order[off:off + size]
+    offs, sizes = np.array([0]), np.array([n])
     while (sizes > 1).any():
-        split = sizes > 1
-        at = (np.cumsum(sizes) - sizes)[split] + rng.integers(sizes[split])
-        group = np.repeat(np.arange(sizes.size), sizes)
-        member = split[group]
-        member[at] = False
-        runs = sizes[split] - 1
-        wins = oracle.pair_win_count(order[at], order[member], k,
-                                     starts=np.cumsum(runs) - runs)
-        key = 3 * group + 1   # 3g lighter, 3g + 1 pivot or leaf, 3g + 2 heavy
-        key[member] += np.where(2 * wins < k, 1, -1)   # a tie to the pivot
-        order = order[np.argsort(key, kind="stable")]
-        sizes = np.unique(key, return_counts=True)[1]
+        offs, sizes = offs[sizes > 1], sizes[sizes > 1]
+        at = offs + rng.integers(sizes)
+        runs = sizes - 1
+        starts = np.cumsum(runs) - runs   # each group's first member
+        rank = np.arange(runs.sum())      # a member's place in the depth
+        pos = rank + np.repeat(offs - starts, runs)
+        pos += pos >= np.repeat(at, runs)   # skipping the pivot
+        pivots, members = order[at], order[pos]
+        wins = oracle.pair_win_count(pivots, members, k, starts=starts)
+        light = 2 * wins >= k   # a tie goes to the lighter side
+        # counting offsets: lighter members before each member, and per group
+        before = np.cumsum(light) - light
+        lighter = np.add.reduceat(light, starts, dtype=np.int64)
+        base = before[starts]
+        order[np.where(light, np.repeat(offs - base, runs) + before,
+                       np.repeat(offs + lighter + 1 - starts + base, runs)
+                       + rank - before)] = members
+        order[offs + lighter] = pivots
+        offs = np.column_stack((offs, offs + lighter + 1)).ravel()
+        sizes = np.column_stack((lighter, runs - lighter)).ravel()
     return order
 
 
@@ -142,9 +153,11 @@ class ClusterGraph:
             raise AssertionError("center must belong to its cluster")
         if np.any(self.gamma[seen] != label):
             raise AssertionError("gamma inconsistent with clusters")
-        for u in seen[~is_center].tolist():
-            if u not in self.star_log:
-                raise AssertionError("missing star edge for item {}".format(u))
+        members = seen[~is_center].tolist()
+        missing = set(members).difference(self.star_log)
+        if missing:
+            raise AssertionError("missing star edge for item {}".format(
+                next(u for u in members if u in missing)))
 
 
 def _cluster_graph(n: int, leaves: list, a1: float, a2: float, eps: float,
@@ -197,9 +210,9 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
     call on the rest of the ordering, with ``stop`` set to the fewest wins
     that close the cluster (see :func:`_scan_stop`): the oracle answers up
     to the item that starts the next cluster and draws nothing past it.
-    Each answered item is read as :func:`estimate_ratio` reads one pair's
-    wins, so the draws, the ledger and the graph are those of one
-    ``estimate_ratio`` call per item.
+    Each answer is read in one pass of :func:`log_ratios_of_wins`, the rule
+    :func:`estimate_ratio` reads one pair's wins by, so the draws, the
+    ledger and the graph are those of one ``estimate_ratio`` call per item.
 
     Requires eps in (0, 1/7). A zero ratio estimate against the current
     center contradicts the ordering guarantee; it is recorded in the
@@ -224,20 +237,18 @@ def cluster_sort(oracle, alpha: float, eps: float, delta: float,
     pending: dict = {}   # member -> log ratio vs the current center
     pos = 1
     while pos < n:
-        wins = oracle.pair_win_count(seq[pos:], center, m, stop=stop).tolist()
-        for item, w in zip(seq[pos:pos + len(wins)].tolist(), wins):
-            log_ratio = log_ratio_of_wins(w, m, c)
-            if log_ratio > log_tau:
-                leaves.append((seq[start:pos], center, pending))
-                pending = {}
-                center = item
-                start = pos
-            elif log_ratio == -math.inf:
-                violations.append(("zero-ratio", item, center))
-                pending[item] = math.log(alpha)
-            else:
-                pending[item] = log_ratio
-            pos += 1
+        logs = log_ratios_of_wins(
+            oracle.pair_win_count(seq[pos:], center, m, stop=stop), m, c)
+        # only the last answer can reach the stop and close the cluster
+        end = pos + logs.size - int(logs[-1] > log_tau)
+        items, logs, pos = seq[pos:end], logs[:end - pos], pos + logs.size
+        zero = logs == -math.inf
+        violations += [("zero-ratio", u, center) for u in items[zero].tolist()]
+        logs[zero] = math.log(alpha)
+        pending.update(zip(items.tolist(), logs.tolist()))
+        if end < pos:
+            leaves.append((seq[start:end], center, pending))
+            pending, center, start = {}, int(seq[end]), end
     leaves.append((seq[start:], center, pending))
     return _cluster_graph(n, leaves, 2.0 / alpha, 1.0 / alpha, eps, violations)
 

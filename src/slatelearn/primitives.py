@@ -74,11 +74,13 @@ def compare_sample_size(c: float, eps: float, delta: float) -> int:
     return math.ceil((20.0 / (c * eps * eps)) * math.log(6.0 / delta))
 
 
-def _frequencies(wins: int, m: int, c: float) -> tuple:
-    """The win frequencies of both items over m queries, each below c/2 snapped to 0."""
-    p_i = wins / m
-    p_j = (m - wins) / m
-    return (0.0 if p_i < c / 2.0 else p_i), (0.0 if p_j < c / 2.0 else p_j)
+def _frequencies(wins, m: int, c: float) -> np.ndarray:
+    """Rows of i's and j's win frequencies, each count of i's wins over m
+    divided as Python ints are, then snapped to 0 if below c/2."""
+    wins = np.asarray(wins, dtype=np.int64 if m < 1 << 53 else object)
+    p = np.array([wins / m, (m - wins) / m], dtype=np.float64)
+    p[p < c / 2.0] = 0.0
+    return p
 
 
 def compare(oracle, i: int, j: int, c: float, eps: float, delta: float):
@@ -91,7 +93,7 @@ def compare(oracle, i: int, j: int, c: float, eps: float, delta: float):
     nonzero, and any nonzero return is within a (1 +- eps) factor of truth.
     """
     m = compare_sample_size(c, eps, delta)
-    return _frequencies(oracle.pair_win_count(i, j, m), m, c)
+    return tuple(_frequencies(oracle.pair_win_count(i, j, m), m, c).tolist())
 
 
 @functools.lru_cache(maxsize=64)   # a clusterer asks with one triple at a time
@@ -107,12 +109,20 @@ def ratio_sample_size(alpha: float, eps: float, delta: float) -> tuple:
     return c, compare_sample_size(c, eps / 3.0, delta)
 
 
+def log_ratios_of_wins(wins, m: int, c: float) -> np.ndarray:
+    """:func:`estimate_ratio`'s log ratio for each count of i's wins in m
+    queries to {i, j}, in one pass over their :func:`_frequencies`: -inf if
+    i's is 0, else +inf if j's is 0. The logs are ``math.log``'s, as
+    ``np.log`` differs from it in the last bit."""
+    p_i, p_j = _frequencies(wins, m, c).tolist()
+    return np.array([math.log(a) - math.log(b) if a and b
+                     else math.inf if a else -math.inf
+                     for a, b in zip(p_i, p_j)], dtype=np.float64)
+
+
 def log_ratio_of_wins(wins: int, m: int, c: float) -> float:
-    """:func:`estimate_ratio`'s log ratio from i's wins in m queries to {i, j}."""
-    p_i, p_j = _frequencies(wins, m, c)
-    if p_i == 0.0:
-        return -math.inf
-    return math.log(p_i) - math.log(p_j) if p_j else math.inf
+    """:func:`log_ratios_of_wins` of one count."""
+    return float(log_ratios_of_wins([wins], m, c)[0])
 
 
 def estimate_ratio(oracle, i: int, j: int, alpha: float, eps: float,
@@ -193,7 +203,7 @@ def sequential_log_ratios(oracle, i: int, js, alpha: float, eps: float,
     m = checkpoints[-1]
     logs = np.empty(len(js))
     open_at = np.arange(len(js))
-    # int64 while a count divides exactly as a double, as log_ratio_of_wins does
+    # int64 while a count divides exactly as a double, as _frequencies does
     wins = np.zeros(len(js), dtype=np.int64 if m < 1 << 53 else object)
     drawn = 0
     for total in checkpoints:
@@ -202,8 +212,7 @@ def sequential_log_ratios(oracle, i: int, js, alpha: float, eps: float,
         rarer = np.minimum(wins, total - wins)
         done = ((rarer >= upsilon) | (total == m)
                 | (rarer < total * c / 2.0 - math.sqrt(total * c * log_term)))
-        logs[open_at[done]] = [log_ratio_of_wins(w, total, c)
-                               for w in wins[done].tolist()]
+        logs[open_at[done]] = log_ratios_of_wins(wins[done], total, c)
         open_at, wins = open_at[~done], wins[~done]
         if not open_at.size:
             break

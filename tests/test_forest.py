@@ -392,6 +392,32 @@ def ref_validate_forest(forest, log_w):
     return out
 
 
+def ref_traverse(forest, roots):
+    """Reference: the walk that visited every item in Python, tips too."""
+    adj = forest.adjacency()
+    parent, size, root = [-1] * forest.n, [1] * forest.n, [-1] * forest.n
+    order, lam = [], [0.0] * forest.n
+    for r in roots:
+        if root[r] >= 0:
+            continue
+        root[r], stack = r, [r]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w in adj[u]:
+                if root[w] < 0:
+                    root[w], parent[w] = r, u
+                    lam[w] = lam[u] + forest.log_ratio(w, u)
+                    stack.append(w)
+                elif w != parent[u]:
+                    raise ValueError("forest has a cycle through {}".format(w))
+    for w in reversed(order):
+        if parent[w] >= 0:
+            size[parent[w]] += size[w]
+    return (*(np.array(a, dtype=np.int64)
+              for a in (order, parent, size, root)), np.array(lam))
+
+
 def assert_violations_match(got, want):
     assert [(c, p) for c, p, _ in got] == [(c, p) for c, p, _ in want]
     for (cond, _, a), (_, _, b) in zip(got, want):
@@ -472,6 +498,136 @@ def screened_forest(rng, scale):
 def screen_margin(lam, truth):
     # the rounding margin of validate_forest's condition-1 screen
     return 8 * 2.0**-52 * (np.abs(lam).max() + np.abs(truth).max())
+
+
+def shaped_forest(rng, pieces):
+    """A forest of ``pieces`` trees of the shapes the walk treats apart:
+    paths, stars, stars whose lowest item is a tip, two-item trees,
+    isolated items and random recursive trees, under shuffled ids. Edge
+    logs are normal, or a signed zero."""
+    edges, n = [], 0
+    for _ in range(pieces):
+        shape = rng.integers(6)
+        size = (1 if shape == 4 else 2 if shape == 3
+                else int(rng.integers(2, 12)))
+        ids = np.arange(n, n + size)
+        if shape == 0:                          # path
+            pairs = zip(ids[:-1], ids[1:])
+        elif shape in (1, 2):                   # star, centre lowest or not
+            hub = ids[int(rng.integers(1, size))] if shape == 2 else ids[0]
+            pairs = ((hub, u) for u in ids if u != hub)
+        elif shape == 3:                        # two-item tree
+            pairs = [(ids[0], ids[1])]
+        elif shape == 4:                        # isolated item
+            pairs = []
+        else:                                   # random recursive tree
+            pairs = ((ids[k], ids[int(rng.integers(k))])
+                     for k in range(1, size))
+        edges += pairs
+        n += size
+    label = rng.permutation(n)
+    logs = [rng.choice([0.0, -0.0, float(rng.normal(0.0, 2.0))],
+                       p=[0.1, 0.1, 0.8]) for _ in edges]
+    gamma = np.unique(rng.integers(0, max(1, n // 3), size=n),
+                      return_inverse=True)[1]
+    return hand_built(gamma, [(int(label[u]), int(label[v]), float(x))
+                              for (u, v), x in zip(edges, logs)])
+
+
+def assert_walk_matches(forest, roots):
+    order, parent, size, root, lam = forest_mod._traverse(forest, roots)
+    want = ref_traverse(forest, list(roots))
+    for got, ref in zip((parent, size, root), want[1:4]):
+        assert got.dtype == np.int64
+        assert got.tolist() == ref.tolist()
+    assert lam.dtype == np.float64 and lam.tobytes() == want[4].tobytes()
+    # the same items, with the trees in the same order
+    assert sorted(order.tolist()) == sorted(want[0].tolist())
+    assert (order[parent[order] < 0].tolist()
+            == want[0][want[1][want[0]] < 0].tolist())
+    # each subtree is one contiguous run of the preorder, led by its root
+    below = {w: {w} for w in order.tolist()}
+    for w in order.tolist():
+        up = parent[w]
+        while up >= 0:
+            below[int(up)].add(w)
+            up = parent[up]
+    for k, u in enumerate(order.tolist()):
+        assert set(order[k:k + size[u]].tolist()) == below[u]
+
+
+class TestWalk:
+    """The walk that hangs tips in numpy gives the per-item walk's arrays."""
+
+    def test_equal_to_the_per_item_walk(self):
+        rng = np.random.default_rng(29)
+        for t in range(400):
+            f = (shaped_forest(rng, int(rng.integers(1, 12))) if t % 2
+                 else random_forest(rng, int(rng.integers(1, 60)),
+                                    link=rng.choice([0.3, 0.7, 0.95, 1.0])))
+            perm = rng.permutation(f.n)
+            for roots in (range(f.n), f.graph.centers[::-1], perm,
+                          perm[:f.n // 2]):
+                assert_walk_matches(f, roots)
+
+    def test_builder_forests(self):
+        for seed in range(3):
+            model = sl.generate_instance(sl.InstanceSpec(
+                "power-law", n=256, seed=seed, params={"gamma": 1.0}))
+            f, _ = build_adaptive(model, seed)
+            for roots in (range(f.n), f.graph.centers[::-1]):
+                assert_walk_matches(f, roots)
+
+    def test_a_tip_first_of_the_roots_leads_into_its_neighbour(self):
+        # 0 hangs off 2, the centre of a star on 1-4; a path 5-6-7, whose
+        # end 7 comes first; the pair 8-9, rooted at its higher item
+        f = hand_built([0] * 10, [(0, 2, 0.5), (1, 2, -0.25), (2, 3, 1.0),
+                                  (2, 4, -0.0), (5, 6, 2.0), (6, 7, 0.125),
+                                  (8, 9, -3.0)])
+        roots = [0, 7, 9, 3, 5, 8]
+        order, parent, size, root, lam = forest_mod._traverse(f, roots)
+        assert order.tolist() == [0, 2, 1, 3, 4, 7, 6, 5, 9, 8]
+        assert parent.tolist() == [-1, 2, 0, 2, 2, 6, 7, -1, 9, -1]
+        assert size.tolist() == [5, 1, 4, 1, 1, 1, 2, 3, 1, 2]
+        assert root.tolist() == [0, 0, 0, 0, 0, 7, 7, 7, 9, 9]
+        assert_walk_matches(f, roots)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)],
+        # a cycle walked from a tip root, and one beside a two-item tree
+        [(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (1, 3, 0.4)],
+        [(3, 4, 0.1), (0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)],
+    ])
+    def test_a_cycle_is_refused(self, edges):
+        f = hand_built([0] * 5, [])
+        f.edge_log.update({(u, v): x for u, v, x in edges})
+        with pytest.raises(ValueError, match="cycle"):
+            forest_mod._traverse(f, range(f.n))
+        with pytest.raises(ValueError, match="cycle"):
+            ref_traverse(f, range(f.n))
+
+    def test_a_repeated_edge_is_a_cycle(self):
+        f = hand_built([0, 0, 0], [(0, 1, 0.1)])
+        f.edge_log[(1, 0)] = -0.1
+        with pytest.raises(ValueError, match="cycle"):
+            f.components()
+
+    @pytest.mark.parametrize("edge", [(0, 7), (-1, 2), (1, 3)])
+    def test_an_edge_outside_the_items_is_refused(self, edge):
+        f = sl.EstimationForest(graph=hand_built([0, 0, 1], []).graph,
+                                edge_log={(0, 1): 0.5, edge: 1.0}, eps=0.3)
+        message = r"edge \({}, {}\) names an item outside range\(3\)"
+        with pytest.raises(ValueError, match=message.format(*edge)):
+            f.components()
+
+    @pytest.mark.parametrize("edge", [(0.5, 2), (1, 2.5), (0, math.nan)])
+    def test_a_non_integer_edge_is_refused_not_truncated(self, edge):
+        # read as int64, (0.5, 2) would be the valid edge (0, 2)
+        f = sl.EstimationForest(graph=hand_built([0, 0, 1], []).graph,
+                                edge_log={edge: 1.0}, eps=0.3)
+        for helper in (f.components, f.path_logs, f.hop_distances):
+            with pytest.raises(ValueError, match="outside range"):
+                helper()
 
 
 class TestMatchesReference:

@@ -85,6 +85,29 @@ def depth_first_epsilon_ordering(oracle, eps_o, delta, rng):
     return np.array(ordering_mod._pivot_sort(n, rng, split), dtype=np.int64)
 
 
+def argsort_epsilon_ordering(oracle, eps_o, delta, rng):
+    """Reference: the level-order sort that re-sorted all n positions at
+    every depth, by a stable argsort of 3 x group + side."""
+    n = oracle.n
+    k = math.ceil((18.0 / (eps_o * eps_o)) * math.log(4.0 * n * n / delta))
+    order = np.arange(n, dtype=np.int64)
+    sizes = np.array([n])
+    while (sizes > 1).any():
+        split = sizes > 1
+        at = (np.cumsum(sizes) - sizes)[split] + rng.integers(sizes[split])
+        group = np.repeat(np.arange(sizes.size), sizes)
+        member = split[group]
+        member[at] = False
+        runs = sizes[split] - 1
+        wins = oracle.pair_win_count(order[at], order[member], k,
+                                     starts=np.cumsum(runs) - runs)
+        key = 3 * group + 1
+        key[member] += np.where(2 * wins < k, 1, -1)
+        order = order[np.argsort(key, kind="stable")]
+        sizes = np.unique(key, return_counts=True)[1]
+    return order
+
+
 def inversions(ordering, log_w) -> int:
     """Pairs the ordering puts heavier first."""
     lw = log_w[ordering]
@@ -145,6 +168,37 @@ class TestLevelOrder:
                 ordering = sort(o, 1.0 / 3.0, 0.1,
                                 np.random.default_rng(seed))
                 np.testing.assert_array_equal(ordering, np.arange(32))
+
+
+class TestCountingSplit:
+    """The counting split draws, asks and orders as the argsort split did."""
+
+    @pytest.mark.parametrize("mode", ["binomial", "stream"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+    def test_equal_to_the_argsort_split(self, mode, n):
+        for seed in range(3):
+            # equal weights put many votes at a tie; eps_o 0.9 keeps the
+            # stream draws of n = 1000 few
+            log_w = (np.zeros(n) if seed == 2 else sl.generate_instance(
+                sl.InstanceSpec("power-law", n, seed, {"gamma": 1.0})).log_w)
+            eps_o = 0.9 if n > 64 else 1.0 / 3.0
+            runs = []
+            for sort in (sl.epsilon_ordering, argsort_epsilon_ordering):
+                o = sl.LiveOracle(sl.LogWeightMnl(log_w), seed=seed,
+                                  pair_mode=mode)
+                rng = np.random.default_rng(seed)
+                runs.append((sort(o, eps_o, 0.1, rng), o, rng))
+            (got, a, rng_a), (want, b, rng_b) = runs
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist()
+            assert a.ledger == b.ledger
+            assert list(a.ledger.per_pair) == list(b.ledger.per_pair)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            if mode == "binomial":
+                assert (a._binomial_rng.bit_generator.state
+                        == b._binomial_rng.bit_generator.state)
+            else:
+                assert stream_states(a) == stream_states(b)
 
 
 class TestClusterSort:
@@ -456,3 +510,11 @@ class TestCheckStructure:
     def test_each_fault_names_itself(self, changes, message):
         with pytest.raises(AssertionError, match=message):
             two_cluster_graph(**changes).check_structure()
+
+    def test_missing_edges_name_the_first_in_cluster_order(self):
+        graph = two_cluster_graph(clusters=[np.array([0, 2, 1])],
+                                  centers=np.array([0]), star_log={},
+                                  gamma=np.zeros(3, dtype=np.int64))
+        with pytest.raises(AssertionError, match="missing star edge for "
+                                                 "item 2$"):
+            graph.check_structure()

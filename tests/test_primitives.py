@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +129,54 @@ class TestEstimateRatio:
         sl.estimate_ratio(o, 0, 1, 0.5, eps, delta)
         c = 0.5 / 1.5
         assert o.ledger.total == compare_sample_size(c, eps / 3.0, delta)
+
+
+def scalar_log_ratio_of_wins(wins, m, c):
+    """Reference: the per-count rule the array form replaced."""
+    p_i, p_j = wins / m, (m - wins) / m
+    p_i, p_j = (0.0 if p_i < c / 2.0 else p_i), (0.0 if p_j < c / 2.0 else p_j)
+    if p_i == 0.0:
+        return -math.inf
+    return math.log(p_i) - math.log(p_j) if p_j else math.inf
+
+
+def bits(values) -> list:
+    return [np.float64(x).tobytes() for x in values]
+
+
+class TestLogRatiosOfWins:
+    """The array rule reads every count as the per-count rule did."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 999, 123_457, (1 << 53) - 1,
+                                   1 << 53, (1 << 60) + 12_345,
+                                   3 * (1 << 70) + 7])
+    @pytest.mark.parametrize("c", [0.1, 0.25, 1.0 / 3.0, 0.4])
+    def test_equal_to_the_per_count_rule_bit_for_bit(self, m, c):
+        rng = random.Random(m)
+        # counts around both c/2 snaps: i's frequency near c/2, and j's
+        snap = int(Fraction(c) * m / 2)
+        near = {w for s in (snap, m - snap) for w in range(s - 3, s + 4)}
+        wins = sorted({w for w in {0, 1, m - 1, m // 2, *near} if 0 <= w <= m}
+                      | {m} | {rng.randrange(m + 1) for _ in range(60)})
+        want = [scalar_log_ratio_of_wins(w, m, c) for w in wins]
+        got = sl.primitives.log_ratios_of_wins(wins, m, c)
+        assert got.dtype == np.float64 and got.shape == (len(wins),)
+        assert bits(got) == bits(want)
+        assert bits(sl.primitives.log_ratio_of_wins(w, m, c)
+                     for w in wins) == bits(want)
+        if m >= 10:
+            # both snaps fall among the counts
+            assert {-math.inf, math.inf} < set(want)
+        if m > 1 << 53:
+            # the counts divide as Python ints, not as rounded doubles
+            assert any(float(w) / float(m) != w / m for w in wins)
+
+    def test_an_int64_array_of_counts_and_an_empty_one(self):
+        wins = np.array([0, 7, 500, 993, 1000])
+        got = sl.primitives.log_ratios_of_wins(wins, 1000, 0.3)
+        want = [scalar_log_ratio_of_wins(w, 1000, 0.3) for w in wins.tolist()]
+        assert bits(got) == bits(want)
+        assert sl.primitives.log_ratios_of_wins(wins[:0], 1000, 0.3).size == 0
 
 
 class TestSequentialLogRatios:

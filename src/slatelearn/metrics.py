@@ -299,8 +299,8 @@ def ledger_report(ledger) -> dict:
     """Flatten a query ledger into a JSON-friendly summary.
 
     Every count is an exact Python int. ``max_per_pair`` and
-    ``pairs_touched`` read the ledger's per-pair arrays, if it has them,
-    without listing its pairs."""
+    ``pairs_touched`` read the ledger's per-pair arrays without listing
+    its pairs as tuples."""
     return {
         "total": ledger.total,
         "max_per_pair": ledger.max_per_pair,

@@ -47,10 +47,9 @@ Oracles come in two pair-sampling modes:
 
 Every oracle charges its queries to a :class:`~slatelearn.ledger.QueryLedger`.
 An array call charges it one run: its item (one a pair if ragged), an
-owned int64 copy of its partners and the count. A ledger that only ever
-sees scalar charges, as in stream mode and every replay (whose read
-position it is), keeps its per-pair counts in a dict read in O(1); after
-its first run, a scalar charge waits in a small dict of pending pairs.
+owned int64 copy of its partners and the count. Scalar charges, as in
+stream mode and every replay (whose read position the ledger is), add up
+in a dict read in O(1).
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ sampled eval adds n / 8 bytes per random subset, to skip its repeats), and
 the forest audit builds row blocks only for rows that can hold a violation:
 their traced peaks are bounded in-process with tracemalloc. A ledger logs
 an array charge as one run and folds its runs into per-pair arrays, about
-24 bytes a pair touched, where a dict entry per pair took 130 to 170.
+24 bytes a pair touched at any total, where a dict entry per pair took 130
+to 170.
 """
 
 import os
@@ -190,6 +191,23 @@ def test_array_charges_of_100_000_pairs_retain_under_4_mib():
         tracemalloc.stop()
     assert len(ledger.per_pair) == 100_000 and ledger.max_per_pair == 3
     assert retained < 4.0 and peak < 8.0
+
+
+def test_charges_past_int64_retain_under_50_bytes_a_pair():
+    # 2^17 pairs in runs of 2^62 queries each, 2^79 in all: exact counts
+    # in an object array share one int; a dict of exact ints took 129 B
+    tracemalloc.start()
+    try:
+        ledger = sl.QueryLedger()
+        for u in range(128):
+            ledger.record_pairs(u, np.arange(128, 1152), 2**62)
+        assert ledger.max_per_pair == 2**62   # a read folds every run
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ledger.total == 2**79 and retained < 50 * 2**17
+    assert list(ledger.per_pair.items()) == [
+        ((u, v), 2**62) for u in range(128) for v in range(128, 1152)]
 
 
 def test_scalar_charges_after_an_array_charge_retain_under_64_kib():

@@ -178,9 +178,11 @@ class DictLedger:
 
 
 def charge_lists(ids, counts):
-    """Interleavings of scalar, array and batch charges, and reads."""
+    """Interleavings of scalar, array and batch charges, key lookups and
+    reads."""
     return st.lists(st.one_of(
         st.tuples(st.just("pair"), ids, ids, counts),
+        st.tuples(st.just("get"), ids, ids),
         st.tuples(st.just("pairs"), ids, st.lists(ids, max_size=12),
                   st.one_of(counts, st.lists(counts, min_size=12,
                                              max_size=12))),
@@ -188,24 +190,27 @@ def charge_lists(ids, counts):
         st.tuples(st.just("read"))), max_size=40)
 
 
-# few ids, so pairs repeat; sums that may pass int64; and ids and counts
-# past what the arrays hold, which send a ledger back to its dict
+# few ids, so pairs repeat; sums that may pass int64; and ids that span
+# more than one int64 sort key holds, out to int64's ends, with counts
+# past int64
 SMALL_IDS = st.integers(0, 7)
 CHARGES = {
     "small": charge_lists(SMALL_IDS, st.integers(0, 3)),
     "large": charge_lists(SMALL_IDS | st.just(2**30),
                           st.integers(0, 3) | st.integers(0, 2**62)),
     "exotic": charge_lists(
-        SMALL_IDS | st.sampled_from([-1, 2**30, 2**31, 2**40]),
+        SMALL_IDS | st.sampled_from([-1, 2**30, 2**31, 2**40,
+                                     -2**63, 2**63 - 1]),
         st.integers(0, 3) | st.integers(2**63, 2**70)),
 }
 
 
 def assert_reads_alike(ledger, ref):
-    pairs = ledger.per_pair
-    assert list(pairs.items()) == list(ref.per_pair.items())
-    assert list(pairs) == list(ref.per_pair)
-    assert list(pairs.values()) == list(ref.per_pair.values())
+    # in pair order, (a, b) ascending
+    pairs, listed = ledger.per_pair, sorted(ref.per_pair.items())
+    assert list(pairs.items()) == listed
+    assert list(pairs) == [key for key, _ in listed]
+    assert list(pairs.values()) == [count for _, count in listed]
     assert pairs == ref.per_pair and len(pairs) == len(ref.per_pair)
     assert all(type(k) is int for key in pairs for k in key)
     assert all(type(c) is int for c in pairs.values())
@@ -244,6 +249,10 @@ def test_runs_read_as_the_dict_loop(kind, data, fold_min):
                     twin.record_pair(u, v, count)
             elif op == "read":
                 assert_reads_alike(ledger, ref)
+            elif op == "get":   # one key, without listing
+                key = tuple(args)
+                assert (ledger.per_pair.get(key) == twin.per_pair.get(key)
+                        == ref.per_pair.get(key))
             else:
                 getattr(ledger, "record_" + op)(*args)
                 getattr(twin, "record_" + op)(*args)
@@ -271,6 +280,8 @@ class TestLedgerRuns:
         lambda led: led.record_pairs(0, np.array([True]), 1),
         lambda led: led.record_pair(0, 1, -3),
         lambda led: led.record_pair(0, 1, 2.0),
+        lambda led: led.record_pair(0, 2**70),
+        lambda led: led.record_pairs(0, np.array([1, 2**63], dtype=np.uint64)),
         lambda led: led.record_batch(3, -1),
         lambda led: led.record_batch(-3, 1),
         lambda led: led.record_slate(3, -1),
@@ -286,8 +297,8 @@ class TestLedgerRuns:
                           list(ledger.per_pair.items()))
 
     def test_sums_near_int64_stay_exact(self):
-        # a ledger whose charges add up past int64 hands every count to
-        # the dict
+        # a ledger whose charges add up past int64 keeps exact counts in
+        # its arrays
         ledger, ref = sl.QueryLedger(), DictLedger()
         for u, vs, count in ((0, [1, 2, 3, 4, 5], 2**61), (0, [1], 5),
                              (2, [0], 2**62), (2, [0, 1], 2**62 - 1)):
@@ -299,9 +310,9 @@ class TestLedgerRuns:
     @pytest.mark.parametrize("last", [("pairs", 6, [7], 2**63),
                                       ("pairs", 6, [2**31], 1),
                                       ("pair", 7, 6, 2**63)])
-    def test_a_fall_back_keeps_the_charge_order(self, last):
-        # pending scalar and array charges, interleaved, move to the dict
-        # in the order they were charged
+    def test_interleaved_charges_list_in_pair_order(self, last):
+        # scalar and array charges, interleaved, then a count past int64
+        # or an id past 2^31, list in pair order
         ledger, ref = sl.QueryLedger(), DictLedger()
         for op, u, v, count in (("pairs", 0, [1], 1), ("pair", 3, 2, 1),
                                 ("pairs", 4, [5, 2], 1), ("pair", 2, 3, 4),
@@ -313,7 +324,7 @@ class TestLedgerRuns:
                 ledger.record_pair(u, v, count)
                 ref.record_pair(u, v, count)
         assert_reads_alike(ledger, ref)
-        assert list(ledger.per_pair) == [(0, 1), (2, 3), (4, 5), (2, 4),
+        assert list(ledger.per_pair) == [(0, 1), (2, 3), (2, 4), (4, 5),
                                          (6, last[2][0]) if last[0] == "pairs"
                                          else (6, 7)]
 
@@ -354,12 +365,13 @@ class CheckedLedger(sl.QueryLedger):
                                   is int else counts[lo:hi])
 
 
-@pytest.mark.parametrize("fold_min", [64, ledger_mod.FOLD_MIN])
-@pytest.mark.parametrize("learn, n", [(sl.learn_adaptive, 256),
-                                      (sl.learn_balanced, 64)])
+@pytest.mark.parametrize("learn, n, fold_min", [
+    (sl.learn_adaptive, 256, 64), (sl.learn_adaptive, 256, ledger_mod.FOLD_MIN),
+    (sl.learn_balanced, 64, 64), (sl.learn_balanced, 64, ledger_mod.FOLD_MIN),
+    (sl.learn_adaptive, 16384, ledger_mod.FOLD_MIN)])   # a total past int64
 def test_learners_charge_as_the_dict_loop(learn, n, fold_min, monkeypatch):
     # the learners' array charges, folded often or only when read, read as
-    # the dict loop's: same pairs in the same order, same counts
+    # the dict loop's: same pairs in pair order, same counts
     monkeypatch.setattr(ledger_mod, "FOLD_MIN", fold_min)
     truth = sl.generate_instance(
         sl.InstanceSpec("power-law", n, 1201, {"gamma": 1.0}))
@@ -368,8 +380,9 @@ def test_learners_charge_as_the_dict_loop(learn, n, fold_min, monkeypatch):
     learn(o, n, 0.3, 0.1, seed=1201)
     ref = o.ledger.ref
     assert len(ref.per_pair) > n
-    assert list(o.ledger.per_pair.items()) == list(ref.per_pair.items())
+    assert list(o.ledger.per_pair.items()) == sorted(ref.per_pair.items())
     assert o.ledger.max_per_pair == ref.max_per_pair
+    assert (ref.total > INT64_MAX) == (n == 16384)
     assert len(o.ledger.per_pair) == len(ref.per_pair)
 
 
